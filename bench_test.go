@@ -275,11 +275,11 @@ func BenchmarkOrderMax(b *testing.B) {
 	for _, n := range []int{129, 900} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			r := order.New(n)
-			members := make([]int, n)
+			members := make([]int32, n)
 			for i := range members {
-				members[i] = i
+				members[i] = int32(i)
 			}
-			r.SetClique(members)
+			r.SetClique32(members)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -41,7 +41,8 @@ type Config struct {
 	Dir string
 	// Tests includes each package's in-package _test.go files in the
 	// analyzed (not the imported) variant, and adds external test
-	// packages (package foo_test) as their own units.
+	// packages (package foo_test) as their own units, type-checked
+	// against that variant as go test builds them.
 	Tests bool
 }
 
@@ -289,6 +290,19 @@ func (ld *loader) importSource(path, dir string) (*types.Package, error) {
 		ld.mu.Unlock()
 	}()
 
+	pkg, err := ld.checkPure(path, dir, importerFunc(ld.Import))
+	if err != nil {
+		return nil, err
+	}
+	ld.mu.Lock()
+	ld.imported[path] = pkg
+	ld.mu.Unlock()
+	return pkg, nil
+}
+
+// checkPure type-checks the non-test files of one module package,
+// resolving its imports through imp; the first type error fails it.
+func (ld *loader) checkPure(path, dir string, imp types.Importer) (*types.Package, error) {
 	bp, err := ld.ctxt.ImportDir(dir, 0)
 	if err != nil {
 		return nil, err
@@ -297,7 +311,7 @@ func (ld *loader) importSource(path, dir string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	conf := types.Config{Importer: importerFunc(ld.Import)}
+	conf := types.Config{Importer: imp}
 	var firstErr error
 	conf.Error = func(err error) {
 		if firstErr == nil {
@@ -308,10 +322,57 @@ func (ld *loader) importSource(path, dir string) (*types.Package, error) {
 	if firstErr != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", path, firstErr)
 	}
-	ld.mu.Lock()
-	ld.imported[path] = pkg
-	ld.mu.Unlock()
 	return pkg, nil
+}
+
+// testImporter resolves the imports of path's external test package
+// the way go test builds it. path itself resolves to variant, the
+// package type-checked WITH its in-package _test.go files, so the
+// export_test.go idiom works. Every module package that imports path,
+// directly or transitively, is re-checked against variant, so the
+// types that flow through it are the ones the test sees. All other
+// imports are the shared pure variants.
+func (ld *loader) testImporter(path string, variant *types.Package) types.Importer {
+	pkgs := map[string]*types.Package{path: variant}
+	reaches := map[string]bool{path: true}
+	var reach func(p string) bool
+	reach = func(p string) bool {
+		if r, ok := reaches[p]; ok {
+			return r
+		}
+		reaches[p] = false // cycle guard; Go forbids import cycles anyway
+		dir := ld.dirFor(p)
+		if dir == "" {
+			return false
+		}
+		bp, err := ld.ctxt.ImportDir(dir, 0)
+		if err != nil {
+			return false
+		}
+		for _, imp := range bp.Imports {
+			if reach(imp) {
+				reaches[p] = true
+				return true
+			}
+		}
+		return false
+	}
+	var imp importerFunc
+	imp = func(p string) (*types.Package, error) {
+		if pkg, ok := pkgs[p]; ok {
+			return pkg, nil
+		}
+		if !reach(p) {
+			return ld.Import(p)
+		}
+		pkg, err := ld.checkPure(p, ld.dirFor(p), imp)
+		if err != nil {
+			return nil, err
+		}
+		pkgs[p] = pkg
+		return pkg, nil
+	}
+	return imp
 }
 
 // analyze builds the analyzed variant(s) of one package directory: the
@@ -334,13 +395,13 @@ func (ld *loader) analyze(dir string) ([]*Package, error) {
 		names = append(append([]string(nil), bp.GoFiles...), bp.TestGoFiles...)
 	}
 	var out []*Package
-	pkg, err := ld.check(path, dir, names)
+	pkg, err := ld.check(path, dir, names, importerFunc(ld.Import))
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, pkg)
 	if ld.cfg.Tests && len(bp.XTestGoFiles) > 0 {
-		xpkg, err := ld.check(path+"_test", dir, bp.XTestGoFiles)
+		xpkg, err := ld.check(path+"_test", dir, bp.XTestGoFiles, ld.testImporter(path, pkg.Types))
 		if err != nil {
 			return nil, err
 		}
@@ -350,8 +411,8 @@ func (ld *loader) analyze(dir string) ([]*Package, error) {
 }
 
 // check parses and type-checks one file set as an analysis unit with
-// full type information.
-func (ld *loader) check(path, dir string, names []string) (*Package, error) {
+// full type information, resolving its imports through imp.
+func (ld *loader) check(path, dir string, names []string, imp types.Importer) (*Package, error) {
 	files, err := ld.parse(dir, names)
 	if err != nil {
 		return nil, err
@@ -365,7 +426,7 @@ func (ld *loader) check(path, dir string, names []string) (*Package, error) {
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	pkg := &Package{Path: path, Fset: ld.fset, Files: files, Info: info}
-	conf := types.Config{Importer: importerFunc(ld.Import)}
+	conf := types.Config{Importer: imp}
 	conf.Error = func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) }
 	tpkg, _ := conf.Check(path, ld.fset, files, info)
 	pkg.Types = tpkg

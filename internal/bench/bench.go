@@ -6,10 +6,9 @@
 //
 // Scale is configurable so the full suite can run as unit tests at
 // reduced size; Default() matches the paper's dataset sizes. The
-// per-entity loops run through package pipeline — the same sharded
-// scheduler the production batch path uses — either as full
-// deduce → top-k batches (runPipeline) or as raw index loops
-// (parEach over pipeline.Each).
+// per-entity loops run either as full deduce → top-k batches through
+// package pipeline (runPipeline), or as raw index loops through
+// par.Each, the loop under the update stream and the pooled checks.
 package bench
 
 import (
@@ -207,6 +206,17 @@ func (s *Suite) rest() *gen.RestDataset {
 	return s.ds.rest
 }
 
+// timingWorkers resolves the worker count for the timing experiments:
+// they stay sequential unless Workers is set explicitly, so per-entity
+// wall-clock means and percentiles reproduce the paper's sequential
+// methodology by default (concurrent siblings would inflate them).
+func (s *Suite) timingWorkers() int {
+	if s.Cfg.Workers > 0 {
+		return s.Cfg.Workers
+	}
+	return 1
+}
+
 // groundEntity is the common per-entity grounding helper.
 func groundEntity(ds *gen.Dataset, e gen.Entity) (*chase.Grounding, error) {
 	return chase.NewGrounding(chase.Spec{Ie: e.Instance, Im: ds.Master, Rules: ds.Rules}, chase.Options{})
@@ -229,7 +239,7 @@ func runPipeline(s *Suite, ds *gen.Dataset, entities []gen.Entity, cfg pipeline.
 	cfg.Master = ds.Master
 	cfg.Rules = ds.Rules
 	if cfg.Workers == 0 {
-		cfg.Workers = s.workers()
+		cfg.Workers = s.Cfg.Workers
 	}
 	results, sum, err := pipeline.Run(instances(entities), cfg)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/gen"
+	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/rule"
 	"repro/internal/stats"
@@ -45,7 +46,7 @@ func (s *Suite) Fig6e() (*Report, error) {
 		row := []string{ds.Name}
 		for _, rules := range []*rule.Set{ds.Rules.Form1Only(), ds.Rules.Form2Only(), ds.Rules} {
 			hits := make([]int, len(ds.Entities))
-			if err := s.parEach(len(ds.Entities), func(i int) error {
+			if err := par.Each(s.Cfg.Workers, len(ds.Entities), func(i int) error {
 				g, err := groundEntityRules(ds, ds.Entities[i], rules)
 				if err != nil {
 					return err
@@ -86,7 +87,7 @@ func (s *Suite) CompleteByForm() (*Report, error) {
 		row := []string{ds.Name}
 		for _, rules := range []*rule.Set{ds.Rules.Form1Only(), ds.Rules.Form2Only(), ds.Rules} {
 			found := make([]bool, len(ds.Entities))
-			if err := s.parEach(len(ds.Entities), func(i int) error {
+			if err := par.Each(s.Cfg.Workers, len(ds.Entities), func(i int) error {
 				g, err := groundEntityRules(ds, ds.Entities[i], rules)
 				if err != nil {
 					return err

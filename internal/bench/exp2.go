@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/gen"
+	"repro/internal/par"
 	"repro/internal/rule"
 	"repro/internal/stats"
 	"repro/internal/topk"
@@ -34,7 +35,7 @@ func (s *Suite) varyK(id string, ds *gen.Dataset) (*Report, error) {
 		row := []string{fmt.Sprintf("%d", k)}
 		for vi, rules := range ruleSets {
 			found := make([]bool, len(sample))
-			if err := s.parEach(len(sample), func(i int) error {
+			if err := par.Each(s.Cfg.Workers, len(sample), func(i int) error {
 				e := sample[i]
 				g, err := groundEntityRules(ds, e, rules)
 				if err != nil {
@@ -89,7 +90,7 @@ func (s *Suite) varyIm(id string, ds *gen.Dataset, steps int) (*Report, error) {
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, algo := range []topkAlgo{topkct, topkcth} {
 			found := make([]bool, len(sample))
-			if err := s.parEach(len(sample), func(j int) error {
+			if err := par.Each(s.Cfg.Workers, len(sample), func(j int) error {
 				e := sample[j]
 				g, err := chase.NewGrounding(chase.Spec{Ie: e.Instance, Im: im, Rules: ds.Rules}, chase.Options{})
 				if err != nil {

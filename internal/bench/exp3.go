@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/framework"
 	"repro/internal/gen"
+	"repro/internal/par"
 	"repro/internal/topk"
 )
 
@@ -22,7 +23,7 @@ func (s *Suite) interaction(id string, ds *gen.Dataset, maxRounds int) (*Report,
 	sample := s.sample(ds)
 	// rounds[i] holds the rounds entity i needed, or -1 when unresolved.
 	rounds := make([]int, len(sample))
-	if err := s.parEach(len(sample), func(i int) error {
+	if err := par.Each(s.Cfg.Workers, len(sample), func(i int) error {
 		e := sample[i]
 		rounds[i] = -1
 		g, err := groundEntity(ds, e)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/gen"
+	"repro/internal/par"
 	"repro/internal/stats"
 	"repro/internal/topk"
 )
@@ -189,7 +190,7 @@ func (s *Suite) timedTopK(entities []gen.Entity, ground func(gen.Entity) (*chase
 		rj, ct, th time.Duration
 	}
 	samples := make([]sample, len(entities))
-	err = parEachN(s.timingWorkers(), len(entities), func(i int) error {
+	err = par.Each(s.timingWorkers(), len(entities), func(i int) error {
 		e := entities[i]
 		g, err := ground(e)
 		if err != nil {
@@ -274,7 +275,7 @@ func (s *Suite) IsCRTiming() (*Report, error) {
 	}
 	ds := s.med()
 	durs := make([]time.Duration, len(ds.Entities))
-	if err := parEachN(s.timingWorkers(), len(ds.Entities), func(i int) error {
+	if err := par.Each(s.timingWorkers(), len(ds.Entities), func(i int) error {
 		g, err := groundEntity(ds, ds.Entities[i])
 		if err != nil {
 			return err

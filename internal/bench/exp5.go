@@ -7,6 +7,7 @@ import (
 	"repro/internal/chase"
 	"repro/internal/gen"
 	"repro/internal/model"
+	"repro/internal/par"
 	"repro/internal/rule"
 	"repro/internal/stats"
 	"repro/internal/topk"
@@ -69,7 +70,7 @@ func (s *Suite) Table4() (*Report, error) {
 	// DeduceOrder: currency constraints only.
 	curRules := truthCurrencyRules(ds)
 	deduceClosed := make([]bool, len(ds.Entities))
-	if err := s.parEach(len(ds.Entities), func(i int) error {
+	if err := par.Each(s.Cfg.Workers, len(ds.Entities), func(i int) error {
 		te, err := truth.DeduceOrder(ds.Entities[i].Instance, nil, curRules)
 		if err != nil {
 			return err
@@ -131,7 +132,7 @@ func (s *Suite) Table4() (*Report, error) {
 	domains := map[string][]model.Value{"closed": {model.B(true), model.B(false)}}
 	run := func(weight func(e string) func(string, model.Value) float64) (map[string]bool, error) {
 		closed := make([]bool, len(ds.Entities))
-		if err := s.parEach(len(ds.Entities), func(i int) error {
+		if err := par.Each(s.Cfg.Workers, len(ds.Entities), func(i int) error {
 			e := ds.Entities[i]
 			g, err := chase.NewGrounding(chase.Spec{Ie: e.Instance, Rules: ds.Rules}, chase.Options{})
 			if err != nil {
@@ -209,7 +210,7 @@ func (s *Suite) Exp5CFP() (*Report, error) {
 	curRules := cfpCurrencyRules(ds)
 	type verdicts struct{ vote, dord, tk bool }
 	per := make([]verdicts, len(ds.Entities))
-	if err := s.parEach(len(ds.Entities), func(i int) error {
+	if err := par.Each(s.Cfg.Workers, len(ds.Entities), func(i int) error {
 		e := ds.Entities[i]
 		// Voting.
 		per[i].vote = truth.Voting(e.Instance).EqualTo(e.Truth)

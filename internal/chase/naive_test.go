@@ -14,7 +14,9 @@ import (
 // applicable step and declaring the specification not Church-Rosser as
 // soon as an enforceable step is invalid. It is exponentially slower
 // than Grounding.Run and exists as the reference implementation for
-// differential (property-based) testing.
+// differential (property-based) testing. It is test code: the external
+// chase_test package reaches it through the test build, the way the
+// export_test.go idiom works.
 func Naive(spec Spec, opts Options, template *model.Tuple) *Result {
 	n := spec.Ie.Size()
 	schema := spec.Ie.Schema()

@@ -1,11 +1,10 @@
 package chase
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/model"
+	"repro/internal/par"
 )
 
 // Checker is a reusable chase runner over a shared Grounding. Where
@@ -125,48 +124,19 @@ func (p *CheckerPool) Check(template *model.Tuple) bool {
 	return ok
 }
 
-// CheckMany verifies n candidates on up to parallelism workers, each
-// borrowing a pooled checker: candidate i is read via tuple(i) and its
-// verdict delivered via verdict(i, ok). Workers pull indices off a
-// shared counter, so one expensive check does not stall the rest. The
-// callbacks must be safe for concurrent invocation on distinct indices
+// CheckMany verifies n candidates on up to parallelism workers (<= 0
+// means GOMAXPROCS): candidate i is read via tuple(i) and its verdict
+// delivered via verdict(i, ok). It is par.Each over Check, so each
+// check borrows a pooled checker exactly like a sequential search does,
+// and one expensive check does not stall the rest. The callbacks must
+// be safe for concurrent invocation on distinct indices
 // (index-addressed slices are the intended use).
 func (p *CheckerPool) CheckMany(parallelism, n int, tuple func(int) *model.Tuple, verdict func(int, bool)) {
-	if n == 0 {
-		return
-	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > n {
-		parallelism = n
-	}
-	if parallelism == 1 {
-		c := p.Get()
-		for i := 0; i < n; i++ {
-			verdict(i, c.Check(tuple(i)))
-		}
-		p.Put(c)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := p.Get()
-			defer p.Put(c)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				verdict(i, c.Check(tuple(i)))
-			}
-		}()
-	}
-	wg.Wait()
+	// The iteration never fails, so neither can Each.
+	_ = par.Each(parallelism, n, func(i int) error {
+		verdict(i, p.Check(tuple(i)))
+		return nil
+	})
 }
 
 // Pool returns the grounding's shared checker pool, creating it on

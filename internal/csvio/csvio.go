@@ -9,8 +9,7 @@
 // Next call decodes one row into a tuple (optionally interning its
 // values into a shared model.Dict as it goes), so arbitrarily large
 // relations stream through in constant memory — no [][]string or
-// []*Tuple materialization ever exists on this path. RelationReader
-// wraps it with the historical Read spelling, and ReadRelation and
+// []*Tuple materialization ever exists on this path. ReadRelation and
 // friends are convenience wrappers that drain it. Malformed rows
 // surface as *RowError naming the 1-based row and reading may continue
 // past them. A UTF-8 byte-order mark at the start of the input is
@@ -141,56 +140,24 @@ func (it *TupleIterator) Next() (*model.Tuple, error) {
 	return t, nil
 }
 
-// RelationReader streams a CSV relation: the header row is consumed at
-// construction (fixing the schema), Read returns one tuple per call.
-// It is TupleIterator under the historical name and method spelling.
-type RelationReader struct {
-	*TupleIterator
-}
-
-// NewRelationReader reads the header row and fixes the relation schema
-// (named name). An empty input is an error; a leading UTF-8 BOM is
-// stripped.
-func NewRelationReader(r io.Reader, name string) (*RelationReader, error) {
+// ReadRelation parses CSV into a schema (named name) and its tuples.
+// It stops at the first malformed row.
+func ReadRelation(r io.Reader, name string) (*model.Schema, []*model.Tuple, error) {
 	it, err := NewTupleIterator(r, name)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &RelationReader{TupleIterator: it}, nil
-}
-
-// Read returns the next tuple, or io.EOF after the last row. A row
-// whose field count differs from the header's arity is an error naming
-// the 1-based row number; reading may continue past it.
-func (rr *RelationReader) Read() (*model.Tuple, error) { return rr.Next() }
-
-// ReadAll drains the reader, returning every remaining tuple; it stops
-// at the first malformed row.
-func (rr *RelationReader) ReadAll() ([]*model.Tuple, error) {
 	var tuples []*model.Tuple
 	for {
-		t, err := rr.Read()
+		t, err := it.Next()
 		if err == io.EOF {
-			return tuples, nil
+			return it.Schema(), tuples, nil
 		}
 		if err != nil {
-			return tuples, err
+			return nil, nil, err
 		}
 		tuples = append(tuples, t)
 	}
-}
-
-// ReadRelation parses CSV into a schema (named name) and its tuples.
-func ReadRelation(r io.Reader, name string) (*model.Schema, []*model.Tuple, error) {
-	rr, err := NewRelationReader(r, name)
-	if err != nil {
-		return nil, nil, err
-	}
-	tuples, err := rr.ReadAll()
-	if err != nil {
-		return nil, nil, err
-	}
-	return rr.Schema(), tuples, nil
 }
 
 // ReadRelationFile is ReadRelation over a file path; the relation is

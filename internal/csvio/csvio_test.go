@@ -78,23 +78,23 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestStreamingReader(t *testing.T) {
-	rr, err := csvio.NewRelationReader(strings.NewReader(sample), "stat")
+	it, err := csvio.NewTupleIterator(strings.NewReader(sample), "stat")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.Schema().Arity() != 4 {
-		t.Fatalf("arity = %d", rr.Schema().Arity())
+	if it.Schema().Arity() != 4 {
+		t.Fatalf("arity = %d", it.Schema().Arity())
 	}
 	var n int
 	for {
-		tu, err := rr.Read()
+		tu, err := it.Next()
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tu.Schema() != rr.Schema() {
+		if tu.Schema() != it.Schema() {
 			t.Fatal("tuple uses a different schema instance")
 		}
 		n++
@@ -105,19 +105,19 @@ func TestStreamingReader(t *testing.T) {
 }
 
 func TestStreamingRaggedRowNamesRow(t *testing.T) {
-	rr, err := csvio.NewRelationReader(strings.NewReader("a,b\n1,2\n3\n4,5\n"), "x")
+	it, err := csvio.NewTupleIterator(strings.NewReader("a,b\n1,2\n3\n4,5\n"), "x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rr.Read(); err != nil {
+	if _, err := it.Next(); err != nil {
 		t.Fatalf("row 2: %v", err)
 	}
-	_, err = rr.Read()
+	_, err = it.Next()
 	if err == nil || !strings.Contains(err.Error(), "row 3") {
 		t.Fatalf("ragged row error should name row 3, got %v", err)
 	}
 	// Reading may continue past the malformed row.
-	tu, err := rr.Read()
+	tu, err := it.Next()
 	if err != nil {
 		t.Fatalf("row 4 after ragged row: %v", err)
 	}

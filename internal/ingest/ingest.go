@@ -67,7 +67,7 @@ func StreamCSV(r io.Reader, name string, opts Options, cfg pipeline.Config, sink
 	if err != nil {
 		return pipeline.Summary{}, err
 	}
-	return pipeline.StreamFromShared(shared, es, cfg, sink)
+	return pipeline.StreamFrom(shared, es, cfg, sink)
 }
 
 // RunLength reports whether the relation's rows arrive grouped in

@@ -60,11 +60,11 @@ func TestKernelMaxDifferential(t *testing.T) {
 		// Full clique: every index is maximal; both must pick index 0.
 		if n > 0 {
 			r := New(n)
-			members := make([]int, n)
+			members := make([]int32, n)
 			for i := range members {
-				members[i] = i
+				members[i] = int32(i)
 			}
-			r.SetClique(members)
+			r.SetClique32(members)
 			if got, want := r.Max(), r.refMax(); got != want || got != 0 {
 				t.Fatalf("n=%d clique: Max=%d refMax=%d", n, got, want)
 			}
@@ -246,7 +246,7 @@ func TestKernelDirtyTracking(t *testing.T) {
 				group := []int32{int32(rng.Intn(n))}
 				tr.AddAllTo32(group, func(int, int) {})
 			case 2:
-				tr.SetClique([]int{rng.Intn(n), rng.Intn(n)})
+				tr.SetClique32([]int32{int32(rng.Intn(n)), int32(rng.Intn(n))})
 			}
 		}
 		tr.ResetFrom(base)

@@ -23,7 +23,7 @@
 // AddAllToWords) hand newly derived pairs back as per-row word masks so
 // callers — the chase engine — consume them word-at-a-time. Every
 // word-parallel kernel is bit-for-bit equivalent to the naive bit-loop
-// reference retained in reference.go; kernel_test.go enforces the
+// reference retained in reference_test.go; kernel_test.go enforces the
 // equivalence differentially.
 package order
 
@@ -46,12 +46,10 @@ type Relation struct {
 	// scheme behind the chase engine pool.
 	dirty []uint64
 	// scratch is the reusable one-row mask buffer of the insertion
-	// kernels; idx32 backs the []int → []int32 widening of the wrapper
-	// methods; pairBuf backs Add's result slice and diffBuf AddDiffs'.
+	// kernels; pairBuf backs Add's result slice and diffBuf AddDiffs'.
 	// Together they make the mutation hot path allocation-free on a
 	// long-lived relation.
 	scratch []uint64
-	idx32   []int32
 	mwBuf   []int32
 	pairBuf []Pair
 	diffBuf []WordDiff
@@ -78,28 +76,6 @@ func (r *Relation) mask() []uint64 {
 		}
 	}
 	return r.scratch
-}
-
-// widen reuses the idx32 buffer to widen an index list for the 32-bit
-// bulk kernels, which are the implementation (the chase hands value-ID
-// groups over as []int32; the []int wrappers exist for callers and
-// tests that index with int). The previous widening copy allocated on
-// every SetClique/SetBelow/AddAllTo call; the buffer survives on the
-// relation instead. off reserves a prefix so SetBelow can hold two
-// lists in the one buffer.
-func (r *Relation) widen(xs []int, off int) []int32 {
-	need := off + len(xs)
-	if cap(r.idx32) < need {
-		grown := make([]int32, need)
-		copy(grown, r.idx32)
-		r.idx32 = grown
-	}
-	r.idx32 = r.idx32[:need]
-	out := r.idx32[off:need]
-	for i, x := range xs {
-		out[i] = int32(x)
-	}
-	return out
 }
 
 // New creates an empty relation over n tuples.
@@ -242,16 +218,12 @@ func (r *Relation) AddDiffs(i, j int) []WordDiff {
 	return diffs
 }
 
-// AddAllTo bulk-inserts x ⪯ g for every tuple x and every g in group,
-// restoring transitive closure, and calls visit for each newly derived
-// pair. It implements the axiom ϕ8: once te[A] is known, every tuple is
-// at most as accurate as the tuples carrying that value.
-func (r *Relation) AddAllTo(group []int, visit func(from, to int)) {
-	r.AddAllTo32(r.widen(group, 0), visit)
-}
-
-// AddAllTo32 is AddAllTo over an int32 group — the chase's ϕ8 firing
-// path hands the value-ID equality class straight through.
+// AddAllTo32 bulk-inserts x ⪯ g for every tuple x and every g in
+// group, restoring transitive closure, and calls visit for each newly
+// derived pair. It implements the axiom ϕ8: once te[A] is known, every
+// tuple is at most as accurate as the tuples carrying that value. The
+// group is an int32 list because the chase's value-ID equality classes
+// are; the chase itself fires ϕ8 through AddAllToWords.
 func (r *Relation) AddAllTo32(group []int32, visit func(from, to int)) {
 	r.AddAllToWords(group, func(p, wi int, diff uint64) bool {
 		base := wi << 6
@@ -309,17 +281,12 @@ func (r *Relation) addMaskWords(mask []uint64, visit func(p, wi int, diff uint64
 	}
 }
 
-// SetClique marks every ordered pair within members (including reflexive
-// pairs) as derived, without closure propagation. It is used to seed the
-// initial relation with the value-equality cliques of axiom ϕ9; callers
-// must only use it on an empty relation where cliques are closure-safe.
-func (r *Relation) SetClique(members []int) {
-	r.SetClique32(r.widen(members, 0))
-}
-
-// SetClique32 is SetClique over int32 member lists — the value-ID
-// groups of the chase index their equality classes as []int32, and the
-// seeding hot path should not copy them into []int first.
+// SetClique32 marks every ordered pair within members (including
+// reflexive pairs) as derived, without closure propagation. It is used
+// to seed the initial relation with the value-equality cliques of axiom
+// ϕ9; callers must only use it on an empty relation where cliques are
+// closure-safe. The value-ID groups of the chase index their equality
+// classes as []int32, so the seeding path hands them straight through.
 func (r *Relation) SetClique32(members []int32) {
 	if len(members) == 0 {
 		return
@@ -338,18 +305,11 @@ func (r *Relation) SetClique32(members []int32) {
 	}
 }
 
-// SetBelow marks lo ⪯ hi for every lo in los and hi in his, without
+// SetBelow32 marks lo ⪯ hi for every lo in los and hi in his, without
 // closure propagation. It seeds the initial relation with axiom ϕ7
 // (null values have the lowest accuracy); callers must ensure closure
-// safety as for SetClique (nulls form a clique that reaches all
+// safety as for SetClique32 (nulls form a clique that reaches all
 // non-null tuples, which have no outgoing edges yet).
-func (r *Relation) SetBelow(los, his []int) {
-	l := r.widen(los, 0)
-	h := r.widen(his, len(los))
-	r.SetBelow32(l, h)
-}
-
-// SetBelow32 is SetBelow over int32 index lists; see SetClique32.
 func (r *Relation) SetBelow32(los, his []int32) {
 	if len(los) == 0 || len(his) == 0 {
 		return

@@ -100,9 +100,9 @@ func TestColumnCounts(t *testing.T) {
 
 func TestSetCliqueAndBelow(t *testing.T) {
 	r := New(5)
-	r.SetClique([]int{0, 1})
-	r.SetClique([]int{3, 4})
-	r.SetBelow([]int{3, 4}, []int{0, 1, 2})
+	r.SetClique32([]int32{0, 1})
+	r.SetClique32([]int32{3, 4})
+	r.SetBelow32([]int32{3, 4}, []int32{0, 1, 2})
 	if !r.Has(0, 1) || !r.Has(1, 0) || !r.Has(0, 0) {
 		t.Errorf("clique pairs missing")
 	}
@@ -119,9 +119,9 @@ func TestSetCliqueAndBelow(t *testing.T) {
 
 func TestAddAllTo(t *testing.T) {
 	r := New(4)
-	r.SetClique([]int{1, 2}) // the value group
+	r.SetClique32([]int32{1, 2}) // the value group
 	var derived []Pair
-	r.AddAllTo([]int{1, 2}, func(i, j int) { derived = append(derived, Pair{i, j}) })
+	r.AddAllTo32([]int32{1, 2}, func(i, j int) { derived = append(derived, Pair{i, j}) })
 	for i := 0; i < 4; i++ {
 		if !r.Has(i, 1) || !r.Has(i, 2) {
 			t.Errorf("tuple %d should reach the group", i)
@@ -142,9 +142,9 @@ func TestAddAllToPropagation(t *testing.T) {
 	// Group members already reach 3; everyone must now reach 3 too.
 	r := New(4)
 	r.Add(1, 3)
-	r.AddAllTo([]int{1}, func(int, int) {})
+	r.AddAllTo32([]int32{1}, func(int, int) {})
 	if !r.Has(0, 3) || !r.Has(2, 3) {
-		t.Errorf("AddAllTo must propagate the group's successors")
+		t.Errorf("AddAllTo32 must propagate the group's successors")
 	}
 	if !r.TransitiveOK() {
 		t.Errorf("closure violated")
@@ -352,9 +352,9 @@ func TestCloneTrackedResetFrom(t *testing.T) {
 		}
 	}
 	// The restored relation is reusable: diverge and restore again.
-	r.AddAllTo([]int{5}, func(int, int) {})
-	r.SetClique([]int{90, 91})
-	r.SetBelow([]int{10}, []int{11})
+	r.AddAllTo32([]int32{5}, func(int, int) {})
+	r.SetClique32([]int32{90, 91})
+	r.SetBelow32([]int32{10}, []int32{11})
 	r.ResetFrom(base)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {

@@ -7,9 +7,9 @@ import "math/bits"
 // reference for kernel_test.go and FuzzRelationOps: every word-parallel
 // kernel must stay bit-for-bit equivalent to its reference here (the
 // DESIGN.md "order kernel" invariant — the reference is kept and
-// tested, not deleted). None of these are called outside tests; they
-// favour being obviously faithful to the Section 2 semantics over
-// speed.
+// tested, not deleted). They are test code, so the library never ships
+// them; they favour being obviously faithful to the Section 2 semantics
+// over speed.
 
 // refMax is the O(n²) probe-based Max: scan columns left to right and
 // return the first column j whose every other row i has i ⪯ j.

@@ -19,9 +19,8 @@ package pipeline
 
 import (
 	"fmt"
+	"io"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/chase"
@@ -252,6 +251,8 @@ func Run(entities []*model.EntityInstance, cfg Config) ([]Result, Summary, error
 // so a caller can report progress or persist verdicts while later
 // entities are still being checked. sink runs on the calling goroutine;
 // returning an error stops the batch early and is returned from Stream.
+// Invalid rules and schema mismatches fail the batch before any entity
+// is processed; the entities then run through StreamFrom's worker pool.
 func Stream(entities []*model.EntityInstance, cfg Config, sink func(Result) error) (Summary, error) {
 	start := time.Now()
 	var sum Summary
@@ -263,37 +264,6 @@ func Stream(entities []*model.EntityInstance, cfg Config, sink func(Result) erro
 	if err != nil {
 		return sum, err
 	}
-	return streamShared(shared, entities, cfg, sink, start)
-}
-
-// RunShared is Run on a prebuilt schema-level groundwork (validated
-// rules + compiled form-(2) index): repeated batches over one schema
-// skip the per-call rule re-validation Stream performs. cfg.Master and
-// cfg.Rules are ignored in favour of the groundwork's own.
-func RunShared(shared *chase.Shared, entities []*model.EntityInstance, cfg Config) ([]Result, Summary, error) {
-	results := make([]Result, 0, len(entities))
-	sum, err := StreamShared(shared, entities, cfg, func(r Result) error {
-		results = append(results, r)
-		return nil
-	})
-	return results, sum, err
-}
-
-// StreamShared is Stream on a prebuilt schema-level groundwork; see
-// RunShared.
-func StreamShared(shared *chase.Shared, entities []*model.EntityInstance, cfg Config, sink func(Result) error) (Summary, error) {
-	start := time.Now()
-	var sum Summary
-	if len(entities) == 0 {
-		sum.Elapsed = time.Since(start)
-		return sum, nil
-	}
-	return streamShared(shared, entities, cfg, sink, start)
-}
-
-// streamShared is the worker-pool core behind Stream and StreamShared.
-func streamShared(shared *chase.Shared, entities []*model.EntityInstance, cfg Config, sink func(Result) error, start time.Time) (Summary, error) {
-	var sum Summary
 	schema := shared.Schema()
 	for i, ie := range entities {
 		if ie.Schema() != schema {
@@ -301,68 +271,19 @@ func streamShared(shared *chase.Shared, entities []*model.EntityInstance, cfg Co
 				i, ie.Schema().Name(), schema.Name())
 		}
 	}
+	return streamFrom(shared, &sliceSource{entities}, cfg, sink, start)
+}
 
-	n := len(entities)
-	w := cfg.workers()
-	if w > n {
-		w = n
-	}
-	results := make([]Result, n)
-	done := make([]chan struct{}, n)
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	// Backpressure: workers must hold a token to claim an entity, and
-	// the delivery loop returns one per delivered result, so at most
-	// `window` results ever sit completed-but-undelivered. Without
-	// this, one slow early entity would let the other workers race
-	// ahead and buffer the whole batch in memory.
-	window := 2 * w
-	if window > n {
-		window = n
-	}
-	tokens := make(chan struct{}, window)
-	for i := 0; i < window; i++ {
-		tokens <- struct{}{}
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if _, ok := <-tokens; !ok {
-					return // closed: early stop
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				results[i] = runEntity(i, entities[i], shared, &cfg)
-				close(done[i])
-			}
-		}()
-	}
+// sliceSource replays a materialized batch as an EntitySource.
+type sliceSource struct{ ents []*model.EntityInstance }
 
-	var sinkErr error
-	for i := 0; i < n; i++ {
-		<-done[i]
-		r := results[i]
-		results[i] = Result{} // delivered; free it
-		sum.add(&r, schema.Arity())
-		if err := sink(r); err != nil {
-			sinkErr = err
-			break
-		}
-		tokens <- struct{}{}
+func (s *sliceSource) Next() (*model.EntityInstance, error) {
+	if len(s.ents) == 0 {
+		return nil, io.EOF
 	}
-	// Retire the workers before returning; on early stop the in-flight
-	// entities finish but are not delivered.
-	close(tokens)
-	wg.Wait()
-	sum.Elapsed = time.Since(start)
-	return sum, sinkErr
+	ie := s.ents[0]
+	s.ents = s.ents[1:]
+	return ie, nil
 }
 
 // runEntity is the per-entity kernel: ground, deduce, search.
@@ -424,51 +345,4 @@ func runGrounding(out *Result, g *chase.Grounding, cfg *Config) {
 			out.Err = fmt.Errorf("pipeline: entity %d: %w", out.Index, err)
 		}
 	}
-}
-
-// Each runs f(i) for every i in [0, n) across w workers (w <= 0 means
-// GOMAXPROCS); it is the generic sharded loop underneath the pipeline,
-// exported for callers — the bench experiment drivers — whose per-entity
-// work does not fit the deduce → top-k shape. Iterations must be
-// independent; deterministic output is obtained by writing into
-// index-addressed slices captured by f. The lowest-index error is
-// returned, matching what a sequential loop would have reported.
-func Each(w, n int, f func(i int) error) error {
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if err := f(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = f(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

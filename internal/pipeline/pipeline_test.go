@@ -207,6 +207,17 @@ func TestMixedSchemaRejected(t *testing.T) {
 	if err == nil {
 		t.Fatal("mixed schemas were accepted")
 	}
+	// "Before any work starts": the valid first entity must not reach
+	// the sink either.
+	calls := 0
+	_, err = Stream([]*model.EntityInstance{e1, e2}, Config{Rules: rules},
+		func(Result) error {
+			calls++
+			return nil
+		})
+	if err == nil || calls != 0 {
+		t.Fatalf("mixed schemas: err = %v, sink ran %d times, want an error and 0", err, calls)
+	}
 }
 
 // TestEmptyBatch: no entities is a valid (empty) batch.
@@ -214,31 +225,5 @@ func TestEmptyBatch(t *testing.T) {
 	results, sum, err := Run(nil, Config{})
 	if err != nil || len(results) != 0 || sum.Entities != 0 {
 		t.Fatalf("empty batch: results=%d sum=%+v err=%v", len(results), sum, err)
-	}
-}
-
-// TestEach mirrors the bench drivers' use: index-addressed writes, the
-// lowest-index error wins.
-func TestEach(t *testing.T) {
-	out := make([]int, 100)
-	if err := Each(7, len(out), func(i int) error {
-		out[i] = i * i
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-	err := Each(5, 50, func(i int) error {
-		if i%10 == 3 {
-			return fmt.Errorf("e%d", i)
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "e3" {
-		t.Fatalf("err = %v, want e3", err)
 	}
 }

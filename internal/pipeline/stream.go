@@ -27,64 +27,18 @@ type EntitySource interface {
 	Next() (*model.EntityInstance, error)
 }
 
-// RunStream drains the source through the worker pool and returns every
-// result in source order plus the batch summary. It holds all results —
-// use StreamFrom to keep memory bounded end to end.
-func RunStream(src EntitySource, cfg Config) ([]Result, Summary, error) {
-	var results []Result
-	sum, err := StreamFrom(src, cfg, func(r Result) error {
-		results = append(results, r)
-		return nil
-	})
-	return results, sum, err
-}
-
-// StreamFrom processes entities as the source yields them, delivering
-// results to sink in source order. The schema-level groundwork is built
-// from the first entity's schema; an empty source is an empty batch.
-// sink runs on the calling goroutine; returning an error stops the run
-// early and is returned from StreamFrom. A source error likewise stops
-// the run: in-flight entities finish but are not delivered.
-func StreamFrom(src EntitySource, cfg Config, sink func(Result) error) (Summary, error) {
-	start := time.Now()
-	var sum Summary
-	first, err := src.Next()
-	if err == io.EOF {
-		sum.Elapsed = time.Since(start)
-		return sum, nil
-	}
-	if err != nil {
-		sum.Elapsed = time.Since(start)
-		return sum, err
-	}
-	shared, err := chase.NewShared(first.Schema(), cfg.Master, cfg.Rules)
-	if err != nil {
-		sum.Elapsed = time.Since(start)
-		return sum, err
-	}
-	return streamFrom(shared, first, src, cfg, sink, start)
-}
-
-// StreamFromShared is StreamFrom on a prebuilt schema-level groundwork
-// (cfg.Master and cfg.Rules are ignored in favour of the groundwork's
-// own), for callers that already hold a chase.Shared — the ingest
-// composition does, so the CSV dict and the chase dict are one.
-func StreamFromShared(shared *chase.Shared, src EntitySource, cfg Config, sink func(Result) error) (Summary, error) {
-	return streamFromShared(shared, src, cfg, sink, time.Now())
-}
-
-func streamFromShared(shared *chase.Shared, src EntitySource, cfg Config, sink func(Result) error, start time.Time) (Summary, error) {
-	var sum Summary
-	first, err := src.Next()
-	if err == io.EOF {
-		sum.Elapsed = time.Since(start)
-		return sum, nil
-	}
-	if err != nil {
-		sum.Elapsed = time.Since(start)
-		return sum, err
-	}
-	return streamFrom(shared, first, src, cfg, sink, start)
+// StreamFrom processes entities as the source yields them on a
+// prebuilt schema-level groundwork (cfg.Master and cfg.Rules are
+// ignored in favour of shared's own), delivering results to sink in
+// source order; an empty source is an empty batch. Callers that build
+// the groundwork themselves can share its dictionary with the source —
+// the ingest composition does, so the CSV dict and the chase dict are
+// one. sink runs on the calling goroutine; returning an error stops
+// the run early and is returned from StreamFrom. A source error or an
+// entity of another schema likewise stops the run: in-flight entities
+// finish but are not delivered.
+func StreamFrom(shared *chase.Shared, src EntitySource, cfg Config, sink func(Result) error) (Summary, error) {
+	return streamFrom(shared, src, cfg, sink, time.Now())
 }
 
 // job pairs an entity with its source-order index.
@@ -93,13 +47,14 @@ type job struct {
 	ie *model.EntityInstance
 }
 
-// streamFrom is the worker-pool core behind the streaming entry points.
-// The invariant that bounds memory: issued − delivered ≤ window at all
-// times, counting queued jobs, entities being worked, and results not
-// yet handed to sink — so neither the jobs channel, the results
-// channel, nor the reorder map can grow past the window, and the
-// source is only pulled when there is room.
-func streamFrom(shared *chase.Shared, first *model.EntityInstance, src EntitySource, cfg Config, sink func(Result) error, start time.Time) (Summary, error) {
+// streamFrom is the pipeline's one worker pool, behind Stream (over a
+// slice) and StreamFrom (over any source). The invariant that bounds
+// memory: issued − delivered ≤ window at all times, counting queued
+// jobs, entities being worked, and results not yet handed to sink — so
+// neither the jobs channel, the results channel, nor the reorder map
+// can grow past the window, and the source is only pulled when there
+// is room.
+func streamFrom(shared *chase.Shared, src EntitySource, cfg Config, sink func(Result) error, start time.Time) (Summary, error) {
 	var sum Summary
 	schema := shared.Schema()
 	w := cfg.workers()
@@ -165,30 +120,27 @@ func streamFrom(shared *chase.Shared, first *model.EntityInstance, src EntitySou
 		return nil
 	}
 
-	ie, srcErr := first, error(nil)
 	for {
-		if ie != nil {
-			if ie.Schema() != schema {
-				return stop(fmt.Errorf("pipeline: entity %d uses schema %s, batch uses %s",
-					issued, ie.Schema().Name(), schema.Name()))
-			}
-			for issued-delivered >= window {
-				if err := deliver(true); err != nil {
-					return stop(err)
-				}
-			}
-			jobs <- job{issued, ie}
-			issued++
-			if err := deliver(false); err != nil {
+		ie, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return stop(err)
+		}
+		if ie.Schema() != schema {
+			return stop(fmt.Errorf("pipeline: entity %d uses schema %s, batch uses %s",
+				issued, ie.Schema().Name(), schema.Name()))
+		}
+		for issued-delivered >= window {
+			if err := deliver(true); err != nil {
 				return stop(err)
 			}
 		}
-		ie, srcErr = src.Next()
-		if srcErr == io.EOF {
-			break
-		}
-		if srcErr != nil {
-			return stop(srcErr)
+		jobs <- job{issued, ie}
+		issued++
+		if err := deliver(false); err != nil {
+			return stop(err)
 		}
 	}
 	close(jobs)

@@ -5,6 +5,8 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/chase"
+	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/topk"
 )
@@ -19,6 +21,16 @@ type sliceEntitySource struct {
 }
 
 var errSource = errors.New("source failed")
+
+// testShared builds the schema-level groundwork StreamFrom runs on.
+func testShared(t *testing.T, ds *gen.Dataset) *chase.Shared {
+	t.Helper()
+	shared, err := chase.NewShared(ds.Entities[0].Instance.Schema(), ds.Master, ds.Rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shared
+}
 
 func (s *sliceEntitySource) Next() (*model.EntityInstance, error) {
 	if s.i == s.errAt {
@@ -36,7 +48,7 @@ func (s *sliceEntitySource) Next() (*model.EntityInstance, error) {
 }
 
 // TestRunStreamMatchesRun is the streaming half of the pipeline
-// equivalence guarantee: RunStream over a source yields byte-identical
+// equivalence guarantee: StreamFrom over a source yields byte-identical
 // per-entity results and the same Summary as the materialized Run, for
 // any worker count (run under -race in CI).
 func TestRunStreamMatchesRun(t *testing.T) {
@@ -51,7 +63,12 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	for _, w := range []int{1, 3, 8} {
 		cfg := base
 		cfg.Workers = w
-		got, sum, err := RunStream(&sliceEntitySource{ents: ents, errAt: -1}, cfg)
+		var got []Result
+		sum, err := StreamFrom(testShared(t, ds), &sliceEntitySource{ents: ents, errAt: -1}, cfg,
+			func(r Result) error {
+				got = append(got, r)
+				return nil
+			})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +107,7 @@ func TestStreamFromBackpressure(t *testing.T) {
 		}
 	}
 	cfg := Config{Master: ds.Master, Rules: ds.Rules, Workers: workers}
-	_, err := StreamFrom(src, cfg, func(r Result) error {
+	_, err := StreamFrom(testShared(t, ds), src, cfg, func(r Result) error {
 		delivered++
 		return nil
 	})
@@ -110,7 +127,7 @@ func TestStreamFromSinkErrorStopsEarly(t *testing.T) {
 	ents := instances(ds)
 	stop := errors.New("stop")
 	n := 0
-	_, err := StreamFrom(&sliceEntitySource{ents: ents, errAt: -1},
+	_, err := StreamFrom(testShared(t, ds), &sliceEntitySource{ents: ents, errAt: -1},
 		Config{Master: ds.Master, Rules: ds.Rules, Workers: 4},
 		func(r Result) error {
 			if r.Index != n {
@@ -134,7 +151,7 @@ func TestStreamFromSourceError(t *testing.T) {
 	ds := testDataset(t, 20)
 	ents := instances(ds)
 	n := 0
-	_, err := StreamFrom(&sliceEntitySource{ents: ents, errAt: 10},
+	_, err := StreamFrom(testShared(t, ds), &sliceEntitySource{ents: ents, errAt: 10},
 		Config{Master: ds.Master, Rules: ds.Rules, Workers: 4},
 		func(r Result) error {
 			if r.Index != n {
@@ -156,7 +173,7 @@ func TestStreamFromSchemaMismatch(t *testing.T) {
 	other := testDataset(t, 1)
 	ents := instances(ds)
 	ents = append(ents, other.Entities[0].Instance)
-	_, err := StreamFrom(&sliceEntitySource{ents: ents, errAt: -1},
+	_, err := StreamFrom(testShared(t, ds), &sliceEntitySource{ents: ents, errAt: -1},
 		Config{Master: ds.Master, Rules: ds.Rules},
 		func(Result) error { return nil })
 	if err == nil {
@@ -165,7 +182,7 @@ func TestStreamFromSchemaMismatch(t *testing.T) {
 }
 
 func TestStreamFromEmptySource(t *testing.T) {
-	sum, err := StreamFrom(&sliceEntitySource{errAt: -1}, Config{},
+	sum, err := StreamFrom(testShared(t, testDataset(t, 1)), &sliceEntitySource{errAt: -1}, Config{},
 		func(Result) error { t.Fatal("sink on empty source"); return nil })
 	if err != nil || sum.Entities != 0 {
 		t.Fatalf("empty source: %v %+v", err, sum)

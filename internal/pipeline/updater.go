@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/model"
+	"repro/internal/par"
 )
 
 // Update is one evidence delta of the update stream: new tuples for the
@@ -488,7 +489,7 @@ func (u *Updater) apply(updates []Update, p Persister, cfg *Config) ([]Result, S
 
 	results := make([]Result, len(order))
 	created := make([]bool, len(order))
-	err := Each(cfg.workers(), len(order), func(i int) error {
+	err := par.Each(cfg.workers(), len(order), func(i int) error {
 		entityStart := time.Now()
 		defer func() { results[i].Elapsed = time.Since(entityStart) }()
 		results[i].Index = i
@@ -651,7 +652,7 @@ func (u *Updater) Snapshot() ([]string, []Result, Summary, error) {
 	var sum Summary
 	keys := u.Keys()
 	results := make([]Result, len(keys))
-	err := Each(u.cfg.workers(), len(keys), func(i int) error {
+	err := par.Each(u.cfg.workers(), len(keys), func(i int) error {
 		entityStart := time.Now()
 		results[i].Index = i
 		results[i].Key = keys[i]

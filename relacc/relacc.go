@@ -11,11 +11,12 @@
 //     search of Section 6), Check and the interactive framework of
 //     Section 4.
 //
-//   - Run / Stream process MANY entities at once: the batch pipeline
-//     shards entity instances across a worker pool, reuses the
-//     schema-level rule groundwork for every entity, and streams
+//   - Run and StreamCSV process MANY entities at once: the batch
+//     pipeline shards entity instances across a worker pool, reuses
+//     the schema-level rule groundwork for every entity, and returns
 //     per-entity Results in input order together with an aggregate
-//     Summary. Per-entity output is identical to a sequential Session
+//     Summary (StreamCSV streams them to a sink straight from a CSV
+//     reader). Per-entity output is identical to a sequential Session
 //     run regardless of the worker count.
 //
 // Evidence need not be complete up front. Session.AddTuples absorbs
@@ -32,8 +33,8 @@
 // the relaccd daemon put an HTTP/JSON front end on it — see
 // examples/serving). NewGroundwork hoists the
 // schema-level work (rule validation, form-(2) index compilation) out
-// of session construction for callers that open many sessions or runs
-// over one schema.
+// of session construction for callers that open many sessions or
+// update streams over one schema.
 //
 // Raw relations enter through ReadRelation (CSV) and are grouped into
 // entity instances either by an existing identifier column (GroupBy) or
@@ -235,32 +236,13 @@ func Run(entities []*EntityInstance, cfg BatchConfig) ([]Result, Summary, error)
 	return pipeline.Run(entities, cfg)
 }
 
-// Stream is Run with a sink: results are delivered in input order as
-// soon as they (and their predecessors) finish, so verdicts can be
-// reported or persisted while later entities are still being checked.
-// A sink error stops the batch early.
-func Stream(entities []*EntityInstance, cfg BatchConfig, sink func(Result) error) (Summary, error) {
-	return pipeline.Stream(entities, cfg, sink)
-}
-
 // NewGroundwork validates the rules against the schemas once and
 // returns the reusable schema-level groundwork. im may be nil when the
 // rule set has no form-(2) rules. Use Groundwork.NewSession for
-// per-entity sessions, and RunWith / StreamWith / NewUpdaterWith for
-// batches and update streams that skip per-call re-validation.
+// per-entity sessions, and NewUpdaterWith for update streams that skip
+// per-call re-validation.
 func NewGroundwork(entity *Schema, im *MasterRelation, rules *RuleSet) (*Groundwork, error) {
 	return core.NewGroundwork(entity, im, rules)
-}
-
-// RunWith is Run on a prebuilt Groundwork: cfg.Master and cfg.Rules are
-// ignored in favour of the groundwork's own.
-func RunWith(gw *Groundwork, entities []*EntityInstance, cfg BatchConfig) ([]Result, Summary, error) {
-	return pipeline.RunShared(gw.Shared(), entities, cfg)
-}
-
-// StreamWith is Stream on a prebuilt Groundwork; see RunWith.
-func StreamWith(gw *Groundwork, entities []*EntityInstance, cfg BatchConfig, sink func(Result) error) (Summary, error) {
-	return pipeline.StreamShared(gw.Shared(), entities, cfg, sink)
 }
 
 // NewUpdater opens an update stream: live per-entity sessions keyed by
