@@ -13,23 +13,29 @@
 // entity resolution on key attributes (-key) — and runs the deduce →
 // top-k pipeline over all of them on a worker pool, printing one
 // verdict per entity plus a summary. -o writes the settled targets
-// (deduced complete, or filled from the best candidate) as CSV.
+// (pipeline.Result.Settled: deduced complete, or filled from the best
+// candidate) as CSV.
 //
-// batch and append take -stream on|off|auto and -window N: the
-// streaming path decodes rows one at a time, seals entities as the
-// bounded window retires them, and feeds the worker pool with
-// backpressure, so memory is proportional to the window, never to the
-// relation — with output identical to the materialized path. auto (the
-// default) streams when the -by input arrives in contiguous per-key
-// runs (sorted input does).
+// Every -by relation streams: rows decode one at a time, entities seal
+// as the grouping window retires them, and the worker pool is fed with
+// backpressure. -stream on|off|auto only sizes that window: on bounds it
+// at -window N open entities, so memory is proportional to the window,
+// never to the relation; off leaves it unbounded, which groups any row
+// order at the memory cost of holding the relation; auto (the default)
+// bounds it when the input arrives in contiguous per-key runs (sorted
+// input does) and leaves it unbounded otherwise. The output never
+// depends on the window: input too disordered for a bounded window
+// fails rather than split an entity. -key grouping resolves the whole
+// relation first, then runs the same sink and -o writer.
 //
-// append is the incremental face of batch: the base relation is
-// deduced once, then the delta relation's tuples are routed by the -by
-// identifier into the live per-entity sessions and only the touched
-// entities are re-deduced — through delta instantiation, not a
-// rebuild — printing one re-deduced verdict per touched entity. The
-// delta CSV must carry the same columns as the base; -o writes the
-// settled targets of the final state of every entity.
+// append is the incremental face of batch: the base relation streams
+// into live per-entity sessions and is deduced once, then the delta
+// relation's tuples are routed by the -by identifier into them and only
+// the touched entities are re-deduced — through delta instantiation,
+// not a rebuild — printing one re-deduced verdict per touched entity.
+// The delta CSV must carry the same columns as the base; -o writes the
+// settled targets (pipeline.Result.Settled) of the final state of every
+// entity.
 //
 // The optional master CSV holds master data; the rule file uses the
 // textual rule language (see internal/ruledsl):
@@ -78,7 +84,7 @@ func main() {
 	topK := fs.Int("topk", 0, "batch: candidates per incomplete entity (0 = deduce only)")
 	outPath := fs.String("o", "", "batch: write settled targets to this CSV")
 	verbose := fs.Bool("v", false, "batch: print every entity (default: only unsettled ones)")
-	stream := fs.String("stream", "auto", "batch/append: constant-memory streaming ingest: on, off, or auto (stream when -by input is run-length sorted)")
+	stream := fs.String("stream", "auto", "batch/append: -by grouping window: on (-window), off (unbounded), or auto (-window when -by input is run-length sorted, else unbounded)")
 	window := fs.Int("window", 1024, "batch/append: max open entities in the streaming group window (0 = unbounded)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
@@ -210,7 +216,7 @@ func load(dataPath, masterPath, rulesPath string) (*core.Session, *model.EntityI
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	im, rules, err := loadMasterAndRules(masterPath, rulesPath, ie.Schema())
+	im, rules, err := ingest.LoadSpec(masterPath, rulesPath, ie.Schema())
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -219,37 +225,6 @@ func load(dataPath, masterPath, rulesPath string) (*core.Session, *model.EntityI
 		return nil, nil, nil, err
 	}
 	return sess, ie, rules, nil
-}
-
-// loadMasterAndRules loads the optional master CSV and parses the rule
-// file against the given entity schema; shared by the single-entity
-// modes and batch.
-func loadMasterAndRules(masterPath, rulesPath string, entity *model.Schema) (*model.MasterRelation, *rule.Set, error) {
-	var im *model.MasterRelation
-	if masterPath != "" {
-		mf, err := os.Open(masterPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer mf.Close()
-		im, err = csvio.ReadMaster(mf, "master")
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	text, err := os.ReadFile(rulesPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	var ms *model.Schema
-	if im != nil {
-		ms = im.Schema()
-	}
-	rules, err := core.ParseRules(string(text), entity, ms)
-	if err != nil {
-		return nil, nil, err
-	}
-	return im, rules, nil
 }
 
 type batchArgs struct {
@@ -264,39 +239,50 @@ type batchArgs struct {
 	window              int
 }
 
-// useStreaming decides the ingest path for batch and append: -stream on
-// forces the constant-memory pipeline, off forbids it, and auto probes
-// the input — streaming becomes the default when the relation arrives
-// grouped by -by in contiguous runs (sorted input is, and so is any
-// export that emitted entities one at a time), the one shape that
-// streams at any window size. The probe is one cheap sequential pass;
-// a probe failure just falls back to the materialized path, which will
-// report the real error.
-func useStreaming(mode, data, by string) bool {
+// streamWindow maps -stream to the grouping window a -by relation
+// streams under; every -by run streams, the mode only sizes the window.
+// on bounds it at -window; off leaves it unbounded, which groups any
+// row order at the memory cost of holding the relation; auto bounds it
+// only when a one-pass probe finds the rows in contiguous per-key runs
+// (sorted input is, and so is any export that emitted entities one at
+// a time), the one shape that streams at any window size. A probe
+// failure leaves the window unbounded; the run itself reports the real
+// error.
+func streamWindow(mode string, window int, data, by string) er.Window {
 	switch mode {
 	case "on":
-		return true
+		return er.Window{MaxEntities: window}
 	case "off":
-		return false
+		return er.Window{}
 	case "auto":
 	default:
 		fatal(fmt.Errorf("-stream must be on, off or auto (got %q)", mode))
 	}
-	if by == "" || data == "" {
-		return false
+	if by == "" {
+		return er.Window{}
 	}
 	f, err := os.Open(data)
 	if err != nil {
-		return false
+		return er.Window{}
 	}
 	defer f.Close()
-	ok, err := ingest.RunLength(f, data, by)
-	return err == nil && ok
+	if ok, err := ingest.RunLength(f, data, by); err == nil && ok {
+		return er.Window{MaxEntities: window}
+	}
+	return er.Window{}
+}
+
+// windowString renders a window for the run's header line.
+func windowString(w er.Window) string {
+	if w.MaxEntities == 0 {
+		return "unbounded window"
+	}
+	return fmt.Sprintf("window %d", w.MaxEntities)
 }
 
 // readHeaderSchema opens the relation just long enough to read its
-// header row: the streaming paths need the schema to parse rules
-// against before the single full pass begins.
+// header row: the rules parse against the schema before the single
+// full pass begins.
 func readHeaderSchema(path string) (*model.Schema, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -311,7 +297,12 @@ func readHeaderSchema(path string) (*model.Schema, error) {
 }
 
 // runBatch is the multi-entity pipeline front end: relation CSV in,
-// per-entity verdicts and a summary out.
+// per-entity verdicts and a summary out. A -by relation streams: rows
+// decode one at a time, entities seal as the window retires them, and
+// verdicts (and -o rows) stream out while later rows are still being
+// read. -key similarity grouping must see the whole relation, so it
+// resolves the materialized relation first and then runs the same
+// sink and -o writer over the resolved entities.
 func runBatch(a batchArgs) {
 	if a.data == "" || a.rules == "" {
 		fmt.Fprintln(os.Stderr, "relacc: -data and -rules are required")
@@ -325,75 +316,22 @@ func runBatch(a batchArgs) {
 	if err != nil {
 		fatal(err)
 	}
-	if useStreaming(a.stream, a.data, a.by) {
-		if a.by == "" {
-			fatal(fmt.Errorf("-stream on needs -by: similarity grouping (-key) must see the whole relation"))
-		}
-		runBatchStream(a, alg)
-		return
+	window := streamWindow(a.stream, a.window, a.data, a.by)
+	if a.key != "" && a.stream == "on" {
+		fatal(fmt.Errorf("-stream on needs -by: similarity grouping (-key) must see the whole relation"))
 	}
 
-	schema, tuples, err := csvio.ReadRelationFile(a.data)
-	if err != nil {
-		fatal(err)
-	}
-	im, rules, err := loadMasterAndRules(a.master, a.rules, schema)
-	if err != nil {
-		fatal(err)
-	}
-
-	var entities []*model.EntityInstance
-	if a.by != "" {
-		entities, err = er.GroupBy(tuples, schema, a.by)
+	var schema *model.Schema
+	var tuples []*model.Tuple
+	if a.key != "" {
+		schema, tuples, err = csvio.ReadRelationFile(a.data)
 	} else {
-		entities, err = er.Resolve(tuples, schema, er.Config{
-			KeyAttrs:  strings.Split(a.key, ","),
-			Threshold: a.threshold,
-		})
+		schema, err = readHeaderSchema(a.data)
 	}
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("%d tuples grouped into %d entities\n", len(tuples), len(entities))
-
-	var settled []*model.Tuple
-	sum, err := pipeline.Stream(entities, pipeline.Config{
-		Master:  im,
-		Rules:   rules,
-		Workers: a.workers,
-		TopK:    a.topK,
-		Algo:    alg,
-	}, func(r pipeline.Result) error {
-		target := settledTarget(r)
-		if target != nil {
-			settled = append(settled, target)
-		}
-		if a.verbose || target == nil {
-			printEntityLine(fmt.Sprintf("%d", r.Index), r, a.verbose)
-		}
-		return nil
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(sum.String())
-
-	if a.out != "" {
-		writeSettled(a.out, schema, settled, len(entities))
-	}
-}
-
-// runBatchStream is runBatch on the constant-memory pipeline: rows
-// decode one at a time, entities seal as the window retires them, and
-// verdicts (and -o rows) stream out while later rows are still being
-// read — identical output to the materialized path, memory bounded by
-// the window and the worker pool instead of the relation's length.
-func runBatchStream(a batchArgs, alg pipeline.Algorithm) {
-	schema, err := readHeaderSchema(a.data)
-	if err != nil {
-		fatal(err)
-	}
-	im, rules, err := loadMasterAndRules(a.master, a.rules, schema)
+	im, rules, err := ingest.LoadSpec(a.master, a.rules, schema)
 	if err != nil {
 		fatal(err)
 	}
@@ -404,56 +342,41 @@ func runBatchStream(a batchArgs, alg pipeline.Algorithm) {
 		TopK:    a.topK,
 		Algo:    alg,
 	}
-	opts := ingest.Options{By: a.by, Window: er.Window{MaxEntities: a.window}}
-	fmt.Printf("streaming %s grouped by %s (window %d)\n", a.data, a.by, a.window)
-
-	var sum pipeline.Summary
-	settled := 0
-	run := func(rw *csvio.RelationWriter) error {
-		f, err := os.Open(a.data)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sum, err = ingest.StreamCSV(f, a.data, opts, cfg, func(r pipeline.Result) error {
-			target := settledTarget(r)
-			if target != nil {
-				settled++
-				if rw != nil {
-					if err := rw.Write(target); err != nil {
-						return err
-					}
-				}
-			}
-			if a.verbose || target == nil {
-				printEntityLine(fmt.Sprintf("%d", r.Index), r, a.verbose)
-			}
-			return nil
+	var run func(sink func(pipeline.Result) error) (pipeline.Summary, error)
+	if a.key != "" {
+		entities, err := er.Resolve(tuples, schema, er.Config{
+			KeyAttrs:  strings.Split(a.key, ","),
+			Threshold: a.threshold,
 		})
-		return err
-	}
-	if a.out == "" {
-		if err := run(nil); err != nil {
+		if err != nil {
 			fatal(err)
+		}
+		fmt.Printf("%d tuples grouped into %d entities\n", len(tuples), len(entities))
+		run = func(sink func(pipeline.Result) error) (pipeline.Summary, error) {
+			return pipeline.Stream(entities, cfg, sink)
 		}
 	} else {
-		// The whole run happens inside the atomic write: settled rows
-		// stream straight into the temp file as their entities resolve,
-		// and the rename publishes the complete output only after the
-		// stream ends cleanly.
-		if err := atomicWrite(a.out, func(w io.Writer) error {
-			rw, err := csvio.NewRelationWriter(w, schema)
+		fmt.Printf("streaming %s grouped by %s (%s)\n", a.data, a.by, windowString(window))
+		run = func(sink func(pipeline.Result) error) (pipeline.Summary, error) {
+			f, err := os.Open(a.data)
 			if err != nil {
-				return err
+				return pipeline.Summary{}, err
 			}
-			if err := run(rw); err != nil {
-				return err
-			}
-			return rw.Flush()
-		}); err != nil {
-			fatal(err)
+			defer f.Close()
+			return ingest.StreamCSV(f, a.data, ingest.Options{By: a.by, Window: window}, cfg, sink)
 		}
 	}
+
+	var sum pipeline.Summary
+	settled := writeSettled(a.out, schema, func(settle func(pipeline.Result) error) error {
+		sum, err = run(func(r pipeline.Result) error {
+			if a.verbose || r.Settled() == nil {
+				printEntityLine(fmt.Sprintf("%d", r.Index), r, a.verbose)
+			}
+			return settle(r)
+		})
+		return err
+	})
 	fmt.Println(sum.String())
 	if a.out != "" {
 		fmt.Printf("wrote %d settled targets (of %d entities) to %s\n", settled, sum.Entities, a.out)
@@ -472,9 +395,11 @@ type appendArgs struct {
 }
 
 // runAppend is the incremental pipeline front end: the base relation
-// seeds live per-entity sessions, the delta relation's tuples are
-// routed to them by the -by identifier, and only the touched entities
-// are re-deduced (through chase-level delta instantiation).
+// streams into live per-entity sessions (tuples decode and intern one
+// at a time, and the window turns each sealed entity into one update),
+// the delta relation's tuples are routed to them by the -by identifier,
+// and only the touched entities are re-deduced (through chase-level
+// delta instantiation). -o snapshots the final state of every entity.
 func runAppend(a appendArgs) {
 	if a.data == "" || a.delta == "" || a.rules == "" {
 		fmt.Fprintln(os.Stderr, "relacc: append needs -data, -delta and -rules")
@@ -488,142 +413,7 @@ func runAppend(a appendArgs) {
 	if err != nil {
 		fatal(err)
 	}
-	if useStreaming(a.stream, a.data, a.by) {
-		runAppendStream(a, alg)
-		return
-	}
-	schema, baseTuples, err := csvio.ReadRelationFile(a.data)
-	if err != nil {
-		fatal(err)
-	}
-	im, rules, err := loadMasterAndRules(a.master, a.rules, schema)
-	if err != nil {
-		fatal(err)
-	}
-	baseUps, baseLabels, err := groupUpdates(baseTuples, schema, a.by)
-	if err != nil {
-		fatal(err)
-	}
-
-	u, err := pipeline.NewUpdater(schema, pipeline.Config{
-		Master:  im,
-		Rules:   rules,
-		Workers: a.workers,
-		TopK:    a.topK,
-		Algo:    alg,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	baseResults, baseSum, err := u.Apply(baseUps)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("base: %d tuples grouped into %d entities\n", len(baseTuples), len(baseUps))
-	if a.verbose {
-		for i, r := range baseResults {
-			printEntityLine(baseLabels[i], r, true)
-		}
-	}
-	fmt.Println("base:", baseSum.String())
-
-	deltaUps, deltaResults, preVersion := applyDelta(u, schema, a)
-
-	if a.out != "" {
-		// The two Apply phases already deduced every entity's final
-		// state: base results stand except where the delta re-deduced
-		// the entity. Merging avoids re-running deduction and top-k
-		// search over the whole stream just to write the output.
-		final := map[string]pipeline.Result{}
-		var keys []string
-		for i, r := range baseResults {
-			final[baseUps[i].Key] = r
-			keys = append(keys, baseUps[i].Key)
-		}
-		for i, r := range deltaResults {
-			key := deltaUps[i].Key
-			if r.Err != nil {
-				// Two failure phases, two outcomes (see Updater.Apply):
-				// if the version did not advance the delta was never
-				// absorbed and the base result still describes the
-				// entity; if it did advance, the evidence IS in but no
-				// fresh target exists — the base target would be stale,
-				// so the entity is dropped, exactly as a batch over
-				// base+delta would emit no settled target for it.
-				if u.Version(key) != preVersion[key] {
-					delete(final, key)
-				}
-				continue
-			}
-			if _, seen := final[key]; !seen {
-				keys = append(keys, key)
-			}
-			final[key] = r
-		}
-		var settled []*model.Tuple
-		entities := 0
-		for _, k := range keys {
-			r, ok := final[k]
-			if !ok {
-				continue
-			}
-			entities++
-			if target := settledTarget(r); target != nil {
-				settled = append(settled, target)
-			}
-		}
-		writeSettled(a.out, schema, settled, entities)
-	}
-}
-
-// applyDelta runs the delta phase both append paths share: the delta
-// CSV is read (deltas are the small side of an append), remapped onto
-// the base schema, routed into the live entities by the -by key, and
-// every touched entity's re-deduced verdict printed. It returns what
-// the materialized -o merge needs; the streaming path snapshots the
-// updater instead.
-func applyDelta(u *pipeline.Updater, schema *model.Schema, a appendArgs) ([]pipeline.Update, []pipeline.Result, map[string]int) {
-	deltaSchema, deltaTuples, err := csvio.ReadRelationFile(a.delta)
-	if err != nil {
-		fatal(err)
-	}
-	deltaTuples, err = remapTuples(deltaTuples, deltaSchema, schema)
-	if err != nil {
-		fatal(err)
-	}
-	deltaUps, deltaLabels, err := groupUpdates(deltaTuples, schema, a.by)
-	if err != nil {
-		fatal(err)
-	}
-	newKeys := 0
-	preVersion := make(map[string]int, len(deltaUps))
-	for i := range deltaUps {
-		v := u.Version(deltaUps[i].Key)
-		preVersion[deltaUps[i].Key] = v
-		if v < 0 {
-			newKeys++
-		}
-	}
-	deltaResults, deltaSum, err := u.Apply(deltaUps)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("delta: %d tuples touched %d entities (%d new); re-deduced targets:\n",
-		len(deltaTuples), len(deltaUps), newKeys)
-	for i, r := range deltaResults {
-		printEntityLine(deltaLabels[i], r, a.verbose)
-	}
-	fmt.Println("delta:", deltaSum.String())
-	return deltaUps, deltaResults, preVersion
-}
-
-// runAppendStream is runAppend with the base relation seeded through
-// the constant-memory chain: tuples decode and intern one at a time,
-// the bounded window turns each sealed entity into one update, and the
-// live sessions build up in modest batches. The delta phase is the
-// shared materialized one (deltas are small); -o snapshots the final
-// state of every live entity.
-func runAppendStream(a appendArgs, alg pipeline.Algorithm) {
+	window := streamWindow(a.stream, a.window, a.data, a.by)
 	f, err := os.Open(a.data)
 	if err != nil {
 		fatal(err)
@@ -634,7 +424,7 @@ func runAppendStream(a appendArgs, alg pipeline.Algorithm) {
 		fatal(err)
 	}
 	schema := it.Schema()
-	im, rules, err := loadMasterAndRules(a.master, a.rules, schema)
+	im, rules, err := ingest.LoadSpec(a.master, a.rules, schema)
 	if err != nil {
 		fatal(err)
 	}
@@ -648,10 +438,10 @@ func runAppendStream(a appendArgs, alg pipeline.Algorithm) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("streaming %s into live entities by %s (window %d)\n", a.data, a.by, a.window)
+	fmt.Printf("streaming %s into live entities by %s (%s)\n", a.data, a.by, windowString(window))
 	baseSum, err := ingest.SeedUpdater(u, it, ingest.SeedOptions{
 		By:     a.by,
-		Window: er.Window{MaxEntities: a.window},
+		Window: window,
 		Sink: func(r pipeline.Result) error {
 			if a.verbose {
 				printEntityLine(entityLabel(r, a.by), r, true)
@@ -665,29 +455,71 @@ func runAppendStream(a appendArgs, alg pipeline.Algorithm) {
 	fmt.Printf("base: %d entities seeded\n", u.Len())
 	fmt.Println("base:", baseSum.String())
 
-	_, _, _ = applyDelta(u, schema, a)
+	applyDelta(u, schema, a)
 
 	if a.out != "" {
 		// Snapshot re-deduces nothing that has not changed (deductions
 		// are memoized per version); it is the final state of every
-		// entity in registration order — the same order the
-		// materialized merge writes.
-		_, results, _, err := u.Snapshot()
-		if err != nil {
-			fatal(err)
-		}
-		var settled []*model.Tuple
-		for _, r := range results {
-			if target := settledTarget(r); target != nil {
-				settled = append(settled, target)
+		// entity in registration order.
+		entities := 0
+		settled := writeSettled(a.out, schema, func(settle func(pipeline.Result) error) error {
+			_, results, _, err := u.Snapshot()
+			if err != nil {
+				return err
 			}
-		}
-		writeSettled(a.out, schema, settled, len(results))
+			entities = len(results)
+			for _, r := range results {
+				if err := settle(r); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		fmt.Printf("wrote %d settled targets (of %d entities) to %s\n", settled, entities, a.out)
 	}
 }
 
+// applyDelta runs append's delta phase: the delta CSV is read (deltas
+// are the small side of an append), remapped onto the base schema,
+// routed into the live entities by the -by key, and every touched
+// entity's re-deduced verdict printed.
+func applyDelta(u *pipeline.Updater, schema *model.Schema, a appendArgs) {
+	deltaSchema, deltaTuples, err := csvio.ReadRelationFile(a.delta)
+	if err != nil {
+		fatal(err)
+	}
+	deltaTuples, err = remapTuples(deltaTuples, deltaSchema, schema)
+	if err != nil {
+		fatal(err)
+	}
+	// Delta keys are the identifier's type-tagged Value.Key, the routing
+	// key SeedUpdater gave the base entities; labels carry what the
+	// column actually says.
+	deltaUps, deltaLabels, err := pipeline.GroupUpdates(deltaTuples, schema, a.by,
+		func(v model.Value) (string, error) { return v.Key(), nil })
+	if err != nil {
+		fatal(err)
+	}
+	newKeys := 0
+	for i := range deltaUps {
+		if u.Version(deltaUps[i].Key) < 0 {
+			newKeys++
+		}
+	}
+	deltaResults, deltaSum, err := u.Apply(deltaUps)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("delta: %d tuples touched %d entities (%d new); re-deduced targets:\n",
+		len(deltaTuples), len(deltaUps), newKeys)
+	for i, r := range deltaResults {
+		printEntityLine(deltaLabels[i], r, a.verbose)
+	}
+	fmt.Println("delta:", deltaSum.String())
+}
+
 // entityLabel recovers the display label — what the -by column says —
-// from a streamed result, matching the labels groupUpdates produces
+// from a streamed result, matching the labels GroupUpdates produces
 // (Result.Key is the type-tagged routing key, not for humans).
 func entityLabel(r pipeline.Result, by string) string {
 	if r.Instance != nil {
@@ -700,29 +532,46 @@ func entityLabel(r pipeline.Result, by string) string {
 	return r.Key
 }
 
-// settledTarget returns the target a result settles on: the complete
-// deduced target, the best verified candidate, or nil when the entity
-// stays unsettled. Both batch and append derive their -o output and
-// verdict lines from it.
-func settledTarget(r pipeline.Result) *model.Tuple {
-	switch r.Status() {
-	case "complete":
-		return r.Deduction.Target
-	case "candidates":
-		return r.Candidates[0].Tuple
+// writeSettled runs a batch inside the atomic -o write: run hands every
+// result to settle, which streams the result's settled target into the
+// temp file as the entity resolves, and the rename publishes the
+// complete output only after run ends cleanly — a failed run leaves
+// path as it was. With no -o it only counts. It returns how many
+// entities settled.
+func writeSettled(path string, schema *model.Schema, run func(settle func(pipeline.Result) error) error) int {
+	settled := 0
+	write := func(rw *csvio.RelationWriter) error {
+		return run(func(r pipeline.Result) error {
+			t := r.Settled()
+			if t == nil {
+				return nil
+			}
+			settled++
+			if rw == nil {
+				return nil
+			}
+			return rw.Write(t)
+		})
 	}
-	return nil
-}
-
-// writeSettled writes the settled targets as CSV, shared by the batch
-// and append -o paths.
-func writeSettled(path string, schema *model.Schema, settled []*model.Tuple, entities int) {
-	if err := atomicWrite(path, func(w io.Writer) error {
-		return csvio.WriteRelation(w, schema, settled)
-	}); err != nil {
+	var err error
+	if path == "" {
+		err = write(nil)
+	} else {
+		err = atomicWrite(path, func(w io.Writer) error {
+			rw, err := csvio.NewRelationWriter(w, schema)
+			if err != nil {
+				return err
+			}
+			if err := write(rw); err != nil {
+				return err
+			}
+			return rw.Flush()
+		})
+	}
+	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("wrote %d settled targets (of %d entities) to %s\n", len(settled), entities, path)
+	return settled
 }
 
 // atomicWrite writes path through a temp file in the same directory
@@ -773,13 +622,12 @@ func atomicWrite(path string, write func(io.Writer) error) error {
 	return nil
 }
 
-// printEntityLine renders one per-entity verdict; batch labels entities
-// by index, append by key.
-// printEntityLine reports one entity's outcome; withTiming (verbose
-// mode) appends the per-entity wall-clock time (pipeline.Result.Elapsed)
-// so slow entities stand out inside an otherwise fast batch.
+// printEntityLine reports one entity's outcome; batch labels entities
+// by index, append by key. withTiming (verbose mode) appends the
+// per-entity wall-clock time (pipeline.Result.Elapsed) so slow entities
+// stand out inside an otherwise fast batch.
 func printEntityLine(label string, r pipeline.Result, withTiming bool) {
-	target := settledTarget(r)
+	target := r.Settled()
 	line := fmt.Sprintf("entity %-12s [%d tuples]  %-17s", label, r.Instance.Size(), r.Status())
 	switch {
 	case r.Err != nil:
@@ -795,15 +643,6 @@ func printEntityLine(label string, r pipeline.Result, withTiming bool) {
 		line += fmt.Sprintf("  (%s)", r.Elapsed.Round(time.Microsecond))
 	}
 	fmt.Println(line)
-}
-
-// groupUpdates routes a relation's tuples into keyed updates on the
-// shared pipeline helper; append mode keys by the value's type-tagged
-// identity (Value.Key), with the display label carrying what the
-// column actually says.
-func groupUpdates(tuples []*model.Tuple, schema *model.Schema, by string) ([]pipeline.Update, []string, error) {
-	return pipeline.GroupUpdates(tuples, schema, by,
-		func(v model.Value) (string, error) { return v.Key(), nil })
 }
 
 // remapTuples rebuilds tuples read under one schema object onto the
@@ -848,8 +687,10 @@ func usage() {
   pipeline over it (-workers N -topk K -algo topkct|rankjoin|topkcth -o out.csv);
   append deduces a base relation, then routes -delta tuples to the live
   entities by -by and incrementally re-deduces only the touched ones;
-  -stream on|off|auto and -window N pick the constant-memory ingest path
-  (auto streams -by input whose rows arrive in contiguous per-key runs)`)
+  every -by relation streams, and -stream on|off|auto sizes its grouping
+  window: on = -window N open entities, off = unbounded (any row order),
+  auto = -window N when the rows arrive in contiguous per-key runs,
+  unbounded otherwise`)
 }
 
 func fatal(err error) {

@@ -1,14 +1,68 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/csvio"
+	"repro/internal/gen"
+	"repro/internal/model"
+	"repro/internal/ruledsl"
 )
+
+// bin is the relacc binary the CLI tests drive, built once per test
+// run on first use.
+var bin struct {
+	once sync.Once
+	dir  string
+	path string
+	err  error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if bin.dir != "" {
+		os.RemoveAll(bin.dir)
+	}
+	os.Exit(code)
+}
+
+// relaccBinary builds the command under test once and returns its path.
+func relaccBinary(t *testing.T) string {
+	t.Helper()
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	bin.once.Do(func() {
+		if bin.dir, bin.err = os.MkdirTemp("", "relacc-cli-"); bin.err != nil {
+			return
+		}
+		bin.path = filepath.Join(bin.dir, "relacc")
+		if out, err := exec.Command("go", "build", "-o", bin.path, ".").CombinedOutput(); err != nil {
+			bin.err = fmt.Errorf("go build: %v\n%s", err, out)
+		}
+	})
+	if bin.err != nil {
+		t.Fatal(bin.err)
+	}
+	return bin.path
+}
+
+// relacc runs the binary and returns its combined output.
+func relacc(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	out, err := exec.Command(relaccBinary(t), args...).CombinedOutput()
+	return string(out), err
+}
 
 // TestAtomicWrite pins the temp-file-plus-rename mechanism the -o paths
 // rely on: success replaces the destination completely, failure leaves
@@ -105,9 +159,6 @@ func TestAtomicWriteBareFilename(t *testing.T) {
 // relation is grouped by id, deduced, and -o must hold the settled
 // targets with no temp droppings left behind.
 func TestBatchWritesSettledCSV(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
 	dir := t.TempDir()
 	data := filepath.Join(dir, "relation.csv")
 	rules := filepath.Join(dir, "rules.txt")
@@ -128,15 +179,12 @@ func TestBatchWritesSettledCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cmd := exec.Command("go", "run", ".", "batch",
-		"-data", data, "-rules", rules, "-by", "id", "-o", out)
-	cmd.Env = os.Environ()
-	outBytes, err := cmd.CombinedOutput()
+	outText, err := relacc(t, "batch", "-data", data, "-rules", rules, "-by", "id", "-o", out)
 	if err != nil {
-		t.Fatalf("relacc batch: %v\n%s", err, outBytes)
+		t.Fatalf("relacc batch: %v\n%s", err, outText)
 	}
-	if !strings.Contains(string(outBytes), "settled targets") {
-		t.Fatalf("unexpected output:\n%s", outBytes)
+	if !strings.Contains(outText, "settled targets") {
+		t.Fatalf("unexpected output:\n%s", outText)
 	}
 	content, err := os.ReadFile(out)
 	if err != nil {
@@ -159,6 +207,149 @@ func TestBatchWritesSettledCSV(t *testing.T) {
 	for _, e := range entries {
 		if strings.Contains(e.Name(), ".tmp-") {
 			t.Fatalf("stranded temp file %q", e.Name())
+		}
+	}
+}
+
+// medFiles is a small generated Med relation written three ways — sorted
+// (each entity's rows contiguous), shuffled, and split per entity into
+// a base file (its first rows) and a delta file (the rest) — with its
+// master relation and rules.
+type medFiles struct {
+	master, rules    string
+	sorted, shuffled string
+	base, delta      string
+}
+
+func writeMed(t *testing.T) medFiles {
+	t.Helper()
+	cfg := gen.MedConfig()
+	cfg.NumEntities = 40
+	ds := gen.Generate(cfg)
+	dir := t.TempDir()
+	f := medFiles{
+		master:   filepath.Join(dir, "master.csv"),
+		rules:    filepath.Join(dir, "rules.txt"),
+		sorted:   filepath.Join(dir, "sorted.csv"),
+		shuffled: filepath.Join(dir, "shuffled.csv"),
+		base:     filepath.Join(dir, "base.csv"),
+		delta:    filepath.Join(dir, "delta.csv"),
+	}
+	var all, base, delta []*model.Tuple
+	for _, e := range ds.Entities {
+		ts := e.Instance.Tuples()
+		cut := (len(ts) + 1) / 2
+		all = append(all, ts...)
+		base = append(base, ts[:cut]...)
+		delta = append(delta, ts[cut:]...)
+	}
+	shuffled := append([]*model.Tuple(nil), all...)
+	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	writeCSV(t, f.master, ds.Master.Schema(), ds.Master.Tuples())
+	writeCSV(t, f.sorted, ds.Schema, all)
+	writeCSV(t, f.shuffled, ds.Schema, shuffled)
+	writeCSV(t, f.base, ds.Schema, base)
+	writeCSV(t, f.delta, ds.Schema, delta)
+	if err := os.WriteFile(f.rules, []byte(ruledsl.Format(ds.Rules.Rules())), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+func writeCSV(t *testing.T, path string, s *model.Schema, tuples []*model.Tuple) {
+	t.Helper()
+	var b bytes.Buffer
+	if err := csvio.WriteRelation(&b, s, tuples); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// settledCSV runs one batch or append with -o and returns the -o bytes.
+// Every run uses -window 2, so -stream on and a run-length auto run
+// stream under a window far smaller than the relation.
+func settledCSV(t *testing.T, f medFiles, args ...string) []byte {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "settled.csv")
+	args = append(args, "-master", f.master, "-rules", f.rules, "-by", "name",
+		"-workers", "2", "-topk", "1", "-window", "2", "-o", out)
+	if text, err := relacc(t, args...); err != nil {
+		t.Fatalf("relacc %s: %v\n%s", strings.Join(args, " "), err, text)
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestBatchOutputIndependentOfStream: -stream only sizes the grouping
+// window, so batch -o holds the same bytes for every value on sorted
+// input, and for off and auto (both unbounded there) on shuffled input.
+func TestBatchOutputIndependentOfStream(t *testing.T) {
+	f := writeMed(t)
+	for _, in := range []struct {
+		data  string
+		modes []string
+	}{
+		{f.sorted, []string{"on", "off", "auto"}},
+		{f.shuffled, []string{"off", "auto"}},
+	} {
+		var want []byte
+		for _, mode := range in.modes {
+			got := settledCSV(t, f, "batch", "-data", in.data, "-stream", mode)
+			if want == nil {
+				want = got
+				if n := bytes.Count(got, []byte("\n")); n < 2 {
+					t.Fatalf("%s: -o holds %d lines", in.data, n)
+				}
+				continue
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: -stream %s -o differs from -stream %s:\n%s\nvs\n%s",
+					filepath.Base(in.data), mode, in.modes[0], got, want)
+			}
+		}
+	}
+}
+
+// TestBatchWindowRefusal: shuffled input under -stream on -window 1
+// refuses with the window error rather than split an entity, and the
+// atomic -o writer publishes nothing.
+func TestBatchWindowRefusal(t *testing.T) {
+	f := writeMed(t)
+	out := filepath.Join(t.TempDir(), "settled.csv")
+	text, err := relacc(t, "batch", "-data", f.shuffled, "-master", f.master, "-rules", f.rules,
+		"-by", "name", "-stream", "on", "-window", "1", "-o", out)
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("want exit status 1, got %v\n%s", err, text)
+	}
+	if !strings.Contains(text, "exceeds the streaming window") {
+		t.Fatalf("no window error in output:\n%s", text)
+	}
+	entries, err := os.ReadDir(filepath.Dir(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("a refused run left %q behind", entries[0].Name())
+	}
+}
+
+// TestAppendMatchesBatch: for every -stream value, append -o over base
+// and delta holds the same bytes as batch -o over the whole relation.
+func TestAppendMatchesBatch(t *testing.T) {
+	f := writeMed(t)
+	want := settledCSV(t, f, "batch", "-data", f.sorted)
+	for _, mode := range []string{"on", "off", "auto"} {
+		got := settledCSV(t, f, "append", "-data", f.base, "-delta", f.delta, "-stream", mode)
+		if !bytes.Equal(got, want) {
+			t.Errorf("append -stream %s -o differs from batch -o:\n%s\nvs\n%s", mode, got, want)
 		}
 	}
 }

@@ -53,8 +53,6 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/model"
 	"repro/internal/pipeline"
-	"repro/internal/rule"
-	"repro/internal/ruledsl"
 	"repro/internal/server"
 	"repro/internal/topk"
 	"repro/internal/wal"
@@ -108,31 +106,7 @@ func main() {
 		fatal(err)
 	}
 	schema := it.Schema()
-	var im *model.MasterRelation
-	if *masterPath != "" {
-		mf, err := os.Open(*masterPath)
-		if err != nil {
-			fatal(err)
-		}
-		im, err = csvio.ReadMaster(mf, "master")
-		mf.Close()
-		if err != nil {
-			fatal(err)
-		}
-	}
-	text, err := os.ReadFile(*rulesPath)
-	if err != nil {
-		fatal(err)
-	}
-	var ms *model.Schema
-	if im != nil {
-		ms = im.Schema()
-	}
-	parsed, err := ruledsl.Parse(string(text))
-	if err != nil {
-		fatal(err)
-	}
-	rules, err := rule.NewSet(schema, ms, parsed...)
+	im, rules, err := ingest.LoadSpec(*masterPath, *rulesPath, schema)
 	if err != nil {
 		fatal(err)
 	}

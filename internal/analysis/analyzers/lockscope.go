@@ -59,6 +59,7 @@ var deductionEntries = []entryPattern{
 	{chasePath, "", "Deduce"},
 	{"repro/internal/topk", "", "TopK*"},
 	{"repro/internal/topk", "", "RankJoin*"},
+	{"repro/internal/framework", "Algorithm", "Search"},
 	{"repro/internal/core", "Session", "Deduce*"},
 	{"repro/internal/core", "Session", "Check*"},
 	{"repro/internal/core", "Session", "TopK*"},

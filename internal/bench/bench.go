@@ -217,11 +217,6 @@ func (s *Suite) timingWorkers() int {
 	return 1
 }
 
-// groundEntity is the common per-entity grounding helper.
-func groundEntity(ds *gen.Dataset, e gen.Entity) (*chase.Grounding, error) {
-	return chase.NewGrounding(chase.Spec{Ie: e.Instance, Im: ds.Master, Rules: ds.Rules}, chase.Options{})
-}
-
 // instances extracts the entity instances of a slice of generated
 // entities, aligned by index, for the batch pipeline.
 func instances(entities []gen.Entity) []*model.EntityInstance {

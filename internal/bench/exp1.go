@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/chase"
 	"repro/internal/gen"
 	"repro/internal/par"
 	"repro/internal/pipeline"
@@ -45,9 +46,13 @@ func (s *Suite) Fig6e() (*Report, error) {
 	for _, ds := range []*gen.Dataset{s.med(), s.cfp()} {
 		row := []string{ds.Name}
 		for _, rules := range []*rule.Set{ds.Rules.Form1Only(), ds.Rules.Form2Only(), ds.Rules} {
+			sh, err := chase.NewShared(ds.Schema, ds.Master, rules)
+			if err != nil {
+				return nil, err
+			}
 			hits := make([]int, len(ds.Entities))
 			if err := par.Each(s.Cfg.Workers, len(ds.Entities), func(i int) error {
-				g, err := groundEntityRules(ds, ds.Entities[i], rules)
+				g, err := sh.NewGrounding(ds.Entities[i].Instance, chase.Options{})
 				if err != nil {
 					return err
 				}
@@ -86,9 +91,13 @@ func (s *Suite) CompleteByForm() (*Report, error) {
 	for _, ds := range []*gen.Dataset{s.med(), s.cfp()} {
 		row := []string{ds.Name}
 		for _, rules := range []*rule.Set{ds.Rules.Form1Only(), ds.Rules.Form2Only(), ds.Rules} {
+			sh, err := chase.NewShared(ds.Schema, ds.Master, rules)
+			if err != nil {
+				return nil, err
+			}
 			found := make([]bool, len(ds.Entities))
 			if err := par.Each(s.Cfg.Workers, len(ds.Entities), func(i int) error {
-				g, err := groundEntityRules(ds, ds.Entities[i], rules)
+				g, err := sh.NewGrounding(ds.Entities[i].Instance, chase.Options{})
 				if err != nil {
 					return err
 				}

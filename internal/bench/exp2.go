@@ -14,11 +14,6 @@ import (
 // topkAlgo runs a top-k search given a grounding and preference.
 type topkAlgo = func(*chase.Grounding, *topk.Preference) ([]topk.Candidate, error)
 
-// groundEntityRules grounds one entity under a restricted rule set.
-func groundEntityRules(ds *gen.Dataset, e gen.Entity, rules *rule.Set) (*chase.Grounding, error) {
-	return chase.NewGrounding(chase.Spec{Ie: e.Instance, Im: ds.Master, Rules: rules}, chase.Options{})
-}
-
 // varyK is the body of Fig 6(b)/(f): the fraction of entities whose
 // manually-identified (here: generated) target tuple is recovered at
 // top-k, for TopKCT under each rule-form restriction and for TopKCTh.
@@ -30,14 +25,21 @@ func (s *Suite) varyK(id string, ds *gen.Dataset) (*Report, error) {
 			"TopKCTh both"},
 	}
 	ruleSets := []*rule.Set{ds.Rules.Form1Only(), ds.Rules.Form2Only(), ds.Rules, ds.Rules}
+	shared := make([]*chase.Shared, len(ruleSets))
+	for vi, rules := range ruleSets {
+		var err error
+		if shared[vi], err = chase.NewShared(ds.Schema, ds.Master, rules); err != nil {
+			return nil, err
+		}
+	}
 	sample := s.sample(ds)
 	for _, k := range s.Cfg.KValues {
 		row := []string{fmt.Sprintf("%d", k)}
-		for vi, rules := range ruleSets {
+		for vi := range ruleSets {
 			found := make([]bool, len(sample))
 			if err := par.Each(s.Cfg.Workers, len(sample), func(i int) error {
 				e := sample[i]
-				g, err := groundEntityRules(ds, e, rules)
+				g, err := shared[vi].NewGrounding(e.Instance, chase.Options{})
 				if err != nil {
 					return err
 				}
@@ -86,13 +88,16 @@ func (s *Suite) varyIm(id string, ds *gen.Dataset, steps int) (*Report, error) {
 	full := ds.Master.Size()
 	for i := 0; i <= steps; i++ {
 		n := full * i / steps
-		im := ds.Master.Truncate(n)
+		sh, err := chase.NewShared(ds.Schema, ds.Master.Truncate(n), ds.Rules)
+		if err != nil {
+			return nil, err
+		}
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, algo := range []topkAlgo{topkct, topkcth} {
 			found := make([]bool, len(sample))
 			if err := par.Each(s.Cfg.Workers, len(sample), func(j int) error {
 				e := sample[j]
-				g, err := chase.NewGrounding(chase.Spec{Ie: e.Instance, Im: im, Rules: ds.Rules}, chase.Options{})
+				g, err := sh.NewGrounding(e.Instance, chase.Options{})
 				if err != nil {
 					return err
 				}

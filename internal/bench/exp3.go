@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/chase"
 	"repro/internal/framework"
 	"repro/internal/gen"
 	"repro/internal/par"
@@ -21,12 +22,16 @@ func (s *Suite) interaction(id string, ds *gen.Dataset, maxRounds int) (*Report,
 		Header: []string{"rounds h", "targets found"},
 	}
 	sample := s.sample(ds)
+	sh, err := chase.NewShared(ds.Schema, ds.Master, ds.Rules)
+	if err != nil {
+		return nil, err
+	}
 	// rounds[i] holds the rounds entity i needed, or -1 when unresolved.
 	rounds := make([]int, len(sample))
 	if err := par.Each(s.Cfg.Workers, len(sample), func(i int) error {
 		e := sample[i]
 		rounds[i] = -1
-		g, err := groundEntity(ds, e)
+		g, err := sh.NewGrounding(e.Instance, chase.Options{})
 		if err != nil {
 			return err
 		}

@@ -164,8 +164,12 @@ func (s *Suite) Fig7a() (*Report, error) {
 		cfg.FixedTuples = (bucket[0] + bucket[1]) / 2
 		cfg.Seed = int64(1000 + bucket[0])
 		ds := gen.Generate(cfg)
+		sh, err := chase.NewShared(ds.Schema, ds.Master, ds.Rules)
+		if err != nil {
+			return nil, err
+		}
 		rj, ct, h, err := s.timedTopK(ds.Entities, func(e gen.Entity) (*chase.Grounding, error) {
-			return groundEntity(ds, e)
+			return sh.NewGrounding(e.Instance, chase.Options{})
 		})
 		if err != nil {
 			return nil, err
@@ -251,9 +255,12 @@ func (s *Suite) Fig7b() (*Report, error) {
 	full := ds.Master.Size()
 	for i := 0; i <= 4; i++ {
 		n := full * i / 4
-		im := ds.Master.Truncate(n)
+		sh, err := chase.NewShared(ds.Schema, ds.Master.Truncate(n), ds.Rules)
+		if err != nil {
+			return nil, err
+		}
 		rj, ct, h, err := s.timedTopK(sample, func(e gen.Entity) (*chase.Grounding, error) {
-			return chase.NewGrounding(chase.Spec{Ie: e.Instance, Im: im, Rules: ds.Rules}, chase.Options{})
+			return sh.NewGrounding(e.Instance, chase.Options{})
 		})
 		if err != nil {
 			return nil, err
@@ -274,9 +281,13 @@ func (s *Suite) IsCRTiming() (*Report, error) {
 		Header: []string{"metric", "value"},
 	}
 	ds := s.med()
+	sh, err := chase.NewShared(ds.Schema, ds.Master, ds.Rules)
+	if err != nil {
+		return nil, err
+	}
 	durs := make([]time.Duration, len(ds.Entities))
 	if err := par.Each(s.timingWorkers(), len(ds.Entities), func(i int) error {
-		g, err := groundEntity(ds, ds.Entities[i])
+		g, err := sh.NewGrounding(ds.Entities[i].Instance, chase.Options{})
 		if err != nil {
 			return err
 		}

@@ -130,11 +130,15 @@ func (s *Suite) Table4() (*Report, error) {
 	// TopKCT (k=1) with the accuracy rules, preference from voting
 	// (value occurrences) or from copyCEF probabilities.
 	domains := map[string][]model.Value{"closed": {model.B(true), model.B(false)}}
+	sh, err := chase.NewShared(ds.Schema, nil, ds.Rules)
+	if err != nil {
+		return nil, err
+	}
 	run := func(weight func(e string) func(string, model.Value) float64) (map[string]bool, error) {
 		closed := make([]bool, len(ds.Entities))
 		if err := par.Each(s.Cfg.Workers, len(ds.Entities), func(i int) error {
 			e := ds.Entities[i]
-			g, err := chase.NewGrounding(chase.Spec{Ie: e.Instance, Rules: ds.Rules}, chase.Options{})
+			g, err := sh.NewGrounding(e.Instance, chase.Options{})
 			if err != nil {
 				return err
 			}
@@ -208,6 +212,10 @@ func (s *Suite) Exp5CFP() (*Report, error) {
 	}
 
 	curRules := cfpCurrencyRules(ds)
+	sh, err := chase.NewShared(ds.Schema, ds.Master, ds.Rules)
+	if err != nil {
+		return nil, err
+	}
 	type verdicts struct{ vote, dord, tk bool }
 	per := make([]verdicts, len(ds.Entities))
 	if err := par.Each(s.Cfg.Workers, len(ds.Entities), func(i int) error {
@@ -223,7 +231,7 @@ func (s *Suite) Exp5CFP() (*Report, error) {
 		per[i].dord = te.EqualTo(e.Truth)
 
 		// TopKCT k=1 with the full rule set.
-		g, err := groundEntity(ds, e)
+		g, err := sh.NewGrounding(e.Instance, chase.Options{})
 		if err != nil {
 			return err
 		}

@@ -226,53 +226,14 @@ type compiledCond struct {
 
 // form2Index is the lazily-grounded form-(2) rule state. It depends only
 // on the entity schema, the master relation and the rule set — not on
-// the entity instance — so it is memoised and shared across the many
-// per-entity groundings a dataset run creates. Its trigger keys are
-// f2Key-packed (attr, value-ID) pairs, so the index is bound to the
+// the entity instance — so a Shared builds it once and shares it across
+// the many per-entity groundings a dataset run creates. Its trigger keys
+// are f2Key-packed (attr, value-ID) pairs, so the index is bound to the
 // value dictionary it was grounded with.
 type form2Index struct {
 	rules []compiledForm2
 	trig  map[uint64][]form2Entry
 	zero  []form2Entry // condition-free entries, enforced at Run start
-}
-
-// form2Memo is a single-slot cache of the last form2Index built, keyed
-// by pointer identity of its inputs. The value dictionary is cached
-// with the index: the index's trigger keys embed the dictionary's IDs,
-// so the two only make sense as a pair.
-var form2Memo struct {
-	sync.Mutex
-	schema *model.Schema
-	im     *model.MasterRelation
-	rules  *rule.Set
-	idx    *form2Index
-	dict   *model.Dict
-}
-
-// form2IndexFor returns the (possibly cached) form-2 index together
-// with the value dictionary its trigger keys refer to.
-func form2IndexFor(schema *model.Schema, im *model.MasterRelation, rules *rule.Set) (*form2Index, *model.Dict) {
-	form2Memo.Lock()
-	if form2Memo.idx != nil && form2Memo.schema == schema &&
-		form2Memo.im == im && form2Memo.rules == rules {
-		idx, dict := form2Memo.idx, form2Memo.dict
-		form2Memo.Unlock()
-		return idx, dict
-	}
-	form2Memo.Unlock()
-
-	dict := model.NewDict()
-	idx := &form2Index{trig: make(map[uint64][]form2Entry)}
-	for _, r := range rules.Rules() {
-		if f, ok := r.(*rule.Form2); ok {
-			idx.ground(schema, im, f, dict)
-		}
-	}
-	form2Memo.Lock()
-	form2Memo.schema, form2Memo.im, form2Memo.rules = schema, im, rules
-	form2Memo.idx, form2Memo.dict = idx, dict
-	form2Memo.Unlock()
-	return idx, dict
 }
 
 // corrRule is a compiled correlated-attribute rule: when a pair is

@@ -46,6 +46,39 @@ func TestPaperExample5(t *testing.T) {
 	}
 }
 
+// TestNewSharedOwnsItsDictionary: two groundworks over the very same
+// (schema, master, rules) objects get distinct dictionaries, so values
+// one interns never grow the other's — a fresh update stream must not
+// inherit another stream's dictionary.
+func TestNewSharedOwnsItsDictionary(t *testing.T) {
+	spec := paperSpec(t)
+	a, err := chase.NewShared(spec.Ie.Schema(), spec.Im, spec.Rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := chase.NewShared(spec.Ie.Schema(), spec.Im, spec.Rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Dict() == b.Dict() {
+		t.Fatal("two NewShared calls returned the same dictionary")
+	}
+	before := b.Dict().Size()
+	a.Dict().Intern(model.S("interned by a only"))
+	if got := b.Dict().Size(); got != before {
+		t.Fatalf("b's dictionary grew from %d to %d when a interned a value", before, got)
+	}
+	for _, sh := range []*chase.Shared{a, b} {
+		g, err := sh.NewGrounding(spec.Ie, chase.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := g.Run(nil); !res.CR || !res.Target.EqualTo(paperdata.Target()) {
+			t.Fatalf("deduced %v (CR %v), want the Example 5 target", res.Target, res.CR)
+		}
+	}
+}
+
 // TestPaperExample6 verifies that adding ϕ12 destroys Church-Rosser.
 func TestPaperExample6(t *testing.T) {
 	spec := paperSpec(t)

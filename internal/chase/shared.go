@@ -31,7 +31,9 @@ type Shared struct {
 }
 
 // NewShared validates the rules against the schemas and precompiles the
-// form-(2) index. im may be nil when the rule set has no form-(2) rules.
+// form-(2) index into a dictionary of its own; nothing is cached across
+// calls, so callers that ground many entities build one Shared and keep
+// it. im may be nil when the rule set has no form-(2) rules.
 func NewShared(schema *model.Schema, im *model.MasterRelation, rules *rule.Set) (*Shared, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("chase: shared groundwork needs an entity schema")
@@ -45,14 +47,16 @@ func NewShared(schema *model.Schema, im *model.MasterRelation, rules *rule.Set) 
 			return nil, err
 		}
 	}
-	sh := &Shared{schema: schema, im: im, rules: rules}
+	// The form-(2) index's trigger keys embed IDs of this groundwork's
+	// own dictionary, so the two are built together and never shared.
+	sh := &Shared{schema: schema, im: im, rules: rules,
+		form2: &form2Index{trig: make(map[uint64][]form2Entry)}, dict: model.NewDict()}
 	if im != nil {
-		// The form-(2) index's trigger keys embed dictionary IDs, so the
-		// index and the dictionary are built (and memoised) as a pair.
-		sh.form2, sh.dict = form2IndexFor(schema, im, rules)
-	} else {
-		sh.form2 = &form2Index{}
-		sh.dict = model.NewDict()
+		for _, r := range rules.Rules() {
+			if f, ok := r.(*rule.Form2); ok {
+				sh.form2.ground(schema, im, f, sh.dict)
+			}
+		}
 	}
 	return sh, nil
 }

@@ -138,14 +138,7 @@ func (s *Session) TopK(pref Preference, algo Algorithm) ([]Candidate, SearchStat
 	if !res.CR {
 		return nil, SearchStats{}, fmt.Errorf("core: specification is not Church-Rosser: %s", res.Conflict)
 	}
-	switch algo {
-	case AlgoRankJoinCT:
-		return topk.RankJoinCT(s.g, res.Target, pref)
-	case AlgoTopKCTh:
-		return topk.TopKCTh(s.g, res.Target, pref)
-	default:
-		return topk.TopKCT(s.g, res.Target, pref)
-	}
+	return algo.Search(s.g, res.Target, pref)
 }
 
 // Interact runs the full framework loop of Fig. 3 with the given user

@@ -40,6 +40,19 @@ const (
 	AlgoTopKCTh
 )
 
+// Search runs the algorithm's top-k candidate search from the deduced
+// target te on grounding g; unknown values run TopKCT.
+func (a Algorithm) Search(g *chase.Grounding, te *model.Tuple, pref topk.Preference) ([]topk.Candidate, topk.Stats, error) {
+	switch a {
+	case AlgoRankJoinCT:
+		return topk.RankJoinCT(g, te, pref)
+	case AlgoTopKCTh:
+		return topk.TopKCTh(g, te, pref)
+	default:
+		return topk.TopKCT(g, te, pref)
+	}
+}
+
 // Config tunes the loop.
 type Config struct {
 	// Pref is the preference model (k, p(·)).
@@ -90,16 +103,7 @@ func Run(g *chase.Grounding, cfg Config, oracle Oracle) (*Outcome, error) {
 			out.Found = true
 			return out, nil
 		}
-		var cands []topk.Candidate
-		var err error
-		switch cfg.Algo {
-		case AlgoRankJoinCT:
-			cands, _, err = topk.RankJoinCT(g, res.Target, cfg.Pref)
-		case AlgoTopKCTh:
-			cands, _, err = topk.TopKCTh(g, res.Target, cfg.Pref)
-		default:
-			cands, _, err = topk.TopKCT(g, res.Target, cfg.Pref)
-		}
+		cands, _, err := cfg.Algo.Search(g, res.Target, cfg.Pref)
 		if err != nil {
 			return nil, err
 		}

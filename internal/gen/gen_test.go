@@ -40,6 +40,17 @@ func TestMedShape(t *testing.T) {
 	}
 }
 
+// groundwork builds the schema-level groundwork the entities of ds
+// ground on under rules: once per loop, not once per entity.
+func groundwork(t *testing.T, ds *gen.Dataset, rules *rule.Set) *chase.Shared {
+	t.Helper()
+	sh, err := chase.NewShared(ds.Schema, ds.Master, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sh
+}
+
 // TestMedChurchRosserAndQuality: every generated entity must be
 // Church-Rosser, a solid majority must deduce complete targets, and the
 // deduced values must overwhelmingly match the ground truth.
@@ -47,8 +58,9 @@ func TestMedChurchRosserAndQuality(t *testing.T) {
 	ds := gen.Generate(smallMed())
 	complete := 0
 	attrsTotal, attrsDeduced, attrsCorrect := 0, 0, 0
+	sh := groundwork(t, ds, ds.Rules)
 	for _, e := range ds.Entities {
-		g, err := chase.NewGrounding(chase.Spec{Ie: e.Instance, Im: ds.Master, Rules: ds.Rules}, chase.Options{})
+		g, err := sh.NewGrounding(e.Instance, chase.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
@@ -93,8 +105,9 @@ func TestMedRuleFormInteraction(t *testing.T) {
 	ds := gen.Generate(smallMed())
 	rate := func(rules *rule.Set) (float64, float64) {
 		deduced, complete, total := 0, 0, 0
+		sh := groundwork(t, ds, rules)
 		for _, e := range ds.Entities {
-			g, err := chase.NewGrounding(chase.Spec{Ie: e.Instance, Im: ds.Master, Rules: rules}, chase.Options{})
+			g, err := sh.NewGrounding(e.Instance, chase.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,8 +145,9 @@ func TestMedRuleFormInteraction(t *testing.T) {
 func TestMedTopKFindsTruth(t *testing.T) {
 	ds := gen.Generate(smallMed())
 	found, incomplete := 0, 0
+	sh := groundwork(t, ds, ds.Rules)
 	for _, e := range ds.Entities[:150] {
-		g, err := chase.NewGrounding(chase.Spec{Ie: e.Instance, Im: ds.Master, Rules: ds.Rules}, chase.Options{})
+		g, err := sh.NewGrounding(e.Instance, chase.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,8 +183,9 @@ func TestCFPGenerates(t *testing.T) {
 		t.Fatalf("entities = %d", len(ds.Entities))
 	}
 	complete := 0
+	sh := groundwork(t, ds, ds.Rules)
 	for _, e := range ds.Entities {
-		g, err := chase.NewGrounding(chase.Spec{Ie: e.Instance, Im: ds.Master, Rules: ds.Rules}, chase.Options{})
+		g, err := sh.NewGrounding(e.Instance, chase.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

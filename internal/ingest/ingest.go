@@ -7,12 +7,14 @@
 // pool, never to the relation's length, and the results are
 // byte-identical to the materialized ReadRelation → GroupBy → Run path
 // (the package's equivalence suite enforces it for every window size;
-// DESIGN.md invariant 10).
+// DESIGN.md invariant 10). LoadSpec reads the master data and rule file
+// the front ends deduce under.
 package ingest
 
 import (
 	"fmt"
 	"io"
+	"os"
 	"time"
 
 	"repro/internal/chase"
@@ -20,6 +22,8 @@ import (
 	"repro/internal/er"
 	"repro/internal/model"
 	"repro/internal/pipeline"
+	"repro/internal/rule"
+	"repro/internal/ruledsl"
 )
 
 // Options tunes a streaming ingest.
@@ -226,4 +230,37 @@ func addSummary(dst, src *pipeline.Summary) {
 	dst.AttrsDeduced += src.AttrsDeduced
 	dst.AttrsTotal += src.AttrsTotal
 	dst.Checks += src.Checks
+}
+
+// LoadSpec loads the specification a relation is deduced under: the
+// optional master relation CSV (no master when masterPath is empty) and
+// the rule file, parsed and validated against the entity schema and the
+// master schema.
+func LoadSpec(masterPath, rulesPath string, schema *model.Schema) (*model.MasterRelation, *rule.Set, error) {
+	var im *model.MasterRelation
+	var ms *model.Schema
+	if masterPath != "" {
+		f, err := os.Open(masterPath)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer f.Close()
+		if im, err = csvio.ReadMaster(f, "master"); err != nil {
+			return nil, nil, err
+		}
+		ms = im.Schema()
+	}
+	text, err := os.ReadFile(rulesPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	parsed, err := ruledsl.Parse(string(text))
+	if err != nil {
+		return nil, nil, err
+	}
+	rules, err := rule.NewSet(schema, ms, parsed...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return im, rules, nil
 }

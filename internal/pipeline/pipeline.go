@@ -166,6 +166,20 @@ func (r *Result) Status() string {
 	}
 }
 
+// Settled returns the target the entity settles on: the complete
+// deduced target, else the best verified candidate, else nil (an error,
+// a non-Church-Rosser specification, or an incomplete target with no
+// candidates). It is the one rule behind every fused -o relation.
+func (r *Result) Settled() *model.Tuple {
+	switch r.Status() {
+	case "complete":
+		return r.Deduction.Target
+	case "candidates":
+		return r.Candidates[0].Tuple
+	}
+	return nil
+}
+
 // Summary aggregates a batch: outcome counts plus accuracy/coverage
 // statistics over the whole relation.
 type Summary struct {
@@ -315,17 +329,7 @@ func runGrounding(out *Result, g *chase.Grounding, cfg *Config) {
 	pref := cfg.Pref
 	pref.K = cfg.TopK
 	pref.Parallel = 0
-	var cands []topk.Candidate
-	var stats topk.Stats
-	var err error
-	switch cfg.Algo {
-	case AlgoRankJoinCT:
-		cands, stats, err = topk.RankJoinCT(g, out.Deduction.Target, pref)
-	case AlgoTopKCTh:
-		cands, stats, err = topk.TopKCTh(g, out.Deduction.Target, pref)
-	default:
-		cands, stats, err = topk.TopKCT(g, out.Deduction.Target, pref)
-	}
+	cands, stats, err := cfg.Algo.Search(g, out.Deduction.Target, pref)
 	// Keep the partial candidates and Stats an aborted search returns
 	// (RankJoinCT's budget abort verifies candidates before it gives
 	// up) — the serving layer degrades to partials, it does not

@@ -78,13 +78,10 @@ func pipeConfig(ds *gen.Dataset) pipeline.Config {
 // restartDataset reloads the master data the way a NEW PROCESS would:
 // a second gen.Generate of the same config. The generator is
 // deterministic, so every value matches the first dataset byte for
-// byte — but every object (schema, master, rules) is fresh, and that
-// is the point: chase memoises the value dictionary by pointer
-// identity of (schema, master, rules), so a second updater over the
-// SAME dataset inherits the live updater's grown dictionary instead
-// of a clean construction-time one, and Recover's dictionary restore
-// would rightly refuse it. Recovery-side updaters in these tests must
-// come from here, never from the dataset the live updater used.
+// byte, but every object (schema, master, rules) is fresh — recovery
+// must not depend on pointer identity with the live stream's spec.
+// TestRecoverReopenSameDataset covers the in-process case, a recovery
+// updater built from the very objects the live one used.
 func restartDataset(t *testing.T, entities int) (*gen.Dataset, pipeline.Config) {
 	t.Helper()
 	ds := gen.Generate(genConfig(entities))
@@ -233,6 +230,44 @@ func TestRecoverSnapshotPlusTail(t *testing.T) {
 		// values the snapshot never stored); it can never be smaller.
 		t.Fatalf("recovered dictionary holds %d values, live holds %d", got, want)
 	}
+}
+
+// TestRecoverReopenSameDataset reopens a store in the same process and
+// recovers it into a new updater built from the SAME dataset objects
+// the live one used. Each updater owns its dictionary, so the new one
+// starts from the construction-time dictionary the snapshot recorded,
+// not from the live stream's grown one.
+func TestRecoverReopenSameDataset(t *testing.T) {
+	ds, cfg, waves := testWaves(t, 8)
+	dir := t.TempDir()
+
+	live := newUpdater(t, ds, cfg)
+	st := mustOpen(t, dir, ds.Schema, Options{Fsync: SyncNever})
+	if _, err := st.Recover(live); err != nil {
+		t.Fatal(err)
+	}
+	live.AttachPersister(st)
+	applyAll(t, live, waves[:1])
+	if _, err := st.Checkpoint(live); err != nil {
+		t.Fatal(err)
+	}
+	applyAll(t, live, waves[1:2])
+	want := streamFingerprint(t, live)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := newUpdater(t, ds, cfg)
+	st2 := mustOpen(t, dir, ds.Schema, Options{})
+	defer st2.Close()
+	rs, err := st2.Recover(re)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rs.HadSnapshot || rs.SnapshotSeq != 1 || rs.Batches != 1 {
+		t.Fatalf("recovery stats %+v: want snapshot seq 1 + 1 replayed batch", rs)
+	}
+	diffStreams(t, "same-dataset reopen", streamFingerprint(t, re), want)
 }
 
 // TestRecoverAfterCleanShutdown is the relaccd drain path: checkpoint

@@ -17,7 +17,10 @@
 //     per-entity Results in input order together with an aggregate
 //     Summary (StreamCSV streams them to a sink straight from a CSV
 //     reader). Per-entity output is identical to a sequential Session
-//     run regardless of the worker count.
+//     run regardless of the worker count. Result.Settled is the target
+//     an entity settles on — the complete deduced target, else the
+//     best verified candidate — the one rule behind every fused
+//     relation (cmd/relacc's -o output).
 //
 // Evidence need not be complete up front. Session.AddTuples absorbs
 // new tuples into a live session through delta instantiation — only

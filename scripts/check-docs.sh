@@ -37,9 +37,25 @@ if [ "$lint_names" != "$doc_names" ]; then
 	echo "  DESIGN.md: $(echo "$doc_names" | tr '\n' ' ')" >&2
 	fail=1
 fi
+# Every internal/... package README.md's package table or DESIGN.md's
+# subsystem map names must have a directory, so deleting a package
+# cannot leave a stale row behind.
+pkgs=$(
+	{
+		awk '/^## Architecture/,/^## Performance/' README.md | grep '^|'
+		awk '/^## Subsystem map/,/^## Data flow/' DESIGN.md | grep '^|'
+	} | grep -oE '`internal/[A-Za-z0-9_/]+`' | tr -d '`' | sort -u
+)
+for p in $pkgs; do
+	if [ ! -d "$p" ]; then
+		echo "check-docs: $p is named in a package table but has no directory" >&2
+		fail=1
+	fi
+done
 
 if [ "$fail" -eq 0 ]; then
 	echo "check-docs: all referenced markdown files exist"
 	echo "check-docs: DESIGN.md analyzer table matches relacc-lint -list"
+	echo "check-docs: every package-table row names an existing package"
 fi
 exit "$fail"
