@@ -8,28 +8,32 @@ import (
 	"repro/internal/analysis"
 )
 
-// chasePath is the import path of the package whose Grounding type
-// invariant 1 protects. Testdata fakes the same path, so the analyzer
-// is matched structurally, never by directory.
+// chasePath is the import path of the package whose Grounding and
+// Shared types invariants 1 and 3 protect. Testdata fakes the same
+// path, so the analyzer is matched structurally, never by directory.
 const chasePath = "repro/internal/chase"
 
-// Groundingmut enforces DESIGN.md invariant 1: chase.Grounding values
-// are immutable after construction. Any assignment whose target is a
-// Grounding field — or anything reachable through one, like a step
-// slice element, a trigger map entry or a valID row — is flagged,
-// unless it happens inside a function in package chase itself that is
-// explicitly marked //relacc:grounding-builder (the constructor/Extend
+// Groundingmut enforces DESIGN.md invariants 1 and 3: chase.Grounding
+// and chase.Shared values are immutable after construction. Any
+// assignment whose target is a field of either — or anything reachable
+// through one, like a step slice element, a trigger map entry, a valID
+// row or a compiled rule — is flagged, unless it happens inside a
+// function in package chase itself that is explicitly marked
+// //relacc:grounding-builder (the NewShared/NewGrounding/Extend
 // allowlist). The marker is only honoured in the defining package, so
-// no other package can ever write a Grounding, marker or not.
+// no other package can ever write a Grounding or a Shared, marker or
+// not.
 var Groundingmut = &analysis.Analyzer{
 	Name: "groundingmut",
-	Doc: "flags writes to chase.Grounding outside the construction allowlist\n\n" +
+	Doc: "flags writes to chase.Grounding or chase.Shared outside the construction allowlist\n\n" +
 		"Grounding versions are immutable after construction (DESIGN.md\n" +
-		"invariant 1): every concurrent checker, pooled engine and cache\n" +
-		"layer depends on it. Construction-time writers in package chase\n" +
-		"carry the //relacc:grounding-builder directive; everything else\n" +
-		"must treat a Grounding as read-only and absorb new evidence via\n" +
-		"Extend, which returns a new version.",
+		"invariant 1), and so is the Shared groundwork every grounding\n" +
+		"reads its compiled rules from (invariant 3): every concurrent\n" +
+		"checker, pooled engine, grounding and cache layer depends on it.\n" +
+		"Construction-time writers in package chase carry the\n" +
+		"//relacc:grounding-builder directive; everything else must treat\n" +
+		"both as read-only and absorb new evidence via Extend, which\n" +
+		"returns a new version.",
 	Run: runGroundingmut,
 }
 
@@ -68,9 +72,10 @@ func checkGroundingWrites(pass *analysis.Pass, fd *ast.FuncDecl) {
 }
 
 // reportGroundingTarget flags e when the write target is rooted in a
-// value of type chase.Grounding: a direct field (g.steps = ...), an
-// element reachable through one (g.valID[a][i] = ..., g.trig[k] =
-// append(...)), or the whole value (*g = Grounding{...}).
+// value of type chase.Grounding or chase.Shared: a direct field
+// (g.steps = ...), an element reachable through one (g.valID[a][i] =
+// ..., sh.corrs[a] = append(...)), or the whole value (*g =
+// Grounding{...}).
 func reportGroundingTarget(pass *analysis.Pass, e ast.Expr) {
 	for {
 		switch x := e.(type) {
@@ -79,14 +84,14 @@ func reportGroundingTarget(pass *analysis.Pass, e ast.Expr) {
 		case *ast.IndexExpr:
 			e = x.X
 		case *ast.StarExpr:
-			if isGroundingExpr(pass.TypesInfo, x.X) {
-				pass.Reportf(x.Pos(), "write to a chase.Grounding outside a //relacc:grounding-builder function: grounding versions are immutable after construction (invariant 1); use Extend to produce a new version")
+			if name, why, ok := guardedType(pass.TypesInfo, x.X); ok {
+				pass.Reportf(x.Pos(), "write to a chase.%s outside a //relacc:grounding-builder function: %s", name, why)
 				return
 			}
 			e = x.X
 		case *ast.SelectorExpr:
-			if isGroundingExpr(pass.TypesInfo, x.X) {
-				pass.Reportf(x.Pos(), "write to chase.Grounding field %s outside a //relacc:grounding-builder function: grounding versions are immutable after construction (invariant 1); use Extend to produce a new version", x.Sel.Name)
+			if name, why, ok := guardedType(pass.TypesInfo, x.X); ok {
+				pass.Reportf(x.Pos(), "write to chase.%s field %s outside a //relacc:grounding-builder function: %s", name, x.Sel.Name, why)
 				return
 			}
 			e = x.X
@@ -96,6 +101,21 @@ func reportGroundingTarget(pass *analysis.Pass, e ast.Expr) {
 	}
 }
 
-func isGroundingExpr(info *types.Info, e ast.Expr) bool {
-	return analysis.IsNamedType(typeOf(info, e), chasePath, "Grounding")
+// guarded maps each chase type the analyzer protects to the invariant
+// its diagnostics cite.
+var guarded = map[string]string{
+	"Grounding": "grounding versions are immutable after construction (invariant 1); use Extend to produce a new version",
+	"Shared":    "the shared groundwork is immutable after NewShared, and every grounding reads it concurrently (invariant 3)",
+}
+
+// guardedType reports whether e is a chase.Grounding or a chase.Shared
+// (through any pointers), with the type's name and its invariant.
+func guardedType(info *types.Info, e ast.Expr) (name, why string, ok bool) {
+	n := analysis.NamedOf(typeOf(info, e))
+	if n == nil || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != chasePath {
+		return "", "", false
+	}
+	name = n.Obj().Name()
+	why, ok = guarded[name]
+	return name, why, ok
 }

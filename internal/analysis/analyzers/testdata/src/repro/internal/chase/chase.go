@@ -1,7 +1,7 @@
 // Package chase is a miniature stand-in for repro/internal/chase: just
-// enough structure (a Grounding with step/trigger/valID state, builder
-// functions, deduction entry points) for the analyzer fixtures to fake
-// the real import path. The real analyzers match packages by path, so
+// enough structure (a Grounding with step/trigger/valID state, a Shared
+// holding compiled rules, builder functions, deduction entry points)
+// for the analyzer fixtures to fake the real import path. The real analyzers match packages by path, so
 // everything verified here transfers to the real tree.
 package chase
 
@@ -72,6 +72,40 @@ func (g *Grounding) mutateInPlace(rule, tuple int) {
 	g.version++                                  // want `write to chase.Grounding field version`
 }
 
+// Shared mimics the schema-level groundwork every grounding reads its
+// compiled rules from.
+type Shared struct {
+	form1 []int
+	corrs [][]int
+}
+
+// NewShared is the one writer the allowlist admits.
+//
+//relacc:grounding-builder
+func NewShared(attrs int) *Shared {
+	sh := &Shared{corrs: make([][]int, attrs)}
+	sh.form1 = append(sh.form1, 1)
+	sh.corrs[0] = append(sh.corrs[0], 2)
+	return sh
+}
+
+// addRule grows the compiled rules after construction — a write every
+// concurrent grounding of the Shared would race with.
+func (sh *Shared) addRule(attr, r int) {
+	sh.corrs[attr] = append(sh.corrs[attr], r) // want `write to chase.Shared field corrs`
+	sh.form1 = nil                             // want `write to chase.Shared field form1`
+}
+
+// corrCount reads the Shared and writes only a private copy of its
+// rules: no write reaches the Shared.
+func (sh *Shared) corrCount(attr int) int {
+	rules := append([]int(nil), sh.corrs[attr]...)
+	rules = append(rules, len(sh.form1))
+	return len(rules)
+}
+
 var _ = (*Grounding).depth
 var _ = (*Grounding).mutateInPlace
 var _ = buildVia
+var _ = (*Shared).addRule
+var _ = (*Shared).corrCount

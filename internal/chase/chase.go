@@ -44,6 +44,15 @@
 // replays template-dependent work; this is what makes the thousands of
 // candidate checks issued by the top-k algorithms affordable.
 //
+// The rules themselves are compiled once per Shared, not per entity:
+// NewShared resolves every attribute reference to a schema position,
+// builds the correlation triggers, and splits each remaining form-(1)
+// rule's comparisons by the tuples they read, so Instantiation tests a
+// t1-only guard once per tuple i and a t2-only guard once per tuple j
+// before the pair loop, and only two-tuple comparisons per pair. Rows
+// csvio decoded into the Shared's dictionary carry their value IDs, so
+// indexing them costs no dictionary probe.
+//
 // Values are dictionary-encoded: a schema-scoped model.Dict (owned by
 // the Shared groundwork, so a whole batch shares it) interns every
 // distinct value once, and the deduction core runs on dense uint32
@@ -238,13 +247,16 @@ type form2Index struct {
 
 // corrRule is a compiled correlated-attribute rule: when a pair is
 // derived on fromAttr (strict: and the values differ), and the extra
-// value predicates hold on the pair, the same pair is derived on toAttr.
+// comparisons hold on the pair, the same pair is derived on toAttr.
+// NewShared compiles every corrRule once; all groundings of the Shared,
+// and all their Extend versions, read the same ones, and the engine
+// evaluates extra through the same compiled predicates as grounding.
 type corrRule struct {
 	ruleName string
 	fromAttr int32
 	toAttr   int32
 	strict   bool
-	extra    []rule.Pred // tuple/const comparison predicates only
+	extra    []cmpPred // tuple/constant comparisons only
 }
 
 // Grounding is the reusable, immutable product of Instantiation plus the
@@ -262,7 +274,6 @@ type corrRule struct {
 type Grounding struct {
 	ie        *model.EntityInstance
 	im        *model.MasterRelation
-	rules     *rule.Set
 	schema    *model.Schema
 	n         int // |Ie|
 	nattr     int
@@ -284,7 +295,11 @@ type Grounding struct {
 	steps      []groundStep
 	orderTrig  map[uint64][]predRef
 	targetTrig [][]predRef // [attr] -> premises te[attr] op v (form-1 only)
-	corrs      [][]corrRule
+
+	// form1 and corrs are the Shared's compiled form-(1) rules, read
+	// by every grounding and version of it and never written.
+	form1 []form1Rule
+	corrs [][]corrRule
 
 	// Form-(2) rules are grounded lazily: each (rule, master row) pair
 	// waits on its first unmet condition, indexed by (attr, value key);
@@ -550,19 +565,29 @@ func (g *Grounding) indexValues() {
 	g.vals = make([][]model.Value, na)
 	g.groups = make([]idGroups, na)
 	g.targetTrig = make([][]predRef, na)
-	g.corrs = make([][]corrRule, na)
 	for a := 0; a < na; a++ {
 		g.valID[a] = make([]uint32, n)
 		g.vals[a] = make([]model.Value, n)
 		for i := 0; i < n; i++ {
-			v := g.ie.Value(i, a)
-			g.vals[a][i] = v
-			if !v.IsNull() {
-				g.valID[a][i] = g.dict.Intern(v)
-			}
+			g.vals[a][i], g.valID[a][i] = g.valueAndID(g.ie.Tuple(i), a)
 		}
 		g.groups[a] = buildGroups(g.valID[a])
 	}
+}
+
+// valueAndID returns t's value at position a and its dictionary ID. A
+// tuple that already carries an ID in this dictionary (csvio interns
+// every decoded row into the Shared's) costs no dictionary probe; any
+// other value is interned.
+func (g *Grounding) valueAndID(t *model.Tuple, a int) (model.Value, uint32) {
+	v := t.At(a)
+	if id, ok := t.IDIn(g.dict, a); ok {
+		return v, id
+	}
+	if v.IsNull() {
+		return v, model.NullID
+	}
+	return v, g.dict.Intern(v)
 }
 
 // groupFor returns the tuple indices whose attr value has dictionary
@@ -583,28 +608,28 @@ type packedPair struct {
 	attr, i, j int32
 }
 
-// ground performs Instantiation: it materialises residual ground steps,
-// registers triggers and correlation rules, and returns the
-// zero-premise order pairs to seed the base chase with. Zero pairs are
-// deduplicated across rules (rule sets often contain several rules with
-// the same consequence, per the paper's Exp setup), which bounds their
-// number by #attrs·|Ie|².
-//
-//relacc:grounding-builder
-func (g *Grounding) ground() []packedPair {
+// ground performs Instantiation over the Shared's compiled form-(1)
+// rules: it materialises residual ground steps, registers their
+// triggers, and returns the zero-premise order pairs to seed the base
+// chase with. Only pairs (i, j) with i >= oldN or j >= oldN are visited:
+// a fresh grounding passes oldN == 0 (all pairs), while Extend's delta
+// Instantiation passes the previous instance size, so its work is the
+// new-tuple × existing-tuple and new-tuple × new-tuple pairs —
+// O(‖Σ‖·d·n) for d added tuples instead of the full O(‖Σ‖·n²) rebuild.
+// Zero pairs are deduplicated across rules (rule sets often contain
+// several rules with the same consequence, per the paper's Exp setup),
+// which bounds their number by #attrs·|Ie|².
+func (g *Grounding) ground(oldN int32) []packedPair {
+	var seen *pairSet
+	if oldN == 0 {
+		seen = newPairSet(g.nattr, g.n)
+	} else {
+		seen = newSparsePairSet()
+	}
 	var zero []packedPair
-	seen := newPairSet(g.nattr, g.n)
-	for _, r := range g.rules.Rules() {
-		switch f := r.(type) {
-		case *rule.Form1:
-			if cr, ok := g.compileCorr(f); ok {
-				g.corrs[cr.fromAttr] = append(g.corrs[cr.fromAttr], cr)
-				continue
-			}
-			zero = g.groundForm1(f, zero, seen, 0)
-		case *rule.Form2:
-			// Handled by the shared form2Index.
-		}
+	ok2 := make([]bool, g.n)
+	for k := range g.form1 {
+		zero = g.groundForm1(&g.form1[k], zero, seen, oldN, ok2)
 	}
 	return zero
 }
@@ -647,165 +672,109 @@ func (ps *pairSet) insert(attr, i, j int32) bool {
 	return true
 }
 
-// compileCorr recognises the correlated-attribute rule shape: exactly
-// one order predicate, no target references, and any number of
-// tuple/constant comparisons.
-func (g *Grounding) compileCorr(f *rule.Form1) (corrRule, bool) {
-	var orderPreds []rule.Pred
-	var extra []rule.Pred
-	for _, p := range f.LHS {
-		switch p.Kind {
-		case rule.OrderPred:
-			orderPreds = append(orderPreds, p)
-		case rule.CmpPred:
-			if p.Left.Kind == rule.TargetAttr || p.Right.Kind == rule.TargetAttr {
-				return corrRule{}, false
-			}
-			extra = append(extra, p)
-		}
+// evalCmpOnPair evaluates a compiled comparison on the ordered tuple
+// pair (i, j) standing for (t1, t2). Equality tests between instance
+// values compare dictionary IDs; everything else (ordering operators,
+// constants) falls back to value comparison. Grounding's guards and
+// pair comparisons and the engine's correlation guards all evaluate
+// here, so the ID-based Eq/Ne path — whose NaN folding differs from
+// Value.Equal — never depends on which compiled shape a rule took.
+func (g *Grounding) evalCmpOnPair(p *cmpPred, i, j int32) bool {
+	l := pick(p.lt, i, j)
+	if p.rt == 0 {
+		return p.op.Eval(g.vals[p.la][l], p.c)
 	}
-	if len(orderPreds) != 1 {
-		return corrRule{}, false
+	r := pick(p.rt, i, j)
+	switch p.op {
+	case rule.Eq:
+		return g.valID[p.la][l] == g.valID[p.ra][r]
+	case rule.Ne:
+		return g.valID[p.la][l] != g.valID[p.ra][r]
 	}
-	op := orderPreds[0]
-	return corrRule{
-		ruleName: f.RuleName,
-		fromAttr: int32(g.schema.Index(op.Attr)),
-		toAttr:   int32(g.schema.Index(f.RHS)),
-		strict:   op.Strict,
-		extra:    extra,
-	}, true
+	return p.op.Eval(g.vals[p.la][l], g.vals[p.ra][r])
 }
 
-// evalCmpOnPair evaluates a tuple/constant comparison predicate on the
-// ordered tuple pair (i, j) standing for (t1, t2). Equality tests
-// between instance values compare dictionary IDs; everything else
-// (ordering operators, constants) falls back to value comparison.
-func (g *Grounding) evalCmpOnPair(p rule.Pred, i, j int32) bool {
-	if (p.Op == rule.Eq || p.Op == rule.Ne) &&
-		p.Left.Kind == rule.TupleAttr && p.Right.Kind == rule.TupleAttr {
-		lid := g.operandID(p.Left, i, j)
-		rid := g.operandID(p.Right, i, j)
-		if p.Op == rule.Eq {
-			return lid == rid
+// holdsAll reports whether every comparison in ps holds on (i, j).
+func (g *Grounding) holdsAll(ps []cmpPred, i, j int32) bool {
+	for k := range ps {
+		if !g.evalCmpOnPair(&ps[k], i, j) {
+			return false
 		}
-		return lid != rid
 	}
-	get := func(o rule.Operand) model.Value {
-		switch o.Kind {
-		case rule.Const:
-			return o.Val
-		case rule.TupleAttr:
-			a := int32(g.schema.Index(o.Attr))
-			if o.Tup == 1 {
-				return g.vals[a][i]
-			}
-			return g.vals[a][j]
-		}
-		return model.NullValue()
-	}
-	return p.Op.Eval(get(p.Left), get(p.Right))
+	return true
 }
 
-// operandID resolves a TupleAttr operand to its interned value ID on
-// the pair (i, j).
-func (g *Grounding) operandID(o rule.Operand, i, j int32) uint32 {
-	a := int32(g.schema.Index(o.Attr))
-	if o.Tup == 1 {
-		return g.valID[a][i]
+// pick returns the tuple an operand of tuple tup (1 or 2) reads on the
+// pair (i, j).
+func pick(tup int8, i, j int32) int32 {
+	if tup == 1 {
+		return i
 	}
-	return g.valID[a][j]
+	return j
 }
 
-// groundForm1 materialises the ground steps of one form-(1) rule. Only
-// pairs (i, j) with i >= oldN or j >= oldN are visited: a fresh
-// grounding passes oldN == 0 (all pairs), while delta Instantiation
-// passes the previous instance size so the work is the new-tuple ×
-// existing-tuple and new-tuple × new-tuple pairs — O(‖Σ‖·d·n) for d
-// added tuples instead of the full O(‖Σ‖·n²) rebuild.
-func (g *Grounding) groundForm1(f *rule.Form1, zero []packedPair, seen *pairSet, oldN int32) []packedPair {
-	rhs := int32(g.schema.Index(f.RHS))
+// groundForm1 materialises the ground steps of one compiled form-(1)
+// rule on the pairs (i, j) with i >= oldN or j >= oldN. The single-tuple
+// guards run before the pair loop: guard2 once per j into ok2 (a
+// buffer of at least g.n entries), guard1 once per i.
+func (g *Grounding) groundForm1(f *form1Rule, zero []packedPair, seen *pairSet, oldN int32, ok2 []bool) []packedPair {
 	n := int32(g.n)
+	for j := int32(0); j < n; j++ {
+		ok2[j] = g.holdsAll(f.guard2, j, j)
+	}
 	for i := int32(0); i < n; i++ {
+		if !g.holdsAll(f.guard1, i, i) {
+			continue
+		}
 		jFrom := int32(0)
 		if i < oldN {
 			jFrom = oldN // old × old pairs are already grounded
 		}
 	pairs:
 		for j := jFrom; j < n; j++ {
+			if !ok2[j] || !g.holdsAll(f.pair, i, j) {
+				continue
+			}
 			var preds []resid
-			for _, p := range f.LHS {
-				switch p.Kind {
-				case rule.OrderPred:
-					a := int32(g.schema.Index(p.Attr))
-					if p.Strict && g.valEq(a, i, j) {
+			for k := range f.prems {
+				p := &f.prems[k]
+				if p.order {
+					if p.strict && g.valEq(p.attr, i, j) {
 						continue pairs // ≺ can never hold between equal values
 					}
-					preds = append(preds, resid{kind: residOrder, attr: a, i: i, j: j})
-				case rule.CmpPred:
-					tp, isTarget, sat := g.foldCmp(p, i, j)
-					if isTarget {
-						if tp.val.IsNull() && tp.op != rule.Ne {
-							continue pairs // te[A] op null can never be satisfied
-						}
-						preds = append(preds, tp)
-					} else if !sat {
-						continue pairs
-					}
+					preds = append(preds, resid{kind: residOrder, attr: p.attr, i: i, j: j})
+					continue
 				}
+				tp := g.foldCmp(p, i, j)
+				if tp.val.IsNull() && tp.op != rule.Ne {
+					continue pairs // te[A] op null can never be satisfied
+				}
+				preds = append(preds, tp)
 			}
 			if len(preds) == 0 {
-				if seen.insert(rhs, i, j) {
-					zero = append(zero, packedPair{attr: rhs, i: i, j: j})
+				if seen.insert(f.rhs, i, j) {
+					zero = append(zero, packedPair{attr: f.rhs, i: i, j: j})
 				}
 				continue
 			}
-			g.addStep(groundStep{ruleName: f.RuleName, attr: rhs, i: i, j: j, preds: preds})
+			g.addStep(groundStep{ruleName: f.name, attr: f.rhs, i: i, j: j, preds: preds})
 		}
 	}
 	return zero
 }
 
-// foldCmp partially evaluates a comparison predicate on the pair (i, j).
-// If it references the target template it returns a target premise
-// (isTarget true, with the comparison operand pre-interned); otherwise
-// it returns the truth value (sat).
-func (g *Grounding) foldCmp(p rule.Pred, i, j int32) (tp resid, isTarget, sat bool) {
-	eval := func(o rule.Operand) model.Value {
-		switch o.Kind {
-		case rule.Const:
-			return o.Val
-		case rule.TupleAttr:
-			a := int32(g.schema.Index(o.Attr))
-			if o.Tup == 1 {
-				return g.vals[a][i]
-			}
-			return g.vals[a][j]
-		}
-		return model.NullValue()
+// foldCmp partially evaluates a target premise te[attr] op x on the pair
+// (i, j): x is read off the pair, or is the constant, interned here so
+// the premise fires by ID.
+func (g *Grounding) foldCmp(p *premise, i, j int32) resid {
+	tp := resid{kind: residTarget, attr: p.attr, op: p.op}
+	if p.xt == 0 {
+		tp.val, tp.valID = p.c, g.dict.Intern(p.c)
+	} else {
+		x := pick(p.xt, i, j)
+		tp.val, tp.valID = g.vals[p.xa][x], g.valID[p.xa][x]
 	}
-	// evalID interns only on the target branches: the sat fold below
-	// runs once per (rule, pair) and must not pay a dictionary probe.
-	evalID := func(o rule.Operand) uint32 {
-		if o.Kind == rule.TupleAttr {
-			return g.operandID(o, i, j)
-		}
-		return g.dict.Intern(o.Val)
-	}
-	switch {
-	case p.Left.Kind == rule.TargetAttr:
-		a := int32(g.schema.Index(p.Left.Attr))
-		return resid{kind: residTarget, attr: a, op: p.Op, val: eval(p.Right), valID: evalID(p.Right)}, true, false
-	case p.Right.Kind == rule.TargetAttr:
-		a := int32(g.schema.Index(p.Right.Attr))
-		return resid{kind: residTarget, attr: a, op: p.Op.Flip(), val: eval(p.Left), valID: evalID(p.Left)}, true, false
-	default:
-		// Route through evalCmpOnPair so the ground-time fold and the
-		// run-time correlation path agree on every predicate — including
-		// the ID-based Eq/Ne fast path, whose NaN folding must not
-		// depend on which compilation shape a rule took.
-		return resid{}, false, g.evalCmpOnPair(p, i, j)
-	}
+	return tp
 }
 
 func (ix *form2Index) ground(schema *model.Schema, im *model.MasterRelation, f *rule.Form2, dict *model.Dict) {

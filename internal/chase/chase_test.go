@@ -1,9 +1,11 @@
 package chase_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/chase"
+	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/paperdata"
 	"repro/internal/rule"
@@ -75,6 +77,118 @@ func TestNewSharedOwnsItsDictionary(t *testing.T) {
 		}
 		if res := g.Run(nil); !res.CR || !res.Target.EqualTo(paperdata.Target()) {
 			t.Fatalf("deduced %v (CR %v), want the Example 5 target", res.Target, res.CR)
+		}
+	}
+}
+
+// TestNewSharedInternsNoForm1Constant: compiling form-(1) rules interns
+// nothing, so a groundwork's fresh dictionary holds exactly what its
+// form-(2) index needs — WAL recovery refuses a snapshot unless a fresh
+// groundwork's dictionary is a prefix of it. Constants are interned
+// only when a grounding folds them into a target premise.
+func TestNewSharedInternsNoForm1Constant(t *testing.T) {
+	spec := paperSpec(t)
+	s, ms := spec.Ie.Schema(), spec.Im.Schema()
+	rs, err := spec.Rules.Append(s, ms,
+		&rule.Form1{RuleName: "consts", LHS: []rule.Pred{
+			rule.Cmp(rule.T1("team"), rule.Eq, rule.C(model.S("x"))),
+			rule.Cmp(rule.Te("rnds"), rule.Gt, rule.C(model.I(3))),
+		}, RHS: "team"},
+		&rule.Form1{RuleName: "corr-const", LHS: []rule.Pred{
+			rule.Prec("rnds"),
+			rule.Cmp(rule.C(model.S("y")), rule.Ne, rule.T2("arena")),
+		}, RHS: "arena"},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := chase.NewShared(s, spec.Im, rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	form2, err := chase.NewShared(s, spec.Im, rs.Form2Only())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := full.Dict().Size(), form2.Dict().Size(); got != want {
+		t.Fatalf("NewShared over form-(1) constants interned %d values, the form-(2) rules alone %d", got, want)
+	}
+	for _, c := range []model.Value{model.S("x"), model.S("y")} {
+		if _, ok := full.Dict().Lookup(c); ok {
+			t.Errorf("NewShared interned the form-(1) constant %s", c.Quote())
+		}
+	}
+}
+
+// TestGroundingTrustsOnlyItsOwnCachedIDs: grounding reuses a tuple's
+// cached dictionary ID only when it belongs to the grounding's own
+// dictionary and is still valid. Tuples interned into the Shared's
+// dictionary, tuples interned into a foreign dictionary whose IDs name
+// other values, and tuples re-set with SetAt after interning must all
+// ground — fresh and through Extend — exactly like plain copies of the
+// same values.
+func TestGroundingTrustsOnlyItsOwnCachedIDs(t *testing.T) {
+	cfg := gen.MedConfig()
+	cfg.NumEntities = 24
+	ds := gen.Generate(cfg)
+	schema := ds.Entities[0].Instance.Schema()
+	sh, err := chase.NewShared(schema, ds.Master, ds.Rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := model.NewDict()
+	for k := 0; k < 50; k++ {
+		foreign.Intern(model.S(fmt.Sprintf("foreign%d", k)))
+	}
+	version := schema.Index("version")
+	kinds := []struct {
+		name    string
+		prepare func(i int, t *model.Tuple)
+	}{
+		{"own", func(_ int, t *model.Tuple) { t.Intern(sh.Dict()) }},
+		{"foreign", func(_ int, t *model.Tuple) { t.Intern(foreign) }},
+		{"reset", func(i int, t *model.Tuple) {
+			t.Intern(sh.Dict())
+			t.SetAt(version, model.I(int64(i%3)))
+		}},
+	}
+	nattr := schema.Arity()
+	for _, kind := range kinds {
+		for ei, e := range ds.Entities {
+			n := e.Instance.Size()
+			cached := model.NewEntityInstance(schema)
+			plain := model.NewEntityInstance(schema)
+			for i, tu := range e.Instance.Tuples() {
+				c := tu.Clone()
+				kind.prepare(i, c)
+				vals := make([]model.Value, nattr)
+				for a := range vals {
+					vals[a] = c.At(a)
+				}
+				cached.MustAdd(c)
+				plain.MustAdd(model.MustTuple(schema, vals...))
+			}
+			want, err := sh.NewGrounding(plain, chase.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := sh.NewGrounding(cached, chase.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inc := groundPrefix(t, chase.Spec{Ie: cached, Im: ds.Master, Rules: ds.Rules}, chase.Options{}, (n+1)/2, []int{n / 2})
+			for _, got := range []struct {
+				path string
+				g    *chase.Grounding
+			}{{"NewGrounding", fresh}, {"Extend", inc}} {
+				if got.g.GroundSteps() != want.GroundSteps() {
+					t.Errorf("%s entity %d via %s: %d ground steps, plain copies %d",
+						kind.name, ei, got.path, got.g.GroundSteps(), want.GroundSteps())
+				}
+				if !sameResult(t, n, nattr, want.Run(nil), got.g.Run(nil)) {
+					t.Errorf("%s entity %d via %s: Run differs from plain copies", kind.name, ei, got.path)
+				}
+			}
 		}
 	}
 }

@@ -329,14 +329,7 @@ func (e *engine) fireCorr(attr, x, y int32) {
 		if cr.strict && e.g.valEq(attr, x, y) {
 			continue
 		}
-		ok := true
-		for _, p := range cr.extra {
-			if !e.g.evalCmpOnPair(p, x, y) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if e.g.holdsAll(cr.extra, x, y) {
 			e.pushPair(cr.toAttr, x, y)
 		}
 	}
@@ -360,15 +353,8 @@ func (e *engine) fireCorrWord(attr, x int32, wi int, diff uint64) {
 		if cr.strict || len(cr.extra) > 0 {
 			for d := diff; d != 0; d &= d - 1 {
 				y := base + int32(bits.TrailingZeros64(d))
-				if cr.strict && e.g.valEq(attr, x, y) {
+				if (cr.strict && e.g.valEq(attr, x, y)) || !e.g.holdsAll(cr.extra, x, y) {
 					m &^= d & -d
-					continue
-				}
-				for _, p := range cr.extra {
-					if !e.g.evalCmpOnPair(p, x, y) {
-						m &^= d & -d
-						break
-					}
 				}
 			}
 		}

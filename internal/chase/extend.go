@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/model"
-	"repro/internal/rule"
 )
 
 // Extend absorbs new evidence tuples into the grounded specification
@@ -52,7 +51,6 @@ func (g *Grounding) Extend(tuples ...*model.Tuple) (*Grounding, error) {
 	ng := &Grounding{
 		ie:        ie2,
 		im:        g.im,
-		rules:     g.rules,
 		schema:    g.schema,
 		n:         ie2.Size(),
 		nattr:     g.nattr,
@@ -68,7 +66,8 @@ func (g *Grounding) Extend(tuples ...*model.Tuple) (*Grounding, error) {
 		// array instead of overwriting the parent's.
 		steps:     g.steps[:len(g.steps):len(g.steps)],
 		orderTrig: make(map[uint64][]predRef),
-		corrs:     g.corrs, // instance-independent; never mutated after grounding
+		form1:     g.form1,
+		corrs:     g.corrs,
 		form2:     g.form2,
 		// The verdict cache is version-private: the successor starts
 		// empty (old verdicts answer for the old evidence) but shares
@@ -85,7 +84,7 @@ func (g *Grounding) Extend(tuples ...*model.Tuple) (*Grounding, error) {
 		ng.ancestors = append(ng.ancestors, l)
 	}
 	ng.extendValues(g)
-	zero := ng.groundDelta(int32(g.n))
+	zero := ng.ground(int32(g.n))
 	if len(ng.ancestors) > maxTrigLayers {
 		ng.compactTriggers()
 	}
@@ -136,8 +135,9 @@ func (g *Grounding) Version() int { return g.version }
 
 // extendValues builds the per-version value indexes: the parent's ID
 // rows are copied (they are O(nattr·n) uint32s, cheap next to any
-// chase work), the new tuples' values interned into the shared
-// dictionary, and the value groups extended copy-on-append — a group
+// chase work), the new tuples' values resolved against the shared
+// dictionary (a cached ID when the tuple carries one, an Intern
+// otherwise), and the value groups extended copy-on-append — a group
 // gaining no member shares its slice with the parent, so the parent's
 // groups (which in-flight checkers on the old version may be reading)
 // never change. The old representation's per-extend map-of-Value copy,
@@ -157,35 +157,11 @@ func (ng *Grounding) extendValues(p *Grounding) {
 		copy(ids, p.valID[a])
 		copy(vs, p.vals[a])
 		for i := oldN; i < n; i++ {
-			v := ng.ie.Value(i, a)
-			vs[i] = v
-			if !v.IsNull() {
-				ids[i] = ng.dict.Intern(v)
-			}
+			vs[i], ids[i] = ng.valueAndID(ng.ie.Tuple(i), a)
 		}
 		ng.valID[a], ng.vals[a] = ids, vs
 		ng.groups[a] = p.groups[a].extend(ids, oldN)
 	}
-}
-
-// groundDelta is Instantiation restricted to pairs involving a new
-// tuple. Correlation-shaped rules compile to instance-independent
-// triggers already shared with the parent, and form-(2) rules live in
-// the shared index, so only plain form-(1) rules ground new steps.
-func (g *Grounding) groundDelta(oldN int32) []packedPair {
-	var zero []packedPair
-	seen := newSparsePairSet()
-	for _, r := range g.rules.Rules() {
-		f, ok := r.(*rule.Form1)
-		if !ok {
-			continue
-		}
-		if _, isCorr := g.compileCorr(f); isCorr {
-			continue
-		}
-		zero = g.groundForm1(f, zero, seen, oldN)
-	}
-	return zero
 }
 
 // newDeltaEngine primes a base-mode engine with the parent's terminal

@@ -59,45 +59,58 @@ func TestMultiOrderPredicateRule(t *testing.T) {
 }
 
 // TestTargetComparisonPredicates: a form-1 rule keyed on te values with
-// non-equality operators (the generic target-trigger path).
+// non-equality operators (the generic target-trigger path), with te on
+// either side of the comparison and compared against a constant or a
+// tuple value. Grade agrees (ϕ9 + λ deduce te[grade]), so the rule
+// fires — making the gold tuple's tier win — exactly when its target
+// comparison holds on that grade.
 func TestTargetComparisonPredicates(t *testing.T) {
-	s := model.MustSchema("r", "grade", "tier")
-	ie := model.NewEntityInstance(s)
-	ie.MustAdd(model.MustTuple(s, model.I(7), model.S("gold")))
-	ie.MustAdd(model.MustTuple(s, model.I(7), model.S("silver")))
-
-	// Once te[grade] is known and exceeds 5, the gold tuple's tier wins.
-	rules := rule.MustSet(s, nil,
-		&rule.Form1{RuleName: "premium",
-			LHS: []rule.Pred{
-				rule.Cmp(rule.Te("grade"), rule.Gt, rule.C(model.I(5))),
-				rule.Cmp(rule.T1("tier"), rule.Eq, rule.C(model.S("silver"))),
-				rule.Cmp(rule.T2("tier"), rule.Eq, rule.C(model.S("gold"))),
-			},
-			RHS: "tier"},
-	)
-	res, err := chase.Deduce(chase.Spec{Ie: ie, Rules: rules}, chase.Options{})
-	if err != nil {
-		t.Fatal(err)
+	s := model.MustSchema("r", "grade", "tier", "cap")
+	cases := []struct {
+		name     string
+		cmp      rule.Pred // the target comparison; t1 is the silver tuple
+		grade    int64
+		wantGold bool
+	}{
+		{"te > c", rule.Cmp(rule.Te("grade"), rule.Gt, rule.C(model.I(5))), 7, true},
+		{"te > c below", rule.Cmp(rule.Te("grade"), rule.Gt, rule.C(model.I(5))), 3, false},
+		{"c < te", rule.Cmp(rule.C(model.I(5)), rule.Lt, rule.Te("grade")), 7, true},
+		{"c < te below", rule.Cmp(rule.C(model.I(5)), rule.Lt, rule.Te("grade")), 3, false},
+		// t1[cap] is 6 below.
+		{"t1 >= te", rule.Cmp(rule.T1("cap"), rule.Ge, rule.Te("grade")), 3, true},
+		{"t1 >= te above", rule.Cmp(rule.T1("cap"), rule.Ge, rule.Te("grade")), 7, false},
+		{"te <= t1", rule.Cmp(rule.Te("grade"), rule.Le, rule.T1("cap")), 3, true},
+		{"te <= t1 above", rule.Cmp(rule.Te("grade"), rule.Le, rule.T1("cap")), 7, false},
 	}
-	if !res.CR {
-		t.Fatalf("not CR: %s", res.Conflict)
-	}
-	// grade agrees (7) → te[grade]=7 via ϕ9+λ → premium fires → gold.
-	if v, _ := res.Target.Get("tier"); !v.Equal(model.S("gold")) {
-		t.Errorf("te[tier] = %v, want gold", v)
-	}
-
-	// With grade below the threshold nothing fires.
-	ie2 := model.NewEntityInstance(s)
-	ie2.MustAdd(model.MustTuple(s, model.I(3), model.S("gold")))
-	ie2.MustAdd(model.MustTuple(s, model.I(3), model.S("silver")))
-	res2, err := chase.Deduce(chase.Spec{Ie: ie2, Rules: rules}, chase.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := res2.Target.Get("tier"); !v.IsNull() {
-		t.Errorf("te[tier] = %v, want null below threshold", v)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ie := model.NewEntityInstance(s)
+			ie.MustAdd(model.MustTuple(s, model.I(tc.grade), model.S("gold"), model.I(1)))
+			ie.MustAdd(model.MustTuple(s, model.I(tc.grade), model.S("silver"), model.I(6)))
+			rules := rule.MustSet(s, nil,
+				&rule.Form1{RuleName: "premium",
+					LHS: []rule.Pred{
+						tc.cmp,
+						rule.Cmp(rule.T1("tier"), rule.Eq, rule.C(model.S("silver"))),
+						rule.Cmp(rule.T2("tier"), rule.Eq, rule.C(model.S("gold"))),
+					},
+					RHS: "tier"},
+			)
+			res, err := chase.Deduce(chase.Spec{Ie: ie, Rules: rules}, chase.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.CR {
+				t.Fatalf("not CR: %s", res.Conflict)
+			}
+			want := model.NullValue()
+			if tc.wantGold {
+				want = model.S("gold")
+			}
+			if v, _ := res.Target.Get("tier"); !v.Equal(want) {
+				t.Errorf("te[tier] = %v, want %v", v, want)
+			}
+		})
 	}
 }
 

@@ -14,8 +14,11 @@ import (
 // randSpec builds a random small specification: 1–6 tuples over 2–4
 // attributes with small value domains (including nulls), a random
 // master relation, and a random mix of currency, correlation,
-// constant-guard and master rules. The generator deliberately produces
-// both Church-Rosser and conflicting specifications.
+// constant-guard and master rules, plus the shapes grounding compiles
+// specially: correlation rules guarded by a single-tuple or a pair
+// comparison, null guards, target comparisons with te on either side,
+// and tuple comparisons with the constant on the left. The generator deliberately produces both Church-Rosser and
+// conflicting specifications.
 func randSpec(rng *rand.Rand) (chase.Spec, *model.Tuple) {
 	na := 2 + rng.Intn(3)
 	attrs := make([]string, na)
@@ -55,7 +58,7 @@ func randSpec(rng *rand.Rand) (chase.Spec, *model.Tuple) {
 	for i := 0; i < nr; i++ {
 		a := attrs[rng.Intn(na)]
 		b := attrs[rng.Intn(na)]
-		switch rng.Intn(4) {
+		switch rng.Intn(9) {
 		case 0: // currency: t1[a] < t2[a] -> t1 ⪯a t2
 			op := rule.Lt
 			if rng.Intn(2) == 0 {
@@ -88,6 +91,49 @@ func randSpec(rng *rand.Rand) (chase.Spec, *model.Tuple) {
 				TargetAttr: "a1",
 				MasterAttr: "a1",
 			})
+		case 4: // guarded correlation: t1 ≺a t2 ∧ t2[b] ≠ null -> t1 ⪯b t2
+			rules = append(rules, &rule.Form1{
+				RuleName: fmt.Sprintf("gcorr%d", i),
+				LHS:      []rule.Pred{rule.Prec(a), rule.Cmp(rule.T2(b), rule.Ne, rule.C(model.NullValue()))},
+				RHS:      b,
+			})
+		case 5: // null guard: t1[a] = null ∧ t2[a] ≠ null -> t1 ⪯a t2
+			rules = append(rules, &rule.Form1{
+				RuleName: fmt.Sprintf("null%d", i),
+				LHS: []rule.Pred{
+					rule.Cmp(rule.T1(a), rule.Eq, rule.C(model.NullValue())),
+					rule.Cmp(rule.T2(a), rule.Ne, rule.C(model.NullValue())),
+				},
+				RHS: a,
+			})
+		case 6: // order predicate with a pair comparison: t1 ⪯a t2 ∧ t1[b] < t2[b] -> t1 ⪯b t2
+			rules = append(rules, &rule.Form1{
+				RuleName: fmt.Sprintf("pcorr%d", i),
+				LHS:      []rule.Pred{rule.PrecEq(a), rule.Cmp(rule.T1(b), rule.Lt, rule.T2(b))},
+				RHS:      b,
+			})
+		case 7: // target comparison, te on either side: te[a] op c (or c op te[a]) ∧ t1[b] < t2[b] -> t1 ⪯b t2
+			op := []rule.Op{rule.Lt, rule.Gt, rule.Eq, rule.Ne}[rng.Intn(4)]
+			c := model.I(int64(rng.Intn(4)))
+			tc := rule.Cmp(rule.Te(a), op, rule.C(c))
+			if rng.Intn(2) == 0 {
+				tc = rule.Cmp(rule.C(c), op, rule.Te(a))
+			}
+			rules = append(rules, &rule.Form1{
+				RuleName: fmt.Sprintf("te%d", i),
+				LHS:      []rule.Pred{tc, rule.Cmp(rule.T1(b), rule.Lt, rule.T2(b))},
+				RHS:      b,
+			})
+		case 8: // constants on the left: c op t1[a] ∧ c' op' t2[a] -> t1 ⪯a t2, or t1 ≺b t2 ∧ c' op' t2[a] -> t1 ⪯a t2
+			ops := []rule.Op{rule.Lt, rule.Le, rule.Gt, rule.Ge}
+			lhs := []rule.Pred{
+				rule.Cmp(rule.C(model.I(int64(rng.Intn(4)))), ops[rng.Intn(4)], rule.T1(a)),
+				rule.Cmp(rule.C(model.I(int64(rng.Intn(4)))), ops[rng.Intn(4)], rule.T2(a)),
+			}
+			if rng.Intn(2) == 0 {
+				lhs[0] = rule.Prec(b)
+			}
+			rules = append(rules, &rule.Form1{RuleName: fmt.Sprintf("cl%d", i), LHS: lhs, RHS: a})
 		}
 	}
 

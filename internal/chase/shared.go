@@ -10,14 +10,23 @@ import (
 
 // Shared is the instance-independent groundwork of a specification: the
 // rule set validated against one (entity schema, master schema) pair,
-// the compiled form-(2) index for that schema, master relation and rule
-// set, and the schema-scoped value dictionary every grounding stamped
-// from it interns into. Batch pipelines that chase many entity
-// instances of the same relation build it once and stamp per-entity
-// Groundings out of it, skipping rule re-validation and the
+// its form-(1) rules compiled against the entity schema, the compiled
+// form-(2) index for that schema, master relation and rule set, and the
+// schema-scoped value dictionary every grounding stamped from it
+// interns into. Batch pipelines that chase many entity instances of the
+// same relation build it once and stamp per-entity Groundings out of
+// it, skipping rule re-validation, form-(1) compilation and the
 // O(‖Σ‖·|Im|) form-(2) compilation on every entity — and sharing one
 // dictionary, so a value seen by any entity is hashed once per batch,
 // not once per entity.
+//
+// Compiling a form-(1) rule resolves every attribute name to a schema
+// position and interns nothing, so a fresh Shared's dictionary holds
+// exactly the values its form-(2) index needs. Correlation-shaped
+// rules become corrRules indexed by their triggering attribute; every
+// other form-(1) rule becomes a form1Rule whose comparisons are split
+// by the tuples they read. Every grounding and every Extend version
+// reads the same compiled rules.
 //
 // A Shared is immutable after construction — except the dictionary,
 // which is append-only and internally synchronised — and safe for
@@ -26,14 +35,19 @@ type Shared struct {
 	schema *model.Schema
 	im     *model.MasterRelation
 	rules  *rule.Set
+	form1  []form1Rule  // per-pair form-(1) rules, in rule-set order
+	corrs  [][]corrRule // [fromAttr] correlation rules, in rule-set order
 	form2  *form2Index
 	dict   *model.Dict
 }
 
-// NewShared validates the rules against the schemas and precompiles the
-// form-(2) index into a dictionary of its own; nothing is cached across
-// calls, so callers that ground many entities build one Shared and keep
-// it. im may be nil when the rule set has no form-(2) rules.
+// NewShared validates the rules against the schemas, compiles the
+// form-(1) rules and precompiles the form-(2) index into a dictionary
+// of its own; nothing is cached across calls, so callers that ground
+// many entities build one Shared and keep it. im may be nil when the
+// rule set has no form-(2) rules.
+//
+//relacc:grounding-builder
 func NewShared(schema *model.Schema, im *model.MasterRelation, rules *rule.Set) (*Shared, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("chase: shared groundwork needs an entity schema")
@@ -50,10 +64,18 @@ func NewShared(schema *model.Schema, im *model.MasterRelation, rules *rule.Set) 
 	// The form-(2) index's trigger keys embed IDs of this groundwork's
 	// own dictionary, so the two are built together and never shared.
 	sh := &Shared{schema: schema, im: im, rules: rules,
+		corrs: make([][]corrRule, schema.Arity()),
 		form2: &form2Index{trig: make(map[uint64][]form2Entry)}, dict: model.NewDict()}
-	if im != nil {
-		for _, r := range rules.Rules() {
-			if f, ok := r.(*rule.Form2); ok {
+	for _, r := range rules.Rules() {
+		switch f := r.(type) {
+		case *rule.Form1:
+			if cr, ok := compileCorr(schema, f); ok {
+				sh.corrs[cr.fromAttr] = append(sh.corrs[cr.fromAttr], cr)
+			} else {
+				sh.form1 = append(sh.form1, compileForm1(schema, f))
+			}
+		case *rule.Form2:
+			if im != nil {
 				sh.form2.ground(schema, im, f, sh.dict)
 			}
 		}
@@ -75,9 +97,10 @@ func (sh *Shared) Rules() *rule.Set { return sh.rules }
 
 // NewGrounding grounds one entity instance on the shared groundwork:
 // the per-instance Instantiation (pair grounding, value indexing) and
-// base chase still run, but validation and the form-(2) index are
-// reused. The instance must use the exact schema the Shared was built
-// for (pointer identity, as everywhere in package model).
+// base chase still run, but validation, the compiled form-(1) rules and
+// the form-(2) index are reused. The instance must use the exact schema
+// the Shared was built for (pointer identity, as everywhere in package
+// model).
 //
 //relacc:grounding-builder
 func (sh *Shared) NewGrounding(ie *model.EntityInstance, opts Options) (*Grounding, error) {
@@ -94,12 +117,13 @@ func (sh *Shared) NewGrounding(ie *model.EntityInstance, opts Options) (*Groundi
 	g := &Grounding{
 		ie:        ie,
 		im:        sh.im,
-		rules:     sh.rules,
 		schema:    sh.schema,
 		n:         ie.Size(),
 		nattr:     sh.schema.Arity(),
 		useAxioms: !opts.DisableAxioms,
 		orderTrig: make(map[uint64][]predRef),
+		form1:     sh.form1,
+		corrs:     sh.corrs,
 		form2:     sh.form2,
 		dict:      sh.dict,
 	}
@@ -107,8 +131,129 @@ func (sh *Shared) NewGrounding(ie *model.EntityInstance, opts Options) (*Groundi
 		g.verdicts = vcache.New[verdictEntry](opts.VerdictCacheCap)
 	}
 	g.indexValues()
-	zero := g.ground()
+	zero := g.ground(0)
 	g.hasOrderTrig = len(g.orderTrig) > 0
 	g.baseChase(zero)
 	return g, nil
+}
+
+// cmpPred is a tuple/constant comparison predicate compiled against the
+// entity schema: tuple lt's value at position la, compared by op with
+// tuple rt's value at position ra — or with the constant c when rt is
+// 0. A constant operand is moved to the right at compile time, with op
+// flipped, so evaluation reads at most two positions and never a name.
+type cmpPred struct {
+	op     rule.Op
+	lt, rt int8 // 1 = t1, 2 = t2; rt 0 = the constant c
+	la, ra int32
+	c      model.Value
+}
+
+// premise is an order or target predicate compiled against the entity
+// schema; grounding turns each into one resid of a ground step, in rule
+// body order. An order premise is t1 ⪯attr t2 (≺ when strict). A target
+// premise is te[attr] op x, te moved to the left at compile time (op
+// flipped), where x is tuple xt's value at position xa, or the constant
+// c when xt is 0.
+type premise struct {
+	order  bool
+	strict bool
+	op     rule.Op
+	xt     int8
+	attr   int32
+	xa     int32
+	c      model.Value
+}
+
+// form1Rule is a form-(1) rule grounded per tuple pair, compiled against
+// the entity schema. Its tuple/constant comparisons are split by the
+// tuples they read, so groundForm1 tests guard1 once per t1 and guard2
+// once per t2 before the pair loop (selection before join), and only
+// pair per pair.
+type form1Rule struct {
+	name   string
+	rhs    int32
+	guard1 []cmpPred // read t1 only
+	guard2 []cmpPred // read t2 only
+	pair   []cmpPred // read t1 and t2
+	prems  []premise // order and target predicates, in body order
+}
+
+// compileCorr recognises the correlated-attribute rule shape: exactly
+// one order predicate, no target references, and any number of
+// tuple/constant comparisons.
+func compileCorr(schema *model.Schema, f *rule.Form1) (corrRule, bool) {
+	var order *rule.Pred
+	var extra []cmpPred
+	for k := range f.LHS {
+		p := &f.LHS[k]
+		switch {
+		case p.Kind == rule.OrderPred:
+			if order != nil {
+				return corrRule{}, false
+			}
+			order = p
+		case p.Left.Kind == rule.TargetAttr || p.Right.Kind == rule.TargetAttr:
+			return corrRule{}, false
+		default:
+			extra = append(extra, compileCmp(schema, p))
+		}
+	}
+	if order == nil {
+		return corrRule{}, false
+	}
+	return corrRule{
+		ruleName: f.RuleName,
+		fromAttr: int32(schema.Index(order.Attr)),
+		toAttr:   int32(schema.Index(f.RHS)),
+		strict:   order.Strict,
+		extra:    extra,
+	}, true
+}
+
+// compileForm1 compiles a form-(1) rule that is not correlation-shaped.
+func compileForm1(schema *model.Schema, f *rule.Form1) form1Rule {
+	fr := form1Rule{name: f.RuleName, rhs: int32(schema.Index(f.RHS))}
+	for k := range f.LHS {
+		p := &f.LHS[k]
+		switch {
+		case p.Kind == rule.OrderPred:
+			fr.prems = append(fr.prems, premise{order: true, strict: p.Strict, attr: int32(schema.Index(p.Attr))})
+		case p.Left.Kind == rule.TargetAttr || p.Right.Kind == rule.TargetAttr:
+			te, op, x := p.Left, p.Op, p.Right
+			if x.Kind == rule.TargetAttr {
+				te, op, x = x, op.Flip(), te
+			}
+			pr := premise{op: op, attr: int32(schema.Index(te.Attr)), c: x.Val}
+			if x.Kind == rule.TupleAttr {
+				pr.xt, pr.xa = int8(x.Tup), int32(schema.Index(x.Attr))
+			}
+			fr.prems = append(fr.prems, pr)
+		default:
+			cp := compileCmp(schema, p)
+			switch cp.lt | cp.rt {
+			case 1:
+				fr.guard1 = append(fr.guard1, cp)
+			case 2:
+				fr.guard2 = append(fr.guard2, cp)
+			default:
+				fr.pair = append(fr.pair, cp)
+			}
+		}
+	}
+	return fr
+}
+
+// compileCmp compiles a comparison between tuple operands and at most
+// one constant (Validate rejects two constants).
+func compileCmp(schema *model.Schema, p *rule.Pred) cmpPred {
+	l, op, r := p.Left, p.Op, p.Right
+	if l.Kind == rule.Const {
+		l, op, r = r, op.Flip(), l
+	}
+	cp := cmpPred{op: op, lt: int8(l.Tup), la: int32(schema.Index(l.Attr)), c: r.Val}
+	if r.Kind == rule.TupleAttr {
+		cp.rt, cp.ra = int8(r.Tup), int32(schema.Index(r.Attr))
+	}
+	return cp
 }

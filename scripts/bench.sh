@@ -31,6 +31,9 @@
 #   BenchmarkStreamIngest    end-to-end CSV ingest, materialized vs
 #                            streaming: rows/s and peak sampled heap
 #                            (peak-bytes — the constant-memory claim) (PR 9)
+#   BenchmarkInstantiation   per-entity grounding on a prebuilt Shared:
+#                            the paper example, and Med entities with
+#                            csvio-interned rows (the ingest shape) (PR 15)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,7 +45,7 @@ raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
-  -bench 'BenchmarkCheckPooled$|BenchmarkCheckCached$|BenchmarkColdCheck$|BenchmarkOrderAdd|BenchmarkOrderMax|BenchmarkTopKCTParallel|BenchmarkIncrementalAdd|BenchmarkUpdaterApply|BenchmarkWALAppend|BenchmarkRecoveryReplay|BenchmarkTopKWarmQuery|BenchmarkStreamIngest' \
+  -bench 'BenchmarkCheckPooled$|BenchmarkCheckCached$|BenchmarkColdCheck$|BenchmarkOrderAdd|BenchmarkOrderMax|BenchmarkTopKCTParallel|BenchmarkIncrementalAdd|BenchmarkUpdaterApply|BenchmarkWALAppend|BenchmarkRecoveryReplay|BenchmarkTopKWarmQuery|BenchmarkStreamIngest|BenchmarkInstantiation' \
   -benchmem -benchtime "$benchtime" -count "$count" . | tee "$raw"
 
 # Parse `go test -bench` lines into JSON records. A -benchmem line looks
