@@ -5,6 +5,8 @@
 // everything verified here transfers to the real tree.
 package chase
 
+import "sync"
+
 // Grounding mimics the immutable deduction state of the real package.
 // Hint is exported so fixtures in other packages can attempt writes;
 // the real Grounding has no exported fields, but the analyzer must not
@@ -77,6 +79,13 @@ func (g *Grounding) mutateInPlace(rule, tuple int) {
 type Shared struct {
 	form1 []int
 	corrs [][]int
+	cols  []column
+}
+
+// column mimics a master column ranked lazily, once, on first read.
+type column struct {
+	once   sync.Once
+	ranked []int
 }
 
 // NewShared is the one writer the allowlist admits.
@@ -104,8 +113,25 @@ func (sh *Shared) corrCount(attr int) int {
 	return len(rules)
 }
 
+// ranked is the once-guarded fill: a write to the Shared after
+// construction, admitted because it is a declared builder.
+//
+//relacc:grounding-builder
+func (sh *Shared) ranked(a int) []int {
+	sh.cols[a].once.Do(func() { sh.cols[a].ranked = []int{a} })
+	return sh.cols[a].ranked
+}
+
+// rerank overwrites a ranked column outside any builder, racing every
+// grounding that reads it.
+func (sh *Shared) rerank(a int) {
+	sh.cols[a].ranked = nil // want `write to chase.Shared field cols`
+}
+
 var _ = (*Grounding).depth
 var _ = (*Grounding).mutateInPlace
 var _ = buildVia
 var _ = (*Shared).addRule
 var _ = (*Shared).corrCount
+var _ = (*Shared).ranked
+var _ = (*Shared).rerank

@@ -308,6 +308,8 @@ type Grounding struct {
 	// |Im| without materialising a ground step per master tuple, and
 	// target-assignment triggers O(matching rows) instead of O(|Im|).
 	form2 *form2Index
+	// master is the Shared's ranked master columns, shared like form2.
+	master []masterColumn
 
 	baseOrders   *order.Set
 	baseCounts   [][]int32
@@ -588,6 +590,41 @@ func (g *Grounding) valueAndID(t *model.Tuple, a int) (model.Value, uint32) {
 		return v, model.NullID
 	}
 	return v, g.dict.Intern(v)
+}
+
+// NumDistinct returns how many distinct non-null values attribute a
+// carries in Ie.
+func (g *Grounding) NumDistinct(a int) int { return len(g.groups[a].ids) }
+
+// Distinct returns the k-th distinct non-null value of attribute a in
+// Ie, for k < NumDistinct(a), in dictionary ID order: its first
+// occurrence, its ID, how many tuples carry it, and the tuple index of
+// its first occurrence.
+func (g *Grounding) Distinct(a, k int) (v model.Value, id uint32, count, first int) {
+	m := g.groups[a].members[k]
+	return g.vals[a][m[0]], g.groups[a].ids[k], len(m), int(m[0])
+}
+
+// Count returns how many tuples of Ie carry the value with dictionary
+// ID id at attribute a.
+func (g *Grounding) Count(a int, id uint32) int { return len(g.groups[a].find(id)) }
+
+// MasterColumn returns the distinct master values of attribute a,
+// ranked by String with ties in master row order (rankMaster), or nil
+// when there is no master column for a. The ranking runs once per
+// Shared, on the first call for a, and is shared by every grounding
+// and version of it; callers must not modify it.
+//
+// The write is lazy construction, made once-only by the column's
+// sync.Once; the ranking is deduction machinery, not deduced state.
+//
+//relacc:grounding-builder
+func (g *Grounding) MasterColumn(a int) []MasterValue {
+	if g.master == nil || g.master[a].ma < 0 {
+		return nil
+	}
+	g.master[a].once.Do(func() { g.master[a].ranked = rankMaster(g.im, g.master[a].ma) })
+	return g.master[a].ranked
 }
 
 // groupFor returns the tuple indices whose attr value has dictionary

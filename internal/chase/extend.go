@@ -69,6 +69,7 @@ func (g *Grounding) Extend(tuples ...*model.Tuple) (*Grounding, error) {
 		form1:     g.form1,
 		corrs:     g.corrs,
 		form2:     g.form2,
+		master:    g.master,
 		// The verdict cache is version-private: the successor starts
 		// empty (old verdicts answer for the old evidence) but shares
 		// the chain's cumulative hit/miss counters. nil stays nil.

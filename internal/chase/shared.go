@@ -2,6 +2,8 @@ package chase
 
 import (
 	"fmt"
+	"sort"
+	"sync"
 
 	"repro/internal/model"
 	"repro/internal/rule"
@@ -28,8 +30,14 @@ import (
 // by the tuples they read. Every grounding and every Extend version
 // reads the same compiled rules.
 //
+// A Shared also carries one master column per entity attribute the
+// master schema names, ranked for the top-k search on the first read
+// (Grounding.MasterColumn) rather than here: deduce-only runs never
+// pay for a ranking. Ranking interns nothing.
+//
 // A Shared is immutable after construction — except the dictionary,
-// which is append-only and internally synchronised — and safe for
+// which is append-only and internally synchronised, and the master
+// columns, each filled once under its own sync.Once — and safe for
 // concurrent use by any number of goroutines.
 type Shared struct {
 	schema *model.Schema
@@ -39,6 +47,60 @@ type Shared struct {
 	corrs  [][]corrRule // [fromAttr] correlation rules, in rule-set order
 	form2  *form2Index
 	dict   *model.Dict
+	master []masterColumn // [attr]; nil without a master relation
+}
+
+// MasterValue is one entry of a ranked master column: a distinct
+// master value and its Key, computed once.
+type MasterValue struct {
+	Value model.Value
+	Key   string
+}
+
+// masterColumn is one entity attribute's master column, ranked on
+// first use.
+type masterColumn struct {
+	ma     int // master schema position; -1 when the master lacks the attribute
+	once   sync.Once
+	ranked []MasterValue
+}
+
+// rankMaster ranks master column ma as model.ActiveDomain orders the
+// values an instance does not carry: one entry per Norm class, the
+// first master row's value representing it, by String ascending with
+// ties in master row order. It interns nothing.
+func rankMaster(im *model.MasterRelation, ma int) []MasterValue {
+	seen := make(map[model.Value]struct{})
+	var vals []model.Value
+	var strs []string
+	for _, t := range im.Tuples() {
+		v := t.At(ma)
+		if v.IsNull() {
+			continue
+		}
+		nv := v.Norm()
+		if _, dup := seen[nv]; dup {
+			continue
+		}
+		seen[nv] = struct{}{}
+		vals = append(vals, v)
+		strs = append(strs, v.String())
+	}
+	idx := make([]int32, len(vals))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	sort.Slice(idx, func(x, y int) bool {
+		if sx, sy := strs[idx[x]], strs[idx[y]]; sx != sy {
+			return sx < sy
+		}
+		return idx[x] < idx[y]
+	})
+	out := make([]MasterValue, len(idx))
+	for i, k := range idx {
+		out[i] = MasterValue{Value: vals[k], Key: vals[k].Key()}
+	}
+	return out
 }
 
 // NewShared validates the rules against the schemas, compiles the
@@ -61,11 +123,19 @@ func NewShared(schema *model.Schema, im *model.MasterRelation, rules *rule.Set) 
 			return nil, err
 		}
 	}
+	var master []masterColumn
+	if im != nil {
+		master = make([]masterColumn, schema.Arity())
+		for a := range master {
+			master[a].ma = rm.Index(schema.Attr(a))
+		}
+	}
 	// The form-(2) index's trigger keys embed IDs of this groundwork's
 	// own dictionary, so the two are built together and never shared.
 	sh := &Shared{schema: schema, im: im, rules: rules,
 		corrs: make([][]corrRule, schema.Arity()),
-		form2: &form2Index{trig: make(map[uint64][]form2Entry)}, dict: model.NewDict()}
+		form2: &form2Index{trig: make(map[uint64][]form2Entry)}, dict: model.NewDict(),
+		master: master}
 	for _, r := range rules.Rules() {
 		switch f := r.(type) {
 		case *rule.Form1:
@@ -125,6 +195,7 @@ func (sh *Shared) NewGrounding(ie *model.EntityInstance, opts Options) (*Groundi
 		form1:     sh.form1,
 		corrs:     sh.corrs,
 		form2:     sh.form2,
+		master:    sh.master,
 		dict:      sh.dict,
 	}
 	if !opts.DisableVerdictCache {

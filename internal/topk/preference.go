@@ -14,6 +14,8 @@
 package topk
 
 import (
+	"sort"
+
 	"repro/internal/chase"
 	"repro/internal/model"
 )
@@ -28,7 +30,9 @@ type Preference struct {
 	// K is the number of candidates requested.
 	K int
 	// Weight is w_Ai(v), the score of value v in attribute attr. Nil
-	// defaults to occurrence counting over the entity instance.
+	// scores v by the number of tuples of Ie carrying it in attr
+	// (values only in master data, and ⊥ unless Ie carries it, score 0),
+	// the preference of the paper's experiments.
 	Weight func(attr string, v model.Value) float64
 	// Domains optionally fixes the candidate values of an attribute
 	// (e.g. {true, false} for a Boolean attribute). Attributes not
@@ -57,46 +61,20 @@ type Preference struct {
 	Parallel int
 }
 
-// OccurrenceWeight builds the default preference used throughout the
-// paper's experiments: w_Ai(v) is the number of occurrences of v in the
-// Ai column of Ie (values only present in master data count 0, and ⊥
-// counts 0).
-func OccurrenceWeight(ie *model.EntityInstance) func(string, model.Value) float64 {
-	counts := make(map[string]map[string]float64, ie.Schema().Arity())
-	for a := 0; a < ie.Schema().Arity(); a++ {
-		attr := ie.Schema().Attr(a)
-		m := make(map[string]float64)
-		for _, t := range ie.Tuples() {
-			v := t.At(a)
-			if !v.IsNull() {
-				m[v.Key()]++
-			}
-		}
-		counts[attr] = m
-	}
-	return func(attr string, v model.Value) float64 {
-		return counts[attr][v.Key()]
-	}
-}
-
-// MapWeight builds a preference from explicit per-attribute value
-// scores, e.g. probabilities produced by a truth-discovery algorithm
-// (Section 7, Exp-5). Missing entries score 0.
-func MapWeight(scores map[string]map[string]float64) func(string, model.Value) float64 {
-	return func(attr string, v model.Value) float64 {
-		return scores[attr][v.Key()]
-	}
-}
-
 // scoredValue is one ranked-list entry. The value's dictionary ID is
 // interned once when the list is built, so every candidate assembled
 // from the list carries a cached ID row and the chase-based check
-// never hashes a value.
+// never hashes a value; its Key, computed once with the list, is what
+// the sorts, the heaps and zKey compare.
 type scoredValue struct {
-	v  model.Value
-	w  float64
-	id uint32
+	v   model.Value
+	w   float64
+	id  uint32
+	key string
 }
+
+// bottomKey is Bottom's Key.
+var bottomKey = Bottom.Key()
 
 // Candidate is one verified candidate target.
 type Candidate struct {
@@ -139,42 +117,23 @@ func newProblem(g *chase.Grounding, te *model.Tuple, pref Preference) *problem {
 	// per-check probes — the Z attributes get their IDs from the ranked
 	// lists below.
 	p.te = te.Clone().Intern(p.dict)
-	if pref.Weight == nil {
-		pref.Weight = OccurrenceWeight(g.Instance())
-		p.pref.Weight = pref.Weight
+	maxDomain := pref.MaxDomain
+	if maxDomain == 0 {
+		maxDomain = 64
 	}
 	schema := g.Schema()
 	for a := 0; a < schema.Arity(); a++ {
 		if !te.At(a).IsNull() {
 			continue
 		}
-		attr := schema.Attr(a)
-		maxDomain := pref.MaxDomain
-		if maxDomain == 0 {
-			maxDomain = 64
-		}
-		var vals []model.Value
-		if dom, ok := pref.Domains[attr]; ok {
-			vals = append([]model.Value(nil), dom...)
-		} else {
-			var counts []int
-			vals, counts = model.ActiveDomain(g.Instance(), g.Master(), attr)
-			if len(vals) > maxDomain {
-				// Keep every instance-carried value plus the best-ranked
-				// of the rest, and truncate the interchangeable tail.
-				kept := vals[:0]
-				for i, v := range vals {
-					if counts[i] > 0 || len(kept) < maxDomain {
-						kept = append(kept, v)
-					}
-				}
-				vals = kept
+		var list []scoredValue
+		if dom, ok := pref.Domains[schema.Attr(a)]; ok {
+			list = make([]scoredValue, 0, len(dom))
+			for _, v := range dom {
+				list = append(list, p.scored(a, v, p.dict.Intern(v), v.Key()))
 			}
-			vals = append(vals, Bottom)
-		}
-		list := make([]scoredValue, len(vals))
-		for i, v := range vals {
-			list[i] = scoredValue{v: v, w: pref.Weight(attr, v), id: p.dict.Intern(v)}
+		} else {
+			list = p.activeDomain(a, maxDomain)
 		}
 		sortScored(list)
 		p.zAttr = append(p.zAttr, a)
@@ -183,11 +142,78 @@ func newProblem(g *chase.Grounding, te *model.Tuple, pref Preference) *problem {
 	return p
 }
 
+// activeDomain lists attribute a's candidate values in
+// model.ActiveDomain's order: the values Ie carries, by occurrence
+// count descending, then String, then first occurrence; then the
+// Shared's ranked master column, minus the values Ie carries, while
+// the list holds fewer than maxDomain entries (the interchangeable
+// zero-count tail is truncated, Ie's values always survive); then ⊥.
+// Ie's values carry their IDs, counts and first occurrences from the
+// grounding's ID groups; only the master values kept are interned, in
+// list order.
+func (p *problem) activeDomain(a, maxDomain int) []scoredValue {
+	type occ struct {
+		v            model.Value
+		id           uint32
+		count, first int
+		str, key     string
+	}
+	occs := make([]occ, p.g.NumDistinct(a))
+	keys := make([]string, len(occs))
+	for k := range occs {
+		v, id, count, first := p.g.Distinct(a, k)
+		occs[k] = occ{v: v, id: id, count: count, first: first, str: v.String(), key: v.Key()}
+		keys[k] = occs[k].key
+	}
+	sort.Slice(occs, func(i, j int) bool {
+		x, y := &occs[i], &occs[j]
+		if x.count != y.count {
+			return x.count > y.count
+		}
+		if x.str != y.str {
+			return x.str < y.str
+		}
+		return x.first < y.first
+	})
+	sort.Strings(keys)
+	col := p.g.MasterColumn(a)
+	list := make([]scoredValue, 0, min(max(len(occs), maxDomain), len(occs)+len(col))+1)
+	for _, o := range occs {
+		list = append(list, p.scored(a, o.v, o.id, o.key))
+	}
+	for _, mv := range col {
+		if len(list) >= maxDomain {
+			break
+		}
+		if i := sort.SearchStrings(keys, mv.Key); i < len(keys) && keys[i] == mv.Key {
+			continue
+		}
+		list = append(list, p.scored(a, mv.Value, p.dict.Intern(mv.Value), mv.Key))
+	}
+	return append(list, p.scored(a, Bottom, p.dict.Intern(Bottom), bottomKey))
+}
+
+// scored is the list entry for v at schema position a, given its
+// dictionary ID and Key.
+func (p *problem) scored(a int, v model.Value, id uint32, key string) scoredValue {
+	return scoredValue{v: v, w: p.weight(a, v, id), id: id, key: key}
+}
+
+// weight is w_A(v) for the value v, with dictionary ID id, at schema
+// position a: the caller's Weight, or the number of tuples of Ie
+// carrying v at a, read from the grounding's ID groups.
+func (p *problem) weight(a int, v model.Value, id uint32) float64 {
+	if p.pref.Weight != nil {
+		return p.pref.Weight(p.g.Schema().Attr(a), v)
+	}
+	return float64(p.g.Count(a, id))
+}
+
 // sortScored orders by descending weight, ties broken by value key for
 // determinism.
 func sortScored(list []scoredValue) {
-	// Insertion sort: lists are small and mostly ordered (ActiveDomain
-	// already returns by descending occurrence).
+	// Insertion sort: lists are small, and under the default weight
+	// already in descending count order with a String-ordered tail.
 	for i := 1; i < len(list); i++ {
 		for j := i; j > 0 && scoredLess(list[j-1], list[j]); j-- {
 			list[j-1], list[j] = list[j], list[j-1]
@@ -200,21 +226,12 @@ func scoredLess(a, b scoredValue) bool {
 	if a.w != b.w {
 		return a.w < b.w
 	}
-	return a.v.Key() > b.v.Key()
+	return a.key > b.key
 }
 
 // baseScore is the score contribution of the non-null attributes of te;
 // it is constant across candidates.
-func (p *problem) baseScore() float64 {
-	s := 0.0
-	schema := p.g.Schema()
-	for a := 0; a < schema.Arity(); a++ {
-		if v := p.te.At(a); !v.IsNull() {
-			s += p.pref.Weight(schema.Attr(a), v)
-		}
-	}
-	return s
-}
+func (p *problem) baseScore() float64 { return p.score(p.te) }
 
 // assemble builds a complete tuple from te and the chosen Z values,
 // carrying each value's cached dictionary ID so the chase check that
@@ -242,15 +259,16 @@ func (p *problem) exhausted() bool {
 
 // zKey identifies a Z-assignment for duplicate suppression and as the
 // deterministic last tie-break of the priority queues. It concatenates
-// value Keys — NOT dictionary IDs, which are assignment-order dependent
-// and would make tie-breaking (and so candidate order) run-dependent.
+// the entries' Keys, computed once with the lists — NOT dictionary
+// IDs, which are assignment-order dependent and would make
+// tie-breaking (and so candidate order) run-dependent.
 func zKey(zv []scoredValue) string {
 	k := ""
 	for i, sv := range zv {
 		if i > 0 {
 			k += "\x1f"
 		}
-		k += sv.v.Key()
+		k += sv.key
 	}
 	return k
 }

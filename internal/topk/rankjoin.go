@@ -40,8 +40,12 @@ func RankJoinCT(g *chase.Grounding, te *model.Tuple, pref Preference) ([]Candida
 
 // RankJoinCTOpts is RankJoinCT with explicit resource bounds.
 func RankJoinCTOpts(g *chase.Grounding, te *model.Tuple, pref Preference, opts RankJoinOptions) ([]Candidate, Stats, error) {
-	p := newProblem(g, te, pref)
-	k := pref.K
+	return rankJoinCT(newProblem(g, te, pref), opts)
+}
+
+// rankJoinCT runs RankJoinCT on a prepared problem.
+func rankJoinCT(p *problem, opts RankJoinOptions) ([]Candidate, Stats, error) {
+	k := p.pref.K
 	if k <= 0 {
 		return nil, p.stats, fmt.Errorf("topk: k must be positive, got %d", k)
 	}

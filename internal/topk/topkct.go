@@ -21,8 +21,12 @@ import (
 // non-null attributes are fixed in every candidate. The returned
 // candidates are in non-increasing score order.
 func TopKCT(g *chase.Grounding, te *model.Tuple, pref Preference) ([]Candidate, Stats, error) {
-	p := newProblem(g, te, pref)
-	cands, err := topkSearch(p, pref.K, true)
+	return topKCT(newProblem(g, te, pref))
+}
+
+// topKCT runs TopKCT on a prepared problem.
+func topKCT(p *problem) ([]Candidate, Stats, error) {
+	cands, err := topkSearch(p, p.pref.K, true)
 	return cands, p.stats, err
 }
 
@@ -145,8 +149,12 @@ func topkSearch(p *problem, k int, withCheck bool) ([]Candidate, error) {
 // necessarily the k highest-scoring ones (the cost/quality trade-off the
 // paper describes).
 func TopKCTh(g *chase.Grounding, te *model.Tuple, pref Preference) ([]Candidate, Stats, error) {
-	p := newProblem(g, te, pref)
-	raw, err := topkSearch(p, pref.K, false)
+	return topKCTh(newProblem(g, te, pref))
+}
+
+// topKCTh runs TopKCTh on a prepared problem.
+func topKCTh(p *problem) ([]Candidate, Stats, error) {
+	raw, err := topkSearch(p, p.pref.K, false)
 	if err != nil {
 		return nil, p.stats, err
 	}
@@ -173,8 +181,8 @@ func TopKCTh(g *chase.Grounding, te *model.Tuple, pref Preference) ([]Candidate,
 			out[j-1], out[j] = out[j], out[j-1]
 		}
 	}
-	if len(out) > pref.K {
-		out = out[:pref.K]
+	if len(out) > p.pref.K {
+		out = out[:p.pref.K]
 	}
 	return out, p.stats, nil
 }
@@ -192,7 +200,7 @@ func (p *problem) score(t *model.Tuple) float64 {
 	schema := p.g.Schema()
 	for a := 0; a < schema.Arity(); a++ {
 		if v := t.At(a); !v.IsNull() {
-			s += p.pref.Weight(schema.Attr(a), v)
+			s += p.weight(a, v, p.idOf(t, a))
 		}
 	}
 	return s

@@ -11,7 +11,11 @@
 # allocs/op movement. Benchmarks present in only one file are flagged.
 # Benchmarks carrying the ingest memory metrics (rows_per_s,
 # peak_bytes — see BenchmarkStreamIngest) get a second line with their
-# deltas. Exit status is always 0; the judgement is the reader's.
+# deltas. Both snapshots' headers (Go version, nproc, GOMAXPROCS, CPU,
+# commit — see bench.sh) are printed first, with a warning when the
+# machine fields differ; snapshots recorded before bench.sh wrote a
+# header still diff. Exit status is always 0; the judgement is the
+# reader's.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -25,10 +29,22 @@ import json, sys
 def load(path):
     with open(path) as f:
         doc = json.load(f)
-    return {r["name"]: r for r in doc.get("results", [])}
+    return doc.get("header"), {r["name"]: r for r in doc.get("results", [])}
 
 old_path, new_path = sys.argv[1], sys.argv[2]
-old, new = load(old_path), load(new_path)
+(old_hdr, old), (new_hdr, new) = load(old_path), load(new_path)
+
+for label, path, hdr in (("old", old_path, old_hdr), ("new", new_path, new_hdr)):
+    if hdr is None:
+        print(f"{label}: {path}: no header")
+    else:
+        print(f"{label}: {path}: {hdr.get('go')}, nproc {hdr.get('nproc')}, "
+              f"GOMAXPROCS {hdr.get('gomaxprocs')}, cpu {hdr.get('cpu')}, commit {hdr.get('commit')}")
+if old_hdr is not None and new_hdr is not None:
+    differ = [k for k in ("go", "nproc", "gomaxprocs", "cpu") if old_hdr.get(k) != new_hdr.get(k)]
+    if differ:
+        print(f"WARNING: the snapshots differ in {', '.join(differ)}; deltas mix machines")
+print()
 
 names = list(dict.fromkeys(list(old) + list(new)))
 width = max((len(n) for n in names), default=4)
