@@ -30,12 +30,17 @@
 //
 // append is the incremental face of batch: the base relation streams
 // into live per-entity sessions and is deduced once, then the delta
-// relation's tuples are routed by the -by identifier into them and only
-// the touched entities are re-deduced — through delta instantiation,
-// not a rebuild — printing one re-deduced verdict per touched entity.
-// The delta CSV must carry the same columns as the base; -o writes the
-// settled targets (pipeline.Result.Settled) of the final state of every
-// entity.
+// relation streams through the same chain — its tuples are grouped by
+// the -by identifier and routed into the live entities, and only the
+// touched entities are re-deduced, through delta instantiation rather
+// than a rebuild — printing one re-deduced verdict per touched entity
+// as its batch applies. The delta CSV must carry the base's columns, in
+// any order; an unknown or a missing column is refused by name. The
+// delta's grouping window follows the same -stream/-window policy as
+// the base's (auto probes each file separately), so -stream on bounds
+// the delta's window too: a delta too disordered for -window fails with
+// the window error. -o writes the settled targets
+// (pipeline.Result.Settled) of the final state of every entity.
 //
 // The optional master CSV holds master data; the rule file uses the
 // textual rule language (see internal/ruledsl):
@@ -76,7 +81,7 @@ func main() {
 	algo := fs.String("algo", "topkct", "top-k algorithm: topkct, rankjoin or topkcth")
 	par := fs.Int("par", -1, "concurrent candidate checks (1 = sequential, -1 = GOMAXPROCS)")
 	candPath := fs.String("candidate", "", "candidate tuple CSV (check)")
-	deltaPath := fs.String("delta", "", "append: delta relation CSV (same columns as -data)")
+	deltaPath := fs.String("delta", "", "append: delta relation CSV (the columns of -data, in any order)")
 	by := fs.String("by", "", "batch/append: group entities by exact match on this column")
 	key := fs.String("key", "", "batch: comma-separated key attributes for similarity-based grouping")
 	threshold := fs.Float64("threshold", 0, "batch: similarity threshold for -key grouping (0 = 0.85)")
@@ -190,11 +195,12 @@ func main() {
 		if len(tuples) != 1 {
 			fatal(fmt.Errorf("candidate file must hold exactly one tuple, got %d", len(tuples)))
 		}
-		// Rebuild the candidate over the instance schema by attribute name.
+		// Rebuild the candidate over the instance schema by attribute
+		// name; a column the instance lacks is a typo, not a wildcard.
 		cand := model.NewTuple(ie.Schema())
-		for _, a := range tuples[0].Schema().Attrs() {
-			if v, ok := tuples[0].Get(a); ok {
-				cand.Set(a, v)
+		for a, attr := range tuples[0].Schema().Attrs() {
+			if !cand.Set(attr, tuples[0].At(a)) {
+				fatal(fmt.Errorf("candidate column %q is not in the instance schema", attr))
 			}
 		}
 		if sess.Check(cand) {
@@ -397,9 +403,9 @@ type appendArgs struct {
 // runAppend is the incremental pipeline front end: the base relation
 // streams into live per-entity sessions (tuples decode and intern one
 // at a time, and the window turns each sealed entity into one update),
-// the delta relation's tuples are routed to them by the -by identifier,
-// and only the touched entities are re-deduced (through chase-level
-// delta instantiation). -o snapshots the final state of every entity.
+// the delta relation streams into them the same way, and only the
+// touched entities are re-deduced (through chase-level delta
+// instantiation). -o snapshots the final state of every entity.
 func runAppend(a appendArgs) {
 	if a.data == "" || a.delta == "" || a.rules == "" {
 		fmt.Fprintln(os.Stderr, "relacc: append needs -data, -delta and -rules")
@@ -455,7 +461,7 @@ func runAppend(a appendArgs) {
 	fmt.Printf("base: %d entities seeded\n", u.Len())
 	fmt.Println("base:", baseSum.String())
 
-	applyDelta(u, schema, a)
+	applyDelta(u, a)
 
 	if a.out != "" {
 		// Snapshot re-deduces nothing that has not changed (deductions
@@ -479,48 +485,41 @@ func runAppend(a appendArgs) {
 	}
 }
 
-// applyDelta runs append's delta phase: the delta CSV is read (deltas
-// are the small side of an append), remapped onto the base schema,
-// routed into the live entities by the -by key, and every touched
-// entity's re-deduced verdict printed.
-func applyDelta(u *pipeline.Updater, schema *model.Schema, a appendArgs) {
-	deltaSchema, deltaTuples, err := csvio.ReadRelationFile(a.delta)
+// applyDelta runs append's delta phase through the base's chain: the
+// delta CSV decodes onto the base schema (columns match by name), groups
+// by -by under its own window, and is applied in batches, each touched
+// entity's re-deduced verdict printing as its batch applies.
+func applyDelta(u *pipeline.Updater, a appendArgs) {
+	window := streamWindow(a.stream, a.window, a.delta, a.by)
+	f, err := os.Open(a.delta)
 	if err != nil {
 		fatal(err)
 	}
-	deltaTuples, err = remapTuples(deltaTuples, deltaSchema, schema)
+	defer f.Close()
+	it, err := csvio.NewTupleIteratorOn(f, u.Schema())
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("delta %s: %w", a.delta, err))
 	}
-	// Delta keys are the identifier's type-tagged Value.Key, the routing
-	// key SeedUpdater gave the base entities; labels carry what the
-	// column actually says.
-	deltaUps, deltaLabels, err := pipeline.GroupUpdates(deltaTuples, schema, a.by,
-		func(v model.Value) (string, error) { return v.Key(), nil })
+	fmt.Printf("streaming %s into live entities by %s (%s); re-deduced targets:\n", a.delta, a.by, windowString(window))
+	before := u.Len()
+	sum, err := ingest.SeedUpdater(u, it, ingest.SeedOptions{
+		By:     a.by,
+		Window: window,
+		Sink: func(r pipeline.Result) error {
+			printEntityLine(entityLabel(r, a.by), r, a.verbose)
+			return nil
+		},
+	})
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("delta %s: %w", a.delta, err))
 	}
-	newKeys := 0
-	for i := range deltaUps {
-		if u.Version(deltaUps[i].Key) < 0 {
-			newKeys++
-		}
-	}
-	deltaResults, deltaSum, err := u.Apply(deltaUps)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("delta: %d tuples touched %d entities (%d new); re-deduced targets:\n",
-		len(deltaTuples), len(deltaUps), newKeys)
-	for i, r := range deltaResults {
-		printEntityLine(deltaLabels[i], r, a.verbose)
-	}
-	fmt.Println("delta:", deltaSum.String())
+	fmt.Printf("delta: %d tuples touched %d entities (%d new)\n", it.Row()-1, sum.Entities, u.Len()-before)
+	fmt.Println("delta:", sum.String())
 }
 
 // entityLabel recovers the display label — what the -by column says —
-// from a streamed result, matching the labels GroupUpdates produces
-// (Result.Key is the type-tagged routing key, not for humans).
+// from a streamed result (Result.Key is the type-tagged routing key,
+// not for humans).
 func entityLabel(r pipeline.Result, by string) string {
 	if r.Instance != nil {
 		if ts := r.Instance.Tuples(); len(ts) > 0 {
@@ -645,30 +644,6 @@ func printEntityLine(label string, r pipeline.Result, withTiming bool) {
 	fmt.Println(line)
 }
 
-// remapTuples rebuilds tuples read under one schema object onto the
-// base schema (schemas match by pointer identity everywhere else, and
-// the delta CSV necessarily parses into its own schema object). The
-// column sets must agree; order may differ.
-func remapTuples(tuples []*model.Tuple, from, to *model.Schema) ([]*model.Tuple, error) {
-	for _, attr := range from.Attrs() {
-		if to.Index(attr) < 0 {
-			return nil, fmt.Errorf("delta column %q is not in the base relation", attr)
-		}
-	}
-	if from.Arity() != to.Arity() {
-		return nil, fmt.Errorf("delta has %d columns, base has %d", from.Arity(), to.Arity())
-	}
-	out := make([]*model.Tuple, len(tuples))
-	for i, t := range tuples {
-		nt := model.NewTuple(to)
-		for a, attr := range from.Attrs() {
-			nt.Set(attr, t.At(a))
-		}
-		out[i] = nt
-	}
-	return out, nil
-}
-
 func printTarget(schema *model.Schema, t *model.Tuple) {
 	for a := 0; a < schema.Arity(); a++ {
 		v := t.At(a)
@@ -685,12 +660,14 @@ func usage() {
   deduce/topk/check/rules operate on one entity's tuples;
   batch groups a multi-entity relation (-by col | -key a,b) and runs the
   pipeline over it (-workers N -topk K -algo topkct|rankjoin|topkcth -o out.csv);
-  append deduces a base relation, then routes -delta tuples to the live
-  entities by -by and incrementally re-deduces only the touched ones;
-  every -by relation streams, and -stream on|off|auto sizes its grouping
-  window: on = -window N open entities, off = unbounded (any row order),
-  auto = -window N when the rows arrive in contiguous per-key runs,
-  unbounded otherwise`)
+  append deduces a base relation, then streams -delta (the base's
+  columns, in any order) into the live entities by -by and incrementally
+  re-deduces only the touched ones;
+  every -by relation streams, append's delta included, and
+  -stream on|off|auto sizes its grouping window: on = -window N open
+  entities, off = unbounded (any row order), auto = -window N when the
+  rows arrive in contiguous per-key runs, unbounded otherwise (probed per
+  file); input too disordered for the window fails, never splits an entity`)
 }
 
 func fatal(err error) {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
@@ -214,11 +215,14 @@ func TestBatchWritesSettledCSV(t *testing.T) {
 // medFiles is a small generated Med relation written three ways — sorted
 // (each entity's rows contiguous), shuffled, and split per entity into
 // a base file (its first rows) and a delta file (the rest) — with its
-// master relation and rules.
+// master relation and rules. shuffledDelta holds the delta's rows
+// shuffled, and union the base's rows followed by shuffledDelta's: the
+// relation an append of shuffledDelta onto base accumulates.
 type medFiles struct {
-	master, rules    string
-	sorted, shuffled string
-	base, delta      string
+	master, rules        string
+	sorted, shuffled     string
+	base, delta          string
+	shuffledDelta, union string
 }
 
 func writeMed(t *testing.T) medFiles {
@@ -234,6 +238,9 @@ func writeMed(t *testing.T) medFiles {
 		shuffled: filepath.Join(dir, "shuffled.csv"),
 		base:     filepath.Join(dir, "base.csv"),
 		delta:    filepath.Join(dir, "delta.csv"),
+
+		shuffledDelta: filepath.Join(dir, "shuffled-delta.csv"),
+		union:         filepath.Join(dir, "union.csv"),
 	}
 	var all, base, delta []*model.Tuple
 	for _, e := range ds.Entities {
@@ -243,15 +250,21 @@ func writeMed(t *testing.T) medFiles {
 		base = append(base, ts[:cut]...)
 		delta = append(delta, ts[cut:]...)
 	}
-	shuffled := append([]*model.Tuple(nil), all...)
-	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-	})
+	shuffle := func(ts []*model.Tuple) []*model.Tuple {
+		out := append([]*model.Tuple(nil), ts...)
+		rand.New(rand.NewSource(7)).Shuffle(len(out), func(i, j int) {
+			out[i], out[j] = out[j], out[i]
+		})
+		return out
+	}
+	shuffledDelta := shuffle(delta)
 	writeCSV(t, f.master, ds.Master.Schema(), ds.Master.Tuples())
 	writeCSV(t, f.sorted, ds.Schema, all)
-	writeCSV(t, f.shuffled, ds.Schema, shuffled)
+	writeCSV(t, f.shuffled, ds.Schema, shuffle(all))
 	writeCSV(t, f.base, ds.Schema, base)
 	writeCSV(t, f.delta, ds.Schema, delta)
+	writeCSV(t, f.shuffledDelta, ds.Schema, shuffledDelta)
+	writeCSV(t, f.union, ds.Schema, append(append([]*model.Tuple(nil), base...), shuffledDelta...))
 	if err := os.WriteFile(f.rules, []byte(ruledsl.Format(ds.Rules.Rules())), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -341,15 +354,161 @@ func TestBatchWindowRefusal(t *testing.T) {
 	}
 }
 
-// TestAppendMatchesBatch: for every -stream value, append -o over base
-// and delta holds the same bytes as batch -o over the whole relation.
+// TestAppendMatchesBatch: append -o over base and delta holds the same
+// bytes as batch -o over the relation the two accumulate — for every
+// -stream value on the sorted delta, for that delta with its columns
+// reversed (they match the base's by name), and for off and auto (both
+// unbounded there) on the shuffled delta.
 func TestAppendMatchesBatch(t *testing.T) {
 	f := writeMed(t)
-	want := settledCSV(t, f, "batch", "-data", f.sorted)
-	for _, mode := range []string{"on", "off", "auto"} {
-		got := settledCSV(t, f, "append", "-data", f.base, "-delta", f.delta, "-stream", mode)
-		if !bytes.Equal(got, want) {
-			t.Errorf("append -stream %s -o differs from batch -o:\n%s\nvs\n%s", mode, got, want)
+	reversed := filepath.Join(t.TempDir(), "reversed.csv")
+	rewriteCSV(t, f.delta, reversed, func(_ int, rec []string) []string {
+		out := make([]string, len(rec))
+		for i, cell := range rec {
+			out[len(rec)-1-i] = cell
 		}
+		return out
+	})
+	for _, in := range []struct {
+		delta, whole string
+		modes        []string
+	}{
+		{f.delta, f.sorted, []string{"on", "off", "auto"}},
+		{reversed, f.sorted, []string{"auto"}},
+		{f.shuffledDelta, f.union, []string{"off", "auto"}},
+	} {
+		want := settledCSV(t, f, "batch", "-data", in.whole)
+		for _, mode := range in.modes {
+			got := settledCSV(t, f, "append", "-data", f.base, "-delta", in.delta, "-stream", mode)
+			if !bytes.Equal(got, want) {
+				t.Errorf("append -delta %s -stream %s -o differs from batch -o:\n%s\nvs\n%s",
+					filepath.Base(in.delta), mode, got, want)
+			}
+		}
+	}
+}
+
+// TestAppendDeltaRefusals: a delta naming a column the base lacks,
+// lacking one the base has, routing a row by a null -by value, or too
+// disordered for the window -stream on bounds it by exits 1 with the
+// reason, and the existing -o file keeps its bytes.
+func TestAppendDeltaRefusals(t *testing.T) {
+	f := writeMed(t)
+	schema, _, err := csvio.ReadRelationFile(f.delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// byCol is the -by column; other is a column the edits may rename or
+	// drop without touching the routing.
+	byCol := schema.Index("name")
+	other := (byCol + 1) % schema.Arity()
+	edited := func(edit func(row int, rec []string) []string) string {
+		path := filepath.Join(t.TempDir(), "delta.csv")
+		rewriteCSV(t, f.delta, path, edit)
+		return path
+	}
+	for _, tc := range []struct {
+		name, want string
+		args       []string
+	}{
+		{"unknown column", `column "bogus" is not in relation`, []string{"-delta", edited(func(row int, rec []string) []string {
+			if row == 0 {
+				rec[other] = "bogus"
+			}
+			return rec
+		})}},
+		{"missing column", "is missing from the header", []string{"-delta", edited(func(_ int, rec []string) []string {
+			return append(rec[:other:other], rec[other+1:]...)
+		})}},
+		{"null -by value", "null name value", []string{"-delta", edited(func(row int, rec []string) []string {
+			if row == 3 {
+				rec[byCol] = ""
+			}
+			return rec
+		})}},
+		{"window", "exceeds the streaming window",
+			[]string{"-delta", f.shuffledDelta, "-stream", "on", "-window", "1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const previous = "previous run's output\n"
+			dir := t.TempDir()
+			out := filepath.Join(dir, "settled.csv")
+			writeFile(t, out, previous)
+			text, err := relacc(t, append([]string{"append", "-data", f.base, "-master", f.master,
+				"-rules", f.rules, "-by", "name", "-o", out}, tc.args...)...)
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("want exit status 1, got %v\n%s", err, text)
+			}
+			if !strings.Contains(text, tc.want) {
+				t.Fatalf("output does not name the refusal %q:\n%s", tc.want, text)
+			}
+			if got, err := os.ReadFile(out); err != nil || string(got) != previous {
+				t.Fatalf("a refused run touched -o: %q, %v", got, err)
+			}
+			if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+				t.Fatalf("a refused run left files beside -o: %v, %v", entries, err)
+			}
+		})
+	}
+}
+
+// TestCheckRefusesUnknownCandidateColumn: a candidate column the
+// instance schema lacks (a misspelt header) is refused by name; dropping
+// it would let a candidate that fails the check pass it.
+func TestCheckRefusesUnknownCandidateColumn(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "instance.csv")
+	rules := filepath.Join(dir, "rules.txt")
+	writeFile(t, data, "id,league,rnds,jersey\nm1,east,30,45\nm1,east,80,23\n")
+	writeFile(t, rules, "phi1: t1[league] = t2[league] , t1[rnds] < t2[rnds] -> t1 <= t2 @ rnds\n"+
+		"phi2: t1 < t2 @ rnds -> t1 <= t2 @ jersey\n")
+	for _, tc := range []struct{ header, want string }{
+		{"league", "candidate FAILS the chase check"},
+		{"leauge", `candidate column "leauge" is not in the instance schema`},
+	} {
+		cand := filepath.Join(dir, tc.header+".csv")
+		writeFile(t, cand, "id,"+tc.header+",rnds,jersey\nm1,west,80,23\n")
+		text, err := relacc(t, "check", "-data", data, "-rules", rules, "-candidate", cand)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("header %s: want exit status 1, got %v\n%s", tc.header, err, text)
+		}
+		if !strings.Contains(text, tc.want) {
+			t.Fatalf("header %s: output lacks %q:\n%s", tc.header, tc.want, text)
+		}
+	}
+}
+
+// rewriteCSV copies the CSV at src to dst, passing every record (row 0
+// is the header) through edit.
+func rewriteCSV(t *testing.T, src, dst string, edit func(row int, rec []string) []string) {
+	t.Helper()
+	in, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := csv.NewReader(bytes.NewReader(in)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	w := csv.NewWriter(&b)
+	for i, rec := range recs {
+		if err := w.Write(edit(i, rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Flush()
+	if err := w.Error(); err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, dst, b.String())
+}
+
+func writeFile(t *testing.T, path, content string) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -178,10 +178,3 @@ func NamedOf(t types.Type) *types.Named {
 	}
 	return n
 }
-
-// TypeIsFromPkg reports whether t's (possibly pointer-stripped) named
-// type is declared in pkgPath.
-func TypeIsFromPkg(t types.Type, pkgPath string) bool {
-	n := NamedOf(t)
-	return n != nil && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == pkgPath
-}

@@ -143,8 +143,6 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-func pct(x float64) string { return fmt.Sprintf("%.0f%%", 100*x) }
-
 func ms(d time.Duration) string {
 	return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000)
 }

@@ -42,7 +42,6 @@ import (
 type Shared struct {
 	schema *model.Schema
 	im     *model.MasterRelation
-	rules  *rule.Set
 	form1  []form1Rule  // per-pair form-(1) rules, in rule-set order
 	corrs  [][]corrRule // [fromAttr] correlation rules, in rule-set order
 	form2  *form2Index
@@ -132,7 +131,7 @@ func NewShared(schema *model.Schema, im *model.MasterRelation, rules *rule.Set) 
 	}
 	// The form-(2) index's trigger keys embed IDs of this groundwork's
 	// own dictionary, so the two are built together and never shared.
-	sh := &Shared{schema: schema, im: im, rules: rules,
+	sh := &Shared{schema: schema, im: im,
 		corrs: make([][]corrRule, schema.Arity()),
 		form2: &form2Index{trig: make(map[uint64][]form2Entry)}, dict: model.NewDict(),
 		master: master}
@@ -158,12 +157,6 @@ func (sh *Shared) Dict() *model.Dict { return sh.dict }
 
 // Schema returns the entity schema the groundwork was built for.
 func (sh *Shared) Schema() *model.Schema { return sh.schema }
-
-// Master returns the master relation (possibly nil).
-func (sh *Shared) Master() *model.MasterRelation { return sh.im }
-
-// Rules returns the validated rule set.
-func (sh *Shared) Rules() *rule.Set { return sh.rules }
 
 // NewGrounding grounds one entity instance on the shared groundwork:
 // the per-instance Instantiation (pair grounding, value indexing) and

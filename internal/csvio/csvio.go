@@ -61,6 +61,12 @@ type TupleIterator struct {
 	schema *model.Schema
 	dict   *model.Dict // when non-nil, Next interns each decoded tuple
 	row    int         // 1-based row number of the last record read
+	// perm is nil unless NewTupleIteratorOn met a header whose column
+	// order differs from the schema's: then header column j holds
+	// schema attribute perm[j], and Next reorders each record into
+	// byOrder before decoding it.
+	perm    []int
+	byOrder []string
 }
 
 // NewTupleIterator reads the header row from r and fixes the relation
@@ -68,6 +74,60 @@ type TupleIterator struct {
 // is stripped. r may be any io.Reader — a file, a network body, a
 // generator — the iterator never seeks.
 func NewTupleIterator(r io.Reader, name string) (*TupleIterator, error) {
+	cr, header, err := readHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	// The header was read into the reused record; NewSchema copies the
+	// attribute strings it keeps, so no aliasing survives.
+	schema, err := model.NewSchema(name, header...)
+	if err != nil {
+		return nil, err
+	}
+	return &TupleIterator{cr: cr, schema: schema, row: 1}, nil
+}
+
+// NewTupleIteratorOn reads the header row from r and decodes onto an
+// existing schema, so the tuples join relations already built on it
+// (schemas match by pointer identity). Header columns match the
+// schema's attributes by name, in any order; a column the schema lacks,
+// an attribute the header lacks and a column named twice are refused,
+// naming the column.
+func NewTupleIteratorOn(r io.Reader, schema *model.Schema) (*TupleIterator, error) {
+	cr, header, err := readHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	perm := make([]int, len(header))
+	seen := make([]bool, schema.Arity())
+	inOrder := true
+	for j, attr := range header {
+		a := schema.Index(attr)
+		if a < 0 {
+			return nil, fmt.Errorf("csvio: column %q is not in relation %s", attr, schema.Name())
+		}
+		if seen[a] {
+			return nil, fmt.Errorf("csvio: column %q appears twice in the header", attr)
+		}
+		seen[a] = true
+		perm[j] = a
+		inOrder = inOrder && a == j
+	}
+	for a, ok := range seen {
+		if !ok {
+			return nil, fmt.Errorf("csvio: column %q of relation %s is missing from the header", schema.Attr(a), schema.Name())
+		}
+	}
+	it := &TupleIterator{cr: cr, schema: schema, row: 1}
+	if !inOrder {
+		it.perm, it.byOrder = perm, make([]string, len(perm))
+	}
+	return it, nil
+}
+
+// readHeader opens a CSV reader over r, past a leading UTF-8 BOM, and
+// reads the header row into the reader's reused record.
+func readHeader(r io.Reader) (*csv.Reader, []string, error) {
 	br := bufio.NewReader(r)
 	if lead, err := br.Peek(3); err == nil && string(lead) == "\xef\xbb\xbf" {
 		br.Discard(3)
@@ -80,18 +140,12 @@ func NewTupleIterator(r io.Reader, name string) (*TupleIterator, error) {
 	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err == io.EOF {
-		return nil, fmt.Errorf("csvio: empty input")
+		return nil, nil, fmt.Errorf("csvio: empty input")
 	}
 	if err != nil {
-		return nil, fmt.Errorf("csvio: %w", err)
+		return nil, nil, fmt.Errorf("csvio: %w", err)
 	}
-	// The header was read into the reused record; NewSchema copies the
-	// attribute strings it keeps, so no aliasing survives.
-	schema, err := model.NewSchema(name, header...)
-	if err != nil {
-		return nil, err
-	}
-	return &TupleIterator{cr: cr, schema: schema, row: 1}, nil
+	return cr, header, nil
 }
 
 // Schema returns the relation schema read from the header row.
@@ -129,6 +183,12 @@ func (it *TupleIterator) Next() (*model.Tuple, error) {
 	if len(record) != it.schema.Arity() {
 		return nil, &RowError{Row: it.row,
 			Err: fmt.Errorf("row %d has %d fields, want %d", it.row, len(record), it.schema.Arity())}
+	}
+	if it.perm != nil {
+		for j, cell := range record {
+			it.byOrder[it.perm[j]] = cell
+		}
+		record = it.byOrder
 	}
 	t := model.NewTuple(it.schema)
 	for j, cell := range record {
@@ -205,7 +265,6 @@ type RelationWriter struct {
 	cw     *csv.Writer
 	schema *model.Schema
 	row    []string
-	n      int
 }
 
 // NewRelationWriter writes the schema's header row and returns a writer
@@ -230,16 +289,8 @@ func (rw *RelationWriter) Write(t *model.Tuple) error {
 			rw.row[j] = v.String()
 		}
 	}
-	if err := rw.cw.Write(rw.row); err != nil {
-		return err
-	}
-	rw.n++
-	return nil
+	return rw.cw.Write(rw.row)
 }
-
-// Count returns how many tuples have been written (excluding the
-// header).
-func (rw *RelationWriter) Count() int { return rw.n }
 
 // Flush writes any buffered rows through and reports the first error
 // the underlying writer hit.

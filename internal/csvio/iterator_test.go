@@ -147,6 +147,65 @@ func TestTupleIteratorRetainsValues(t *testing.T) {
 	}
 }
 
+// TestTupleIteratorOn: an iterator opened on an existing schema matches
+// header columns by name in any order, decodes each row onto that very
+// schema (in schema order, row errors and interning included), and
+// refuses an unknown, missing or repeated column by name.
+func TestTupleIteratorOn(t *testing.T) {
+	s := model.MustSchema("base", "id", "league", "rnds")
+	for _, in := range []string{
+		"id,league,rnds\nm1,east,30\nm2,west,10\n",
+		"rnds,id,league\n30,m1,east\n10,m2,west\n",
+	} {
+		it, err := csvio.NewTupleIteratorOn(strings.NewReader(in), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := model.NewDict()
+		it.Intern(d)
+		var got []string
+		for {
+			tu, err := it.Next()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tu.Schema() != s {
+				t.Fatal("tuple does not carry the given schema")
+			}
+			if id, ok := tu.IDIn(d, 1); !ok || !d.ValueOf(id).Equal(tu.At(1)) {
+				t.Fatalf("row %d: league not interned", it.Row())
+			}
+			got = append(got, tu.String())
+		}
+		if want := "(m1, east, 30) (m2, west, 10)"; strings.Join(got, " ") != want {
+			t.Fatalf("%q decoded to %v, want %s", in, got, want)
+		}
+	}
+
+	it, err := csvio.NewTupleIteratorOn(strings.NewReader("rnds,id,league\n30,m1\n"), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var re *csvio.RowError
+	if _, err := it.Next(); !errors.As(err, &re) || re.Row != 2 {
+		t.Fatalf("ragged row: want *RowError{Row: 2}, got %v", err)
+	}
+
+	for _, tc := range []struct{ header, want string }{
+		{"id,leauge,rnds", `column "leauge" is not in relation base`},
+		{"id,rnds", `column "league" of relation base is missing from the header`},
+		{"id,league,rnds,id", `column "id" appears twice in the header`},
+	} {
+		_, err := csvio.NewTupleIteratorOn(strings.NewReader(tc.header+"\n"), s)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("header %s: err = %v, want %q", tc.header, err, tc.want)
+		}
+	}
+}
+
 // FuzzTupleIterator runs the iterator over arbitrary bytes and checks
 // its contract: every decoded tuple carries the iterator's schema, and
 // RowErrors always carry a row number past the header.

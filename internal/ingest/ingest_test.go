@@ -246,8 +246,8 @@ func TestRunLength(t *testing.T) {
 
 // TestSeedUpdaterEquivalence: a streamed seed leaves the updater in the
 // same state — same per-entity results, same summary totals, same
-// snapshot — as the materialized GroupUpdates + single Apply it
-// replaces.
+// snapshot — as the materialized reference: er.GroupBy (invariant 10's
+// reference grouping) plus one Apply keyed by Value.Key.
 func TestSeedUpdaterEquivalence(t *testing.T) {
 	cfg := gen.MedConfig()
 	cfg.NumEntities = 20
@@ -265,9 +265,14 @@ func TestSeedUpdaterEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ups, _, err := pipeline.GroupUpdates(tuplesM, schemaM, "name", keyOf)
+	entities, err := er.GroupBy(tuplesM, schemaM, "name")
 	if err != nil {
 		t.Fatal(err)
+	}
+	ups := make([]pipeline.Update, len(entities))
+	for i, ie := range entities {
+		id, _ := ie.Tuples()[0].Get("name")
+		ups[i] = pipeline.Update{Key: id.Key(), Tuples: ie.Tuples()}
 	}
 	wantResults, wantSum, err := uM.Apply(ups)
 	if err != nil {

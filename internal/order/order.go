@@ -95,11 +95,6 @@ func (r *Relation) Has(i, j int) bool {
 	return r.rows[i*r.w+(j>>6)]&(1<<(uint(j)&63)) != 0
 }
 
-func (r *Relation) set(i, j int) {
-	r.rows[i*r.w+(j>>6)] |= 1 << (uint(j) & 63)
-	r.markRow(i)
-}
-
 // markRow records that row i diverged from the snapshot this relation
 // was cloned from; a no-op on untracked relations.
 func (r *Relation) markRow(i int) {
@@ -666,13 +661,6 @@ func (s *Set) Extend(m int) *Set {
 		out.rels[i] = r.Extend(m)
 	}
 	return out
-}
-
-// CopyFrom overwrites s with src's contents; shapes must match.
-func (s *Set) CopyFrom(src *Set) {
-	for i, r := range s.rels {
-		r.CopyFrom(src.rels[i])
-	}
 }
 
 // ResetFrom restores every relation to base's contents, touching only

@@ -54,42 +54,6 @@ type Persister interface {
 	LogApply(updates []Update) (uint64, error)
 }
 
-// GroupUpdates groups a relation's tuples into keyed updates by exact
-// match on an identifier column, preserving first-seen order — the
-// routing both cmd/relacc's append mode and the relaccd seed perform.
-// keyOf renders a (non-null) identifier value into an Update key and
-// may reject unroutable renderings; labels carries each key's display
-// rendering (Value.String — what the column actually says, where keys
-// may be type-tagged). Null identifiers are rejected: update routing
-// needs a real key.
-func GroupUpdates(tuples []*model.Tuple, schema *model.Schema, by string, keyOf func(model.Value) (string, error)) ([]Update, []string, error) {
-	idx := schema.Index(by)
-	if idx < 0 {
-		return nil, nil, fmt.Errorf("pipeline: column %q is not in the schema", by)
-	}
-	at := map[string]int{}
-	var ups []Update
-	var labels []string
-	for i, t := range tuples {
-		v := t.At(idx)
-		if v.IsNull() {
-			return nil, nil, fmt.Errorf("pipeline: row %d has a null %s value; update routing needs an identifier", i+1, by)
-		}
-		k, err := keyOf(v)
-		if err != nil {
-			return nil, nil, fmt.Errorf("pipeline: row %d: %w", i+1, err)
-		}
-		if j, ok := at[k]; ok {
-			ups[j].Tuples = append(ups[j].Tuples, t)
-		} else {
-			at[k] = len(ups)
-			ups = append(ups, Update{Key: k, Tuples: []*model.Tuple{t}})
-			labels = append(labels, v.String())
-		}
-	}
-	return ups, labels, nil
-}
-
 // shardCount is the number of stripes the live-entity map is split
 // into; a power of two so routing is a mask. 64 stripes keep routing
 // contention negligible far past the worker counts a batch can use.

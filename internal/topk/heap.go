@@ -55,9 +55,6 @@ func (h *valueHeap) Pop() (scoredValue, bool) {
 	return top, true
 }
 
-// Len returns the number of values remaining.
-func (h *valueHeap) Len() int { return len(h.items) }
-
 // object is a queue entry of TopKCT (Fig. 5): a Z-assignment described
 // by positions into the buffers B1..Bm, with its score.
 type object struct {

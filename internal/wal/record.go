@@ -13,7 +13,7 @@
 // DROPPED — never guessed at, never partially applied — which is the
 // whole crash-safety story: a batch is either wholly inside the log
 // behind a matching checksum, or it never happened (DESIGN.md
-// invariant 6). FuzzWALDecode drives arbitrary bytes through the
+// invariant 7). FuzzWALDecode drives arbitrary bytes through the
 // decoder to pin "no panic, no CRC-less record" down.
 //
 // Batch payloads are schema-relative: tuples are written as their

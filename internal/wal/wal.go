@@ -15,7 +15,7 @@
 // every history the store can observe (the Updater logs and applies
 // under a shared apply gate; see pipeline.Updater).
 //
-// Durability contract (DESIGN.md invariant 6): a batch is in the log
+// Durability contract (DESIGN.md invariant 7): a batch is in the log
 // entirely, behind a matching CRC, or it is not in the log at all.
 // Recovery replays the snapshot, then every whole record after the
 // snapshot's sequence number, and stops at the FIRST torn or
@@ -505,9 +505,6 @@ func (s *Store) Stats() Stats {
 	}
 	return st
 }
-
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Close flushes and closes the log. The store is unusable afterwards.
 func (s *Store) Close() error {
