@@ -1,7 +1,7 @@
 // Command relacc runs relative-accuracy deduction on CSV data:
 //
 //	relacc deduce -data instance.csv [-master master.csv] -rules rules.txt
-//	relacc topk   -data instance.csv [-master master.csv] -rules rules.txt -k 10 [-algo topkct|rankjoin|topkcth] [-par N]
+//	relacc topk   -data instance.csv [-master master.csv] -rules rules.txt -k 10 [-algo topkct|rankjoin|topkcth]
 //	relacc check  -data instance.csv [-master master.csv] -rules rules.txt -candidate cand.csv
 //	relacc rules  -rules rules.txt -data instance.csv [-master master.csv]
 //	relacc batch  -data relation.csv [-master master.csv] -rules rules.txt [-by id | -key a,b] [-workers N] [-topk K] [-algo ...] [-o fused.csv]
@@ -79,7 +79,6 @@ func main() {
 	rulesPath := fs.String("rules", "", "accuracy rule file (required)")
 	k := fs.Int("k", 10, "number of candidate targets (topk)")
 	algo := fs.String("algo", "topkct", "top-k algorithm: topkct, rankjoin or topkcth")
-	par := fs.Int("par", -1, "concurrent candidate checks (1 = sequential, -1 = GOMAXPROCS)")
 	candPath := fs.String("candidate", "", "candidate tuple CSV (check)")
 	deltaPath := fs.String("delta", "", "append: delta relation CSV (the columns of -data, in any order)")
 	by := fs.String("by", "", "batch/append: group entities by exact match on this column")
@@ -102,13 +101,13 @@ func main() {
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "by", "key", "threshold", "workers", "topk", "o", "v", "delta", "stream", "window":
-				fatal(fmt.Errorf("flag -%s applies to batch/append; %s uses -k and -par", f.Name, cmd))
+				fatal(fmt.Errorf("flag -%s applies to batch/append; %s uses -k", f.Name, cmd))
 			}
 		})
 	case "batch":
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "k", "par", "candidate", "delta":
+			case "k", "candidate", "delta":
 				fatal(fmt.Errorf("flag -%s does not apply to batch; batch uses -topk and -workers", f.Name))
 			}
 		})
@@ -123,7 +122,7 @@ func main() {
 	case "append":
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "k", "par", "candidate", "key", "threshold":
+			case "k", "candidate", "key", "threshold":
 				fatal(fmt.Errorf("flag -%s does not apply to append; append routes deltas by -by", f.Name))
 			}
 		})
@@ -176,7 +175,7 @@ func main() {
 		}
 		fmt.Println("deduced (incomplete) target:")
 		printTarget(ie.Schema(), res.Target)
-		cands, stats, err := sess.TopK(core.Preference{K: *k, Parallel: *par}, a)
+		cands, stats, err := sess.TopK(core.Preference{K: *k}, a)
 		if err != nil {
 			fatal(err)
 		}

@@ -32,10 +32,10 @@ func (r *registry) direct() int {
 
 // underDefer: a deferred Unlock holds the lock to the end of the
 // function, so the call is still covered.
-func (r *registry) underDefer(xs []int) int {
+func (r *registry) underDefer(vals []uint32) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.g.CheckBatch(xs) // want `r.mu is still held at this call to CheckBatch`
+	return r.g.Extend(vals).Hint // want `r.mu is still held at this call to Extend`
 }
 
 // transitive: calling a same-package helper that deduces is as bad as

@@ -47,19 +47,9 @@ func buildVia(n int) *Grounding {
 	return g
 }
 
-// Run and CheckBatch are the deduction entry points the lockscope
+// Run and Extend are the deduction entry points the lockscope
 // fixtures call.
 func (g *Grounding) Run() int { return g.version }
-
-func (g *Grounding) CheckBatch(xs []int) int {
-	n := 0
-	for _, x := range xs {
-		if x < len(g.steps) {
-			n++
-		}
-	}
-	return n
-}
 
 // depth only reads; no directive needed.
 func (g *Grounding) depth() int { return len(g.steps) }

@@ -66,7 +66,7 @@
 // into the same dictionary without invalidating any ID an earlier
 // version issued (DESIGN.md invariant 3a).
 //
-// On top of the shared base state, checks are pooled and parallel. A
+// On top of the shared base state, checks are pooled. A
 // Checker keeps one run engine alive across checks: its buffers
 // (order matrices, λ counts, premise counters, dead/pushed flags, the
 // event queue and the form-2 re-registration map) are reused, and the
@@ -74,8 +74,7 @@
 // (order.Relation.ResetFrom) — only the rows the previous run modified
 // are rewritten, so a check that derives little does near-zero restore
 // work instead of re-cloning O(nattr · n²/64) words. A CheckerPool
-// (sync.Pool) shares such engines among goroutines, and
-// Grounding.CheckBatch fans a candidate list out over a worker pool.
+// (sync.Pool) shares such engines among goroutines.
 // The Grounding itself is immutable after NewGrounding, which is what
 // makes all of this safe: any number of engines may read it
 // concurrently.
@@ -265,8 +264,8 @@ type corrRule struct {
 // which returns a new immutable version and leaves the receiver as it
 // was.
 //
-// A Grounding is read-only after construction: Run, Checker.Check,
-// CheckBatch and Extend never mutate it, so any number of goroutines
+// A Grounding is read-only after construction: Run, Checker.Check and
+// Extend never mutate it, so any number of goroutines
 // may issue checks against the same Grounding concurrently (enforced by
 // the race tests in pool_test.go). All mutable chase state lives in
 // per-run engines; the only internal synchronisation is the lazily

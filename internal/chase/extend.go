@@ -8,7 +8,7 @@ import (
 
 // Extend absorbs new evidence tuples into the grounded specification
 // and returns a NEW grounding version; the receiver is left exactly as
-// it was, so in-flight Runs, Checkers and CheckBatches against it are
+// it was, so in-flight Runs and Checkers against it are
 // unaffected and later checks against it keep answering for the old
 // evidence. Each version is immutable after construction, which
 // carries the concurrency story of a fresh grounding over to the

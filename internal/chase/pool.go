@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/model"
-	"repro/internal/par"
 )
 
 // Checker is a reusable chase runner over a shared Grounding. Where
@@ -124,24 +123,9 @@ func (p *CheckerPool) Check(template *model.Tuple) bool {
 	return ok
 }
 
-// CheckMany verifies n candidates on up to parallelism workers (<= 0
-// means GOMAXPROCS): candidate i is read via tuple(i) and its verdict
-// delivered via verdict(i, ok). It is par.Each over Check, so each
-// check borrows a pooled checker exactly like a sequential search does,
-// and one expensive check does not stall the rest. The callbacks must
-// be safe for concurrent invocation on distinct indices
-// (index-addressed slices are the intended use).
-func (p *CheckerPool) CheckMany(parallelism, n int, tuple func(int) *model.Tuple, verdict func(int, bool)) {
-	// The iteration never fails, so neither can Each.
-	_ = par.Each(parallelism, n, func(i int) error {
-		verdict(i, p.Check(tuple(i)))
-		return nil
-	})
-}
-
 // Pool returns the grounding's shared checker pool, creating it on
 // first use. All callers verifying candidates against g — the top-k
-// algorithms, CheckBatch, user code — share one pool so engines are
+// algorithms, Session.Check, user code — share one pool so engines are
 // reused across call sites.
 //
 // The write to g.pool is lazy construction, made once-only by
@@ -151,18 +135,4 @@ func (p *CheckerPool) CheckMany(parallelism, n int, tuple func(int) *model.Tuple
 func (g *Grounding) Pool() *CheckerPool {
 	g.poolOnce.Do(func() { g.pool = NewCheckerPool(g) })
 	return g.pool
-}
-
-// CheckBatch verifies the candidate templates concurrently on up to
-// parallelism goroutines (<= 0 means GOMAXPROCS) and returns one
-// verdict per candidate, aligned with the input. Each worker borrows a
-// pooled engine, so the batch allocates no per-check engine state. The
-// result is identical to calling g.Run(c).CR for each candidate in
-// order: checks are independent, and the grounding is never mutated.
-func (g *Grounding) CheckBatch(candidates []*model.Tuple, parallelism int) []bool {
-	out := make([]bool, len(candidates))
-	g.Pool().CheckMany(parallelism, len(candidates),
-		func(i int) *model.Tuple { return candidates[i] },
-		func(i int, ok bool) { out[i] = ok })
-	return out
 }

@@ -78,29 +78,9 @@ func TestCheckerMatchesRun(t *testing.T) {
 	}
 }
 
-// TestCheckBatchMatchesSequential verifies the concurrent batch check
-// returns exactly the verdicts of sequential Runs, at several
-// parallelism levels, on the synthetic generator's instances.
-func TestCheckBatchMatchesSequential(t *testing.T) {
-	g := synSpec(t, 50, 25, 30)
-	cands := synCandidates(t, g, 120)
-	want := make([]bool, len(cands))
-	for i, cand := range cands {
-		want[i] = g.Run(cand).CR
-	}
-	for _, par := range []int{0, 1, 2, 4, 8} {
-		got := g.CheckBatch(cands, par)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("parallelism %d, candidate %d: got %v want %v", par, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestGroundingConcurrentUse hammers one grounding from many goroutines
-// mixing Run, pooled Check and CheckBatch; run under -race it enforces
-// that Grounding is read-only after construction.
+// mixing Run, pooled Check and each goroutine's own Checker; run under
+// -race it enforces that Grounding is read-only after construction.
 func TestGroundingConcurrentUse(t *testing.T) {
 	g := synSpec(t, 40, 20, 25)
 	cands := synCandidates(t, g, 32)
@@ -115,6 +95,7 @@ func TestGroundingConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			own := g.NewChecker()
 			for i := 0; i < 20; i++ {
 				ci := (w*7 + i) % len(cands)
 				switch i % 3 {
@@ -127,9 +108,8 @@ func TestGroundingConcurrentUse(t *testing.T) {
 						errs <- fmt.Sprintf("pool.Check(%d) = %v, want %v", ci, got, want[ci])
 					}
 				case 2:
-					got := g.CheckBatch(cands[ci:ci+1], 2)
-					if got[0] != want[ci] {
-						errs <- fmt.Sprintf("CheckBatch(%d) = %v, want %v", ci, got[0], want[ci])
+					if got := own.Check(cands[ci]); got != want[ci] {
+						errs <- fmt.Sprintf("own.Check(%d) = %v, want %v", ci, got, want[ci])
 					}
 				}
 			}

@@ -59,12 +59,12 @@ const (
 // Section 5) so deduction, candidate checks and top-k searches are
 // cheap and repeatable.
 //
-// The read-side methods — Deduce, DeduceFrom, Check, CheckBatch, TopK —
-// are safe for concurrent use: they run on the session's current
-// grounding version, which is immutable (race-tested in
-// race_test.go). AddTuples installs a NEW grounding version and must
-// not run concurrently with any other method; reads that started on
-// the previous version finish on it unaffected.
+// The read-side methods — Deduce, DeduceFrom, Check, TopK — are safe
+// for concurrent use: they run on the session's current grounding
+// version, which is immutable (race-tested in race_test.go).
+// AddTuples installs a NEW grounding version and must not run
+// concurrently with any other method; reads that started on the
+// previous version finish on it unaffected.
 type Session struct {
 	g *chase.Grounding
 }
@@ -124,12 +124,6 @@ func (s *Session) DeduceFrom(template *model.Tuple) *Result { return s.g.Run(tem
 // allocation-free.
 func (s *Session) Check(t *model.Tuple) bool { return s.g.Pool().Check(t) }
 
-// CheckBatch verifies many candidate targets concurrently (parallelism
-// <= 0 means GOMAXPROCS) and returns one verdict per candidate.
-func (s *Session) CheckBatch(cands []*model.Tuple, parallelism int) []bool {
-	return s.g.CheckBatch(cands, parallelism)
-}
-
 // TopK computes top-k candidate targets for the current deduced target
 // using the selected algorithm. It fails when the specification is not
 // Church-Rosser.
@@ -152,9 +146,9 @@ func (s *Session) Interact(cfg framework.Config, oracle Oracle) (*framework.Outc
 func (s *Session) Grounding() *chase.Grounding { return s.g }
 
 // VerdictCacheStats reports the session's verdict-cache accounting:
-// Check/CheckBatch/TopK verdicts are memoised per grounding version
-// (hits and misses are cumulative across the versions AddTuples has
-// moved the session through; entries count the current version only).
+// Check/TopK verdicts are memoised per grounding version (hits and
+// misses are cumulative across the versions AddTuples has moved the
+// session through; entries count the current version only).
 // Sessions always run with the cache on; the stats expose how much of
 // the check load it absorbed.
 func (s *Session) VerdictCacheStats() vcache.Stats { return s.g.VerdictCacheStats() }

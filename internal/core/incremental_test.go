@@ -164,10 +164,6 @@ func TestAddTuplesCheckAgrees(t *testing.T) {
 	if s.Check(bad) {
 		t.Fatal("bad target must fail after incremental absorption")
 	}
-	verdicts := s.CheckBatch([]*model.Tuple{paperdata.Target(), bad}, 2)
-	if !verdicts[0] || verdicts[1] {
-		t.Fatalf("CheckBatch verdicts = %v, want [true false]", verdicts)
-	}
 }
 
 // TestAddTuplesErrorKeepsSession: a failing delta leaves the session on

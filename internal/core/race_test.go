@@ -12,13 +12,12 @@ import (
 
 // TestSessionConcurrentUse pins the session concurrency contract under
 // the race detector (CI runs internal/core with -race): the read-side
-// methods — Deduce, DeduceFrom, Check and the internally concurrent
-// CheckBatch — may run from any number of goroutines against one
-// session, because they only read the current immutable grounding
-// version and all mutable chase state lives in per-run or pooled
-// engines. AddTuples runs between the concurrent phases (it is the one
-// method that must not overlap the others) and the reads keep agreeing
-// with the ground truth on both versions.
+// methods — Deduce, DeduceFrom and Check — may run from any number of
+// goroutines against one session, because they only read the current
+// immutable grounding version and all mutable chase state lives in
+// per-run or pooled engines. AddTuples runs between the concurrent
+// phases (it is the one method that must not overlap the others) and
+// the reads keep agreeing with the ground truth on both versions.
 func TestSessionConcurrentUse(t *testing.T) {
 	ie := paperdata.Stat()
 	im := paperdata.NBA()
@@ -68,9 +67,8 @@ func TestSessionConcurrentUse(t *testing.T) {
 							return
 						}
 					case 3:
-						v := s.CheckBatch([]*model.Tuple{good, bad, good}, 3)
-						if !v[0] || v[1] || !v[2] {
-							errs <- "CheckBatch verdicts wrong"
+						if res := s.DeduceFrom(good); !res.CR {
+							errs <- "DeduceFrom rejected the true target: " + res.Conflict
 							return
 						}
 					}

@@ -1,7 +1,6 @@
 // Package par holds the repository's one index-parallel loop. It is a
-// leaf package so every layer can share it: the chase's pooled
-// candidate checks (CheckerPool.CheckMany), the update stream's
-// per-entity Apply and Snapshot fan-out, and the bench experiment
+// leaf package so every layer can share it: the update stream's
+// per-entity Apply and Snapshot fan-out and the bench experiment
 // drivers.
 package par
 

@@ -73,8 +73,7 @@ type Config struct {
 	// Algo selects the candidate algorithm (default AlgoTopKCT).
 	Algo Algorithm
 	// Pref refines the preference model (weights, domains, check
-	// budget). Pref.Parallel is ignored: the pipeline parallelises
-	// across entities, not within one entity's search.
+	// budget).
 	Pref topk.Preference
 	// Options configures the chase (e.g. DisableAxioms for bare-rule
 	// semantics, DisableVerdictCache to turn off check memoisation).
@@ -328,7 +327,6 @@ func runGrounding(out *Result, g *chase.Grounding, cfg *Config) {
 	}
 	pref := cfg.Pref
 	pref.K = cfg.TopK
-	pref.Parallel = 0
 	cands, stats, err := cfg.Algo.Search(g, out.Deduction.Target, pref)
 	// Keep the partial candidates and Stats an aborted search returns
 	// (RankJoinCT's budget abort verifies candidates before it gives

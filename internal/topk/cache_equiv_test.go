@@ -18,7 +18,7 @@ import (
 // 8). These tests pin it the same way the PR 1/3 equivalence suites
 // pinned parallelism and incrementality — byte-identical fingerprints
 // of everything the search returns, across algorithms, base+Extend
-// splits, sequential and parallel verification, cold and warm caches.
+// splits, cold and warm caches.
 // CI runs them under -race -shuffle=on.
 
 // fingerprintSearch renders one top-k search completely: CR verdict,
@@ -83,11 +83,11 @@ var cacheEquivAlgos = []string{"topkct", "rankjoin", "topkcth"}
 
 // TestCacheEquivalenceProperty is the cached ≡ uncached property: for
 // the paper's Example 9 setting and generated Med entities, under any
-// tested base+Extend split, every algorithm — sequentially and with
-// parallel verification — produces byte-identical candidates, order
-// and Stats whether the verdict cache is on (default) or disabled, and
-// a WARM repeat on the cached grounding (same searches again, now
-// answered from the cache) is byte-identical to its own cold run.
+// tested base+Extend split, every algorithm produces byte-identical
+// candidates, order and Stats whether the verdict cache is on
+// (default) or disabled, and a WARM repeat on the cached grounding
+// (same searches again, now answered from the cache) is
+// byte-identical to its own cold run.
 func TestCacheEquivalenceProperty(t *testing.T) {
 	ie := paperdata.Stat()
 	im := paperdata.NBA()
@@ -103,7 +103,6 @@ func TestCacheEquivalenceProperty(t *testing.T) {
 	}
 	prefs := []topk.Preference{
 		{K: 3, MaxChecks: 2000},
-		{K: 3, MaxChecks: 2000, Parallel: 4},
 	}
 	for base := 1; base <= ie.Size(); base++ {
 		var batches []int

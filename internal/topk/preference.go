@@ -52,13 +52,6 @@ type Preference struct {
 	// the search against master relations whose columns would otherwise
 	// contribute thousands of candidate values per attribute.
 	MaxDomain int
-	// Parallel sets how many chase-based candidate checks run
-	// concurrently, each on a pooled engine: 0 or 1 means sequential,
-	// n > 1 uses n checker goroutines, and a negative value uses
-	// GOMAXPROCS. Parallel verification is speculative but exact: the
-	// candidate list, its order and the Stats counters are identical to
-	// the sequential run (see parallel.go).
-	Parallel int
 }
 
 // scoredValue is one ranked-list entry. The value's dictionary ID is

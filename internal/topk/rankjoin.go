@@ -150,15 +150,13 @@ func rankJoinCT(p *problem, opts RankJoinOptions) ([]Candidate, Stats, error) {
 		return nil, p.stats, err
 	}
 
-	// nextEmit yields the next combination the sequential loop would
-	// check: buffered combinations beating the current threshold, with
-	// the round-robin lists advanced (and re-joined) in between. The
-	// emission order does not depend on check verdicts, so it forms a
-	// verdict-independent check stream (see parallel.go).
+	// nextEmit yields the next combination to check: buffered
+	// combinations beating the current threshold, with the round-robin
+	// lists advanced (and re-joined) in between.
 	next := 0
 	emitTau, emitMore := 0.0, false
 	emitting := false
-	nextEmit := func() (checkEvent, bool, error) {
+	nextEmit := func() (*object, bool, error) {
 		for {
 			if !emitting {
 				emitTau, emitMore = threshold()
@@ -166,8 +164,7 @@ func rankJoinCT(p *problem, opts RankJoinOptions) ([]Candidate, Stats, error) {
 			}
 			o, ok := buffer.Pop()
 			if ok && (!emitMore || o.w >= emitTau) {
-				t := p.assemble(o.vals)
-				return checkEvent{t: t, score: o.w, pops: p.stats.Pops, generated: p.stats.Generated}, true, nil
+				return o, true, nil
 			}
 			if ok {
 				// Cannot emit yet: an unseen combination might be better.
@@ -176,7 +173,7 @@ func rankJoinCT(p *problem, opts RankJoinOptions) ([]Candidate, Stats, error) {
 			emitting = false
 			if !emitMore {
 				if buffer.Len() == 0 {
-					return checkEvent{}, false, nil // search space exhausted
+					return nil, false, nil // search space exhausted
 				}
 				continue // drain the buffer threshold-free
 			}
@@ -189,47 +186,29 @@ func rankJoinCT(p *problem, opts RankJoinOptions) ([]Candidate, Stats, error) {
 					depth[i]++
 					p.stats.Pops++
 					if err := join(i); err != nil {
-						return checkEvent{}, false, err
+						return nil, false, err
 					}
 					advanced = true
 					break
 				}
 			}
 			if !advanced && buffer.Len() == 0 {
-				return checkEvent{}, false, nil
+				return nil, false, nil
 			}
 		}
 	}
 
-	if p.parallelism() > 1 {
-		budget, ok := p.remainingBudget()
-		if !ok {
-			return nil, p.stats, nil
-		}
-		oc := runStream(p.pool, p.parallelism(), budget, k,
-			checkEvent{pops: p.stats.Pops, generated: p.stats.Generated}, nextEmit)
-		p.stats.Checks += oc.checks
-		if oc.cut {
-			p.stats.Pops, p.stats.Generated = oc.pops, oc.generated
-		}
-		out := make([]Candidate, 0, len(oc.passes))
-		for _, ev := range oc.passes {
-			out = append(out, Candidate{Tuple: ev.t, Score: ev.score})
-		}
-		return out, p.stats, oc.err
-	}
-
 	var out []Candidate
 	for len(out) < k && !p.exhausted() {
-		ev, ok, err := nextEmit()
+		o, ok, err := nextEmit()
 		if err != nil {
 			return out, p.stats, err
 		}
 		if !ok {
 			break
 		}
-		if p.check(ev.t) {
-			out = append(out, Candidate{Tuple: ev.t, Score: ev.score})
+		if t := p.assemble(o.vals); p.check(t) {
+			out = append(out, Candidate{Tuple: t, Score: o.w})
 		}
 	}
 	return out, p.stats, nil

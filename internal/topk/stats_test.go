@@ -89,19 +89,35 @@ func TestHeapPopEconomy(t *testing.T) {
 	}
 }
 
-// TestMaxChecksBudget: the search returns what it found when the check
-// budget runs out, never exceeding it.
+// TestMaxChecksBudget: every algorithm stops at the check budget and
+// returns what it found. Every assignment passes, so the exact
+// algorithms find one candidate per check, and TopKCTh's repair spends
+// one check per open attribute on each candidate: a repair the budget
+// cuts short is dropped.
 func TestMaxChecksBudget(t *testing.T) {
-	g, te := unconstrained(t, []int{5, 5})
-	cands, stats, err := topk.TopKCT(g, te, topk.Preference{K: 20, MaxChecks: 4})
-	if err != nil {
-		t.Fatal(err)
+	g, te := unconstrained(t, []int{5, 5, 5})
+	algos := []struct {
+		name string
+		run  func(*chase.Grounding, *model.Tuple, topk.Preference) ([]topk.Candidate, topk.Stats, error)
+		want func(budget int) int // candidates found
+	}{
+		{"TopKCT", topk.TopKCT, func(b int) int { return b }},
+		{"RankJoinCT", topk.RankJoinCT, func(b int) int { return b }},
+		{"TopKCTh", topk.TopKCTh, func(b int) int { return b / 3 }},
 	}
-	if stats.Checks > 4 {
-		t.Errorf("checks = %d exceeds budget", stats.Checks)
-	}
-	if len(cands) != 4 {
-		t.Errorf("candidates = %d, want 4 (all checks passed)", len(cands))
+	for _, a := range algos {
+		for budget := 1; budget <= 10; budget++ {
+			cands, stats, err := a.run(g, te, topk.Preference{K: 20, MaxChecks: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Checks != budget {
+				t.Errorf("%s budget %d: checks = %d, want the budget", a.name, budget, stats.Checks)
+			}
+			if want := a.want(budget); len(cands) != want {
+				t.Errorf("%s budget %d: candidates = %d, want %d", a.name, budget, len(cands), want)
+			}
+		}
 	}
 }
 

@@ -78,16 +78,14 @@ func topkSearch(p *problem, k int, withCheck bool) ([]Candidate, error) {
 	q.Push(first)
 	p.stats.Generated++
 
-	// next pops the best queued assignment and expands its m
-	// single-attribute successors (Fig. 5 lines 10-15). Expansion does
-	// not depend on the popped assignment's verdict, so the assignments
-	// form a verdict-independent check stream (see parallel.go).
-	next := func() (checkEvent, bool, error) {
+	// Pop the best queued assignment, expand its m single-attribute
+	// successors and verify it (Fig. 5 lines 10-15).
+	var out []Candidate
+	for len(out) < k && !p.exhausted() {
 		o, ok := q.Pop()
 		if !ok {
-			return checkEvent{}, false, nil
+			break
 		}
-		t := p.assemble(o.vals)
 		for i := 0; i < m; i++ {
 			next := o.pos[i] + 1
 			if next >= len(bufs[i]) {
@@ -106,35 +104,9 @@ func topkSearch(p *problem, k int, withCheck bool) ([]Candidate, error) {
 				p.stats.Generated++
 			}
 		}
-		return checkEvent{t: t, score: o.w, pops: p.stats.Pops, generated: p.stats.Generated}, true, nil
-	}
-
-	if withCheck && p.parallelism() > 1 {
-		budget, ok := p.remainingBudget()
-		if !ok {
-			return nil, nil
-		}
-		oc := runStream(p.pool, p.parallelism(), budget, k,
-			checkEvent{pops: p.stats.Pops, generated: p.stats.Generated}, next)
-		p.stats.Checks += oc.checks
-		if oc.cut {
-			p.stats.Pops, p.stats.Generated = oc.pops, oc.generated
-		}
-		out := make([]Candidate, 0, len(oc.passes))
-		for _, ev := range oc.passes {
-			out = append(out, Candidate{Tuple: ev.t, Score: ev.score})
-		}
-		return out, nil
-	}
-
-	var out []Candidate
-	for len(out) < k && !p.exhausted() {
-		ev, ok, _ := next()
-		if !ok {
-			break
-		}
-		if !withCheck || p.check(ev.t) {
-			out = append(out, Candidate{Tuple: ev.t, Score: ev.score})
+		t := p.assemble(o.vals)
+		if !withCheck || p.check(t) {
+			out = append(out, Candidate{Tuple: t, Score: o.w})
 		}
 	}
 	return out, nil
@@ -147,7 +119,8 @@ func topkSearch(p *problem, k int, withCheck bool) ([]Candidate, error) {
 // candidate check. Tuples that cannot be repaired are dropped, so the
 // result is always a set of true candidate targets, though not
 // necessarily the k highest-scoring ones (the cost/quality trade-off the
-// paper describes).
+// paper describes). When the MaxChecks budget runs out mid-repair, that
+// tuple is dropped and the candidates already repaired are returned.
 func TopKCTh(g *chase.Grounding, te *model.Tuple, pref Preference) ([]Candidate, Stats, error) {
 	return topKCTh(newProblem(g, te, pref))
 }
@@ -209,42 +182,33 @@ func (p *problem) score(t *model.Tuple) float64 {
 // repair greedily fixes the Z attributes of t one at a time: each
 // attribute takes the first value (t's own value first, then the ranked
 // list) whose partial template passes the chase check. The final step
-// checks the complete tuple, so success implies candidacy.
-//
-// With Parallel > 1 the per-attribute value probes are verified
-// speculatively in batches: the chosen value — the first passing one in
-// sequence order — and the check count are identical to the sequential
-// run.
+// checks the complete tuple, so success implies candidacy. Probing
+// stops once the MaxChecks budget is spent, and the half-repaired
+// tuple is dropped.
 func (p *problem) repair(t *model.Tuple) (*model.Tuple, bool) {
 	partial := p.te.Clone()
-	par := p.parallelism()
-	for i, a := range p.zAttr {
-		if par > 1 {
-			if !p.repairAttrParallel(partial, t, i, a, par) {
-				return nil, false
-			}
-			continue
-		}
-		fixed := false
-		tryValue := func(v model.Value, id uint32) bool {
-			partial.SetAtID(a, v, p.dict, id)
-			if p.check(partial) {
-				return true
-			}
-			partial.SetAt(a, model.NullValue())
+	// try sets attribute a of partial to v and keeps it when the
+	// partial template passes the check.
+	try := func(a int, v model.Value, id uint32) bool {
+		if p.exhausted() {
 			return false
 		}
-		ownID := p.idOf(t, a)
-		if tryValue(t.At(a), ownID) {
-			continue
+		partial.SetAtID(a, v, p.dict, id)
+		if p.check(partial) {
+			return true
 		}
+		partial.SetAt(a, model.NullValue())
+		return false
+	}
+	for i, a := range p.zAttr {
+		ownID := p.idOf(t, a)
+		fixed := try(a, t.At(a), ownID)
 		for _, sv := range p.lists[i] {
-			if sv.id == ownID {
-				continue
-			}
-			if tryValue(sv.v, sv.id) {
-				fixed = true
+			if fixed || p.exhausted() {
 				break
+			}
+			if sv.id != ownID {
+				fixed = try(a, sv.v, sv.id)
 			}
 		}
 		if !fixed {
@@ -268,44 +232,4 @@ func (p *problem) idOf(t *model.Tuple, a int) uint32 {
 		return id
 	}
 	return model.NoID
-}
-
-// repairAttrParallel fixes attribute a of partial by probing the value
-// sequence (t's own value first, then the ranked list) through the
-// speculative stream driver, stopping at the first pass.
-func (p *problem) repairAttrParallel(partial, t *model.Tuple, i, a, par int) bool {
-	own := t.At(a)
-	ownID := p.idOf(t, a)
-	li := -1 // -1 = own value, then ranked-list positions
-	next := func() (checkEvent, bool, error) {
-		for {
-			var v model.Value
-			var id uint32
-			if li < 0 {
-				v, id = own, ownID
-				li = 0
-			} else {
-				if li >= len(p.lists[i]) {
-					return checkEvent{}, false, nil
-				}
-				sv := p.lists[i][li]
-				v, id = sv.v, sv.id
-				li++
-				if id == ownID {
-					continue // sequential order probes the own value only once
-				}
-			}
-			cand := partial.Clone()
-			cand.SetAtID(a, v, p.dict, id)
-			return checkEvent{t: cand}, true, nil
-		}
-	}
-	oc := runStream(p.pool, par, 0, 1, checkEvent{}, next)
-	p.stats.Checks += oc.checks
-	if len(oc.passes) == 0 {
-		return false
-	}
-	chosen := oc.passes[0].t
-	partial.SetAtID(a, chosen.At(a), p.dict, p.idOf(chosen, a))
-	return true
 }

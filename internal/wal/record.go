@@ -40,8 +40,19 @@ import (
 // gigabytes: any frame claiming more than this is treated as a torn
 // tail. 64 MiB is far past what a request-sized update batch (the
 // serving layer caps bodies at single-digit MiB) or a demo-scale
-// snapshot section can produce.
+// snapshot section can produce. Writers enforce it too (fitsFrame):
+// a frame past it would be written, then dropped as torn on the next
+// read, together with everything after it.
 const maxRecord = 64 << 20
+
+// fitsFrame refuses a payload too large for one frame, naming what it
+// holds.
+func fitsFrame(what string, payload []byte) error {
+	if len(payload) > maxRecord {
+		return fmt.Errorf("wal: %s of %d bytes exceeds the %d-byte frame limit", what, len(payload), maxRecord)
+	}
+	return nil
+}
 
 // castagnoli is the CRC-32C table; Castagnoli is hardware-accelerated
 // on amd64/arm64, which keeps checksumming off the append hot path.

@@ -25,7 +25,9 @@ import (
 // state is QUIESCED: keys/entities reflect every batch up to the
 // store's current sequence number and no Apply is in flight —
 // Checkpoint arranges exactly that; use it instead of calling this
-// directly.
+// directly. A state whose encoding does not fit one frame is refused
+// before anything is written: the published snapshot and the log stay
+// as they were.
 func (s *Store) WriteSnapshot(dict *model.Dict, keys []string, entities []*model.EntityInstance) (uint64, error) {
 	if len(keys) != len(entities) {
 		return 0, fmt.Errorf("wal: snapshot has %d keys but %d entities", len(keys), len(entities))
@@ -39,6 +41,9 @@ func (s *Store) WriteSnapshot(dict *model.Dict, keys []string, entities []*model
 	}
 
 	body := encodeSnapshotBody(s.schema, dict, keys, entities)
+	if err := fitsFrame("snapshot body", body); err != nil {
+		return 0, err
+	}
 	buf := append([]byte(snapMagic), appendFrame(nil, appendUvarint(nil, seq))...)
 	buf = appendFrame(buf, body)
 

@@ -375,8 +375,9 @@ func (c *countingReader) Read(p []byte) (int, error) {
 
 // LogApply implements pipeline.Persister: it durably records one
 // update batch and returns its sequence number. Every tuple must use
-// the store's exact schema — a batch that could not round-trip the log
-// is rejected here, before the Updater touches any entity.
+// the store's exact schema, and the encoded batch must fit one frame —
+// a batch that could not round-trip the log is rejected here, before
+// anything is written and before the Updater touches any entity.
 func (s *Store) LogApply(updates []pipeline.Update) (uint64, error) {
 	for i, up := range updates {
 		for j, t := range up.Tuples {
@@ -396,7 +397,12 @@ func (s *Store) LogApply(updates []pipeline.Update) (uint64, error) {
 		return 0, fmt.Errorf("wal: store is closed")
 	}
 	seq := s.seq + 1
-	frame := appendFrame(nil, encodeBatch(seq, updates))
+	payload := encodeBatch(seq, updates)
+	if err := fitsFrame("batch", payload); err != nil {
+		s.mu.Unlock()
+		return 0, err
+	}
+	frame := appendFrame(nil, payload)
 	if fault := s.testFault; fault != nil {
 		// Crash-injection: a fault here may write a PREFIX of the
 		// frame — exactly the torn record a SIGKILL mid-append leaves

@@ -6,11 +6,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/model"
 	"repro/internal/pipeline"
+	"repro/internal/rule"
 )
 
 // testSchema builds the small relation the log tests speak.
@@ -339,5 +342,121 @@ func TestParseSyncPolicy(t *testing.T) {
 	}
 	if _, err := ParseSyncPolicy("sometimes"); err == nil {
 		t.Fatal("parsed an unknown policy")
+	}
+}
+
+// peopleUpdater is a rule-free update stream over the test schema.
+func peopleUpdater(t *testing.T, s *model.Schema) *pipeline.Updater {
+	t.Helper()
+	u, err := pipeline.NewUpdater(s, pipeline.Config{Rules: rule.MustSet(s, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
+// applyName applies one single-tuple batch for key: name in the first
+// column, nulls elsewhere.
+func applyName(t *testing.T, u *pipeline.Updater, key string, name model.Value) error {
+	t.Helper()
+	_, _, err := u.Apply([]pipeline.Update{up(t, u.Schema(), key, name, model.NullValue(), model.NullValue())})
+	return err
+}
+
+// recoveredKeys reopens the store in dir and returns the keys a fresh
+// updater holds after recovery.
+func recoveredKeys(t *testing.T, dir string, s *model.Schema) []string {
+	t.Helper()
+	st := mustOpen(t, dir, s, Options{})
+	defer st.Close()
+	u := peopleUpdater(t, s)
+	if _, err := st.Recover(u); err != nil {
+		t.Fatal(err)
+	}
+	return u.Keys()
+}
+
+// hugeValue is one value whose encoding alone exceeds maxRecord.
+func hugeValue() model.Value { return model.S(strings.Repeat("x", maxRecord+1<<20)) }
+
+// TestApplyRefusesOversizedBatch: a batch whose frame would exceed
+// maxRecord is refused before anything is written, so it is applied
+// nowhere and the acknowledged batches around it survive a reopen
+// (written, it would read back as a torn tail and take them with it).
+func TestApplyRefusesOversizedBatch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a value past maxRecord is too large under race instrumentation")
+	}
+	s := testSchema(t)
+	dir := t.TempDir()
+	u := peopleUpdater(t, s)
+	st := mustOpen(t, dir, s, Options{})
+	u.AttachPersister(st)
+	if err := applyName(t, u, "a", model.S("ann")); err != nil {
+		t.Fatal(err)
+	}
+	if err := applyName(t, u, "big", hugeValue()); err == nil {
+		t.Fatal("a batch past the frame limit was acknowledged")
+	}
+	if err := applyName(t, u, "b", model.S("bob")); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"a", "b"}
+	if got := u.Keys(); !slices.Equal(got, want) {
+		t.Fatalf("live keys %v, want %v", got, want)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := recoveredKeys(t, dir, s); !slices.Equal(got, want) {
+		t.Fatalf("recovered keys %v, want %v", got, want)
+	}
+}
+
+// TestWriteSnapshotRefusesOversizedBody: a snapshot body past
+// maxRecord is refused before snapshot.tmp is written, leaving the
+// published snapshot and the log as they were (published, it would
+// truncate the log and then be refused by Recover).
+func TestWriteSnapshotRefusesOversizedBody(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a value past maxRecord is too large under race instrumentation")
+	}
+	s := testSchema(t)
+	dir := t.TempDir()
+	u := peopleUpdater(t, s)
+	st := mustOpen(t, dir, s, Options{})
+	u.AttachPersister(st)
+	if err := applyName(t, u, "a", model.S("ann")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Checkpoint(u); err != nil {
+		t.Fatal(err)
+	}
+	if err := applyName(t, u, "b", model.S("bob")); err != nil {
+		t.Fatal(err)
+	}
+	published, err := os.ReadFile(filepath.Join(dir, snapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := model.NewEntityInstance(s)
+	big.MustAdd(model.MustTuple(s, hugeValue(), model.NullValue(), model.NullValue()))
+	if _, err := st.WriteSnapshot(u.Dict(), []string{"big"}, []*model.EntityInstance{big}); err == nil {
+		t.Fatal("a snapshot body past the frame limit was accepted")
+	}
+	if _, err := os.Stat(filepath.Join(dir, tmpName)); !os.IsNotExist(err) {
+		t.Fatalf("refused snapshot left %s behind (stat: %v)", tmpName, err)
+	}
+	if after, err := os.ReadFile(filepath.Join(dir, snapName)); err != nil || !bytes.Equal(after, published) {
+		t.Fatalf("refused snapshot changed the published one (read error %v)", err)
+	}
+	if got := st.Stats(); got.LastSeq != 2 || got.SnapshotSeq != 1 {
+		t.Fatalf("after the refusal: last seq %d, snapshot seq %d; want 2 and 1", got.LastSeq, got.SnapshotSeq)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := recoveredKeys(t, dir, s), []string{"a", "b"}; !slices.Equal(got, want) {
+		t.Fatalf("recovered keys %v, want %v", got, want)
 	}
 }

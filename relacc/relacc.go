@@ -214,10 +214,10 @@ func NewMasterRelation(s *Schema) *MasterRelation { return model.NewMasterRelati
 
 // NewSession validates the rules against the schemas and grounds ONE
 // entity instance. im may be nil when the rule set has no form-(2)
-// rules. The read-side session methods (Deduce, Check, CheckBatch,
-// TopK) are safe for concurrent use; AddTuples installs a new grounding
-// version and must not overlap any other call. For many entities use
-// Run, which parallelises across entities.
+// rules. The read-side session methods (Deduce, Check, TopK) are safe
+// for concurrent use; AddTuples installs a new grounding version and
+// must not overlap any other call. For many entities use Run, which
+// parallelises across entities.
 func NewSession(ie *EntityInstance, im *MasterRelation, rules *RuleSet) (*Session, error) {
 	return core.NewSession(ie, im, rules)
 }

@@ -20,7 +20,8 @@
 #                            cache disabled — the raw chase   (PR 1/4)
 #   BenchmarkCheckCached     the same repeated check with the verdict
 #                            cache on (the default): a hit    (PR 7)
-#   BenchmarkTopKCTParallel  speculative parallel top-k       (PR 1)
+#   BenchmarkTopKCT900       one TopKCT search, k=15, on the Fig 6(i)
+#                            workload (‖Ie‖ = 900), verdict cache off
 #   BenchmarkIncrementalAdd  delta instantiation vs rebuild   (PR 3/4)
 #   BenchmarkUpdaterApply    disjoint-key batch on the sharded
 #                            live-entity store, 1 vs N workers (PR 5)
@@ -58,7 +59,7 @@ raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
-  -bench 'BenchmarkCheckPooled$|BenchmarkCheckCached$|BenchmarkColdCheck$|BenchmarkOrderAdd|BenchmarkOrderMax|BenchmarkTopKCTParallel|BenchmarkIncrementalAdd|BenchmarkUpdaterApply|BenchmarkWALAppend|BenchmarkRecoveryReplay|BenchmarkTopKWarmQuery|BenchmarkStreamIngest|BenchmarkInstantiation|BenchmarkTopKCold' \
+  -bench 'BenchmarkCheckPooled$|BenchmarkCheckCached$|BenchmarkColdCheck$|BenchmarkOrderAdd|BenchmarkOrderMax|BenchmarkTopKCT900|BenchmarkIncrementalAdd|BenchmarkUpdaterApply|BenchmarkWALAppend|BenchmarkRecoveryReplay|BenchmarkTopKWarmQuery|BenchmarkStreamIngest|BenchmarkInstantiation|BenchmarkTopKCold' \
   -benchmem -benchtime "$benchtime" -count "$count" . | tee "$raw"
 
 # Parse `go test -bench` lines into JSON records. A -benchmem line looks

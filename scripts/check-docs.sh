@@ -52,10 +52,64 @@ for p in $pkgs; do
 		fail=1
 	fi
 done
+# Every flag a documented relacc or relaccd command line passes must be
+# one the binary defines, so a deleted flag cannot linger in the docs.
+# A command line starts at a relacc/relaccd word and ends at the line's
+# end, a closing backtick or a shell separator outside [...]; backslash
+# continuations are joined, and so are the indented continuation lines
+# of a package doc's usage block.
+bin=$(mktemp -d)
+trap 'rm -rf "$bin"' EXIT
+go build -o "$bin/" ./cmd/relacc ./cmd/relaccd
+flags() { "$@" -h 2>&1 | awk '/^  -/ { print $1 }' | tr '\n' ' '; }
+relacc_flags=$(flags "$bin/relacc" topk)
+relaccd_flags=$(flags "$bin/relaccd")
+for f in README.md EXPERIMENTS.md cmd/relacc/main.go cmd/relaccd/main.go; do
+	case "$f" in
+	*.go) awk '/^package / { exit } { sub(/^\/\/ ?/, ""); print }' "$f" ;;
+	*) cat "$f" ;;
+	esac |
+		awk '
+			{ while (/\\$/ && (getline next_line) > 0) { sub(/\\$/, ""); $0 = $0 " " next_line } }
+			/^\t +/ && held ~ /^\t/ { held = held " " $0; next }
+			{ if (n++) print held; held = $0 }
+			END { if (n) print held }
+		' |
+		awk -v file="$f" -v relacc="$relacc_flags" -v relaccd="$relaccd_flags" '
+			BEGIN {
+				n = split(relacc, a, " "); for (i = 1; i <= n; i++) ok["relacc", a[i]] = 1
+				n = split(relaccd, a, " "); for (i = 1; i <= n; i++) ok["relaccd", a[i]] = 1
+			}
+			{
+				cmd = ""; depth = 0
+				for (i = 1; i <= NF; i++) {
+					tok = $i; t = tok
+					gsub(/^[`"(\[]+/, "", t)
+					if (cmd == "") {
+						if (t ~ /(^|\/)relaccd?$/ && gsub(/`/, "`", tok) < 2)
+							cmd = (t ~ /d$/) ? "relaccd" : "relacc"
+						continue
+					}
+					if (depth == 0 && tok ~ /^(\||\|\||&|&&|;|[0-9]?[<>].*)$/) { cmd = ""; continue }
+					if (t ~ /^-[A-Za-z]/) {
+						sub(/[^A-Za-z0-9_-].*$/, "", t)
+						if (!((cmd, t) in ok)) {
+							printf "check-docs: %s uses %s %s, which %s does not define\n", file, cmd, t, cmd > "/dev/stderr"
+							bad = 1
+						}
+					}
+					depth += gsub(/\[/, "[", tok) - gsub(/\]/, "]", tok)
+					if (tok ~ /`/) cmd = ""
+				}
+			}
+			END { exit bad }
+		' || fail=1
+done
 
 if [ "$fail" -eq 0 ]; then
 	echo "check-docs: all referenced markdown files exist"
 	echo "check-docs: DESIGN.md analyzer table matches relacc-lint -list"
 	echo "check-docs: every package-table row names an existing package"
+	echo "check-docs: every documented relacc/relaccd flag exists"
 fi
 exit "$fail"

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # coverage.sh — per-package statement coverage with regression floors.
 #
-# The floors guard the two kernels whose tests carry the correctness
+# The floors guard the packages whose tests carry the correctness
 # argument (the chase and the top-k search, including the PR 7
-# cached ≡ uncached equivalence layer): a PR that deletes or skips
-# their tests fails here even if everything still passes. Floors sit a
+# cached ≡ uncached equivalence layer, and the durable log's
+# crash-recovery suite): a PR that deletes or skips their tests fails
+# here even if everything still passes. Floors sit a
 # couple of points under the measured coverage at the time they were
 # set, so organic refactoring has headroom while wholesale test loss
 # does not. Raise a floor when the measured number rises; never lower
@@ -14,10 +15,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# package  floor(%)   measured at last update (PR 16): chase 95.9, topk 94.5
+# package  floor(%)   measured at last update: chase 96.1, topk 96.3, wal 80.1
 floors="
 ./internal/chase 93
-./internal/topk 92
+./internal/topk 94
+./internal/wal 78
 "
 
 fail=0
