@@ -400,8 +400,8 @@ type appendArgs struct {
 }
 
 // runAppend is the incremental pipeline front end: the base relation
-// streams into live per-entity sessions (tuples decode and intern one
-// at a time, and the window turns each sealed entity into one update),
+// streams into live per-entity sessions (tuples decode one at a time,
+// and the window turns each sealed entity into one update),
 // the delta relation streams into them the same way, and only the
 // touched entities are re-deduced (through chase-level delta
 // instantiation). -o snapshots the final state of every entity.

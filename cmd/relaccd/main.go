@@ -172,8 +172,8 @@ func main() {
 			os.Exit(2)
 		}
 	} else if seed {
-		// Stream the seed into the live store: tuples intern as they
-		// decode, entities seal as the -window retires them, and each
+		// Stream the seed into the live store: tuples decode one at a
+		// time, entities seal as the -window retires them, and each
 		// becomes one update applied in modest batches — constant
 		// memory in the seed's length. Unlike cmd/relacc's append mode
 		// (type-tagged Value.Key routing), the daemon keys by the

@@ -10,7 +10,7 @@ import (
 
 func TestGroundingmut(t *testing.T) {
 	analysistest.Run(t, "testdata", analyzers.Groundingmut,
-		"repro/internal/chase", "groundingmut")
+		"repro/internal/chase", "repro/internal/model", "groundingmut")
 }
 
 func TestLockscope(t *testing.T) {

@@ -9,9 +9,13 @@ import (
 )
 
 // chasePath is the import path of the package whose Grounding and
-// Shared types invariants 1 and 3 protect. Testdata fakes the same
-// path, so the analyzer is matched structurally, never by directory.
-const chasePath = "repro/internal/chase"
+// Shared types invariants 1 and 3 protect, modelPath the one whose Dict
+// overlays invariant 3a protects. Testdata fakes the same paths, so the
+// analyzer is matched structurally, never by directory.
+const (
+	chasePath = "repro/internal/chase"
+	modelPath = "repro/internal/model"
+)
 
 // Groundingmut enforces DESIGN.md invariants 1 and 3: chase.Grounding
 // and chase.Shared values are immutable after construction. Any
@@ -22,10 +26,15 @@ const chasePath = "repro/internal/chase"
 // //relacc:grounding-builder (the NewShared/NewGrounding/Extend
 // allowlist). The marker is only honoured in the defining package, so
 // no other package can ever write a Grounding or a Shared, marker or
-// not.
+// not. The same allowlist guards the entities' value overlays
+// (invariant 3a): a call to model.Dict.InternAt anywhere else — a
+// reader interning a value — is flagged. InternAt is the one insert a
+// Dict has (a base is built whole by NewDict and never written), so
+// every call of it writes an entity's overlay; package model itself
+// implements it.
 var Groundingmut = &analysis.Analyzer{
 	Name: "groundingmut",
-	Doc: "flags writes to chase.Grounding or chase.Shared outside the construction allowlist\n\n" +
+	Doc: "flags writes to chase.Grounding, chase.Shared or a value overlay outside the construction allowlist\n\n" +
 		"Grounding versions are immutable after construction (DESIGN.md\n" +
 		"invariant 1), and so is the Shared groundwork every grounding\n" +
 		"reads its compiled rules from (invariant 3): every concurrent\n" +
@@ -33,12 +42,15 @@ var Groundingmut = &analysis.Analyzer{
 		"Construction-time writers in package chase carry the\n" +
 		"//relacc:grounding-builder directive; everything else must treat\n" +
 		"both as read-only and absorb new evidence via Extend, which\n" +
-		"returns a new version.",
+		"returns a new version. Only those builders insert into an\n" +
+		"entity's value overlay (model.Dict.InternAt, invariant 3a);\n" +
+		"readers look values up.",
 	Run: runGroundingmut,
 }
 
 func runGroundingmut(pass *analysis.Pass) (any, error) {
 	inChase := pass.Pkg != nil && pass.Pkg.Path() == chasePath
+	inModel := pass.Pkg != nil && pass.Pkg.Path() == modelPath
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -49,9 +61,35 @@ func runGroundingmut(pass *analysis.Pass) (any, error) {
 				continue // a declared builder; closures inherit
 			}
 			checkGroundingWrites(pass, fd)
+			if !inModel {
+				checkOverlayInserts(pass, fd)
+			}
 		}
 	}
 	return nil, nil
+}
+
+// checkOverlayInserts flags every call of model.Dict.InternAt in fd.
+func checkOverlayInserts(pass *analysis.Pass, fd *ast.FuncDecl) {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		fn := calleeOf(pass.TypesInfo, call)
+		if fn == nil || fn.Name() != "InternAt" {
+			return true
+		}
+		sig, _ := fn.Type().(*types.Signature)
+		if sig == nil || sig.Recv() == nil {
+			return true
+		}
+		if n := analysis.NamedOf(sig.Recv().Type()); n != nil && n.Obj().Name() == "Dict" &&
+			n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == modelPath {
+			pass.Reportf(call.Pos(), "insert into a value overlay (model.Dict.InternAt) outside a //relacc:grounding-builder function: only grounding builders intern an entity's values (invariant 3a); readers use Lookup")
+		}
+		return true
+	})
 }
 
 func checkGroundingWrites(pass *analysis.Pass, fd *ast.FuncDecl) {

@@ -37,6 +37,18 @@ func rebindIsFine() {
 	_ = l
 }
 
+// readerInterns inserts into an entity's overlay from outside package
+// chase, where no directive could ever allow it.
+func readerInterns() uint32 {
+	return g.Dict().InternAt(nil, 0) // want `insert into a value overlay \(model.Dict.InternAt\)`
+}
+
+// readerLooksUp only reads the overlay.
+func readerLooksUp() bool {
+	_, ok := g.Dict().Lookup(1)
+	return ok
+}
+
 // lookalike has the same field names but is not chase.Grounding;
 // writing it is nobody's business.
 type lookalike struct{ Hint int }
@@ -57,3 +69,5 @@ var _ = readsAreFine
 var _ = rebindIsFine
 var _ = writesLookalike
 var _ = suppressed
+var _ = readerInterns
+var _ = readerLooksUp

@@ -5,7 +5,11 @@
 // everything verified here transfers to the real tree.
 package chase
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/model"
+)
 
 // Grounding mimics the immutable deduction state of the real package.
 // Hint is exported so fixtures in other packages can attempt writes;
@@ -17,6 +21,7 @@ type Grounding struct {
 	trig    map[string][]int
 	valID   [][]uint32
 	version int
+	dict    *model.Dict // the entity's value overlay
 }
 
 type step struct{ rule, tuple int }
@@ -118,7 +123,27 @@ func (sh *Shared) rerank(a int) {
 	sh.cols[a].ranked = nil // want `write to chase.Shared field cols`
 }
 
+// internValue is a builder: it may insert into the entity's overlay.
+//
+//relacc:grounding-builder
+func (g *Grounding) internValue(t *model.Tuple) uint32 { return g.dict.InternAt(t, 0) }
+
+// Dict hands the overlay to readers, as the real Grounding.Dict does.
+func (g *Grounding) Dict() *model.Dict { return g.dict }
+
+// lookupOnly reads the overlay: a lookup never inserts.
+func (g *Grounding) lookupOnly(v int) (uint32, bool) { return g.dict.Lookup(v) }
+
+// internOnRead inserts into the overlay from a reader, racing every
+// Extend of the chain and growing it per read.
+func (g *Grounding) internOnRead(t *model.Tuple) uint32 {
+	return g.dict.InternAt(t, 0) // want `insert into a value overlay \(model.Dict.InternAt\)`
+}
+
 var _ = (*Grounding).depth
+var _ = (*Grounding).internValue
+var _ = (*Grounding).lookupOnly
+var _ = (*Grounding).internOnRead
 var _ = (*Grounding).mutateInPlace
 var _ = buildVia
 var _ = (*Shared).addRule

@@ -23,14 +23,15 @@ import (
 // version's cache — which is still correct for the evidence that
 // version answers for.
 //
-// Uncacheable templates exist: a caller-built template may carry a
-// value the shared dictionary has never interned, which resolves to
-// the model.NoID sentinel. Two DISTINCT unknown values would pack to
-// the same key, so rows containing an unknown value are not cached —
-// verdictKey reports them uncacheable and the check simply runs
-// (cache_fuzz_test.go pins that no two distinct cacheable rows share a
-// key). Candidates assembled by the top-k search carry pre-interned ID
-// rows and are always cacheable.
+// Uncacheable templates exist: a caller-built template, or a top-k
+// candidate built from a Preference.Domains value, may carry a value
+// neither the base dictionary nor the entity's overlay holds, which
+// resolves to the model.NoID sentinel. Two DISTINCT unknown values
+// would pack to the same key, so rows containing an unknown value are
+// not cached — verdictKey reports them uncacheable and the check simply
+// runs (cache_fuzz_test.go pins that no two distinct cacheable rows
+// share a key). Every other candidate the top-k search assembles
+// carries a resolved ID row and is cacheable.
 
 // verdictEntry is one memoised check outcome: the conflict description
 // ("" = Church-Rosser) and, for CR checks, the deduced target tuple.

@@ -16,9 +16,10 @@ import (
 // parsed exactly like FuzzValueCanon's inputs and seeded from the same
 // corner corpus (NaN folding, ±0, int/float class boundaries, quoted
 // literals), because those are the values whose Norm classes are
-// subtle. Every parsed value is interned first: unknown values are the
-// separately-tested UNCACHEABLE case (TestUncacheableTemplateStaysOut)
-// precisely because the NoID sentinel would alias distinct unknowns.
+// subtle. Both rows are grounded first, so every parsed value is
+// interned: unknown values are the separately-tested UNCACHEABLE case
+// (TestUncacheableTemplateStaysOut) precisely because the NoID
+// sentinel would alias distinct unknowns.
 func FuzzVerdictKey(f *testing.F) {
 	lits := []string{
 		"", "null", "NULL", "true", "false",
@@ -39,14 +40,6 @@ func FuzzVerdictKey(f *testing.F) {
 
 	const arity = 4
 	schema := model.MustSchema("fz", "a", "b", "c", "d")
-	ie := model.NewEntityInstance(schema)
-	ie.MustAdd(model.MustTuple(schema,
-		model.NullValue(), model.NullValue(), model.NullValue(), model.NullValue()))
-	g, err := NewGrounding(Spec{Ie: ie, Rules: rule.MustSet(schema, nil)}, Options{})
-	if err != nil {
-		f.Fatal(err)
-	}
-
 	parseRow := func(s string) []model.Value {
 		row := make([]model.Value, arity)
 		for i := range row {
@@ -57,9 +50,6 @@ func FuzzVerdictKey(f *testing.F) {
 				break
 			}
 			row[i] = model.Parse(lit)
-			if !row[i].IsNull() {
-				g.dict.Intern(row[i])
-			}
 		}
 		return row
 	}
@@ -68,6 +58,15 @@ func FuzzVerdictKey(f *testing.F) {
 		r1, r2 := parseRow(s1), parseRow(s2)
 		t1 := model.MustTuple(schema, r1...)
 		t2 := model.MustTuple(schema, r2...)
+		// A grounding over both rows has every value they carry in its
+		// overlay.
+		ie := model.NewEntityInstance(schema)
+		ie.MustAdd(t1.Clone())
+		ie.MustAdd(t2.Clone())
+		g, err := NewGrounding(Spec{Ie: ie, Rules: rule.MustSet(schema, nil)}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		k1, ok1 := g.verdictKey(t1, nil)
 		k2, ok2 := g.verdictKey(t2, nil)
@@ -91,8 +90,8 @@ func FuzzVerdictKey(f *testing.F) {
 		}
 
 		// Determinism: re-packing the same tuple yields the same key,
-		// with or without a cached ID row (Intern fills it).
-		t1.Intern(g.dict)
+		// with or without a cached ID row (Resolve fills it).
+		t1.Resolve(g.dict)
 		k1b, ok := g.verdictKey(t1, nil)
 		if !ok || string(k1b) != string(k1) {
 			t.Fatalf("re-pack diverged: %x vs %x (ok=%v)", k1b, k1, ok)

@@ -50,21 +50,26 @@
 // rule's comparisons by the tuples they read, so Instantiation tests a
 // t1-only guard once per tuple i and a t2-only guard once per tuple j
 // before the pair loop, and only two-tuple comparisons per pair. Rows
-// csvio decoded into the Shared's dictionary carry their value IDs, so
-// indexing them costs no dictionary probe.
+// csvio resolved against the Shared's base dictionary carry their value
+// IDs, or a mark that the base lacks the value, so indexing them probes
+// the base at most once per value.
 //
-// Values are dictionary-encoded: a schema-scoped model.Dict (owned by
-// the Shared groundwork, so a whole batch shares it) interns every
-// distinct value once, and the deduction core runs on dense uint32
-// IDs — instance value rows, the ϕ8/ϕ9 equality classes, form-(2)
-// trigger keys (packed attr<<32|valueID uint64s), target-premise
-// firing and the engine's te row all compare IDs instead of hashing
-// model.Value structs. Candidate templates assembled by the top-k
+// Values are dictionary-encoded, and the deduction core runs on dense
+// uint32 IDs — instance value rows, the ϕ8/ϕ9 equality classes,
+// form-(2) trigger keys (packed attr<<32|valueID uint64s),
+// target-premise firing and the engine's te row all compare IDs
+// instead of hashing model.Value structs. The chase compares a value
+// only with values of the same entity, with master data and with rule
+// constants, so IDs need only agree within one entity: the Shared's
+// read-only base dictionary holds master values, rule constants and
+// ⊥, and each grounding interns its entity's other values into its
+// own overlay of the base. Candidate templates assembled by the top-k
 // search carry cached ID rows, so a check never probes the dictionary.
 // IDs equate values up to model.Value.Norm — the same classes the Key
-// strings define — and are append-only: Extend interns delta values
-// into the same dictionary without invalidating any ID an earlier
-// version issued (DESIGN.md invariant 3a).
+// strings define — and are append-only: every Extend version of a
+// grounding shares its overlay and interns delta values into it
+// without invalidating any ID an earlier version issued (DESIGN.md
+// invariant 3a).
 //
 // On top of the shared base state, checks are pooled. A
 // Checker keeps one run engine alive across checks: its buffers
@@ -176,13 +181,12 @@ type resid struct {
 	valID uint32      // dictionary ID of val (0 = null), for Eq/Ne firing
 }
 
-// groundStep is one partially evaluated rule application φ ∈ Γ.
+// groundStep is one partially evaluated rule application φ ∈ Γ: its
+// consequence is the order fact ti ⪯attr tj.
 type groundStep struct {
 	ruleName string
-	isTarget bool
 	attr     int32
-	i, j     int32       // order consequence: ti ⪯attr tj
-	val      model.Value // target consequence: te[attr] = val
+	i, j     int32
 	preds    []resid
 }
 
@@ -278,11 +282,11 @@ type Grounding struct {
 	nattr     int
 	useAxioms bool
 
-	// dict is the schema-scoped value dictionary shared by every
-	// grounding stamped from one Shared (and by every version of this
-	// grounding — Extend interns delta values into the same dict, and
-	// the dict's append-only protocol keeps all previously issued IDs
-	// valid). All hot-path value comparisons below are ID comparisons
+	// dict is this entity's overlay of the Shared's base dictionary,
+	// shared by every version of this grounding: Extend interns delta
+	// values into it, and its append-only protocol keeps every
+	// previously issued ID valid. Only grounding builders insert into
+	// it. All hot-path value comparisons below are ID comparisons
 	// against it.
 	dict  *model.Dict
 	valID [][]uint32      // [attr][tuple] dictionary ID (0 = null)
@@ -370,10 +374,11 @@ func (g *Grounding) Master() *model.MasterRelation { return g.im }
 // Schema returns the entity schema.
 func (g *Grounding) Schema() *model.Schema { return g.schema }
 
-// Dict returns the schema-scoped value dictionary this grounding's IDs
-// refer to. It is shared by every grounding of one Shared and by every
-// version produced by Extend; callers (the top-k search) use it to
-// pre-intern candidate values so checks never hash a value.
+// Dict returns the dictionary this grounding's IDs refer to: the
+// entity's overlay of the Shared's base, shared by every version
+// produced by Extend. Callers (the top-k search) look candidate values
+// up in it and tag templates with it, so checks never hash a value;
+// they never intern into it.
 func (g *Grounding) Dict() *model.Dict { return g.dict }
 
 // GroundSteps returns |Γ|, the number of materialised ground steps
@@ -570,25 +575,11 @@ func (g *Grounding) indexValues() {
 		g.valID[a] = make([]uint32, n)
 		g.vals[a] = make([]model.Value, n)
 		for i := 0; i < n; i++ {
-			g.vals[a][i], g.valID[a][i] = g.valueAndID(g.ie.Tuple(i), a)
+			t := g.ie.Tuple(i)
+			g.vals[a][i], g.valID[a][i] = t.At(a), g.dict.InternAt(t, a)
 		}
 		g.groups[a] = buildGroups(g.valID[a])
 	}
-}
-
-// valueAndID returns t's value at position a and its dictionary ID. A
-// tuple that already carries an ID in this dictionary (csvio interns
-// every decoded row into the Shared's) costs no dictionary probe; any
-// other value is interned.
-func (g *Grounding) valueAndID(t *model.Tuple, a int) (model.Value, uint32) {
-	v := t.At(a)
-	if id, ok := t.IDIn(g.dict, a); ok {
-		return v, id
-	}
-	if v.IsNull() {
-		return v, model.NullID
-	}
-	return v, g.dict.Intern(v)
 }
 
 // NumDistinct returns how many distinct non-null values attribute a
@@ -622,7 +613,7 @@ func (g *Grounding) MasterColumn(a int) []MasterValue {
 	if g.master == nil || g.master[a].ma < 0 {
 		return nil
 	}
-	g.master[a].once.Do(func() { g.master[a].ranked = rankMaster(g.im, g.master[a].ma) })
+	g.master[a].once.Do(func() { g.master[a].ranked = rankMaster(g.im, g.master[a].ma, g.dict) })
 	return g.master[a].ranked
 }
 
@@ -800,12 +791,12 @@ func (g *Grounding) groundForm1(f *form1Rule, zero []packedPair, seen *pairSet, 
 }
 
 // foldCmp partially evaluates a target premise te[attr] op x on the pair
-// (i, j): x is read off the pair, or is the constant, interned here so
-// the premise fires by ID.
+// (i, j): x is read off the pair, or is the constant, whose base ID was
+// resolved at compile time, so the premise fires by ID.
 func (g *Grounding) foldCmp(p *premise, i, j int32) resid {
 	tp := resid{kind: residTarget, attr: p.attr, op: p.op}
 	if p.xt == 0 {
-		tp.val, tp.valID = p.c, g.dict.Intern(p.c)
+		tp.val, tp.valID = p.c, p.cID
 	} else {
 		x := pick(p.xt, i, j)
 		tp.val, tp.valID = g.vals[p.xa][x], g.valID[p.xa][x]
@@ -832,8 +823,8 @@ func (ix *form2Index) ground(schema *model.Schema, im *model.MasterRelation, f *
 		}
 		cf.conds = append(cf.conds, cc)
 	}
-	// Intern every master-side comparison value and consequence value
-	// once, so run-time condition matching is integer-only.
+	// Resolve every master-side comparison value and consequence value
+	// in the base once, so run-time condition matching is integer-only.
 	rows := im.Tuples()
 	cf.condIDs = make([][]uint32, len(rows))
 	cf.consID = make([]uint32, len(rows))
@@ -846,12 +837,12 @@ func (ix *form2Index) ground(schema *model.Schema, im *model.MasterRelation, f *
 				w = tm.At(int(c.masterIdx))
 			}
 			if !w.IsNull() {
-				ids[ci] = dict.Intern(w)
+				ids[ci] = baseID(dict, w)
 			}
 		}
 		cf.condIDs[rowIdx] = ids
 		if v := tm.At(int(cf.src)); !v.IsNull() {
-			cf.consID[rowIdx] = dict.Intern(v)
+			cf.consID[rowIdx] = baseID(dict, v)
 		}
 	}
 	ruleIdx := int32(len(ix.rules))
@@ -1001,7 +992,7 @@ func (g *Grounding) baseChase(zeroPairs []packedPair) {
 		e.pushPair(p.attr, p.i, p.j)
 	}
 	for s := range g.steps {
-		if e.npred[s] == 0 && !g.steps[s].isTarget {
+		if e.npred[s] == 0 {
 			e.pushStep(int32(s))
 		}
 	}
@@ -1035,7 +1026,9 @@ func (g *Grounding) Run(template *model.Tuple) *Result {
 		Steps:    e.stepsApplied,
 	}
 	if res.CR {
-		res.Target = e.te
+		// The target leaves without its ID row, which would keep the
+		// entity's overlay reachable for as long as the caller keeps it.
+		res.Target = e.te.Detach()
 		res.Orders = e.orders
 	}
 	return res
@@ -1049,18 +1042,17 @@ func (g *Grounding) runWith(e *engine, template *model.Tuple) {
 			if v := template.At(a); !v.IsNull() {
 				vid, ok := template.IDIn(g.dict, a)
 				if !ok {
-					// Cold template (caller-built tuple): look the value
-					// up WITHOUT interning — a long-lived serving session
-					// checking novel caller values must not grow the
-					// shared append-only dictionary per check. A miss
-					// maps to the NoID sentinel, which is sound: an
-					// unknown value equals no interned value (Lookup is
+					// Cold template (caller-built tuple, or a value
+					// the overlay lacks): look the value up WITHOUT
+					// interning — a long-lived serving session checking
+					// novel caller values must not grow the entity's
+					// append-only overlay per check. A miss maps to the
+					// NoID sentinel, which is sound: an unknown value
+					// equals no interned value (Lookup is
 					// Norm-complete), NoID matches no group, form-(2)
 					// key or premise ID, and only the template can push
 					// an unknown value — one per attribute — so two
 					// distinct unknowns never meet in one te slot.
-					// Candidates assembled by the top-k search carry a
-					// cached ID row and never reach this.
 					if vid, ok = g.dict.Lookup(v); !ok {
 						vid = model.NoID
 					}

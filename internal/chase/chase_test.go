@@ -49,9 +49,10 @@ func TestPaperExample5(t *testing.T) {
 }
 
 // TestNewSharedOwnsItsDictionary: two groundworks over the very same
-// (schema, master, rules) objects get distinct dictionaries, so values
-// one interns never grow the other's — a fresh update stream must not
-// inherit another stream's dictionary.
+// (schema, master, rules) objects get distinct base dictionaries, each
+// grounding interns into an overlay of its own Shared's base, and
+// neither base grows — a fresh update stream must not inherit another
+// stream's dictionary.
 func TestNewSharedOwnsItsDictionary(t *testing.T) {
 	spec := paperSpec(t)
 	a, err := chase.NewShared(spec.Ie.Schema(), spec.Im, spec.Rules)
@@ -65,12 +66,9 @@ func TestNewSharedOwnsItsDictionary(t *testing.T) {
 	if a.Dict() == b.Dict() {
 		t.Fatal("two NewShared calls returned the same dictionary")
 	}
-	before := b.Dict().Size()
-	a.Dict().Intern(model.S("interned by a only"))
-	if got := b.Dict().Size(); got != before {
-		t.Fatalf("b's dictionary grew from %d to %d when a interned a value", before, got)
-	}
-	for _, sh := range []*chase.Shared{a, b} {
+	size := a.Dict().Size()
+	var overlays []*model.Dict
+	for _, sh := range []*chase.Shared{a, b, a} {
 		g, err := sh.NewGrounding(spec.Ie, chase.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -78,15 +76,26 @@ func TestNewSharedOwnsItsDictionary(t *testing.T) {
 		if res := g.Run(nil); !res.CR || !res.Target.EqualTo(paperdata.Target()) {
 			t.Fatalf("deduced %v (CR %v), want the Example 5 target", res.Target, res.CR)
 		}
+		for _, o := range overlays {
+			if g.Dict() == o {
+				t.Fatal("two groundings share an overlay")
+			}
+		}
+		if g.Dict() == sh.Dict() || g.Dict().Size() <= size {
+			t.Fatalf("grounding interned into its Shared's base (overlay size %d, base %d)", g.Dict().Size(), size)
+		}
+		overlays = append(overlays, g.Dict())
+	}
+	if a.Dict().Size() != size || b.Dict().Size() != size {
+		t.Fatalf("grounding grew a base dictionary: %d and %d values, built with %d", a.Dict().Size(), b.Dict().Size(), size)
 	}
 }
 
-// TestNewSharedInternsNoForm1Constant: compiling form-(1) rules interns
-// nothing, so a groundwork's fresh dictionary holds exactly what its
-// form-(2) index needs — WAL recovery refuses a snapshot unless a fresh
-// groundwork's dictionary is a prefix of it. Constants are interned
-// only when a grounding folds them into a target premise.
-func TestNewSharedInternsNoForm1Constant(t *testing.T) {
+// TestNewSharedBaseHoldsRuleConstants: the base dictionary holds every
+// rule constant — form (1) and form (2) — and ⊥ from construction, so
+// grounding resolves constants without interning, and a grounding
+// whose entity carries only such values adds nothing to its overlay.
+func TestNewSharedBaseHoldsRuleConstants(t *testing.T) {
 	spec := paperSpec(t)
 	s, ms := spec.Ie.Schema(), spec.Im.Schema()
 	rs, err := spec.Rules.Append(s, ms,
@@ -102,31 +111,38 @@ func TestNewSharedInternsNoForm1Constant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := chase.NewShared(s, spec.Im, rs)
+	sh, err := chase.NewShared(s, spec.Im, rs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	form2, err := chase.NewShared(s, spec.Im, rs.Form2Only())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := full.Dict().Size(), form2.Dict().Size(); got != want {
-		t.Fatalf("NewShared over form-(1) constants interned %d values, the form-(2) rules alone %d", got, want)
-	}
-	for _, c := range []model.Value{model.S("x"), model.S("y")} {
-		if _, ok := full.Dict().Lookup(c); ok {
-			t.Errorf("NewShared interned the form-(1) constant %s", c.Quote())
+	for _, c := range []model.Value{model.S("x"), model.I(3), model.S("y"), model.S("1994-95"), model.Bottom} {
+		if _, ok := sh.Dict().Lookup(c); !ok {
+			t.Errorf("the base lacks the constant %s", c.Quote())
 		}
+	}
+	ie := model.NewEntityInstance(s)
+	row := make([]model.Value, s.Arity())
+	row[s.Index("team")], row[s.Index("rnds")], row[s.Index("arena")] = model.S("x"), model.I(3), model.S("y")
+	ie.MustAdd(model.MustTuple(s, row...))
+	ie.MustAdd(model.MustTuple(s, row...))
+	size := sh.Dict().Size()
+	g, err := sh.NewGrounding(ie, chase.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Dict().Size() != size || sh.Dict().Size() != size {
+		t.Fatalf("grounding constants grew the overlay to %d and the base to %d values, base built with %d",
+			g.Dict().Size(), sh.Dict().Size(), size)
 	}
 }
 
 // TestGroundingTrustsOnlyItsOwnCachedIDs: grounding reuses a tuple's
 // cached dictionary ID only when it belongs to the grounding's own
-// dictionary and is still valid. Tuples interned into the Shared's
-// dictionary, tuples interned into a foreign dictionary whose IDs name
-// other values, and tuples re-set with SetAt after interning must all
-// ground — fresh and through Extend — exactly like plain copies of the
-// same values.
+// overlay or the Shared's base and is still valid. Tuples resolved
+// against the Shared's base, against a foreign dictionary whose IDs
+// name other values, or against another entity's overlay, and tuples
+// re-set with SetAt after resolving, must all ground — fresh and
+// through Extend — exactly like plain copies of the same values.
 func TestGroundingTrustsOnlyItsOwnCachedIDs(t *testing.T) {
 	cfg := gen.MedConfig()
 	cfg.NumEntities = 24
@@ -136,19 +152,36 @@ func TestGroundingTrustsOnlyItsOwnCachedIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	foreign := model.NewDict()
+	// foreign holds every value of the dataset, but under IDs that name
+	// other values in the Shared's base and in every overlay.
+	var fvals []model.Value
 	for k := 0; k < 50; k++ {
-		foreign.Intern(model.S(fmt.Sprintf("foreign%d", k)))
+		fvals = append(fvals, model.S(fmt.Sprintf("foreign%d", k)))
+	}
+	for _, e := range ds.Entities {
+		for _, tu := range e.Instance.Tuples() {
+			for a := 0; a < schema.Arity(); a++ {
+				fvals = append(fvals, tu.At(a))
+			}
+		}
+	}
+	foreign := model.NewDict(fvals...)
+	// sibling is another entity's overlay of the same base: its IDs
+	// past the base name that entity's values, not this one's.
+	sib, err := sh.NewGrounding(ds.Entities[len(ds.Entities)-1].Instance, chase.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	version := schema.Index("version")
 	kinds := []struct {
 		name    string
 		prepare func(i int, t *model.Tuple)
 	}{
-		{"own", func(_ int, t *model.Tuple) { t.Intern(sh.Dict()) }},
-		{"foreign", func(_ int, t *model.Tuple) { t.Intern(foreign) }},
+		{"own", func(_ int, t *model.Tuple) { t.Resolve(sh.Dict()) }},
+		{"foreign", func(_ int, t *model.Tuple) { t.Resolve(foreign) }},
+		{"sibling", func(_ int, t *model.Tuple) { t.Resolve(sib.Dict()) }},
 		{"reset", func(i int, t *model.Tuple) {
-			t.Intern(sh.Dict())
+			t.Resolve(sh.Dict())
 			t.SetAt(version, model.I(int64(i%3)))
 		}},
 	}

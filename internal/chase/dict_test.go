@@ -24,10 +24,12 @@ func dictSpec(t *testing.T) (*model.Schema, *rule.Set) {
 	return schema, rules
 }
 
-// TestValueIDsStableAcrossExtend pins the append-only invariant at the
-// grounding level: every tuple keeps its value ID across versions, new
-// values get fresh IDs from the same dictionary, and the per-version
-// value groups agree with the ID rows.
+// TestValueIDsStableAcrossExtend pins invariant 3a at the grounding
+// level: every version of one entity's chain shares one overlay of the
+// Shared's base, every tuple keeps its value ID across versions, new
+// values get fresh IDs from the same overlay — also when two Extends of
+// one version run at once — and the per-version value groups agree
+// with the ID rows.
 func TestValueIDsStableAcrossExtend(t *testing.T) {
 	schema, rules := dictSpec(t)
 	ie := model.NewEntityInstance(schema)
@@ -72,8 +74,8 @@ func TestValueIDsStableAcrossExtend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ng.dict != g.dict {
-		t.Fatal("Extend switched dictionaries")
+	if ng.dict != g.dict || g.dict == sh.dict {
+		t.Fatal("the version chain does not share one overlay of the base")
 	}
 	for a := 0; a < g.nattr; a++ {
 		for i := 0; i < g.n; i++ {
@@ -99,21 +101,58 @@ func TestValueIDsStableAcrossExtend(t *testing.T) {
 	if grp := ng.groupFor(0, g.valID[0][0]); len(grp) != 3 {
 		t.Fatalf("child group for v0 has %d members, want 3", len(grp))
 	}
+
+	// Two Extends of one version share the overlay too: run at once,
+	// they agree on the value both add and keep their own apart.
+	var wg sync.WaitGroup
+	kids := make([]*Grounding, 2)
+	for k := range kids {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			kid, err := ng.Extend(
+				model.MustTuple(schema, model.S("both"), model.I(9)),
+				model.MustTuple(schema, model.S(fmt.Sprintf("only%d", k)), model.I(9)),
+			)
+			if err != nil {
+				panic(err)
+			}
+			kids[k] = kid
+		}(k)
+	}
+	wg.Wait()
+	a0, a1 := kids[0].valID[0], kids[1].valID[0]
+	if a0[8] != a1[8] || a0[9] == a1[9] || a0[9] == a0[8] || kids[0].dict != ng.dict {
+		t.Fatalf("sibling Extends: \"both\" as %d and %d, own values as %d and %d", a0[8], a1[8], a0[9], a1[9])
+	}
 }
 
 // TestSharedDictAcrossBatch grounds many instances of one Shared
-// concurrently and checks they agree on every value's ID — the batch
-// sharing that makes per-entity grounding stop hashing repeated
-// values. Run under -race in CI, this also exercises the dictionary's
-// lock-free read / serialised append protocol.
+// concurrently: every grounding resolves a rule constant to its one
+// base ID, numbers its own entity's values in an overlay of its own,
+// and the base never grows. Run under -race in CI, this also exercises
+// the base's unsynchronised reads.
 func TestSharedDictAcrossBatch(t *testing.T) {
-	schema, rules := dictSpec(t)
+	schema := model.MustSchema("R", "a", "b")
+	rules, err := rule.NewSet(schema, nil, &rule.Form1{
+		RuleName: "r1",
+		LHS:      []rule.Pred{rule.Prec("a"), rule.Cmp(rule.T1("a"), rule.Ne, rule.C(model.S("common")))},
+		RHS:      "b",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	sh, err := NewShared(schema, nil, rules)
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := sh.dict.Size()
+	common, ok := sh.dict.Lookup(model.S("common"))
+	if !ok {
+		t.Fatal("the base lacks the rule constant")
+	}
 	const workers = 8
-	ids := make([]uint32, workers) // ID of the shared value per worker
+	gs := make([]*Grounding, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -126,20 +165,29 @@ func TestSharedDictAcrossBatch(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
-			ids[w] = g.valID[0][0]
+			gs[w] = g
 		}(w)
 	}
 	wg.Wait()
-	for w := 1; w < workers; w++ {
-		if ids[w] != ids[0] {
-			t.Fatalf("worker %d interned \"common\" as %d, worker 0 as %d", w, ids[w], ids[0])
+	for w, g := range gs {
+		if g.valID[0][0] != common {
+			t.Fatalf("worker %d resolved the constant as %d, the base as %d", w, g.valID[0][0], common)
 		}
+		if own := g.valID[0][1]; own < uint32(base) {
+			t.Fatalf("worker %d's own value took base ID %d", w, own)
+		}
+		if id, ok := gs[(w+1)%workers].dict.Lookup(model.S(fmt.Sprintf("own%d", w))); ok {
+			t.Fatalf("worker %d's own value is in another entity's overlay as %d", w, id)
+		}
+	}
+	if sh.dict.Size() != base {
+		t.Fatalf("grounding grew the base from %d to %d values", base, sh.dict.Size())
 	}
 }
 
 // TestColdTemplateDoesNotGrowDict pins the serving-session memory
 // contract: checking caller-built templates with values the dictionary
-// has never seen must not intern them (the dict is append-only and
+// has never seen must not intern them (the overlay is append-only and
 // shared by every version — per-check growth would be an unbounded
 // leak on a long update stream), and the verdicts must match a
 // grounding that HAS seen the values.
@@ -160,7 +208,7 @@ func TestColdTemplateDoesNotGrowDict(t *testing.T) {
 	if !res.CR {
 		t.Fatal(res.Conflict)
 	}
-	before := sh.Dict().Size()
+	before := g.Dict().Size()
 	for i := 0; i < 50; i++ {
 		tmpl := model.MustTuple(schema, model.S(fmt.Sprintf("novel-%d", i)), model.I(int64(1000+i)))
 		fresh := g.Run(tmpl) // caller-built tuple: no cached ID row
@@ -173,7 +221,7 @@ func TestColdTemplateDoesNotGrowDict(t *testing.T) {
 			}
 		}
 	}
-	if after := sh.Dict().Size(); after != before {
+	if after := g.Dict().Size(); after != before {
 		t.Fatalf("cold-template checks grew the dictionary %d -> %d", before, after)
 	}
 }
@@ -238,5 +286,39 @@ func TestCrossKindValueGrouping(t *testing.T) {
 	}
 	if g.valID[0][5] != model.NullID {
 		t.Fatal("null does not carry NullID")
+	}
+}
+
+// TestTargetsLeaveWithoutIDRow: a target handed to a caller — Run's,
+// or a Checker's, fresh or from the verdict cache — carries no ID row,
+// so keeping it does not keep the entity's overlay reachable.
+func TestTargetsLeaveWithoutIDRow(t *testing.T) {
+	schema, rules := dictSpec(t)
+	ie := model.NewEntityInstance(schema)
+	ie.MustAdd(model.MustTuple(schema, model.S("v0"), model.I(1)))
+	ie.MustAdd(model.MustTuple(schema, model.S("v0"), model.I(1)))
+	g, err := NewGrounding(Spec{Ie: ie, Rules: rules}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := g.Run(nil)
+	if !res.Complete() {
+		t.Fatalf("deduced %v (CR %v), want a complete target", res.Target, res.CR)
+	}
+	tmpl := res.Target.Clone().Resolve(g.dict)
+	c := g.NewChecker()
+	targets := []*model.Tuple{res.Target}
+	for i := 0; i < 2; i++ { // the second check is a verdict-cache hit
+		if !c.Check(tmpl) {
+			t.Fatal("the deduced target fails its own check")
+		}
+		targets = append(targets, c.Target())
+	}
+	for k, tu := range targets {
+		for a := 0; a < schema.Arity(); a++ {
+			if _, ok := tu.IDIn(g.dict, a); ok {
+				t.Fatalf("target %d carries an ID row at position %d", k, a)
+			}
+		}
 	}
 }

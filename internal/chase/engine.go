@@ -200,20 +200,7 @@ func (e *engine) applyStep(s int32) {
 		return
 	}
 	st := &e.g.steps[s]
-	if st.isTarget {
-		if e.base {
-			// Target steps are template-dependent; the base chase never
-			// schedules them, but guard against misuse.
-			return
-		}
-		// No construction site sets isTarget today; if one ever does,
-		// resolve the consequence's ID here rather than carrying a
-		// field every (order) step would leave zeroed — a zero would
-		// alias NullID and desync te from teID.
-		e.applyTarget(st.attr, st.val, e.g.dict.Intern(st.val))
-	} else {
-		e.applyPair(st.attr, st.i, st.j)
-	}
+	e.applyPair(st.attr, st.i, st.j)
 	e.stepsApplied++
 }
 

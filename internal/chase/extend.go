@@ -55,11 +55,12 @@ func (g *Grounding) Extend(tuples ...*model.Tuple) (*Grounding, error) {
 		n:         ie2.Size(),
 		nattr:     g.nattr,
 		useAxioms: g.useAxioms,
-		// The dictionary is shared across versions: delta values are
-		// interned into it (append-only, readers never blocked), so
+		// The overlay is shared across versions: delta values are
+		// interned into it (append-only, under its own mutex, so two
+		// Extends of one version and concurrent readers are safe), and
 		// every ID the parent version issued — cached in candidate
-		// tuples, trigger premises, the form-(2) index — stays valid
-		// here. See the DESIGN.md invariant on ID stability.
+		// tuples, trigger premises, value groups — stays valid here.
+		// See the DESIGN.md invariant on ID stability.
 		dict: g.dict,
 		// The step prefix is shared with the parent; the full slice
 		// expression forces the first delta step onto a fresh backing
@@ -136,9 +137,9 @@ func (g *Grounding) Version() int { return g.version }
 
 // extendValues builds the per-version value indexes: the parent's ID
 // rows are copied (they are O(nattr·n) uint32s, cheap next to any
-// chase work), the new tuples' values resolved against the shared
-// dictionary (a cached ID when the tuple carries one, an Intern
-// otherwise), and the value groups extended copy-on-append — a group
+// chase work), the new tuples' values resolved against the chain's
+// overlay (a cached base ID when the tuple carries one, an overlay
+// Intern otherwise), and the value groups extended copy-on-append — a group
 // gaining no member shares its slice with the parent, so the parent's
 // groups (which in-flight checkers on the old version may be reading)
 // never change. The old representation's per-extend map-of-Value copy,
@@ -158,7 +159,8 @@ func (ng *Grounding) extendValues(p *Grounding) {
 		copy(ids, p.valID[a])
 		copy(vs, p.vals[a])
 		for i := oldN; i < n; i++ {
-			vs[i], ids[i] = ng.valueAndID(ng.ie.Tuple(i), a)
+			t := ng.ie.Tuple(i)
+			vs[i], ids[i] = t.At(a), ng.dict.InternAt(t, a)
 		}
 		ng.valID[a], ng.vals[a] = ids, vs
 		ng.groups[a] = p.groups[a].extend(ids, oldN)
@@ -218,7 +220,7 @@ func (ng *Grounding) baseChaseDelta(p *Grounding, zeroPairs []packedPair) {
 		e.pushPair(pr.attr, pr.i, pr.j)
 	}
 	for s := len(p.steps); s < len(ng.steps); s++ {
-		if e.npred[s] == 0 && !ng.steps[s].isTarget {
+		if e.npred[s] == 0 {
 			e.pushStep(int32(s))
 		}
 	}

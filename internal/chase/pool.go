@@ -84,12 +84,14 @@ func (c *Checker) CheckConflict(template *model.Tuple) string {
 // answered from the verdict cache, the returned tuple is the target
 // deduced for the first Norm-equal template checked against this
 // version — identical to this template's deduction up to
-// model.Value.Norm (the equivalence the cache key is built on).
+// model.Value.Norm (the equivalence the cache key is built on). Like
+// Run's target, it carries no ID row, so it does not keep the entity's
+// overlay reachable.
 func (c *Checker) Target() *model.Tuple {
 	if c.hit != nil {
-		return c.hit.Clone()
+		return c.hit.Clone().Detach()
 	}
-	return c.e.te.Clone()
+	return c.e.te.Clone().Detach()
 }
 
 // CheckerPool is a sync.Pool-backed pool of Checkers over one

@@ -2,6 +2,7 @@ package chase
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -14,29 +15,29 @@ import (
 // rule set validated against one (entity schema, master schema) pair,
 // its form-(1) rules compiled against the entity schema, the compiled
 // form-(2) index for that schema, master relation and rule set, and the
-// schema-scoped value dictionary every grounding stamped from it
-// interns into. Batch pipelines that chase many entity instances of the
-// same relation build it once and stamp per-entity Groundings out of
-// it, skipping rule re-validation, form-(1) compilation and the
-// O(‖Σ‖·|Im|) form-(2) compilation on every entity — and sharing one
-// dictionary, so a value seen by any entity is hashed once per batch,
-// not once per entity.
+// base value dictionary of the schema. Batch pipelines that chase many
+// entity instances of the same relation build it once and stamp
+// per-entity Groundings out of it, skipping rule re-validation,
+// form-(1) compilation and the O(‖Σ‖·|Im|) form-(2) compilation on
+// every entity.
 //
-// Compiling a form-(1) rule resolves every attribute name to a schema
-// position and interns nothing, so a fresh Shared's dictionary holds
-// exactly the values its form-(2) index needs. Correlation-shaped
-// rules become corrRules indexed by their triggering attribute; every
-// other form-(1) rule becomes a form1Rule whose comparisons are split
-// by the tuples they read. Every grounding and every Extend version
-// reads the same compiled rules.
+// The base dictionary is read-only once NewShared returns. It holds ⊥
+// (model.Bottom), every rule constant, and every value of each master
+// column an entity attribute names or a form-(2) rule reads — the
+// values every entity may meet. Each grounding interns its own
+// entity's other values into an overlay of the base that its Extend
+// versions share, so the base never grows with the data. Correlation-
+// shaped rules become corrRules indexed by their triggering attribute;
+// every other form-(1) rule becomes a form1Rule whose comparisons are
+// split by the tuples they read. Every grounding and every Extend
+// version reads the same compiled rules.
 //
 // A Shared also carries one master column per entity attribute the
 // master schema names, ranked for the top-k search on the first read
 // (Grounding.MasterColumn) rather than here: deduce-only runs never
-// pay for a ranking. Ranking interns nothing.
+// pay for a ranking.
 //
-// A Shared is immutable after construction — except the dictionary,
-// which is append-only and internally synchronised, and the master
+// A Shared is immutable after construction — except the master
 // columns, each filled once under its own sync.Once — and safe for
 // concurrent use by any number of goroutines.
 type Shared struct {
@@ -50,10 +51,11 @@ type Shared struct {
 }
 
 // MasterValue is one entry of a ranked master column: a distinct
-// master value and its Key, computed once.
+// master value, its Key and its base dictionary ID, computed once.
 type MasterValue struct {
 	Value model.Value
 	Key   string
+	ID    uint32
 }
 
 // masterColumn is one entity attribute's master column, ranked on
@@ -67,8 +69,9 @@ type masterColumn struct {
 // rankMaster ranks master column ma as model.ActiveDomain orders the
 // values an instance does not carry: one entry per Norm class, the
 // first master row's value representing it, by String ascending with
-// ties in master row order. It interns nothing.
-func rankMaster(im *model.MasterRelation, ma int) []MasterValue {
+// ties in master row order. d resolves every value to its base ID: it
+// is the base dictionary or an overlay of it.
+func rankMaster(im *model.MasterRelation, ma int, d *model.Dict) []MasterValue {
 	seen := make(map[model.Value]struct{})
 	var vals []model.Value
 	var strs []string
@@ -97,14 +100,14 @@ func rankMaster(im *model.MasterRelation, ma int) []MasterValue {
 	})
 	out := make([]MasterValue, len(idx))
 	for i, k := range idx {
-		out[i] = MasterValue{Value: vals[k], Key: vals[k].Key()}
+		out[i] = MasterValue{Value: vals[k], Key: vals[k].Key(), ID: baseID(d, vals[k])}
 	}
 	return out
 }
 
-// NewShared validates the rules against the schemas, compiles the
-// form-(1) rules and precompiles the form-(2) index into a dictionary
-// of its own; nothing is cached across calls, so callers that ground
+// NewShared validates the rules against the schemas, builds the base
+// dictionary, and compiles the form-(1) rules and the form-(2) index
+// against it; nothing is cached across calls, so callers that ground
 // many entities build one Shared and keep it. im may be nil when the
 // rule set has no form-(2) rules.
 //
@@ -129,11 +132,13 @@ func NewShared(schema *model.Schema, im *model.MasterRelation, rules *rule.Set) 
 			master[a].ma = rm.Index(schema.Attr(a))
 		}
 	}
-	// The form-(2) index's trigger keys embed IDs of this groundwork's
-	// own dictionary, so the two are built together and never shared.
+	// The form-(2) index's trigger keys and the compiled premises embed
+	// IDs of this groundwork's own base, so the two are built together
+	// and never shared.
 	sh := &Shared{schema: schema, im: im,
-		corrs: make([][]corrRule, schema.Arity()),
-		form2: &form2Index{trig: make(map[uint64][]form2Entry)}, dict: model.NewDict(),
+		corrs:  make([][]corrRule, schema.Arity()),
+		form2:  &form2Index{trig: make(map[uint64][]form2Entry)},
+		dict:   model.NewDict(baseValues(im, rules, master)...),
 		master: master}
 	for _, r := range rules.Rules() {
 		switch f := r.(type) {
@@ -141,7 +146,7 @@ func NewShared(schema *model.Schema, im *model.MasterRelation, rules *rule.Set) 
 			if cr, ok := compileCorr(schema, f); ok {
 				sh.corrs[cr.fromAttr] = append(sh.corrs[cr.fromAttr], cr)
 			} else {
-				sh.form1 = append(sh.form1, compileForm1(schema, f))
+				sh.form1 = append(sh.form1, compileForm1(schema, f, sh.dict))
 			}
 		case *rule.Form2:
 			if im != nil {
@@ -152,16 +157,76 @@ func NewShared(schema *model.Schema, im *model.MasterRelation, rules *rule.Set) 
 	return sh, nil
 }
 
-// Dict returns the groundwork's value dictionary.
+// baseValues lists the values of a Shared's base dictionary: ⊥, every
+// rule constant, then every value of the master columns that an entity
+// attribute names (master) or a form-(2) rule reads, row by row.
+func baseValues(im *model.MasterRelation, rules *rule.Set, master []masterColumn) []model.Value {
+	vals := []model.Value{model.Bottom}
+	var cols []int
+	addCol := func(ma int) {
+		if ma >= 0 && !slices.Contains(cols, ma) {
+			cols = append(cols, ma)
+		}
+	}
+	for a := range master {
+		addCol(master[a].ma)
+	}
+	for _, r := range rules.Rules() {
+		switch f := r.(type) {
+		case *rule.Form1:
+			for _, p := range f.LHS {
+				for _, o := range [2]rule.Operand{p.Left, p.Right} {
+					if o.Kind == rule.Const {
+						vals = append(vals, o.Val)
+					}
+				}
+			}
+		case *rule.Form2:
+			for _, c := range f.Conds {
+				switch {
+				case c.IsConst || c.OnMaster:
+					vals = append(vals, c.Const)
+				case im != nil:
+					addCol(im.Schema().Index(c.MasterAttr))
+				}
+			}
+			if im != nil {
+				addCol(im.Schema().Index(f.MasterAttr))
+			}
+		}
+	}
+	if im != nil {
+		for _, t := range im.Tuples() {
+			for _, ma := range cols {
+				vals = append(vals, t.At(ma))
+			}
+		}
+	}
+	return vals
+}
+
+// baseID returns the ID of v in the base dictionary d, which NewShared
+// built to hold every value it is asked for here.
+func baseID(d *model.Dict, v model.Value) uint32 {
+	id, ok := d.Lookup(v)
+	if !ok {
+		panic("chase: the base dictionary lacks " + v.Quote())
+	}
+	return id
+}
+
+// Dict returns the groundwork's base dictionary. It is read-only; tag
+// decoded rows with it (Tuple.Resolve) so grounding reuses their IDs.
 func (sh *Shared) Dict() *model.Dict { return sh.dict }
 
 // Schema returns the entity schema the groundwork was built for.
 func (sh *Shared) Schema() *model.Schema { return sh.schema }
 
 // NewGrounding grounds one entity instance on the shared groundwork:
-// the per-instance Instantiation (pair grounding, value indexing) and
-// base chase still run, but validation, the compiled form-(1) rules and
-// the form-(2) index are reused. The instance must use the exact schema
+// the per-instance Instantiation (pair grounding, value indexing into a
+// fresh overlay of the base dictionary) and base chase still run, but
+// validation, the compiled form-(1) rules and the form-(2) index are
+// reused. The instance must use the exact schema
 // the Shared was built for (pointer identity, as everywhere in package
 // model).
 //
@@ -189,7 +254,7 @@ func (sh *Shared) NewGrounding(ie *model.EntityInstance, opts Options) (*Groundi
 		corrs:     sh.corrs,
 		form2:     sh.form2,
 		master:    sh.master,
-		dict:      sh.dict,
+		dict:      sh.dict.Overlay(),
 	}
 	if !opts.DisableVerdictCache {
 		g.verdicts = vcache.New[verdictEntry](opts.VerdictCacheCap)
@@ -227,6 +292,7 @@ type premise struct {
 	attr   int32
 	xa     int32
 	c      model.Value
+	cID    uint32 // c's base dictionary ID
 }
 
 // form1Rule is a form-(1) rule grounded per tuple pair, compiled against
@@ -275,8 +341,9 @@ func compileCorr(schema *model.Schema, f *rule.Form1) (corrRule, bool) {
 	}, true
 }
 
-// compileForm1 compiles a form-(1) rule that is not correlation-shaped.
-func compileForm1(schema *model.Schema, f *rule.Form1) form1Rule {
+// compileForm1 compiles a form-(1) rule that is not correlation-shaped
+// against the base dictionary d.
+func compileForm1(schema *model.Schema, f *rule.Form1, d *model.Dict) form1Rule {
 	fr := form1Rule{name: f.RuleName, rhs: int32(schema.Index(f.RHS))}
 	for k := range f.LHS {
 		p := &f.LHS[k]
@@ -288,9 +355,11 @@ func compileForm1(schema *model.Schema, f *rule.Form1) form1Rule {
 			if x.Kind == rule.TargetAttr {
 				te, op, x = x, op.Flip(), te
 			}
-			pr := premise{op: op, attr: int32(schema.Index(te.Attr)), c: x.Val}
+			pr := premise{op: op, attr: int32(schema.Index(te.Attr))}
 			if x.Kind == rule.TupleAttr {
 				pr.xt, pr.xa = int8(x.Tup), int32(schema.Index(x.Attr))
+			} else {
+				pr.c, pr.cID = x.Val, baseID(d, x.Val)
 			}
 			fr.prems = append(fr.prems, pr)
 		default:

@@ -59,7 +59,7 @@ func IsRowError(err error) bool {
 type TupleIterator struct {
 	cr     *csv.Reader
 	schema *model.Schema
-	dict   *model.Dict // when non-nil, Next interns each decoded tuple
+	dict   *model.Dict // when non-nil, Next resolves each decoded tuple in it
 	row    int         // 1-based row number of the last record read
 	// perm is nil unless NewTupleIteratorOn met a header whose column
 	// order differs from the schema's: then header column j holds
@@ -155,10 +155,12 @@ func (it *TupleIterator) Schema() *model.Schema { return it.schema }
 // construction: the header).
 func (it *TupleIterator) Row() int { return it.row }
 
-// Intern makes every subsequently decoded tuple carry cached dictionary
-// IDs for its values under d (interning new values as they stream by),
-// so downstream grounding does no dict probes for streamed tuples. It
-// returns the iterator for chaining.
+// Intern makes every subsequently decoded tuple carry its values' IDs
+// in d, or a mark for each value d lacks (model.Tuple.Resolve), so
+// downstream grounding probes no dictionary for values d holds and
+// interns the rest into its own overlay without probing d again. d is
+// a Shared's base dictionary, which lookups never change. It returns
+// the iterator for chaining.
 func (it *TupleIterator) Intern(d *model.Dict) *TupleIterator {
 	it.dict = d
 	return it
@@ -195,7 +197,7 @@ func (it *TupleIterator) Next() (*model.Tuple, error) {
 		t.SetAt(j, model.Parse(cell))
 	}
 	if it.dict != nil {
-		t.Intern(it.dict)
+		t.Resolve(it.dict)
 	}
 	return t, nil
 }

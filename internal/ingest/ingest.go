@@ -44,7 +44,7 @@ type Options struct {
 }
 
 // StreamCSV grounds a CSV relation end to end in constant memory:
-// tuples are decoded and interned one at a time, grouped into entities
+// tuples are decoded one at a time, grouped into entities
 // by exact equality on opts.By within the bounded window, and fed to
 // the pipeline's worker pool with backpressure all the way back to the
 // reader. Results reach sink in entity (first-appearance) order,
@@ -60,8 +60,9 @@ func StreamCSV(r io.Reader, name string, opts Options, cfg pipeline.Config, sink
 	if err != nil {
 		return pipeline.Summary{}, err
 	}
-	// One dictionary for the whole chain: values intern as they decode,
-	// so grounding does no dict probes for streamed tuples.
+	// Decoded rows carry their base dictionary IDs, and a mark for each
+	// value the base lacks, which the grounding worker interns into the
+	// entity's own overlay: no value is interned on this goroutine.
 	it.Intern(shared.Dict())
 	es, err := er.StreamGroupBy(it, it.Schema(), opts.By, er.StreamOpts{
 		Window:     opts.Window,
@@ -149,9 +150,10 @@ type SeedOptions struct {
 }
 
 // SeedUpdater streams a CSV relation into a live Updater: decoded
-// tuples intern into the updater's dictionary, group under the window,
-// and each sealed entity becomes one Update applied in modest batches —
-// a cold boot of a large seed CSV runs in window-bounded memory. The
+// tuples resolve against the updater's base dictionary, group under
+// the window, and each sealed entity becomes one Update applied in
+// modest batches — a cold boot of a large seed CSV runs in
+// window-bounded memory. The
 // iterator must have been opened on the updater's schema (pointer
 // identity: build the Updater from it.Schema()).
 func SeedUpdater(u *pipeline.Updater, it *csvio.TupleIterator, opts SeedOptions) (pipeline.Summary, error) {

@@ -1,10 +1,6 @@
 package model
 
-import (
-	"math"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // NullID is the reserved dictionary ID of the null value. Every Dict is
 // born with null interned at ID 0, so "id == NullID" is the ID-level
@@ -15,128 +11,142 @@ const NullID uint32 = 0
 // never a valid dictionary ID: a Dict refuses to grow that far.
 const NoID = ^uint32(0)
 
-// Dict is an append-only dictionary interning attribute values as dense
-// uint32 IDs. Two values receive the same ID exactly when their
-// canonical forms (Value.Norm) coincide — the same equivalence Key and
-// the chase's value grouping already use — so ID equality substitutes
-// for Value.Equal everywhere the chase compares values. The deliberate
+// missID marks, in a tuple's cached ID row, a value the tagged
+// dictionary did not hold when the row was resolved (Tuple.Resolve).
+// Like NoID it is never a valid ID; unlike NoID it tells an overlay of
+// that dictionary to skip the base probe (Dict.InternAt).
+const missID = NoID - 1
+
+// Dict is a dictionary interning attribute values as dense uint32 IDs.
+// Two values receive the same ID exactly when their canonical forms
+// (Value.Norm) coincide — the same equivalence Key and the chase's
+// value grouping already use — so ID equality substitutes for
+// Value.Equal everywhere the chase compares values. The deliberate
 // divergences from Equal are those of Norm/Key themselves: NaN folds
 // into a single class (Equal follows IEEE and rejects it), and int64
 // magnitudes beyond float64 precision collide with their float
 // neighbours, exactly as their Key strings always have (see Norm and
-// Key). The chase previously mixed Key-based grouping with Equal-based
-// target comparison, so those corners were path-dependent; IDs make
-// them uniformly canonical.
+// Key).
 //
-// A Dict is safe for concurrent use and its reads never block: lookups
-// consult an immutable snapshot map through an atomic pointer, so any
-// number of goroutines may resolve IDs while others intern new values.
-// Interning serialises writers on an internal mutex but never touches
-// the snapshot readers see; newly interned values live in a small
-// overlay that is folded into a fresh snapshot once it has grown to the
-// snapshot's size (the sync.Map promotion scheme, with typed maps).
+// A Dict is a base or an overlay. A base (NewDict) holds a fixed set
+// of values and is never written after construction, so any number of
+// goroutines read it with no synchronisation. An overlay (Overlay)
+// extends one base with the values it lacks: IDs below the base's size
+// are the base's own, and InternAt appends every other value after them.
+// An overlay's own values sit behind a mutex; a lookup that the base
+// answers never takes it.
 //
-// IDs are append-only and version-stable: an ID, once assigned, is
-// never reassigned or removed, so IDs cached by one grounding version
-// stay valid for every later version of the same schema's groundwork
-// (chase.Grounding.Extend relies on this — see DESIGN.md invariants).
+// IDs are append-only: an ID, once assigned, is never reassigned or
+// removed, so IDs cached from an overlay stay valid for as long as the
+// overlay lives (chase.Grounding.Extend relies on this — see DESIGN.md
+// invariant 3a).
 type Dict struct {
-	read atomic.Pointer[map[Value]uint32] // immutable snapshot; never written
-	vals atomic.Pointer[[]Value]          // ID → canonical value; append-only
+	base *Dict            // the base an overlay extends; nil for a base
+	ids  map[Value]uint32 // Norm → ID of this dictionary's own values
+	next uint32           // the next free ID
 
-	mu    sync.Mutex       // guards dirty and all appends
-	dirty map[Value]uint32 // entries newer than the snapshot
+	mu sync.Mutex // overlays only: guards ids and next
 }
 
-// NewDict creates a dictionary holding only the null value (as NullID).
-func NewDict() *Dict {
-	d := &Dict{dirty: make(map[Value]uint32)}
-	read := map[Value]uint32{{}: NullID}
-	vals := []Value{{}}
-	d.read.Store(&read)
-	d.vals.Store(&vals)
+// NewDict creates a base dictionary holding null (as NullID) and vals,
+// IDs assigned in order of first occurrence. A base is read-only.
+func NewDict(vals ...Value) *Dict {
+	d := &Dict{ids: map[Value]uint32{{}: NullID}, next: NullID + 1}
+	for _, v := range vals {
+		nv := v.Norm()
+		if _, ok := d.ids[nv]; !ok {
+			d.add(nv)
+		}
+	}
 	return d
 }
 
-// Size returns the number of interned values, including null.
-func (d *Dict) Size() int { return len(*d.vals.Load()) }
-
-// Lookup returns the ID of v if some Equal value has been interned
-// (null always has). It takes no lock when the value is in the current
-// snapshot, and never interns.
-func (d *Dict) Lookup(v Value) (uint32, bool) {
-	nv := v.Norm()
-	if id, ok := (*d.read.Load())[nv]; ok {
-		return id, true
+// Overlay creates an empty overlay over the base d.
+func (d *Dict) Overlay() *Dict {
+	if d.base != nil {
+		panic("model: an overlay of an overlay")
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	// Re-check the snapshot under the lock: a concurrent promote() may
-	// have moved nv from the overlay into a fresh snapshot between the
-	// read above and the lock acquisition.
-	if id, ok := (*d.read.Load())[nv]; ok {
-		return id, true
-	}
-	id, ok := d.dirty[nv]
-	return id, ok
+	return &Dict{base: d, ids: make(map[Value]uint32), next: d.next}
 }
 
-// Intern returns the ID of v, assigning the next free ID when no Equal
-// value has been interned yet. The hot path — a value already in the
-// snapshot — is a single lock-free map read.
-func (d *Dict) Intern(v Value) uint32 {
-	nv := v.Norm()
-	if id, ok := (*d.read.Load())[nv]; ok {
-		return id
+// add assigns the next free ID to the canonical value nv.
+func (d *Dict) add(nv Value) uint32 {
+	id := d.next
+	if id >= missID {
+		panic("model: dictionary overflow (2³²-2 distinct values)")
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	// Re-check under the lock: the snapshot may have been promoted, or a
-	// racing Intern may have added nv to the overlay.
-	if id, ok := (*d.read.Load())[nv]; ok {
-		return id
-	}
-	if id, ok := d.dirty[nv]; ok {
-		return id
-	}
-	vals := *d.vals.Load()
-	id := uint32(len(vals))
-	if id == NoID {
-		panic("model: dictionary overflow (2³²-1 distinct values)")
-	}
-	// Publish the grown ID→value slice before the ID becomes findable.
-	// Readers holding the old header never index the new element;
-	// readers loading the new header see it fully written. NaN is kept
-	// as a real float so ValueOf renders faithfully (its Norm is an
-	// opaque sentinel usable only as a map key).
-	stored := nv
-	if v.Kind() == Float && math.IsNaN(v.Float()) {
-		stored = v
-	}
-	vals = append(vals, stored)
-	d.vals.Store(&vals)
-	d.dirty[nv] = id
-	if len(d.dirty) >= len(*d.read.Load()) {
-		d.promote()
-	}
+	d.ids[nv] = id
+	d.next++
 	return id
 }
 
-// promote folds the overlay into a fresh immutable snapshot. Called
-// with mu held; amortised O(1) per Intern by geometric growth.
-func (d *Dict) promote() {
-	old := *d.read.Load()
-	merged := make(map[Value]uint32, len(old)+len(d.dirty))
-	for v, id := range old {
-		merged[v] = id
+// Size returns the number of values d resolves, null and an overlay's
+// base included.
+func (d *Dict) Size() int {
+	if d.base == nil {
+		return int(d.next)
 	}
-	for v, id := range d.dirty {
-		merged[v] = id
-	}
-	d.read.Store(&merged)
-	d.dirty = make(map[Value]uint32)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return int(d.next)
 }
 
-// ValueOf returns the canonical (Norm) representative interned under
-// id. It panics when id was never assigned.
-func (d *Dict) ValueOf(id uint32) Value { return (*d.vals.Load())[id] }
+// Lookup returns the ID of v if some Equal value is in d (null always
+// is). It never interns.
+func (d *Dict) Lookup(v Value) (uint32, bool) {
+	nv := v.Norm()
+	if d.base == nil {
+		id, ok := d.ids[nv]
+		return id, ok
+	}
+	if id, ok := d.base.ids[nv]; ok {
+		return id, true
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	id, ok := d.ids[nv]
+	return id, ok
+}
+
+// internOwn interns the canonical value nv, which the base lacks, into
+// the overlay d.
+func (d *Dict) internOwn(nv Value) uint32 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if id, ok := d.ids[nv]; ok {
+		return id
+	}
+	return d.add(nv)
+}
+
+// InternAt returns the ID in the overlay d of t's value at position i,
+// appending the value when neither the base nor the overlay holds an
+// Equal one. A row cached against d or its base answers without a
+// probe, and a position the row marks as missing from either
+// (Tuple.Resolve) skips the base probe. InternAt is the one insert a
+// Dict has; it panics on a base.
+func (d *Dict) InternAt(t *Tuple, i int) uint32 {
+	if d.base == nil {
+		panic("model: InternAt on a base dictionary")
+	}
+	if t.dict != nil && (t.dict == d || t.dict == d.base) {
+		switch id := t.ids[i]; id {
+		case missID:
+			return d.internOwn(t.vals[i].Norm())
+		case NoID:
+		default:
+			return id
+		}
+	}
+	return d.intern(t.vals[i])
+}
+
+// intern returns the ID of v in the overlay d, appending v when neither
+// the base nor the overlay holds an Equal value.
+func (d *Dict) intern(v Value) uint32 {
+	nv := v.Norm()
+	if id, ok := d.base.ids[nv]; ok {
+		return id
+	}
+	return d.internOwn(nv)
+}

@@ -12,16 +12,16 @@ func TestDictNullIsZero(t *testing.T) {
 	if d.Size() != 1 {
 		t.Fatalf("fresh dict holds %d values, want 1 (null)", d.Size())
 	}
-	if id := d.Intern(NullValue()); id != NullID {
-		t.Fatalf("null interned as %d, want %d", id, NullID)
-	}
 	if id, ok := d.Lookup(NullValue()); !ok || id != NullID {
 		t.Fatalf("null lookup = (%d, %v), want (0, true)", id, ok)
+	}
+	if id := d.Overlay().intern(NullValue()); id != NullID {
+		t.Fatalf("null interned as %d, want %d", id, NullID)
 	}
 }
 
 func TestDictEqualValuesShareID(t *testing.T) {
-	d := NewDict()
+	o := NewDict().Overlay()
 	negZero := math.Copysign(0, -1)
 	cases := [][2]Value{
 		{I(3), F(3)},           // numeric cross-kind equality
@@ -31,53 +31,105 @@ func TestDictEqualValuesShareID(t *testing.T) {
 		{Parse("2.5"), F(2.5)}, // parse agrees with constructor
 	}
 	for i, c := range cases {
-		a, b := d.Intern(c[0]), d.Intern(c[1])
+		a, b := o.intern(c[0]), o.intern(c[1])
 		if a != b {
 			t.Fatalf("case %d: %s and %s interned as %d and %d", i, c[0].Quote(), c[1].Quote(), a, b)
+		}
+		if d := NewDict(c[0], c[1]); d.Size() != 2 {
+			t.Fatalf("case %d: a base over %s and %s holds %d values, want 2", i, c[0].Quote(), c[1].Quote(), d.Size())
 		}
 	}
 }
 
 func TestDictDistinctValuesGetDistinctIDs(t *testing.T) {
-	d := NewDict()
+	o := NewDict().Overlay()
 	vals := []Value{S("a"), S("b"), I(1), I(2), F(1.5), B(true), B(false), S("1"), S("true")}
 	seen := map[uint32]Value{NullID: NullValue()}
 	for _, v := range vals {
-		id := d.Intern(v)
+		id := o.intern(v)
 		if prev, dup := seen[id]; dup {
 			t.Fatalf("%s and %s share ID %d", prev.Quote(), v.Quote(), id)
 		}
 		seen[id] = v
 	}
-	if d.Size() != len(vals)+1 {
-		t.Fatalf("dict holds %d values, want %d", d.Size(), len(vals)+1)
+	if o.Size() != len(vals)+1 {
+		t.Fatalf("dict holds %d values, want %d", o.Size(), len(vals)+1)
 	}
 }
 
-func TestDictAppendOnlyAcrossPromotions(t *testing.T) {
-	d := NewDict()
-	const n = 10_000 // far past several promotions
+// TestDictBaseIsReadOnly: a base assigns IDs in first-occurrence order
+// at construction and refuses every insert afterwards.
+func TestDictBaseIsReadOnly(t *testing.T) {
+	d := NewDict(S("a"), I(2), S("a"), F(2), S("b"))
+	for i, v := range []Value{NullValue(), S("a"), I(2), S("b")} {
+		if id, ok := d.Lookup(v); !ok || id != uint32(i) {
+			t.Fatalf("%s = (%d, %v), want (%d, true)", v.Quote(), id, ok, i)
+		}
+	}
+	if _, ok := d.Lookup(S("c")); ok {
+		t.Fatal("a base resolved a value it was not built with")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("InternAt on a base did not panic")
+			}
+		}()
+		d.InternAt(MustTuple(MustSchema("R", "a"), S("c")), 0)
+	}()
+	if d.Size() != 4 {
+		t.Fatalf("base holds %d values after refused inserts, want 4", d.Size())
+	}
+}
+
+// TestDictOverlaysOverOneBase: an overlay resolves its base's values to
+// the base's IDs, numbers its own values after them, and never sees a
+// sibling overlay's values or changes the base.
+func TestDictOverlaysOverOneBase(t *testing.T) {
+	d := NewDict(S("m1"), S("m2"))
+	o1, o2 := d.Overlay(), d.Overlay()
+	if id := o1.intern(S("m2")); id != 2 {
+		t.Fatalf("base value m2 interned into an overlay as %d, want its base ID 2", id)
+	}
+	if id := o1.intern(S("own")); id != 3 {
+		t.Fatalf("first overlay value got ID %d, want 3", id)
+	}
+	if _, ok := o2.Lookup(S("own")); ok {
+		t.Fatal("an overlay resolved its sibling's value")
+	}
+	if _, ok := d.Lookup(S("own")); ok || d.Size() != 3 {
+		t.Fatalf("an overlay insert reached the base (size %d)", d.Size())
+	}
+	if o1.Size() != 4 || o2.Size() != 3 {
+		t.Fatalf("overlay sizes %d and %d, want 4 and 3", o1.Size(), o2.Size())
+	}
+}
+
+func TestDictAppendOnly(t *testing.T) {
+	o := NewDict().Overlay()
+	const n = 10_000
 	ids := make([]uint32, n)
 	for i := 0; i < n; i++ {
-		ids[i] = d.Intern(S(fmt.Sprintf("v%d", i)))
+		ids[i] = o.intern(S(fmt.Sprintf("v%d", i)))
 	}
 	// Every earlier ID must survive every later append (the version
 	// stability chase.Grounding.Extend depends on).
 	for i := 0; i < n; i++ {
-		if got := d.Intern(S(fmt.Sprintf("v%d", i))); got != ids[i] {
+		if got := o.intern(S(fmt.Sprintf("v%d", i))); got != ids[i] {
 			t.Fatalf("value %d re-interned as %d, first saw %d", i, got, ids[i])
 		}
-		if v := d.ValueOf(ids[i]); v.Str() != fmt.Sprintf("v%d", i) {
-			t.Fatalf("ValueOf(%d) = %s", ids[i], v.Quote())
+		if got, ok := o.Lookup(S(fmt.Sprintf("v%d", i))); !ok || got != ids[i] {
+			t.Fatalf("value %d looked up as (%d, %v), interned as %d", i, got, ok, ids[i])
 		}
 	}
 }
 
-// TestDictConcurrentIntern exercises the lock-free read / serialised
-// append protocol under the race detector: all goroutines must agree on
-// every value's ID while interning overlapping and fresh value sets.
+// TestDictConcurrentIntern exercises one overlay under the race
+// detector the way two Extends of one grounding version and a reader
+// use it: all goroutines must agree on every value's ID while interning
+// overlapping and fresh value sets and looking values up.
 func TestDictConcurrentIntern(t *testing.T) {
-	d := NewDict()
+	o := NewDict(S("base")).Overlay()
 	const workers, per = 8, 500
 	got := make([][]uint32, workers)
 	var wg sync.WaitGroup
@@ -87,10 +139,13 @@ func TestDictConcurrentIntern(t *testing.T) {
 			defer wg.Done()
 			ids := make([]uint32, 0, 2*per)
 			for i := 0; i < per; i++ {
-				ids = append(ids, d.Intern(S(fmt.Sprintf("shared%d", i)))) // contended
-				ids = append(ids, d.Intern(I(int64(w*per+i))))             // private
-				if id, ok := d.Lookup(S(fmt.Sprintf("shared%d", i))); !ok || id != ids[len(ids)-2] {
+				ids = append(ids, o.intern(S(fmt.Sprintf("shared%d", i)))) // contended
+				ids = append(ids, o.intern(I(int64(w*per+i))))             // private
+				if id, ok := o.Lookup(S(fmt.Sprintf("shared%d", i))); !ok || id != ids[len(ids)-2] {
 					panic("lookup disagrees with intern")
+				}
+				if id, ok := o.Lookup(S("base")); !ok || id != 1 {
+					panic("base lookup through the overlay failed")
 				}
 			}
 			got[w] = ids
@@ -104,23 +159,45 @@ func TestDictConcurrentIntern(t *testing.T) {
 			}
 		}
 	}
-	if want := 1 + per + workers*per; d.Size() != want {
-		t.Fatalf("dict holds %d values, want %d", d.Size(), want)
+	if want := 2 + per + workers*per; o.Size() != want {
+		t.Fatalf("dict holds %d values, want %d", o.Size(), want)
 	}
 }
 
 func TestTupleIDRow(t *testing.T) {
-	s := MustSchema("R", "a", "b", "c")
-	d := NewDict()
-	tu := MustTuple(s, S("x"), I(7), NullValue()).Intern(d)
-	for i := 0; i < 3; i++ {
+	s := MustSchema("R", "a", "b", "c", "d")
+	d := NewDict(S("x"), I(7))
+	tu := MustTuple(s, S("x"), I(7), NullValue(), S("new")).Resolve(d)
+	for i, v := range []Value{S("x"), I(7), NullValue()} {
 		id, ok := tu.IDIn(d, i)
-		if !ok {
-			t.Fatalf("position %d not cached after Intern", i)
+		if want, _ := d.Lookup(v); !ok || id != want {
+			t.Fatalf("position %d cached (%d, %v), base says %d", i, id, ok, want)
 		}
-		if want := d.Intern(tu.At(i)); id != want {
-			t.Fatalf("position %d cached %d, dict says %d", i, id, want)
+	}
+	if _, ok := tu.IDIn(d, 3); ok {
+		t.Fatal("a value the base lacks reads as cached")
+	}
+	// An overlay takes the base IDs from the row and interns the miss.
+	o := d.Overlay()
+	for i := 0; i < 3; i++ {
+		if got, want := o.InternAt(tu, i), tu.ids[i]; got != want {
+			t.Fatalf("InternAt(%d) = %d, row caches %d", i, got, want)
 		}
+	}
+	newID := o.InternAt(tu, 3)
+	if id, ok := o.Lookup(S("new")); !ok || id != newID || newID != 3 {
+		t.Fatalf("missing value interned as %d, lookup (%d, %v), want 3", newID, id, ok)
+	}
+	if _, ok := d.Lookup(S("new")); ok {
+		t.Fatal("InternAt wrote the base")
+	}
+	// A row tagged with another dictionary is ignored.
+	foreign := MustTuple(s, S("y"), I(8), NullValue(), S("new")).Resolve(NewDict(S("y"), I(8)))
+	if got := o.InternAt(foreign, 0); got == foreign.ids[0] {
+		t.Fatalf("InternAt trusted a foreign row's ID %d", got)
+	}
+	if got := o.InternAt(foreign, 3); got != newID {
+		t.Fatalf("InternAt(foreign, 3) = %d, want the overlay's %d", got, newID)
 	}
 	// SetAt invalidates (non-null) or fixes up (null).
 	tu.SetAt(0, S("y"))
@@ -132,25 +209,27 @@ func TestTupleIDRow(t *testing.T) {
 		t.Fatalf("null SetAt cached (%d, %v), want (0, true)", id, ok)
 	}
 	// SetAtID re-validates; a different dict discards the whole row.
-	tu.SetAtID(0, S("y"), d, d.Intern(S("y")))
-	if id, ok := tu.IDIn(d, 0); !ok || id != d.Intern(S("y")) {
+	yID := o.intern(S("y"))
+	tu.SetAtID(0, S("y"), o, yID)
+	if id, ok := tu.IDIn(o, 0); !ok || id != yID {
 		t.Fatalf("SetAtID row = (%d, %v)", id, ok)
 	}
-	d2 := NewDict()
-	tu.SetAtID(2, S("z"), d2, d2.Intern(S("z")))
-	if _, ok := tu.IDIn(d, 0); ok {
+	if _, ok := tu.IDIn(d, 1); ok {
 		t.Fatal("cache for old dict answered after re-tagging")
 	}
-	if id, ok := tu.IDIn(d2, 2); !ok || id != d2.Intern(S("z")) {
-		t.Fatalf("re-tagged row = (%d, %v)", id, ok)
-	}
-	// Clone carries the cache.
+	// Clone carries the cache; Detach drops it.
 	cl := tu.Clone()
-	if id, ok := cl.IDIn(d2, 2); !ok || id != d2.Intern(S("z")) {
+	if id, ok := cl.IDIn(o, 0); !ok || id != yID {
 		t.Fatal("clone lost the ID row")
 	}
-	cl.SetAt(2, S("w"))
-	if _, ok := tu.IDIn(d2, 2); !ok {
+	cl.SetAt(0, S("w"))
+	if _, ok := tu.IDIn(o, 0); !ok {
 		t.Fatal("mutating the clone touched the original's row")
+	}
+	if tu.Detach(); tu.dict != nil || tu.ids != nil {
+		t.Fatal("Detach kept the ID row")
+	}
+	if _, ok := tu.IDIn(o, 0); ok {
+		t.Fatal("a detached tuple answered from its old row")
 	}
 }

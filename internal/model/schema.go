@@ -94,11 +94,12 @@ func (s *Schema) Same(o *Schema) bool {
 // instance tuples, only target templates.
 //
 // A tuple can carry a cached dictionary-ID row alongside its values
-// (Intern, SetAtID): candidate templates assembled by the top-k search
-// are interned once, so the thousands of chase checks they feed skip
-// all value hashing. The cache is tagged with the Dict it refers to —
-// IDs from one dictionary are meaningless in another — and SetAt/Set
-// keep it coherent by invalidating the touched position.
+// (Resolve, SetAtID): rows decoded against a base dictionary carry the
+// base's IDs, and candidate templates assembled by the top-k search
+// carry their grounding's, so the thousands of chase checks they feed
+// skip all value hashing. The cache is tagged with the Dict it refers
+// to — IDs from one dictionary are meaningless in another — and
+// SetAt/Set keep it coherent by invalidating the touched position.
 type Tuple struct {
 	schema *Schema
 	vals   []Value
@@ -165,28 +166,41 @@ func (t *Tuple) SetAtID(i int, v Value, d *Dict, id uint32) {
 	t.ids[i] = id
 }
 
-// Intern caches the dictionary IDs of every value under d (interning
-// values d has not seen) and returns t for chaining. The chase reads
-// the row back with IDIn instead of hashing values per check.
-func (t *Tuple) Intern(d *Dict) *Tuple {
+// Resolve caches the ID in d of every value d holds and marks every
+// other position as missing from d, so an overlay of d interns it
+// without probing d again (Dict.InternAt). It never interns, and
+// returns t for chaining.
+func (t *Tuple) Resolve(d *Dict) *Tuple {
 	if t.dict != d || t.ids == nil {
 		t.dict = d
 		t.ids = make([]uint32, len(t.vals))
 	}
 	for i, v := range t.vals {
-		t.ids[i] = d.Intern(v)
+		id, ok := d.Lookup(v)
+		if !ok {
+			id = missID
+		}
+		t.ids[i] = id
 	}
 	return t
 }
 
 // IDIn returns the cached ID of position i relative to d; ok is false
-// when the cache is absent, stale, or tagged with another dictionary.
+// when the cache is absent, stale, marks the value missing, or is
+// tagged with another dictionary.
 func (t *Tuple) IDIn(d *Dict, i int) (uint32, bool) {
 	if t.dict != d || t.dict == nil {
 		return 0, false
 	}
 	id := t.ids[i]
-	return id, id != NoID
+	return id, id < missID
+}
+
+// Detach drops the cached ID row, so t no longer keeps a dictionary
+// reachable, and returns t.
+func (t *Tuple) Detach() *Tuple {
+	t.dict, t.ids = nil, nil
+	return t
 }
 
 // Get returns the value of the named attribute; the second result is

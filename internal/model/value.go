@@ -288,6 +288,9 @@ func Parse(s string) Value {
 		}
 		return S(s[1 : len(s)-1])
 	}
+	if !maybeNumber(s) {
+		return S(s)
+	}
 	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
 		return I(i)
 	}
@@ -296,3 +299,29 @@ func Parse(s string) Value {
 	}
 	return S(s)
 }
+
+// maybeNumber reports whether strconv could read s as an int or a
+// float: every byte is one a Go number literal may hold (digits, hex
+// digits, xXpP._+-), or s spells inf, infinity or nan in any case with
+// an optional sign. A false result is certain, so Parse skips strconv
+// — and the error it allocates — for such cells.
+func maybeNumber(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case '0' <= c && c <= '9', 'a' <= c && c <= 'f', 'A' <= c && c <= 'F':
+		case c == 'x', c == 'X', c == 'p', c == 'P', c == '.', c == '_', c == '+', c == '-':
+		default:
+			if s[0] == '+' || s[0] == '-' {
+				s = s[1:]
+			}
+			return strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity") || strings.EqualFold(s, "nan")
+		}
+	}
+	return true
+}
+
+// Bottom is the default value ⊥ of the top-k search (Section 6.1 of
+// the paper), standing for some value outside the data. It is defined
+// here, below package chase, so every schema's base dictionary holds
+// it.
+var Bottom = S("⊥")

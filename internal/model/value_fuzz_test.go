@@ -81,3 +81,49 @@ func FuzzValueCanon(f *testing.F) {
 		}
 	})
 }
+
+// parseTwoCalls is Parse as it was before maybeNumber: strconv.ParseInt,
+// then ParseFloat, on every cell. It is FuzzParse's oracle.
+func parseTwoCalls(s string) Value {
+	switch s {
+	case "", "null", "NULL":
+		return NullValue()
+	case "true":
+		return B(true)
+	case "false":
+		return B(false)
+	}
+	if len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
+		if unq, err := strconv.Unquote(s); err == nil {
+			return S(unq)
+		}
+		return S(s[1 : len(s)-1])
+	}
+	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return I(i)
+	}
+	if f, err := strconv.ParseFloat(s, 64); err == nil {
+		return F(f)
+	}
+	return S(s)
+}
+
+// FuzzParse pins that skipping strconv for cells that cannot be
+// numbers changes no parse: Parse agrees with parseTwoCalls in kind
+// and in its unambiguous rendering (Quote keeps -0 apart from 0 and
+// renders every NaN alike).
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"", "null", "true", "0", "-0", "-0.0", "+7", "1_000", "0x1p-2", "0X1P+2", "1e5", "1E-5", ".5", "5.",
+		"inf", "-Inf", "+INF", "infinity", "-Infinity", "nan", "NaN", "+nan", "-NAN", "infinit", "nana",
+		"540-m0.0.true", "abc", "⊥", "1.2.3", "--1", "0b101", "0o17", "9223372036854775808", `"3"`,
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, want := Parse(s), parseTwoCalls(s)
+		if got.Kind() != want.Kind() || got.Quote() != want.Quote() {
+			t.Fatalf("Parse(%q) = %s %s, two-call parse %s %s", s, got.Kind(), got.Quote(), want.Kind(), want.Quote())
+		}
+	})
+}

@@ -31,9 +31,9 @@ type EntitySource interface {
 // prebuilt schema-level groundwork (cfg.Master and cfg.Rules are
 // ignored in favour of shared's own), delivering results to sink in
 // source order; an empty source is an empty batch. Callers that build
-// the groundwork themselves can share its dictionary with the source —
-// the ingest composition does, so the CSV dict and the chase dict are
-// one. sink runs on the calling goroutine; returning an error stops
+// the groundwork themselves can resolve the source's rows against its
+// base dictionary — the ingest composition does, so grounding reuses
+// the rows' IDs. sink runs on the calling goroutine; returning an error stops
 // the run early and is returned from StreamFrom. A source error or an
 // entity of another schema likewise stops the run: in-flight entities
 // finish but are not delivered.

@@ -181,10 +181,10 @@ func NewUpdaterShared(shared *chase.Shared, cfg Config) *Updater {
 // Schema returns the entity schema every update must conform to.
 func (u *Updater) Schema() *model.Schema { return u.shared.Schema() }
 
-// Dict returns the stream's shared value dictionary — the append-only
-// interning table every grounding of this updater encodes against. A
-// durable snapshot persists it so recovery re-interns values to their
-// exact pre-crash IDs.
+// Dict returns the stream's base dictionary: the read-only master
+// values and rule constants every entity's overlay extends. Tag
+// decoded rows with it (csvio.TupleIterator.Intern) so grounding reuses
+// their IDs.
 func (u *Updater) Dict() *model.Dict { return u.shared.Dict() }
 
 // AttachPersister installs the durability hook. Call it once, after

@@ -20,11 +20,6 @@ import (
 	"repro/internal/model"
 )
 
-// Bottom is the default value ⊥ denoting a value outside the active
-// domain (Section 6.1); it always appears last in ranked lists unless
-// the preference assigns it weight.
-var Bottom = model.S("⊥")
-
 // Preference is the preference model (k, p(·)) of Section 3.
 type Preference struct {
 	// K is the number of candidates requested.
@@ -55,10 +50,11 @@ type Preference struct {
 }
 
 // scoredValue is one ranked-list entry. The value's dictionary ID is
-// interned once when the list is built, so every candidate assembled
+// resolved once when the list is built, so every candidate assembled
 // from the list carries a cached ID row and the chase-based check
 // never hashes a value; its Key, computed once with the list, is what
-// the sorts, the heaps and zKey compare.
+// the sorts, the heaps and zKey compare. A Domains value the
+// grounding's dictionary lacks carries model.NoID.
 type scoredValue struct {
 	v   model.Value
 	w   float64
@@ -66,8 +62,8 @@ type scoredValue struct {
 	key string
 }
 
-// bottomKey is Bottom's Key.
-var bottomKey = Bottom.Key()
+// bottomKey is ⊥'s Key.
+var bottomKey = model.Bottom.Key()
 
 // Candidate is one verified candidate target.
 type Candidate struct {
@@ -95,21 +91,23 @@ type problem struct {
 	zAttr []int           // schema positions of null attributes of te
 	lists [][]scoredValue // per zAttr, descending weight
 	pool  *chase.CheckerPool
-	dict  *model.Dict // the grounding's value dictionary
+	dict  *model.Dict // the grounding's value dictionary, read only
 	stats Stats
 }
 
 // newProblem derives the search space: the null attributes Z of te and
-// their ranked value lists, every list value pre-interned in the
-// grounding's dictionary.
+// their ranked value lists, every list value carrying its ID in the
+// grounding's dictionary. It never interns: te's values and the
+// instance's come from the grounding, master values and ⊥ from the
+// Shared's base.
 func newProblem(g *chase.Grounding, te *model.Tuple, pref Preference) *problem {
 	p := &problem{g: g, te: te, pref: pref, pool: g.Pool(), dict: g.Dict()}
-	// Intern the deduced target once (on a clone, so the caller's tuple
+	// Resolve the deduced target once (on a clone, so the caller's tuple
 	// is not touched): candidates are assembled from clones of p.te, so
 	// this makes their KNOWN attributes dictionary hits by cache, not
 	// per-check probes — the Z attributes get their IDs from the ranked
 	// lists below.
-	p.te = te.Clone().Intern(p.dict)
+	p.te = te.Clone().Resolve(p.dict)
 	maxDomain := pref.MaxDomain
 	if maxDomain == 0 {
 		maxDomain = 64
@@ -123,7 +121,7 @@ func newProblem(g *chase.Grounding, te *model.Tuple, pref Preference) *problem {
 		if dom, ok := pref.Domains[schema.Attr(a)]; ok {
 			list = make([]scoredValue, 0, len(dom))
 			for _, v := range dom {
-				list = append(list, p.scored(a, v, p.dict.Intern(v), v.Key()))
+				list = append(list, p.scored(a, v, p.lookup(v), v.Key()))
 			}
 		} else {
 			list = p.activeDomain(a, maxDomain)
@@ -142,8 +140,8 @@ func newProblem(g *chase.Grounding, te *model.Tuple, pref Preference) *problem {
 // the list holds fewer than maxDomain entries (the interchangeable
 // zero-count tail is truncated, Ie's values always survive); then ⊥.
 // Ie's values carry their IDs, counts and first occurrences from the
-// grounding's ID groups; only the master values kept are interned, in
-// list order.
+// grounding's ID groups, master values their base IDs from the ranked
+// column.
 func (p *problem) activeDomain(a, maxDomain int) []scoredValue {
 	type occ struct {
 		v            model.Value
@@ -181,9 +179,9 @@ func (p *problem) activeDomain(a, maxDomain int) []scoredValue {
 		if i := sort.SearchStrings(keys, mv.Key); i < len(keys) && keys[i] == mv.Key {
 			continue
 		}
-		list = append(list, p.scored(a, mv.Value, p.dict.Intern(mv.Value), mv.Key))
+		list = append(list, p.scored(a, mv.Value, mv.ID, mv.Key))
 	}
-	return append(list, p.scored(a, Bottom, p.dict.Intern(Bottom), bottomKey))
+	return append(list, p.scored(a, model.Bottom, p.lookup(model.Bottom), bottomKey))
 }
 
 // scored is the list entry for v at schema position a, given its

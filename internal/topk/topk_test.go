@@ -171,7 +171,7 @@ func bruteForce(g *chase.Grounding, te *model.Tuple, pref topk.Preference) []top
 			continue
 		}
 		vals, _ := model.ActiveDomain(g.Instance(), g.Master(), schema.Attr(a))
-		vals = append(vals, topk.Bottom)
+		vals = append(vals, model.Bottom)
 		zAttrs = append(zAttrs, a)
 		lists = append(lists, vals)
 	}

@@ -201,13 +201,16 @@ func (p *problem) repair(t *model.Tuple) (*model.Tuple, bool) {
 		return false
 	}
 	for i, a := range p.zAttr {
-		ownID := p.idOf(t, a)
-		fixed := try(a, t.At(a), ownID)
+		own := t.At(a)
+		fixed := try(a, own, p.idOf(t, a))
+		// Keys, not IDs, tell the list's values from t's own: two
+		// Domains values the dictionary lacks share model.NoID.
+		ownKey := own.Key()
 		for _, sv := range p.lists[i] {
 			if fixed || p.exhausted() {
 				break
 			}
-			if sv.id != ownID {
+			if sv.key != ownKey {
 				fixed = try(a, sv.v, sv.id)
 			}
 		}
@@ -221,14 +224,19 @@ func (p *problem) repair(t *model.Tuple) (*model.Tuple, bool) {
 // idOf resolves the dictionary ID of t's value at position a, using
 // the tuple's cached row when present (candidates assembled by the
 // search always carry one). An unknown value maps to the NoID
-// sentinel, which compares unequal to every ranked-list ID — exactly
-// the Equal semantics the pre-dictionary code had — without growing
-// the shared dictionary.
+// sentinel, which no value of the grounding's groups carries, without
+// growing the dictionary.
 func (p *problem) idOf(t *model.Tuple, a int) uint32 {
 	if id, ok := t.IDIn(p.dict, a); ok {
 		return id
 	}
-	if id, ok := p.dict.Lookup(t.At(a)); ok {
+	return p.lookup(t.At(a))
+}
+
+// lookup is v's ID in the grounding's dictionary, or model.NoID when
+// the dictionary lacks v.
+func (p *problem) lookup(v model.Value) uint32 {
+	if id, ok := p.dict.Lookup(v); ok {
 		return id
 	}
 	return model.NoID

@@ -1,7 +1,10 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/gen"
@@ -222,21 +225,20 @@ func TestRecoverSnapshotPlusTail(t *testing.T) {
 	}
 	diffStreams(t, "snapshot+tail recovery", streamFingerprint(t, re), want)
 
-	// The dictionary restore must have reproduced the IDs exactly:
-	// recovered top-k queries above already exercise the interned rows,
-	// but assert the sizes line up too.
-	if got, want := re.Dict().Size(), live.Dict().Size(); got > want {
-		// The live dict may be larger (its searches interned candidate
-		// values the snapshot never stored); it can never be smaller.
-		t.Fatalf("recovered dictionary holds %d values, live holds %d", got, want)
+	// Value IDs are per entity: the schema's base dictionary holds only
+	// what construction put there, so neither the live stream, its
+	// searches nor recovery grew it.
+	base := newUpdater(t, rds, rcfg).Dict().Size()
+	if re.Dict().Size() != base || live.Dict().Size() != base {
+		t.Fatalf("base dictionaries hold %d (recovered) and %d (live) values, a fresh one %d",
+			re.Dict().Size(), live.Dict().Size(), base)
 	}
 }
 
 // TestRecoverReopenSameDataset reopens a store in the same process and
 // recovers it into a new updater built from the SAME dataset objects
-// the live one used. Each updater owns its dictionary, so the new one
-// starts from the construction-time dictionary the snapshot recorded,
-// not from the live stream's grown one.
+// the live one used: each updater owns its groundwork, so nothing the
+// live stream built leaks into the recovered one.
 func TestRecoverReopenSameDataset(t *testing.T) {
 	ds, cfg, waves := testWaves(t, 8)
 	dir := t.TempDir()
@@ -471,4 +473,114 @@ func TestPersisterRejectionAppliesNothing(t *testing.T) {
 	if got := st.Stats().LastSeq; got != 0 {
 		t.Fatalf("rejected batch was logged (lastSeq %d)", got)
 	}
+}
+
+// TestRecoverReadsOldSnapshotLayout: a snapshot whose body carries a
+// full dictionary section — the layout of stores whose value IDs were
+// global — recovers to the same stream as the snapshot written now,
+// whose dictionary section is empty.
+func TestRecoverReadsOldSnapshotLayout(t *testing.T) {
+	ds, cfg, waves := testWaves(t, 8)
+	dir := t.TempDir()
+	live := newUpdater(t, ds, cfg)
+	st := mustOpen(t, dir, ds.Schema, Options{Fsync: SyncNever})
+	if _, err := st.Recover(live); err != nil {
+		t.Fatal(err)
+	}
+	live.AttachPersister(st)
+	applyAll(t, live, waves[:2])
+	if _, err := st.Checkpoint(live); err != nil {
+		t.Fatal(err)
+	}
+	applyAll(t, live, waves[2:])
+	want := streamFingerprint(t, live)
+	st.Close()
+
+	seq, body := readSnapshotFile(t, dir)
+	head := len(appendFrame(nil, encodeSchema(ds.Schema)))
+	if nd, n := binary.Uvarint(body[head:]); nd != 1 || n != 1 {
+		t.Fatalf("new snapshot's dictionary section claims %d values, want none", nd)
+	}
+	old := oldLayoutBody(body, head)
+	t.Logf("snapshot body: %d bytes, %d with a full dictionary section", len(body), len(old))
+	oldDir := t.TempDir()
+	for _, name := range []string{walName, snapName} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == snapName {
+			b = append([]byte(snapMagic), appendFrame(nil, appendUvarint(nil, seq))...)
+			b = appendFrame(b, old)
+		}
+		if err := os.WriteFile(filepath.Join(oldDir, name), b, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, d := range []string{dir, oldDir} {
+		rds, rcfg := restartDataset(t, 8)
+		re := newUpdater(t, rds, rcfg)
+		st2 := mustOpen(t, d, rds.Schema, Options{})
+		rs, err := st2.Recover(re)
+		st2.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rs.HadSnapshot || rs.SnapshotSeq != seq || rs.Batches != 1 {
+			t.Fatalf("recovery stats %+v: want snapshot seq %d + 1 replayed batch", rs, seq)
+		}
+		diffStreams(t, "recovery from "+d, streamFingerprint(t, re), want)
+	}
+}
+
+// readSnapshotFile returns the published snapshot's sequence number and
+// body.
+func readSnapshotFile(t *testing.T, dir string) (uint64, []byte) {
+	t.Helper()
+	f, err := os.Open(filepath.Join(dir, snapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	seq, err := readSnapshotSeq(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := readFrame(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seq, body
+}
+
+// oldLayoutBody rewrites a snapshot body (schema frame of head bytes,
+// empty dictionary section, entities) into the layout whose dictionary
+// section listed every distinct value the snapshot's tuples carry, in
+// first-appearance order.
+func oldLayoutBody(body []byte, head int) []byte {
+	entities := body[head+1:]
+	d := &decoder{buf: entities}
+	var vals []byte
+	n, seen := uint64(1), map[string]bool{}
+	ne, _ := d.uvarint()
+	for i := uint64(0); i < ne; i++ {
+		d.string()
+		nt, _ := d.uvarint()
+		for j := uint64(0); j < nt; j++ {
+			arity, _ := d.uvarint()
+			for a := uint64(0); a < arity; a++ {
+				v, _ := d.value()
+				if !v.IsNull() && !seen[v.Key()] {
+					seen[v.Key()] = true
+					vals = appendValue(vals, v)
+					n++
+				}
+			}
+		}
+	}
+	out := append([]byte(nil), body[:head]...)
+	out = appendUvarint(out, n)
+	out = append(out, vals...)
+	return append(out, entities...)
 }

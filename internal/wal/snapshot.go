@@ -1,12 +1,11 @@
 // Snapshots and recovery: the compaction half of the durable update
 // stream. A snapshot captures the whole live store — every entity's
-// raw tuples plus the append-only value dictionary, in ID order — at
-// one quiesced sequence number; once it is durable the log restarts
-// empty, so the log's length is bounded by the snapshot cadence
-// instead of the stream's lifetime. Recovery inverts it: restore the
-// dictionary (IDs land exactly where they were), re-absorb every
-// snapshotted entity, then replay the WAL records newer than the
-// snapshot in sequence order.
+// raw tuples — at one quiesced sequence number; once it is durable the
+// log restarts empty, so the log's length is bounded by the snapshot
+// cadence instead of the stream's lifetime. Recovery inverts it:
+// re-absorb every snapshotted entity, then replay the WAL records
+// newer than the snapshot in sequence order. Value IDs are private to
+// each entity's grounding, so nothing about them is persisted.
 package wal
 
 import (
@@ -28,7 +27,7 @@ import (
 // directly. A state whose encoding does not fit one frame is refused
 // before anything is written: the published snapshot and the log stay
 // as they were.
-func (s *Store) WriteSnapshot(dict *model.Dict, keys []string, entities []*model.EntityInstance) (uint64, error) {
+func (s *Store) WriteSnapshot(keys []string, entities []*model.EntityInstance) (uint64, error) {
 	if len(keys) != len(entities) {
 		return 0, fmt.Errorf("wal: snapshot has %d keys but %d entities", len(keys), len(entities))
 	}
@@ -40,7 +39,7 @@ func (s *Store) WriteSnapshot(dict *model.Dict, keys []string, entities []*model
 		return 0, fmt.Errorf("wal: store is closed")
 	}
 
-	body := encodeSnapshotBody(s.schema, dict, keys, entities)
+	body := encodeSnapshotBody(s.schema, keys, entities)
 	if err := fitsFrame("snapshot body", body); err != nil {
 		return 0, err
 	}
@@ -149,7 +148,7 @@ func (s *Store) Checkpoint(u *pipeline.Updater) (uint64, error) {
 	var seq uint64
 	err := u.Checkpoint(func(keys []string, entities []*model.EntityInstance) error {
 		var werr error
-		seq, werr = s.WriteSnapshot(u.Dict(), keys, entities)
+		seq, werr = s.WriteSnapshot(keys, entities)
 		return werr
 	})
 	return seq, err
@@ -158,19 +157,15 @@ func (s *Store) Checkpoint(u *pipeline.Updater) (uint64, error) {
 // snapshot body layout:
 //
 //	schema section        (same structural encoding as the log header)
-//	dict:    uvarint n, then values for IDs 1..n-1 in ID order
+//	dict:    uvarint n, then n-1 values; written empty (n = 1)
 //	entities: uvarint m, then m × (key, uvarint ntuples, tuples)
-func encodeSnapshotBody(schema *model.Schema, dict *model.Dict, keys []string, entities []*model.EntityInstance) []byte {
+//
+// The dictionary section is a leftover of a layout whose value IDs
+// were global and restored on recovery. Readers skip it, so snapshots
+// that carry a full one still load.
+func encodeSnapshotBody(schema *model.Schema, keys []string, entities []*model.EntityInstance) []byte {
 	b := appendFrame(nil, encodeSchema(schema))
-	// The dictionary is append-only, so "its size at this instant" is
-	// a consistent prefix even while concurrent queries keep interning:
-	// every ID a committed tuple carries was assigned before the
-	// quiesce, hence is < n.
-	n := dict.Size()
-	b = appendUvarint(b, uint64(n))
-	for id := 1; id < n; id++ { // ID 0 is null, present in every Dict
-		b = appendValue(b, dict.ValueOf(uint32(id)))
-	}
+	b = appendUvarint(b, 1)
 	b = appendUvarint(b, uint64(len(keys)))
 	for i, key := range keys {
 		b = appendString(b, key)
@@ -189,7 +184,6 @@ func encodeSnapshotBody(schema *model.Schema, dict *model.Dict, keys []string, e
 // snapshotData is a decoded snapshot body.
 type snapshotData struct {
 	seq     uint64
-	dict    []model.Value // values for IDs 1..len, in ID order
 	keys    []string
 	tuples  [][]*model.Tuple
 	present bool
@@ -231,13 +225,10 @@ func (s *Store) readSnapshot() (snapshotData, error) {
 	if nd == 0 || nd > uint64(len(body)) {
 		return out, fmt.Errorf("wal: snapshot claims a %d-value dictionary", nd)
 	}
-	out.dict = make([]model.Value, 0, nd-1)
 	for i := uint64(1); i < nd; i++ {
-		v, err := d.value()
-		if err != nil {
+		if _, err := d.value(); err != nil {
 			return out, err
 		}
-		out.dict = append(out.dict, v)
 	}
 	ne, err := d.uvarint()
 	if err != nil {
@@ -314,16 +305,18 @@ type RecoveryStats struct {
 // daemon uses to seed a brand-new store from CSV exactly once.
 func (rs RecoveryStats) Empty() bool { return !rs.HadSnapshot && rs.LastSeq == 0 }
 
-// Recover rebuilds the live store: the snapshot's dictionary and
-// entities first, then every whole WAL record past the snapshot's
-// sequence number, replayed through the updater in sequence order.
+// Recover rebuilds the live store: the snapshot's entities first, then
+// every whole WAL record past the snapshot's sequence number, replayed
+// through the updater in sequence order.
 // The updater must be EMPTY (freshly built, nothing applied, no
 // persister attached yet) and configured exactly as the run that
 // wrote the log — recovery re-runs the same absorptions, and a batch
 // that failed absorption then fails identically now, which is what
 // keeps replayed state byte-identical to the pre-crash store. Attach
 // the store with Updater.AttachPersister AFTER Recover returns, so
-// replayed batches are not re-logged.
+// replayed batches are not re-logged. Nothing checks that the master
+// data and rules match the writer's: under different ones, the
+// recovered entities are deduced afresh under the updater's.
 //
 // One counter is NOT preserved: an entity restored from the snapshot
 // absorbs its whole accumulated evidence as a single batch, so its
@@ -342,34 +335,6 @@ func (s *Store) Recover(u *pipeline.Updater) (RecoveryStats, error) {
 		return rs, err
 	}
 	if snap.present {
-		// Restore the dictionary first, in ID order. A freshly-built
-		// updater is not dictionary-EMPTY: constructing the schema
-		// groundwork interns the master relation and rule constants,
-		// deterministically — and the snapshotted dictionary began
-		// with that exact same prefix before the applied evidence grew
-		// it. So verify the construction prefix matches value for
-		// value, then intern the remainder; each remaining value must
-		// land on 1 + the previous ID, so every snapshotted tuple's
-		// cached ID row stays truthful after recovery.
-		dict := u.Dict()
-		have := dict.Size()
-		if have-1 > len(snap.dict) {
-			return rs, fmt.Errorf("wal: this updater's groundwork interned %d values, the snapshot only %d — different master data or rules",
-				have-1, len(snap.dict))
-		}
-		for i, v := range snap.dict {
-			id := uint32(i + 1)
-			if int(id) < have {
-				if got := dict.ValueOf(id); got.Key() != v.Key() {
-					return rs, fmt.Errorf("wal: dictionary value %d is %s here but %s in the snapshot — different master data or rules",
-						id, got, v)
-				}
-				continue
-			}
-			if got := dict.Intern(v); got != id {
-				return rs, fmt.Errorf("wal: dictionary restore assigned ID %d to value %d", got, id)
-			}
-		}
 		// Re-absorb every entity as one replay batch: keys register in
 		// batch order, reproducing the pre-crash first-seen order.
 		ups := make([]pipeline.Update, len(snap.keys))

@@ -441,7 +441,7 @@ func TestWriteSnapshotRefusesOversizedBody(t *testing.T) {
 	}
 	big := model.NewEntityInstance(s)
 	big.MustAdd(model.MustTuple(s, hugeValue(), model.NullValue(), model.NullValue()))
-	if _, err := st.WriteSnapshot(u.Dict(), []string{"big"}, []*model.EntityInstance{big}); err == nil {
+	if _, err := st.WriteSnapshot([]string{"big"}, []*model.EntityInstance{big}); err == nil {
 		t.Fatal("a snapshot body past the frame limit was accepted")
 	}
 	if _, err := os.Stat(filepath.Join(dir, tmpName)); !os.IsNotExist(err) {
