@@ -71,10 +71,19 @@
 // without invalidating any ID an earlier version issued (DESIGN.md
 // invariant 3a).
 //
+// Every chase — base, delta, Run and pooled check — keeps its pending
+// work within a small multiple of its order matrices: pending pair
+// derivations coalesce into word masks per (attribute, row) in the
+// matrices' shape, each ground step is queued at most once, and each
+// attribute holds at most one pending target. A consequence re-derived
+// any number of times costs one pending bit, so no chase grows a queue
+// with the number of derivations, and Instantiation pushes its
+// zero-premise pairs straight into the base engine's masks.
+//
 // On top of the shared base state, checks are pooled. A
 // Checker keeps one run engine alive across checks: its buffers
 // (order matrices, λ counts, premise counters, dead/pushed flags, the
-// event queue and the form-2 re-registration map) are reused, and the
+// worklist and the form-2 re-registration map) are reused, and the
 // base snapshot is restored between runs through dirty-row tracking
 // (order.Relation.ResetFrom) — only the rows the previous run modified
 // are rewritten, so a check that derives little does near-zero restore
@@ -432,9 +441,7 @@ func (g *Grounding) ownLayer() (trigLayer, bool) {
 
 // idGroups indexes the non-null tuples of one attribute by value ID:
 // ids is sorted ascending and members[k] lists the tuple indices
-// carrying ids[k], in ascending index order (the same member order the
-// old map-of-Value representation produced, which the deterministic
-// base-chase seeding relies on).
+// carrying ids[k], in ascending index order.
 type idGroups struct {
 	ids     []uint32
 	members [][]int32
@@ -630,73 +637,22 @@ func (g *Grounding) valEq(attr, i, j int32) bool {
 	return g.valID[attr][i] == g.valID[attr][j]
 }
 
-// packedPair is a zero-premise order consequence produced by grounding.
-type packedPair struct {
-	attr, i, j int32
-}
-
 // ground performs Instantiation over the Shared's compiled form-(1)
 // rules: it materialises residual ground steps, registers their
-// triggers, and returns the zero-premise order pairs to seed the base
-// chase with. Only pairs (i, j) with i >= oldN or j >= oldN are visited:
-// a fresh grounding passes oldN == 0 (all pairs), while Extend's delta
+// triggers, and pushes every zero-premise order pair straight into the
+// base engine e's pending masks, which deduplicate them across rules
+// (rule sets often contain several rules with the same consequence, per
+// the paper's Exp setup) and drop those the seeded orders already hold.
+// Only pairs (i, j) with i >= oldN or j >= oldN are visited: a fresh
+// grounding passes oldN == 0 (all pairs), while Extend's delta
 // Instantiation passes the previous instance size, so its work is the
 // new-tuple × existing-tuple and new-tuple × new-tuple pairs —
 // O(‖Σ‖·d·n) for d added tuples instead of the full O(‖Σ‖·n²) rebuild.
-// Zero pairs are deduplicated across rules (rule sets often contain
-// several rules with the same consequence, per the paper's Exp setup),
-// which bounds their number by #attrs·|Ie|².
-func (g *Grounding) ground(oldN int32) []packedPair {
-	var seen *pairSet
-	if oldN == 0 {
-		seen = newPairSet(g.nattr, g.n)
-	} else {
-		seen = newSparsePairSet()
-	}
-	var zero []packedPair
+func (g *Grounding) ground(oldN int32, e *engine) {
 	ok2 := make([]bool, g.n)
 	for k := range g.form1 {
-		zero = g.groundForm1(&g.form1[k], zero, seen, oldN, ok2)
+		g.groundForm1(&g.form1[k], e, oldN, ok2)
 	}
-	return zero
-}
-
-// pairSet is a set of (attr, i, j) triples: a dense bitset when built
-// with newPairSet (full Instantiation visits most triples), a map when
-// built with newSparsePairSet (delta Instantiation visits only pairs
-// involving new tuples, far fewer than attrs·n² — a dense set would
-// spend more time zeroing than grounding).
-type pairSet struct {
-	n      int
-	bits   []uint64
-	sparse map[uint64]struct{}
-}
-
-func newPairSet(attrs, n int) *pairSet {
-	return &pairSet{n: n, bits: make([]uint64, (attrs*n*n+63)/64)}
-}
-
-func newSparsePairSet() *pairSet {
-	return &pairSet{sparse: make(map[uint64]struct{})}
-}
-
-// insert reports whether the triple was newly added.
-func (ps *pairSet) insert(attr, i, j int32) bool {
-	if ps.sparse != nil {
-		key := trigKey(attr, i, j)
-		if _, ok := ps.sparse[key]; ok {
-			return false
-		}
-		ps.sparse[key] = struct{}{}
-		return true
-	}
-	idx := (uint64(attr)*uint64(ps.n)+uint64(i))*uint64(ps.n) + uint64(j)
-	w, b := idx>>6, uint64(1)<<(idx&63)
-	if ps.bits[w]&b != 0 {
-		return false
-	}
-	ps.bits[w] |= b
-	return true
 }
 
 // evalCmpOnPair evaluates a compiled comparison on the ordered tuple
@@ -744,7 +700,7 @@ func pick(tup int8, i, j int32) int32 {
 // rule on the pairs (i, j) with i >= oldN or j >= oldN. The single-tuple
 // guards run before the pair loop: guard2 once per j into ok2 (a
 // buffer of at least g.n entries), guard1 once per i.
-func (g *Grounding) groundForm1(f *form1Rule, zero []packedPair, seen *pairSet, oldN int32, ok2 []bool) []packedPair {
+func (g *Grounding) groundForm1(f *form1Rule, e *engine, oldN int32, ok2 []bool) {
 	n := int32(g.n)
 	for j := int32(0); j < n; j++ {
 		ok2[j] = g.holdsAll(f.guard2, j, j)
@@ -779,15 +735,12 @@ func (g *Grounding) groundForm1(f *form1Rule, zero []packedPair, seen *pairSet, 
 				preds = append(preds, tp)
 			}
 			if len(preds) == 0 {
-				if seen.insert(f.rhs, i, j) {
-					zero = append(zero, packedPair{attr: f.rhs, i: i, j: j})
-				}
+				e.pushPair(f.rhs, i, j)
 				continue
 			}
 			g.addStep(groundStep{ruleName: f.name, attr: f.rhs, i: i, j: j, preds: preds})
 		}
 	}
-	return zero
 }
 
 // foldCmp partially evaluates a target premise te[attr] op x on the pair
@@ -932,30 +885,12 @@ func (g *Grounding) addStep(st groundStep) {
 	}
 }
 
-// baseChase builds the initial axiom state and chases every
-// template-independent consequence (zero-premise pairs, order-triggered
-// steps, correlation cascades) into the base snapshot reused by Run.
-func (g *Grounding) baseChase(zeroPairs []packedPair) {
-	e := newEngine(g, true)
-	// Seed the axiom state ϕ7 + ϕ9.
-	if g.useAxioms {
-		for a := 0; a < g.nattr; a++ {
-			rel := e.orders.Attr(a)
-			var nulls, nonNulls []int32
-			for i := 0; i < g.n; i++ {
-				if g.valID[a][i] == model.NullID {
-					nulls = append(nulls, int32(i))
-				} else {
-					nonNulls = append(nonNulls, int32(i))
-				}
-			}
-			for _, grp := range g.sortedGroups(a) {
-				rel.SetClique32(grp)
-			}
-			rel.SetClique32(nulls)
-			rel.SetBelow32(nulls, nonNulls)
-		}
-	}
+// baseChase chases every template-independent consequence of the
+// seeded axiom state and of the zero-premise pairs ground pushed into e
+// (order-triggered steps, correlation cascades) into the base snapshot
+// reused by Run.
+func (g *Grounding) baseChase(e *engine) {
+	e.initSteps(nil, nil)
 	// Derive column counts of the seeded state, reusing one buffer
 	// across the attributes.
 	cbuf := make([]int, g.n)
@@ -977,19 +912,22 @@ func (g *Grounding) baseChase(zeroPairs []packedPair) {
 			e.fireOrderKey(k)
 		}
 	}
-	// Fire correlation rules on the seeded pairs.
+	// Fire correlation rules on the seeded pairs, a row word at a time.
+	// (Only the axioms seed pairs, and they seed every reflexive pair on
+	// every attribute, so the push drops the i ⪯ i a row's own bit
+	// forwards.)
 	for a := 0; a < g.nattr; a++ {
 		if len(g.corrs[a]) == 0 {
 			continue
 		}
-		aa := int32(a)
-		e.orders.Attr(a).VisitPairs(func(i, j int) {
-			e.fireCorr(aa, int32(i), int32(j))
-		})
-	}
-	// Seed zero-premise pairs and already-complete order steps.
-	for _, p := range zeroPairs {
-		e.pushPair(p.attr, p.i, p.j)
+		rel := e.orders.Attr(a)
+		for i := 0; i < g.n; i++ {
+			for wi := 0; wi<<6 < g.n; wi++ {
+				if w := rel.Word(i, wi); w != 0 {
+					e.fireCorrWord(int32(a), int32(i), wi, w)
+				}
+			}
+		}
 	}
 	for s := range g.steps {
 		if e.npred[s] == 0 {
@@ -998,15 +936,6 @@ func (g *Grounding) baseChase(zeroPairs []packedPair) {
 	}
 	e.drain()
 	g.snapshotBase(e)
-}
-
-// sortedGroups returns the value groups of attribute a in a
-// deterministic order (by smallest member index), exactly as the
-// pre-dictionary map representation yielded them.
-func (g *Grounding) sortedGroups(a int) [][]int32 {
-	groups := append([][]int32(nil), g.groups[a].members...)
-	sort.Slice(groups, func(i, j int) bool { return groups[i][0] < groups[j][0] })
-	return groups
 }
 
 // Run chases the specification with the given initial target template

@@ -9,29 +9,25 @@ import (
 	"repro/internal/rule"
 )
 
-// eventKind tags worklist entries.
-type eventKind uint8
-
-const (
-	evPair     eventKind = iota // derive ti ⪯attr tj
-	evPairMask                  // derive ti ⪯attr tj for every bit j of a word mask
-	evTarget                    // instantiate te[attr] = val
-	evStep                      // enforce ground step idx
-)
-
-type event struct {
-	kind eventKind
-	attr int32
-	i, j int32 // for evPairMask, j is the word index of mask
-	idx  int32
-	val  model.Value
-	vid  uint32 // dictionary ID of val, for evTarget events
-	mask uint64 // for evPairMask: each set bit b derives i ⪯ (j<<6)+b
-}
-
 // engine is the mutable chase state shared by the base chase and by
-// per-template runs. It processes a FIFO worklist of events, each of
-// which is one (possibly built-in) chase step enforced atomically.
+// per-template runs. Its worklist holds three kinds of pending work,
+// each bounded by the grounding's shape rather than by how often a
+// consequence is derived:
+//
+//   - target instantiations te[attr] = v: one slot per attribute, so a
+//     second push for the attribute either agrees (a no-op) or is the
+//     target conflict;
+//   - ground steps: an int32 FIFO in which a step appears at most once
+//     per run (pushed), so it never outgrows |Γ|;
+//   - pair derivations ti ⪯attr tj: word masks per (attribute, row) in
+//     the order matrices' shape (pairWork), so a repeated derivation
+//     ORs into its pending word instead of queueing again.
+//
+// drain applies them in one fixed priority: targets, then steps, then
+// pair rows in first-touch order. By Theorem 2 a Church-Rosser
+// specification reaches the same terminal instance under every chase
+// order, so the priority decides only which invalid step a
+// non-Church-Rosser run reports first.
 type engine struct {
 	g      *Grounding
 	base   bool // base mode: template-independent only — no te, no λ, no ϕ8
@@ -54,31 +50,143 @@ type engine struct {
 	// pooled reset clears them without wiping the whole slice.
 	deadTouched []int32
 
-	queue []event
-	head  int
+	pairs    pairWork
+	stepQ    []int32 // enforceable steps, from stepHead on
+	stepHead int
+	// tgtVal/tgtID hold each attribute's pending target (tgtID NullID:
+	// none), and tgtQ, from tgtHead on, the attributes holding one in
+	// push order. A base engine never instantiates te and leaves all
+	// three nil.
+	tgtVal  []model.Value
+	tgtID   []uint32
+	tgtQ    []int32
+	tgtHead int
 
 	conflict     string
 	stepsApplied int
 }
 
-// newEngine creates a fresh engine over empty orders (base mode).
-func newEngine(g *Grounding, base bool) *engine {
+// pairWork holds an engine's pending pair derivations: per attribute, a
+// matrix of word masks in the order matrix's shape (bit b of word wi of
+// row i pending means i ⪯ (wi<<6)+b awaits enforcement), and a ring of
+// the (attribute, row) slots that hold bits, in first-touch order. A
+// slot is on the ring at most once, so the ring never holds more than
+// nattr·n entries; an attribute's matrix is allocated on its first push.
+type pairWork struct {
+	n, w   int
+	masks  [][]uint64 // [attr]: n rows of w words; nil until the first push
+	queued []bool     // [attr·n+row]: the slot is on the ring
+	ring   []int32    // circular FIFO of slots attr·n+row
+	head   int
+	size   int
+}
+
+func newPairWork(nattr, n int) pairWork {
+	return pairWork{n: n, w: (n + 63) >> 6, masks: make([][]uint64, nattr)}
+}
+
+// add ORs mask into word wi of the pending row (attr, i) and puts the
+// slot on the ring unless it is there already.
+func (p *pairWork) add(attr, i, wi int32, mask uint64) {
+	m := p.masks[attr]
+	if m == nil {
+		m = make([]uint64, p.n*p.w)
+		p.masks[attr] = m
+		if p.ring == nil {
+			p.queued = make([]bool, len(p.masks)*p.n)
+			p.ring = make([]int32, len(p.masks)*p.n)
+		}
+	}
+	m[int(i)*p.w+int(wi)] |= mask
+	if s := attr*int32(p.n) + i; !p.queued[s] {
+		p.queued[s] = true
+		t := p.head + p.size
+		if t >= len(p.ring) {
+			t -= len(p.ring)
+		}
+		p.ring[t] = s
+		p.size++
+	}
+}
+
+// pop takes the slot at the front of the ring and returns it with its
+// pending words, which the caller consumes. A later push to the slot
+// puts it back on the ring.
+func (p *pairWork) pop() (attr, i int32, row []uint64) {
+	s := p.ring[p.head]
+	if p.head++; p.head == len(p.ring) {
+		p.head = 0
+	}
+	p.size--
+	p.queued[s] = false
+	attr, i = s/int32(p.n), s%int32(p.n)
+	off := int(i) * p.w
+	return attr, i, p.masks[attr][off : off+p.w]
+}
+
+// reset drops every pending derivation. Every pending bit sits on a slot
+// on the ring, so only those slots are cleared.
+func (p *pairWork) reset() {
+	for p.size > 0 {
+		_, _, row := p.pop()
+		clear(row)
+	}
+	p.head = 0
+}
+
+// newBaseEngine creates a base-mode engine over the initial axiom state:
+// ϕ9 (equal values are mutually ⪯) and ϕ7 (null has the lowest
+// accuracy) seeded into empty orders with closure-safe bulk writes. Its
+// step state is sized by initSteps once Instantiation has run.
+func newBaseEngine(g *Grounding) *engine {
 	e := &engine{
 		g:      g,
-		base:   base,
+		base:   true,
 		orders: order.NewSet(g.nattr, g.n),
 		counts: make([][]int32, g.nattr),
-		npred:  make([]int32, len(g.steps)),
-		dead:   make([]bool, len(g.steps)),
-		pushed: make([]bool, len(g.steps)),
+		pairs:  newPairWork(g.nattr, g.n),
 	}
 	for a := range e.counts {
 		e.counts[a] = make([]int32, g.n)
 	}
-	for s := range g.steps {
-		e.npred[s] = int32(len(g.steps[s].preds))
+	if !g.useAxioms {
+		return e
+	}
+	var nulls, nonNulls []int32
+	for a := 0; a < g.nattr; a++ {
+		rel := e.orders.Attr(a)
+		nulls, nonNulls = nulls[:0], nonNulls[:0]
+		for i := 0; i < g.n; i++ {
+			if g.valID[a][i] == model.NullID {
+				nulls = append(nulls, int32(i))
+			} else {
+				nonNulls = append(nonNulls, int32(i))
+			}
+		}
+		// SetClique32 is a bitwise OR, so group order cannot matter.
+		for _, grp := range g.groups[a].members {
+			rel.SetClique32(grp)
+		}
+		rel.SetClique32(nulls)
+		rel.SetBelow32(nulls, nonNulls)
 	}
 	return e
+}
+
+// initSteps sizes the per-step state once Instantiation has materialised
+// the grounding's steps: the premise counters and pushed flags of the
+// first len(npred) steps carry over (a delta engine resumes its
+// parent's), and every later step starts with its full premise count.
+func (e *engine) initSteps(npred []int32, pushed []bool) {
+	ns := len(e.g.steps)
+	e.npred = make([]int32, ns)
+	e.dead = make([]bool, ns)
+	e.pushed = make([]bool, ns)
+	copy(e.npred, npred)
+	copy(e.pushed, pushed)
+	for s := len(npred); s < ns; s++ {
+		e.npred[s] = int32(len(e.g.steps[s].preds))
+	}
 }
 
 // newRunEngine creates an engine that continues from the grounding's
@@ -101,6 +209,11 @@ func newRunEngine(g *Grounding, pooled bool) *engine {
 		npred:  append([]int32(nil), g.baseNpred...),
 		dead:   make([]bool, len(g.steps)),
 		pushed: append([]bool(nil), g.basePushed...),
+		pairs:  newPairWork(g.nattr, g.n),
+		tgtVal: make([]model.Value, g.nattr),
+		tgtID:  make([]uint32, g.nattr),
+		// An attribute's slot fills at most once per run.
+		tgtQ: make([]int32, 0, g.nattr),
 	}
 	for a := range e.counts {
 		e.counts[a] = append([]int32(nil), g.baseCounts[a]...)
@@ -111,7 +224,9 @@ func newRunEngine(g *Grounding, pooled bool) *engine {
 // reset restores a pooled engine to the grounding's base snapshot,
 // reusing every buffer. Order matrices are restored via dirty-row
 // tracking; the flat per-step slices are rewritten wholesale (they are
-// O(n) and O(|Γ|) int32/bool copies, cheap next to the matrices).
+// O(n) and O(|Γ|) int32/bool copies, cheap next to the matrices). A
+// run that ended in a conflict may leave work pending: reset clears the
+// pair slots on the ring and the pending target slots, and only those.
 func (e *engine) reset() {
 	g := e.g
 	e.orders.ResetFrom(g.baseOrders)
@@ -129,8 +244,12 @@ func (e *engine) reset() {
 		e.teID[a] = model.NullID
 	}
 	clear(e.form2More)
-	e.queue = e.queue[:0]
-	e.head = 0
+	e.pairs.reset()
+	for _, a := range e.tgtQ[e.tgtHead:] {
+		e.tgtVal[a], e.tgtID[a] = model.Value{}, model.NullID
+	}
+	e.tgtQ, e.tgtHead = e.tgtQ[:0], 0
+	e.stepQ, e.stepHead = e.stepQ[:0], 0
 	e.conflict = ""
 	e.stepsApplied = 0
 }
@@ -146,19 +265,45 @@ func (e *engine) markDead(s int32) {
 }
 
 func (e *engine) pushPair(attr, i, j int32) {
-	e.queue = append(e.queue, event{kind: evPair, attr: attr, i: i, j: j})
+	e.pushPairMask(attr, i, j>>6, 1<<(uint32(j)&63))
 }
 
-// pushPairMask enqueues a whole word of pairs at once: i ⪯attr (wi<<6)+b
-// for every set bit b of mask. One queue entry replaces up to 64 evPair
-// entries — the event-queue churn the correlation cascade used to pay
-// per pair on large entities.
+// pushPairMask records i ⪯attr (wi<<6)+b as pending for every set bit b
+// of mask. Bits already in the order row are dropped and a bit already
+// pending coalesces, so a derivation repeated any number of times costs
+// one pending bit; applyPair's Has check stays the final word on pairs
+// derived between the push and the drain.
 func (e *engine) pushPairMask(attr, i, wi int32, mask uint64) {
-	e.queue = append(e.queue, event{kind: evPairMask, attr: attr, i: i, j: wi, mask: mask})
+	if mask &^= e.orders.Attr(int(attr)).Word(int(i), int(wi)); mask != 0 {
+		e.pairs.add(attr, i, wi, mask)
+	}
 }
 
+// pushTarget records te[attr] = v as pending (vid is v's dictionary ID).
+// A value that disagrees with te[attr], or with the target already
+// pending for attr, is the target conflict; one that agrees is a no-op.
 func (e *engine) pushTarget(attr int32, v model.Value, vid uint32) {
-	e.queue = append(e.queue, event{kind: evTarget, attr: attr, val: v, vid: vid})
+	if e.conflict != "" {
+		return
+	}
+	var cur model.Value
+	switch {
+	case e.teID[attr] != model.NullID:
+		if e.teID[attr] == vid {
+			return
+		}
+		cur = e.te.At(int(attr))
+	case e.tgtID[attr] != model.NullID:
+		if e.tgtID[attr] == vid {
+			return
+		}
+		cur = e.tgtVal[attr]
+	default:
+		e.tgtVal[attr], e.tgtID[attr] = v, vid
+		e.tgtQ = append(e.tgtQ, attr)
+		return
+	}
+	e.conflict = fmt.Sprintf("target conflict on %s: %s vs %s", e.g.schema.Attr(int(attr)), cur, v)
 }
 
 func (e *engine) pushStep(s int32) {
@@ -166,33 +311,51 @@ func (e *engine) pushStep(s int32) {
 		return
 	}
 	e.pushed[s] = true
-	e.queue = append(e.queue, event{kind: evStep, idx: s})
+	e.stepQ = append(e.stepQ, s)
 }
 
-// drain processes the worklist to exhaustion or to the first conflict.
+// drain processes the worklist to exhaustion or to the first conflict,
+// in one fixed priority: pending targets first, then ground steps, then
+// pending pair rows in ring (first-touch) order.
 func (e *engine) drain() {
-	for e.head < len(e.queue) && e.conflict == "" {
-		ev := e.queue[e.head]
-		e.head++
-		switch ev.kind {
-		case evPair:
-			e.applyPair(ev.attr, ev.i, ev.j)
-		case evPairMask:
-			e.applyPairMask(ev.attr, ev.i, ev.j, ev.mask)
-		case evTarget:
-			e.applyTarget(ev.attr, ev.val, ev.vid)
-		case evStep:
-			e.applyStep(ev.idx)
+	for e.conflict == "" {
+		switch {
+		case e.tgtHead < len(e.tgtQ):
+			e.tgtHead++
+			e.applyTarget(e.tgtQ[e.tgtHead-1])
+		case e.stepHead < len(e.stepQ):
+			e.stepHead++
+			e.applyStep(e.stepQ[e.stepHead-1])
+		case e.pairs.size > 0:
+			e.applyRow(e.pairs.pop())
+		default:
+			return
 		}
 	}
-	if e.pooled {
-		// Keep the buffer: the next run refills it after reset().
-		e.queue = e.queue[:0]
-	} else {
-		// Release the queue memory for long-lived engines.
-		e.queue = nil
+}
+
+// applyRow enforces the pending pairs of one (attr, i) slot through
+// applyPair, word by word. A push that lands on the row meanwhile puts
+// the slot back on the ring. A conflict stops the row part-way; the
+// words it did not reach are dropped with it, so every bit still
+// pending afterwards sits on a slot on the ring, where a pooled reset
+// finds it.
+func (e *engine) applyRow(attr, i int32, row []uint64) {
+	rel := e.orders.Attr(int(attr))
+	for wi, m := range row {
+		if m == 0 {
+			continue
+		}
+		row[wi] = 0
+		base := int32(wi) << 6
+		for m &^= rel.Word(int(i), wi); m != 0; m &= m - 1 {
+			e.applyPair(attr, i, base+int32(bits.TrailingZeros64(m)))
+			if e.conflict != "" {
+				clear(row[wi+1:])
+				return
+			}
+		}
 	}
-	e.head = 0
 }
 
 func (e *engine) applyStep(s int32) {
@@ -227,27 +390,12 @@ func (e *engine) applyPair(attr, i, j int32) {
 	}
 }
 
-// applyPairMask expands a masked pair event bit by bit through
-// applyPair; most bits are no-ops (already derived by the closure
-// insertion that queued the mask), so the win is purely fewer queue
-// entries, not less derivation work.
-func (e *engine) applyPairMask(attr, i, wi int32, mask uint64) {
-	base := wi << 6
-	for m := mask; m != 0; m &= m - 1 {
-		if e.conflict != "" {
-			return
-		}
-		e.applyPair(attr, i, base+int32(bits.TrailingZeros64(m)))
-	}
-}
-
 // derivedWord post-processes one word of newly derived pairs
 // x ⪯attr (wi<<6)+b for each set bit b of diff — conflict detection, λ
 // bookkeeping and trigger firing per bit, then correlation propagation
-// for the word as a whole. It is the word-at-a-time form of the old
-// per-pair derivedPair callback: the per-attribute lookups are hoisted
-// out of the bit loop, and the correlation cascade enqueues one masked
-// event per (rule, word) instead of one event per pair.
+// for the word as a whole. The per-attribute lookups are hoisted out of
+// the bit loop, and the correlation cascade pushes one mask per (rule,
+// word) instead of one pair at a time.
 func (e *engine) derivedWord(attr int32, rel *order.Relation, x int32, wi int, diff uint64) {
 	ids := e.g.valID[attr]
 	counts := e.counts[attr]
@@ -264,13 +412,13 @@ func (e *engine) derivedWord(attr int32, rel *order.Relation, x int32, wi int, d
 			if !e.base && counts[y] == nm1 {
 				// λ: y now dominates every other tuple.
 				if vid := ids[y]; vid != model.NullID {
-					switch cur := e.teID[attr]; {
-					case cur == model.NullID:
-						e.pushTarget(attr, e.g.vals[attr][y], vid)
-					case cur != vid:
+					if cur := e.teID[attr]; cur != model.NullID && cur != vid {
 						e.conflict = fmt.Sprintf(
 							"λ conflict on %s: maximum value %s contradicts te value %s",
 							e.g.schema.Attr(int(attr)), e.g.vals[attr][y], e.te.At(int(attr)))
+						return
+					}
+					if e.pushTarget(attr, e.g.vals[attr][y], vid); e.conflict != "" {
 						return
 					}
 				}
@@ -309,23 +457,10 @@ func (e *engine) fireOrderRefs(refs []predRef) {
 	}
 }
 
-// fireCorr propagates a derived pair through the correlated-attribute
-// rules registered on attr.
-func (e *engine) fireCorr(attr, x, y int32) {
-	for _, cr := range e.g.corrs[attr] {
-		if cr.strict && e.g.valEq(attr, x, y) {
-			continue
-		}
-		if e.g.holdsAll(cr.extra, x, y) {
-			e.pushPair(cr.toAttr, x, y)
-		}
-	}
-}
-
 // fireCorrWord propagates one word of derived pairs (x, base+b for each
 // set bit b of diff) through the correlated-attribute rules: per rule,
 // the bits failing the rule's premises are masked off and the survivors
-// go out as a single evPairMask event. A rule with no strictness and no
+// are pushed as one pending mask. A rule with no strictness and no
 // extra premises — the common shape — forwards the whole word without
 // touching any bit.
 func (e *engine) fireCorrWord(attr, x int32, wi int, diff uint64) {
@@ -351,24 +486,18 @@ func (e *engine) fireCorrWord(attr, x int32, wi int, diff uint64) {
 	}
 }
 
-// applyTarget enforces te[attr] = v: no-op when already set to v, a
-// conflict when set differently, otherwise an instantiation that fires
-// the target triggers and the built-in axiom ϕ8. Equality against the
-// current te value is an ID comparison (vid is v's dictionary ID).
-func (e *engine) applyTarget(attr int32, v model.Value, vid uint32) {
-	if e.conflict != "" || e.base {
-		return
-	}
-	if cur := e.teID[attr]; cur != model.NullID {
-		if cur != vid {
-			e.conflict = fmt.Sprintf("target conflict on %s: %s vs %s",
-				e.g.schema.Attr(int(attr)), e.te.At(int(attr)), v)
-		}
-		return
-	}
+// applyTarget instantiates te[attr] with its pending target, then fires
+// the form-(2) entries and target triggers waiting on it and the
+// built-in axiom ϕ8. pushTarget settled every disagreement, so te[attr]
+// is still null here. Equality against te values is an ID comparison.
+func (e *engine) applyTarget(attr int32) {
+	v, vid := e.tgtVal[attr], e.tgtID[attr]
+	e.tgtVal[attr], e.tgtID[attr] = model.Value{}, model.NullID
 	e.teID[attr] = vid
 	e.te.SetAtID(int(attr), v, e.g.dict, vid)
-	e.fireForm2(attr, vid)
+	if e.fireForm2(attr, vid); e.conflict != "" {
+		return
+	}
 	// Target triggers are layered by grounding version like the order
 	// triggers; step indices are global across the layers, so one npred
 	// array serves them all.

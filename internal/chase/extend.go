@@ -86,7 +86,8 @@ func (g *Grounding) Extend(tuples ...*model.Tuple) (*Grounding, error) {
 		ng.ancestors = append(ng.ancestors, l)
 	}
 	ng.extendValues(g)
-	zero := ng.ground(int32(g.n))
+	e := newDeltaEngine(ng, g)
+	ng.ground(int32(g.n), e)
 	if len(ng.ancestors) > maxTrigLayers {
 		ng.compactTriggers()
 	}
@@ -94,7 +95,7 @@ func (g *Grounding) Extend(tuples ...*model.Tuple) (*Grounding, error) {
 	for _, l := range ng.ancestors {
 		ng.hasOrderTrig = ng.hasOrderTrig || len(l.orderTrig) > 0
 	}
-	ng.baseChaseDelta(g, zero)
+	ng.baseChaseDelta(g, e)
 	return ng, nil
 }
 
@@ -169,33 +170,27 @@ func (ng *Grounding) extendValues(p *Grounding) {
 
 // newDeltaEngine primes a base-mode engine with the parent's terminal
 // base state, extended to the new instance size: order matrices grow
-// empty rows for the new tuples, λ counts and premise counters carry
-// over, and the new steps start with their full premise counts.
+// empty rows for the new tuples and λ counts carry over. Its step state
+// is sized by initSteps once delta Instantiation has run.
 func newDeltaEngine(ng, p *Grounding) *engine {
 	e := &engine{
-		g:      ng,
-		base:   true,
-		orders: p.baseOrders.Extend(ng.n - p.n),
-		counts: make([][]int32, ng.nattr),
-		npred:  make([]int32, len(ng.steps)),
-		dead:   make([]bool, len(ng.steps)),
-		pushed: make([]bool, len(ng.steps)),
+		g:            ng,
+		base:         true,
+		orders:       p.baseOrders.Extend(ng.n - p.n),
+		counts:       make([][]int32, ng.nattr),
+		pairs:        newPairWork(ng.nattr, ng.n),
+		stepsApplied: p.baseSteps,
 	}
 	for a := range e.counts {
 		e.counts[a] = make([]int32, ng.n)
 		copy(e.counts[a], p.baseCounts[a])
 	}
-	copy(e.npred, p.baseNpred)
-	for s := len(p.steps); s < len(ng.steps); s++ {
-		e.npred[s] = int32(len(ng.steps[s].preds))
-	}
-	copy(e.pushed, p.basePushed)
-	e.stepsApplied = p.baseSteps
 	return e
 }
 
 // baseChaseDelta resumes the template-independent base chase from the
-// parent's terminal state. Monotonicity is what makes resumption sound:
+// parent's terminal state, with the delta's zero-premise pairs already
+// pushed into e by ground. Monotonicity is what makes resumption sound:
 // a chase step enforced by the parent stays enforced under more
 // evidence, so only the new tuples' axiom seeds, the delta ground steps
 // and old steps whose premises the new facts complete need replaying.
@@ -204,8 +199,10 @@ func newDeltaEngine(ng, p *Grounding) *engine {
 // both paths run through the same engine the fresh base chase uses.
 //
 //relacc:grounding-builder
-func (ng *Grounding) baseChaseDelta(p *Grounding, zeroPairs []packedPair) {
-	e := newDeltaEngine(ng, p)
+func (ng *Grounding) baseChaseDelta(p *Grounding, e *engine) {
+	// Premise counters and pushed flags carry over; the new steps start
+	// with their full premise counts.
+	e.initSteps(p.baseNpred, p.basePushed)
 	if p.baseConflict != "" {
 		// The old evidence already made the base chase conflict; more
 		// evidence cannot retract an enforced step.
@@ -215,9 +212,6 @@ func (ng *Grounding) baseChaseDelta(p *Grounding, zeroPairs []packedPair) {
 	}
 	if ng.useAxioms {
 		ng.seedDeltaAxioms(e, p.n)
-	}
-	for _, pr := range zeroPairs {
-		e.pushPair(pr.attr, pr.i, pr.j)
 	}
 	for s := len(p.steps); s < len(ng.steps); s++ {
 		if e.npred[s] == 0 {
@@ -233,7 +227,7 @@ func (ng *Grounding) baseChaseDelta(p *Grounding, zeroPairs []packedPair) {
 // with closure-safe bulk writes, the delta runs against a populated
 // relation, so every seed goes through applyPair and gets closure
 // propagation, trigger firing and correlation cascades for free.
-// Already-derived pairs are no-ops.
+// Already-derived pairs are dropped at the push.
 func (ng *Grounding) seedDeltaAxioms(e *engine, oldN int) {
 	for a := 0; a < ng.nattr; a++ {
 		aa := int32(a)

@@ -260,9 +260,10 @@ func (sh *Shared) NewGrounding(ie *model.EntityInstance, opts Options) (*Groundi
 		g.verdicts = vcache.New[verdictEntry](opts.VerdictCacheCap)
 	}
 	g.indexValues()
-	zero := g.ground(0)
+	e := newBaseEngine(g)
+	g.ground(0, e)
 	g.hasOrderTrig = len(g.orderTrig) > 0
-	g.baseChase(zero)
+	g.baseChase(e)
 	return g, nil
 }
 

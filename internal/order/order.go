@@ -95,6 +95,10 @@ func (r *Relation) Has(i, j int) bool {
 	return r.rows[i*r.w+(j>>6)]&(1<<(uint(j)&63)) != 0
 }
 
+// Word returns word wi of row i: bit b is set when i ⪯ (wi<<6)+b has
+// been derived.
+func (r *Relation) Word(i, wi int) uint64 { return r.rows[i*r.w+wi] }
+
 // markRow records that row i diverged from the snapshot this relation
 // was cloned from; a no-op on untracked relations.
 func (r *Relation) markRow(i int) {

@@ -316,6 +316,12 @@ func TestBitIndexBeyondWordBoundary(t *testing.T) {
 		if !r.Has(p[0], p[1]) {
 			t.Errorf("Has(%d, %d) = false after Add", p[0], p[1])
 		}
+		if r.Word(p[0], p[1]>>6)>>(p[1]&63)&1 == 0 {
+			t.Errorf("Word(%d, %d) lacks bit %d", p[0], p[1]>>6, p[1]&63)
+		}
+	}
+	if got := r.Word(0, 1); got != 1|1<<1 {
+		t.Errorf("Word(0, 1) = %#x, want bits 64 and 65 only", got)
 	}
 	// Spot-check neighbouring bits stayed clear (no closure links them).
 	for _, p := range [][2]int{{0, 62}, {0, 66}, {1, 126}, {2, 128}, {128, 0}} {

@@ -22,7 +22,10 @@
 #                            cache on (the default): a hit    (PR 7)
 #   BenchmarkTopKCT900       one TopKCT search, k=15, on the Fig 6(i)
 #                            workload (‖Ie‖ = 900), verdict cache off
-#   BenchmarkIncrementalAdd  delta instantiation vs rebuild   (PR 3/4)
+#   BenchmarkIncrementalAdd  delta instantiation vs rebuild; the
+#                            rebuild's B/op is what one grounding
+#                            allocates, which the bounded chase
+#                            worklist keeps near its order matrices
 #   BenchmarkUpdaterApply    disjoint-key batch on the sharded
 #                            live-entity store, 1 vs N workers (PR 5)
 #   BenchmarkWALAppend       per-batch durable-log cost, with and
