@@ -365,7 +365,12 @@ func BenchmarkTopKCT900(b *testing.B) {
 // Shared is prebuilt for both, so the comparison isolates per-instance
 // work). The delta path must show strictly lower ns/op and allocs/op —
 // it grounds O(‖Σ‖·n) new pairs instead of O(‖Σ‖·n²) — and this
-// benchmark tracks that win over time at the Fig 6(i) scales.
+// benchmark tracks that win over time at the Fig 6(i) scales. Two more
+// legs time Extend on other delta shapes: Ie=300/extend64 absorbs the
+// last 64 tuples in one Extend, whose new tuples are axiom-seeded among
+// themselves as a block, and Med/extend absorbs the last tuple of each
+// gen.Med entity in turn (rows resolved against the Shared's base, as
+// csvio decodes them) — the one-tuple append relaccd runs per request.
 func BenchmarkIncrementalAdd(b *testing.B) {
 	for _, size := range []int{300, 900} {
 		cfg := gen.SynDefault()
@@ -378,23 +383,37 @@ func BenchmarkIncrementalAdd(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		base := model.NewEntityInstance(full.Schema())
-		for i := 0; i < full.Size()-1; i++ {
-			base.MustAdd(full.Tuple(i))
+		prefix := func(d int) (*chase.Grounding, []*model.Tuple) {
+			base := model.NewEntityInstance(full.Schema())
+			for i := 0; i < full.Size()-d; i++ {
+				base.MustAdd(full.Tuple(i))
+			}
+			g, err := sh.NewGrounding(base, chase.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return g, full.Tuples()[full.Size()-d:]
 		}
-		last := full.Tuple(full.Size() - 1)
-		g, err := sh.NewGrounding(base, chase.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		g, last := prefix(1)
 		b.Run(fmt.Sprintf("Ie=%d/extend", size), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := g.Extend(last); err != nil {
+				if _, err := g.Extend(last...); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+		if size == 300 {
+			g64, last64 := prefix(64)
+			b.Run("Ie=300/extend64", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := g64.Extend(last64...); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 		b.Run(fmt.Sprintf("Ie=%d/rebuild", size), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -404,6 +423,46 @@ func BenchmarkIncrementalAdd(b *testing.B) {
 			}
 		})
 	}
+	b.Run("Med/extend", func(b *testing.B) {
+		cfg := gen.MedConfig()
+		cfg.NumEntities = 300
+		ds := gen.Generate(cfg)
+		sh, err := chase.NewShared(ds.Schema, ds.Master, ds.Rules)
+		if err != nil {
+			b.Fatal(err)
+		}
+		type delta struct {
+			g    *chase.Grounding
+			last *model.Tuple
+		}
+		var deltas []delta
+		for _, e := range ds.Entities {
+			n := e.Instance.Size()
+			if n < 2 {
+				continue
+			}
+			base := model.NewEntityInstance(ds.Schema)
+			for i, t := range e.Instance.Tuples() {
+				t.Resolve(sh.Dict())
+				if i < n-1 {
+					base.MustAdd(t)
+				}
+			}
+			g, err := sh.NewGrounding(base, chase.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			deltas = append(deltas, delta{g, e.Instance.Tuple(n - 1)})
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d := deltas[i%len(deltas)]
+			if _, err := d.g.Extend(d.last); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkUpdaterApply measures one Apply batch over 32 disjoint-key

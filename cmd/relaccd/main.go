@@ -73,7 +73,7 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable store directory (WAL + snapshots); empty = memory-only")
 	fsync := flag.String("fsync", "always", "WAL sync policy: always, interval or never")
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "cadence of -fsync=interval")
-	snapshotEvery := flag.Int("snapshot-every", 0, "checkpoint after every N appends (0 = only on shutdown / POST /v1/snapshot)")
+	snapshotEvery := flag.Int("snapshot-every", 0, "checkpoint after every N appends (0 = only on shutdown / POST /v1/snapshot); a snapshot is one frame of at most 64 MiB, about 30,000 Med-shaped entities at ~2.2 KB each, past which checkpoints are refused and the log is not truncated (ROADMAP item 4)")
 	maxEntityTuples := flag.Int("max-entity-tuples", 0, "evidence tuples one entity may accumulate; appends past it fail with 422 (0 = unbounded)")
 	window := flag.Int("window", 0, "max open entities while streaming the seed (0 = unbounded; a bound needs the seed grouped in contiguous -by runs, e.g. sorted)")
 	verdictCache := flag.Bool("verdict-cache", true, "memoise chase candidate checks per grounding version")

@@ -103,9 +103,15 @@
 // only new steps and newly enforceable old steps replay), and returns
 // a NEW immutable grounding version. Immutability is per version:
 // in-flight checkers keep reading the old version; the new one shares
-// the old step prefix and trigger layers. Every Run, check and top-k
+// the old step prefix and trigger layers. There is one grounding
+// builder: a fresh grounding is the extension of the Shared's empty
+// grounding by its whole instance, so NewGrounding and Extend index
+// values, seed the axioms, instantiate and chase a block of new tuples
+// the same way. Among themselves the new tuples' axioms are written in
+// bulk; only their pairs with older tuples, which a fresh grounding
+// has none of, go through the worklist. Every Run, check and top-k
 // answer of an extended grounding is byte-identical to a fresh
-// grounding over the full instance (extend_test.go).
+// grounding over the full instance (extend_test.go, block_test.go).
 package chase
 
 import (
@@ -327,7 +333,6 @@ type Grounding struct {
 	baseCounts   [][]int32
 	baseNpred    []int32
 	basePushed   []bool
-	baseSteps    int
 	baseConflict string
 
 	// ancestors holds the trigger layers of earlier versions of this
@@ -466,127 +471,75 @@ func (gr *idGroups) find(id uint32) []int32 {
 	return nil
 }
 
-// extend returns the groups over the grown ID row ids (the receiver
-// covers the first oldN entries). True copy-on-append: a group gaining
-// no member shares its member slice with the parent, so the parent —
-// which in-flight checkers on the old grounding version may still be
-// reading — is never written.
+// extend returns the groups over the grown ID row ids, of which the
+// receiver covers the first oldN entries (none, for a fresh grounding).
+// The new tuples' indices are sorted by (ID, index) into one slice, and
+// a group with no old member is a sub-slice of it. True copy-on-append:
+// a group gaining no member shares its member slice with the receiver,
+// and a grown old group is copied, with its new members, into one
+// backing array for all of them, so the receiver — which in-flight
+// checkers on the old grounding version may still be reading — is
+// never written. Members stay in ascending tuple order, and every
+// member slice has exact capacity, so none is shared with spare room a
+// later version could append into.
 func (gr *idGroups) extend(ids []uint32, oldN int) idGroups {
-	type pr struct {
-		id  uint32
-		idx int32
-	}
-	var added []pr
+	idx := make([]int32, 0, len(ids)-oldN)
 	for i := oldN; i < len(ids); i++ {
 		if ids[i] != model.NullID {
-			added = append(added, pr{ids[i], int32(i)})
-		}
-	}
-	if len(added) == 0 {
-		return *gr
-	}
-	sort.Slice(added, func(x, y int) bool {
-		if added[x].id != added[y].id {
-			return added[x].id < added[y].id
-		}
-		return added[x].idx < added[y].idx
-	})
-	grown := 0
-	for k := 0; k < len(added); {
-		id := added[k].id
-		for k < len(added) && added[k].id == id {
-			k++
-		}
-		grown++
-	}
-	out := idGroups{
-		ids:     make([]uint32, 0, len(gr.ids)+grown),
-		members: make([][]int32, 0, len(gr.ids)+grown),
-	}
-	gi, k := 0, 0
-	for gi < len(gr.ids) || k < len(added) {
-		switch {
-		case k >= len(added) || (gi < len(gr.ids) && gr.ids[gi] < added[k].id):
-			// Untouched group: share the parent's member slice.
-			out.ids = append(out.ids, gr.ids[gi])
-			out.members = append(out.members, gr.members[gi])
-			gi++
-		default:
-			id := added[k].id
-			start := k
-			for k < len(added) && added[k].id == id {
-				k++
-			}
-			var old []int32
-			if gi < len(gr.ids) && gr.ids[gi] == id {
-				old = gr.members[gi]
-				gi++
-			}
-			// Old members (all < oldN) then new ones keeps ascending
-			// tuple order; exact capacity so the slice is never shared
-			// with spare room a later version could append into.
-			nm := make([]int32, 0, len(old)+k-start)
-			nm = append(nm, old...)
-			for x := start; x < k; x++ {
-				nm = append(nm, added[x].idx)
-			}
-			out.ids = append(out.ids, id)
-			out.members = append(out.members, nm)
-		}
-	}
-	return out
-}
-
-// buildGroups groups tuple indices by their value ID. All member
-// slices share one backing array; members within a group are in
-// ascending tuple order.
-func buildGroups(ids []uint32) idGroups {
-	idx := make([]int32, 0, len(ids))
-	for i, id := range ids {
-		if id != model.NullID {
 			idx = append(idx, int32(i))
 		}
 	}
+	if len(idx) == 0 {
+		return *gr
+	}
 	sort.Slice(idx, func(x, y int) bool {
-		a, b := ids[idx[x]], ids[idx[y]]
-		if a != b {
+		if a, b := ids[idx[x]], ids[idx[y]]; a != b {
 			return a < b
 		}
 		return idx[x] < idx[y]
 	})
-	var out idGroups
-	for start := 0; start < len(idx); {
-		id := ids[idx[start]]
-		end := start
-		for end < len(idx) && ids[idx[end]] == id {
-			end++
+	added, carried := 0, 0
+	for k, i := range idx {
+		if k > 0 && ids[i] == ids[idx[k-1]] {
+			continue
+		}
+		if old := gr.find(ids[i]); old != nil {
+			carried += len(old)
+		} else {
+			added++
+		}
+	}
+	out := idGroups{
+		ids:     make([]uint32, 0, len(gr.ids)+added),
+		members: make([][]int32, 0, len(gr.ids)+added),
+	}
+	var grown []int32
+	if carried > 0 {
+		grown = make([]int32, 0, carried+len(idx))
+	}
+	gi := 0
+	for k := 0; k < len(idx); {
+		id, start := ids[idx[k]], k
+		for k < len(idx) && ids[idx[k]] == id {
+			k++
+		}
+		for ; gi < len(gr.ids) && gr.ids[gi] < id; gi++ {
+			out.ids = append(out.ids, gr.ids[gi])
+			out.members = append(out.members, gr.members[gi])
+		}
+		m := idx[start:k:k]
+		if gi < len(gr.ids) && gr.ids[gi] == id {
+			b := len(grown)
+			grown = append(append(grown, gr.members[gi]...), m...)
+			m = grown[b:len(grown):len(grown)]
+			gi++
 		}
 		out.ids = append(out.ids, id)
-		out.members = append(out.members, idx[start:end:end])
-		start = end
+		out.members = append(out.members, m)
 	}
+	out.ids = append(out.ids, gr.ids[gi:]...)
+	out.members = append(out.members, gr.members[gi:]...)
 	return out
-}
-
-// indexValues builds the per-attribute value/ID indexes and position
-// groups during construction.
-//
-//relacc:grounding-builder
-func (g *Grounding) indexValues() {
-	n, na := g.n, g.nattr
-	g.valID = make([][]uint32, na)
-	g.vals = make([][]model.Value, na)
-	g.groups = make([]idGroups, na)
-	g.targetTrig = make([][]predRef, na)
-	for a := 0; a < na; a++ {
-		g.valID[a] = make([]uint32, n)
-		g.vals[a] = make([]model.Value, n)
-		for i := 0; i < n; i++ {
-			t := g.ie.Tuple(i)
-			g.vals[a][i], g.valID[a][i] = t.At(a), g.dict.InternAt(t, a)
-		}
-		g.groups[a] = buildGroups(g.valID[a])
-	}
 }
 
 // NumDistinct returns how many distinct non-null values attribute a
@@ -643,11 +596,11 @@ func (g *Grounding) valEq(attr, i, j int32) bool {
 // base engine e's pending masks, which deduplicate them across rules
 // (rule sets often contain several rules with the same consequence, per
 // the paper's Exp setup) and drop those the seeded orders already hold.
-// Only pairs (i, j) with i >= oldN or j >= oldN are visited: a fresh
-// grounding passes oldN == 0 (all pairs), while Extend's delta
-// Instantiation passes the previous instance size, so its work is the
-// new-tuple × existing-tuple and new-tuple × new-tuple pairs —
-// O(‖Σ‖·d·n) for d added tuples instead of the full O(‖Σ‖·n²) rebuild.
+// Only pairs (i, j) with i >= oldN or j >= oldN are visited, where oldN
+// is the parent version's instance size: 0 for a fresh grounding (all
+// pairs), so an Extend's work is the new-tuple × existing-tuple and
+// new-tuple × new-tuple pairs — O(‖Σ‖·d·n) for d added tuples instead
+// of the full O(‖Σ‖·n²) rebuild.
 func (g *Grounding) ground(oldN int32, e *engine) {
 	ok2 := make([]bool, g.n)
 	for k := range g.form1 {
@@ -883,59 +836,6 @@ func (g *Grounding) addStep(st groundStep) {
 			g.targetTrig[p.attr] = append(g.targetTrig[p.attr], ref)
 		}
 	}
-}
-
-// baseChase chases every template-independent consequence of the
-// seeded axiom state and of the zero-premise pairs ground pushed into e
-// (order-triggered steps, correlation cascades) into the base snapshot
-// reused by Run.
-func (g *Grounding) baseChase(e *engine) {
-	e.initSteps(nil, nil)
-	// Derive column counts of the seeded state, reusing one buffer
-	// across the attributes.
-	cbuf := make([]int, g.n)
-	for a := 0; a < g.nattr; a++ {
-		for j, c := range e.orders.Attr(a).ColumnCountsInto(cbuf) {
-			e.counts[a][j] = int32(c)
-		}
-	}
-	// Fire order triggers already satisfied by the seeded state, in
-	// deterministic key order.
-	keys := make([]uint64, 0, len(g.orderTrig))
-	for k := range g.orderTrig {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		attr, i, j := trigKeyDecode(k)
-		if e.orders.Attr(int(attr)).Has(int(i), int(j)) {
-			e.fireOrderKey(k)
-		}
-	}
-	// Fire correlation rules on the seeded pairs, a row word at a time.
-	// (Only the axioms seed pairs, and they seed every reflexive pair on
-	// every attribute, so the push drops the i ⪯ i a row's own bit
-	// forwards.)
-	for a := 0; a < g.nattr; a++ {
-		if len(g.corrs[a]) == 0 {
-			continue
-		}
-		rel := e.orders.Attr(a)
-		for i := 0; i < g.n; i++ {
-			for wi := 0; wi<<6 < g.n; wi++ {
-				if w := rel.Word(i, wi); w != 0 {
-					e.fireCorrWord(int32(a), int32(i), wi, w)
-				}
-			}
-		}
-	}
-	for s := range g.steps {
-		if e.npred[s] == 0 {
-			e.pushStep(int32(s))
-		}
-	}
-	e.drain()
-	g.snapshotBase(e)
 }
 
 // Run chases the specification with the given initial target template

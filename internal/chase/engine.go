@@ -134,49 +134,30 @@ func (p *pairWork) reset() {
 	p.head = 0
 }
 
-// newBaseEngine creates a base-mode engine over the initial axiom state:
-// ϕ9 (equal values are mutually ⪯) and ϕ7 (null has the lowest
-// accuracy) seeded into empty orders with closure-safe bulk writes. Its
-// step state is sized by initSteps once Instantiation has run.
-func newBaseEngine(g *Grounding) *engine {
+// newBaseEngine primes a base-mode engine for g with p's terminal base
+// state, grown to g's instance: the order matrices gain empty rows and
+// columns for the new tuples and the λ counts carry over. seedAxioms
+// seeds the new tuples' axioms into it, and initSteps sizes its step
+// state once Instantiation has run.
+func newBaseEngine(g, p *Grounding) *engine {
 	e := &engine{
 		g:      g,
 		base:   true,
-		orders: order.NewSet(g.nattr, g.n),
+		orders: p.baseOrders.Extend(g.n - p.n),
 		counts: make([][]int32, g.nattr),
 		pairs:  newPairWork(g.nattr, g.n),
 	}
 	for a := range e.counts {
 		e.counts[a] = make([]int32, g.n)
-	}
-	if !g.useAxioms {
-		return e
-	}
-	var nulls, nonNulls []int32
-	for a := 0; a < g.nattr; a++ {
-		rel := e.orders.Attr(a)
-		nulls, nonNulls = nulls[:0], nonNulls[:0]
-		for i := 0; i < g.n; i++ {
-			if g.valID[a][i] == model.NullID {
-				nulls = append(nulls, int32(i))
-			} else {
-				nonNulls = append(nonNulls, int32(i))
-			}
-		}
-		// SetClique32 is a bitwise OR, so group order cannot matter.
-		for _, grp := range g.groups[a].members {
-			rel.SetClique32(grp)
-		}
-		rel.SetClique32(nulls)
-		rel.SetBelow32(nulls, nonNulls)
+		copy(e.counts[a], p.baseCounts[a])
 	}
 	return e
 }
 
 // initSteps sizes the per-step state once Instantiation has materialised
 // the grounding's steps: the premise counters and pushed flags of the
-// first len(npred) steps carry over (a delta engine resumes its
-// parent's), and every later step starts with its full premise count.
+// first len(npred) steps carry over (the engine resumes the parent
+// version's), and every later step starts with its full premise count.
 func (e *engine) initSteps(npred []int32, pushed []bool) {
 	ns := len(e.g.steps)
 	e.npred = make([]int32, ns)

@@ -2,8 +2,10 @@ package chase
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
+	"repro/internal/vcache"
 )
 
 // Extend absorbs new evidence tuples into the grounded specification
@@ -16,26 +18,25 @@ import (
 // shares only the step prefix and the (bounded) trigger layers — so
 // superseded versions are garbage-collected once their readers finish.
 //
-// Extend is the delta form of the paper's Instantiation (Section 5):
-// only the new-tuple × existing-tuple and new-tuple × new-tuple pairs
-// are partially evaluated — O(‖Σ‖·d·n) ground work for d added tuples
-// instead of the O(‖Σ‖·n²) full rebuild — against the same precompiled
-// form-(2) index the parent uses (it depends on master data and te
-// conditions only, never on Ie). The template-independent base chase
-// then RESUMES from the parent's terminal state rather than replaying
-// from scratch: the chase is monotone, so every consequence the parent
-// enforced stays enforced, and only the new tuples' axiom seeds, the
-// newly grounded steps and any old steps they newly enable are chased.
-// The result answers exactly like grounding the full instance fresh:
-// deduced targets, CR verdicts, terminal orders, step counts, top-k
-// candidates and stats are byte-identical (enforced by extend_test.go
-// and the core equivalence tests). The one deliberate exception is the
-// conflict WITNESS of a non-Church-Rosser specification: which invalid
-// step gets reported first depends on enforcement order, so the
-// Conflict string may name a different (equally valid) culprit than a
-// fresh grounding's.
-//
-//relacc:grounding-builder
+// Extend runs the same builder as a fresh grounding, which is the
+// extension of the empty grounding: only the new-tuple × existing-tuple
+// and new-tuple × new-tuple pairs are partially evaluated — O(‖Σ‖·d·n)
+// ground work for d added tuples instead of the O(‖Σ‖·n²) full rebuild
+// — against the same precompiled form-(2) index the parent uses (it
+// depends on master data and te conditions only, never on Ie). The
+// template-independent base chase then RESUMES from the parent's
+// terminal state rather than replaying from scratch: the chase is
+// monotone, so every consequence the parent enforced stays enforced,
+// and only the new tuples' axiom seeds, the newly grounded steps and
+// any old steps they newly enable are chased. The result answers
+// exactly like grounding the full instance fresh: deduced targets, CR
+// verdicts, terminal orders, step counts, top-k candidates and stats
+// are byte-identical (enforced by extend_test.go and the core
+// equivalence tests). The one deliberate exception is the conflict
+// WITNESS of a non-Church-Rosser specification: which invalid step gets
+// reported first depends on enforcement order, so the Conflict string
+// may name a different (equally valid) culprit than a fresh
+// grounding's.
 func (g *Grounding) Extend(tuples ...*model.Tuple) (*Grounding, error) {
 	if len(tuples) == 0 {
 		return g, nil
@@ -48,55 +49,67 @@ func (g *Grounding) Extend(tuples ...*model.Tuple) (*Grounding, error) {
 		return nil, fmt.Errorf("chase: instance would hold %d tuples, limit is %d",
 			ie2.Size(), maxTuples-1)
 	}
-	ng := &Grounding{
-		ie:        ie2,
-		im:        g.im,
-		schema:    g.schema,
-		n:         ie2.Size(),
-		nattr:     g.nattr,
-		useAxioms: g.useAxioms,
-		// The overlay is shared across versions: delta values are
-		// interned into it (append-only, under its own mutex, so two
-		// Extends of one version and concurrent readers are safe), and
-		// every ID the parent version issued — cached in candidate
-		// tuples, trigger premises, value groups — stays valid here.
-		// See the DESIGN.md invariant on ID stability.
-		dict: g.dict,
+	// The overlay is shared across versions: delta values are interned
+	// into it (append-only, under its own mutex, so two Extends of one
+	// version and concurrent readers are safe), and every ID the parent
+	// version issued — cached in candidate tuples, trigger premises,
+	// value groups — stays valid here. See the DESIGN.md invariant on ID
+	// stability. The verdict cache is version-private: the successor
+	// starts empty (old verdicts answer for the old evidence) but shares
+	// the chain's cumulative hit/miss counters. nil stays nil.
+	return g.extend(ie2, g.dict, g.verdicts.NextVersion(), g.useAxioms), nil
+}
+
+// extend is the one grounding builder. It grounds ie, whose first p.n
+// tuples are p's, on top of p's terminal state, and returns the new
+// version over dict (the entity's overlay) with the given verdict
+// cache. A fresh grounding is the extension of the Shared's empty
+// grounding by its whole instance, so the steps below then run on
+// empty parent state: every tuple is new, and nothing is resumed.
+//
+//relacc:grounding-builder
+func (p *Grounding) extend(ie *model.EntityInstance, dict *model.Dict, verdicts *vcache.Cache[verdictEntry], useAxioms bool) *Grounding {
+	g := &Grounding{
+		ie:        ie,
+		im:        p.im,
+		schema:    p.schema,
+		n:         ie.Size(),
+		nattr:     p.nattr,
+		useAxioms: useAxioms,
+		dict:      dict,
 		// The step prefix is shared with the parent; the full slice
-		// expression forces the first delta step onto a fresh backing
+		// expression forces the first new step onto a fresh backing
 		// array instead of overwriting the parent's.
-		steps:     g.steps[:len(g.steps):len(g.steps)],
+		steps:     p.steps[:len(p.steps):len(p.steps)],
 		orderTrig: make(map[uint64][]predRef),
-		form1:     g.form1,
-		corrs:     g.corrs,
-		form2:     g.form2,
-		master:    g.master,
-		// The verdict cache is version-private: the successor starts
-		// empty (old verdicts answer for the old evidence) but shares
-		// the chain's cumulative hit/miss counters. nil stays nil.
-		verdicts: g.verdicts.NextVersion(),
-		version:  g.version + 1,
+		form1:     p.form1,
+		corrs:     p.corrs,
+		form2:     p.form2,
+		master:    p.master,
+		verdicts:  verdicts,
+		version:   p.version + 1,
 	}
 	// Stack the parent's trigger layers (sharing the maps, not the
-	// parent itself — its heavy state must stay collectable), then
-	// fold them together once the stack gets deep so lookup cost stays
+	// parent itself — its heavy state must stay collectable), then fold
+	// them together once the stack gets deep so lookup cost stays
 	// bounded on long update streams.
-	ng.ancestors = append([]trigLayer(nil), g.ancestors...)
-	if l, ok := g.ownLayer(); ok {
-		ng.ancestors = append(ng.ancestors, l)
+	g.ancestors = append([]trigLayer(nil), p.ancestors...)
+	if l, ok := p.ownLayer(); ok {
+		g.ancestors = append(g.ancestors, l)
 	}
-	ng.extendValues(g)
-	e := newDeltaEngine(ng, g)
-	ng.ground(int32(g.n), e)
-	if len(ng.ancestors) > maxTrigLayers {
-		ng.compactTriggers()
+	g.indexValues(p)
+	e := newBaseEngine(g, p)
+	g.seedAxioms(e, p.n)
+	g.ground(int32(p.n), e)
+	if len(g.ancestors) > maxTrigLayers {
+		g.compactTriggers()
 	}
-	ng.hasOrderTrig = len(ng.orderTrig) > 0
-	for _, l := range ng.ancestors {
-		ng.hasOrderTrig = ng.hasOrderTrig || len(l.orderTrig) > 0
+	g.hasOrderTrig = len(g.orderTrig) > 0
+	for _, l := range g.ancestors {
+		g.hasOrderTrig = g.hasOrderTrig || len(l.orderTrig) > 0
 	}
-	ng.baseChaseDelta(g, e)
-	return ng, nil
+	g.baseChase(p, e)
+	return g
 }
 
 // maxTrigLayers bounds the trigger-layer stack: when an Extend would
@@ -136,145 +149,171 @@ func (ng *Grounding) compactTriggers() {
 // 0 for a fresh grounding, incremented by each Extend.
 func (g *Grounding) Version() int { return g.version }
 
-// extendValues builds the per-version value indexes: the parent's ID
-// rows are copied (they are O(nattr·n) uint32s, cheap next to any
-// chase work), the new tuples' values resolved against the chain's
-// overlay (a cached base ID when the tuple carries one, an overlay
-// Intern otherwise), and the value groups extended copy-on-append — a group
-// gaining no member shares its slice with the parent, so the parent's
-// groups (which in-flight checkers on the old version may be reading)
-// never change. The old representation's per-extend map-of-Value copy,
-// which rehashed every distinct value and re-keyed every group, is
-// gone entirely.
+// indexValues builds the per-version value indexes: p's ID rows are
+// copied (they are O(nattr·n) uint32s, cheap next to any chase work),
+// the new tuples' values resolved against the overlay (a cached base ID
+// when the tuple carries one, an overlay insert otherwise), and the
+// value groups extended copy-on-append — a group gaining no member
+// shares its slice with p, so p's groups (which in-flight checkers on
+// the old version may be reading) never change.
 //
 //relacc:grounding-builder
-func (ng *Grounding) extendValues(p *Grounding) {
-	n, na, oldN := ng.n, ng.nattr, p.n
-	ng.valID = make([][]uint32, na)
-	ng.vals = make([][]model.Value, na)
-	ng.groups = make([]idGroups, na)
-	ng.targetTrig = make([][]predRef, na)
+func (g *Grounding) indexValues(p *Grounding) {
+	n, na, oldN := g.n, g.nattr, p.n
+	g.valID = make([][]uint32, na)
+	g.vals = make([][]model.Value, na)
+	g.groups = make([]idGroups, na)
+	g.targetTrig = make([][]predRef, na)
 	for a := 0; a < na; a++ {
 		ids := make([]uint32, n)
 		vs := make([]model.Value, n)
 		copy(ids, p.valID[a])
 		copy(vs, p.vals[a])
 		for i := oldN; i < n; i++ {
-			t := ng.ie.Tuple(i)
-			vs[i], ids[i] = t.At(a), ng.dict.InternAt(t, a)
+			t := g.ie.Tuple(i)
+			vs[i], ids[i] = t.At(a), g.dict.InternAt(t, a)
 		}
-		ng.valID[a], ng.vals[a] = ids, vs
-		ng.groups[a] = p.groups[a].extend(ids, oldN)
+		g.valID[a], g.vals[a] = ids, vs
+		g.groups[a] = p.groups[a].extend(ids, oldN)
 	}
 }
 
-// newDeltaEngine primes a base-mode engine with the parent's terminal
-// base state, extended to the new instance size: order matrices grow
-// empty rows for the new tuples and λ counts carry over. Its step state
-// is sized by initSteps once delta Instantiation has run.
-func newDeltaEngine(ng, p *Grounding) *engine {
-	e := &engine{
-		g:            ng,
-		base:         true,
-		orders:       p.baseOrders.Extend(ng.n - p.n),
-		counts:       make([][]int32, ng.nattr),
-		pairs:        newPairWork(ng.nattr, ng.n),
-		stepsApplied: p.baseSteps,
-	}
-	for a := range e.counts {
-		e.counts[a] = make([]int32, ng.n)
-		copy(e.counts[a], p.baseCounts[a])
-	}
-	return e
-}
-
-// baseChaseDelta resumes the template-independent base chase from the
-// parent's terminal state, with the delta's zero-premise pairs already
-// pushed into e by ground. Monotonicity is what makes resumption sound:
-// a chase step enforced by the parent stays enforced under more
-// evidence, so only the new tuples' axiom seeds, the delta ground steps
-// and old steps whose premises the new facts complete need replaying.
-// New facts propagate through the layered triggers into old steps, and
-// closure insertion may derive old×old pairs bridged by a new tuple —
-// both paths run through the same engine the fresh base chase uses.
+// seedAxioms enforces ϕ9 (equal values are mutually ⪯) and ϕ7 (null
+// has the lowest accuracy) for the tuples from oldN on. Among
+// themselves they are seeded with bulk writes: their rows and columns
+// hold no pair yet, so each group's new members, the new nulls and the
+// new nulls below the new non-nulls are closed as written, and their λ
+// counts follow from group and null sizes. Their pairs with the older
+// tuples go through the worklist, which extends closure and fires
+// triggers and correlation rules for them.
 //
 //relacc:grounding-builder
-func (ng *Grounding) baseChaseDelta(p *Grounding, e *engine) {
+func (g *Grounding) seedAxioms(e *engine, oldN int) {
+	if !g.useAxioms {
+		return
+	}
+	var nulls, nonNulls []int32
+	for a := 0; a < g.nattr; a++ {
+		aa, ids, counts, rel := int32(a), g.valID[a], e.counts[a], e.orders.Attr(a)
+		nulls, nonNulls = nulls[:0], nonNulls[:0]
+		for i := oldN; i < g.n; i++ {
+			if ids[i] == model.NullID {
+				nulls = append(nulls, int32(i))
+			} else {
+				nonNulls = append(nonNulls, int32(i))
+			}
+		}
+		// A group's new members are its tail. SetClique32 is a bitwise
+		// OR, so group order cannot matter.
+		for _, m := range g.groups[a].members {
+			k := len(m)
+			for k > 0 && int(m[k-1]) >= oldN {
+				k--
+			}
+			rel.SetClique32(m[k:])
+			for _, j := range m[k:] {
+				counts[j] = int32(len(m) - k - 1 + len(nulls))
+			}
+		}
+		rel.SetClique32(nulls)
+		rel.SetBelow32(nulls, nonNulls)
+		for _, j := range nulls {
+			counts[j] = int32(len(nulls) - 1)
+		}
+		// With the older tuples: a new null sits below every one of them
+		// and is mutually ⪯ the old nulls; a new non-null is mutually ⪯
+		// its group's old members and sits above the old nulls.
+		for _, i := range nulls {
+			for j := int32(0); j < int32(oldN); j++ {
+				e.pushPair(aa, i, j)
+				if ids[j] == model.NullID {
+					e.pushPair(aa, j, i)
+				}
+			}
+		}
+		for _, i := range nonNulls {
+			for _, j := range g.groupFor(aa, ids[i]) {
+				if int(j) >= oldN {
+					break
+				}
+				e.pushPair(aa, i, j)
+				e.pushPair(aa, j, i)
+			}
+			for j := int32(0); j < int32(oldN); j++ {
+				if ids[j] == model.NullID {
+					e.pushPair(aa, j, i)
+				}
+			}
+		}
+	}
+}
+
+// baseChase chases every template-independent consequence into this
+// version's base snapshot, resuming from p's terminal state with the
+// axiom seeds and the zero-premise pairs ground pushed already in e.
+// Monotonicity is what makes resumption sound: a chase step p enforced
+// stays enforced under more evidence, so only the new tuples' seeds,
+// the new ground steps and old steps whose premises the new facts
+// complete need replaying. The pairs seedAxioms wrote in bulk fire their
+// order triggers (in key order) and correlation rules here; every later
+// pair fires them as the engine derives it. New facts propagate through
+// the layered triggers into old steps, and closure insertion may derive
+// old×old pairs bridged by a new tuple.
+//
+//relacc:grounding-builder
+func (g *Grounding) baseChase(p *Grounding, e *engine) {
 	// Premise counters and pushed flags carry over; the new steps start
 	// with their full premise counts.
 	e.initSteps(p.baseNpred, p.basePushed)
 	if p.baseConflict != "" {
 		// The old evidence already made the base chase conflict; more
 		// evidence cannot retract an enforced step.
-		ng.snapshotBase(e)
-		ng.baseConflict = p.baseConflict
+		g.snapshotBase(e)
+		g.baseConflict = p.baseConflict
 		return
 	}
-	if ng.useAxioms {
-		ng.seedDeltaAxioms(e, p.n)
+	oldN := p.n
+	if g.useAxioms {
+		// Only this version's own layer holds keys between two new
+		// tuples, and at most nattr·d² of them for d new tuples.
+		d := g.n - oldN
+		keys := make([]uint64, 0, min(len(g.orderTrig), g.nattr*d*d))
+		for k := range g.orderTrig {
+			if _, i, j := trigKeyDecode(k); int(i) >= oldN && int(j) >= oldN {
+				keys = append(keys, k)
+			}
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			attr, i, j := trigKeyDecode(k)
+			if e.orders.Attr(int(attr)).Has(int(i), int(j)) {
+				e.fireOrderKey(k)
+			}
+		}
+		// The seeded pairs all lie in the new rows, at the new columns.
+		// (The seeds hold every new reflexive pair on every attribute, so
+		// the push drops the i ⪯ i a row's own bit forwards.)
+		for a := 0; a < g.nattr; a++ {
+			if len(g.corrs[a]) == 0 {
+				continue
+			}
+			rel := e.orders.Attr(a)
+			for i := oldN; i < g.n; i++ {
+				for wi := oldN >> 6; wi<<6 < g.n; wi++ {
+					if w := rel.Word(i, wi); w != 0 {
+						e.fireCorrWord(int32(a), int32(i), wi, w)
+					}
+				}
+			}
+		}
 	}
-	for s := len(p.steps); s < len(ng.steps); s++ {
+	for s := len(p.steps); s < len(g.steps); s++ {
 		if e.npred[s] == 0 {
 			e.pushStep(int32(s))
 		}
 	}
 	e.drain()
-	ng.snapshotBase(e)
-}
-
-// seedDeltaAxioms enforces ϕ7/ϕ9 for the new tuples through the regular
-// worklist: unlike the fresh base chase, which seeds an empty relation
-// with closure-safe bulk writes, the delta runs against a populated
-// relation, so every seed goes through applyPair and gets closure
-// propagation, trigger firing and correlation cascades for free.
-// Already-derived pairs are dropped at the push.
-func (ng *Grounding) seedDeltaAxioms(e *engine, oldN int) {
-	for a := 0; a < ng.nattr; a++ {
-		aa := int32(a)
-		ids := ng.valID[a]
-		for i := oldN; i < ng.n; i++ {
-			e.pushPair(aa, int32(i), int32(i)) // ϕ9, reflexive
-		}
-		// ϕ9: each new tuple is mutually ⪯ the tuples sharing its value.
-		for i := oldN; i < ng.n; i++ {
-			if ids[i] == model.NullID {
-				continue
-			}
-			for _, j := range ng.groupFor(aa, ids[i]) {
-				if int(j) == i {
-					continue
-				}
-				e.pushPair(aa, int32(i), j)
-				e.pushPair(aa, j, int32(i))
-			}
-		}
-		// ϕ7: null values have the lowest accuracy — a new null joins
-		// the null clique and sits below every non-null; a new non-null
-		// sits above every old null (new nulls reach it via their own
-		// loop).
-		for i := oldN; i < ng.n; i++ {
-			ii := int32(i)
-			if ids[i] == model.NullID {
-				for j := 0; j < ng.n; j++ {
-					if j == i {
-						continue
-					}
-					if ids[j] == model.NullID {
-						e.pushPair(aa, ii, int32(j))
-						e.pushPair(aa, int32(j), ii)
-					} else {
-						e.pushPair(aa, ii, int32(j))
-					}
-				}
-			} else {
-				for j := 0; j < oldN; j++ {
-					if ids[j] == model.NullID {
-						e.pushPair(aa, int32(j), ii)
-					}
-				}
-			}
-		}
-	}
+	g.snapshotBase(e)
 }
 
 // snapshotBase freezes the engine's terminal state as this version's
@@ -286,6 +325,5 @@ func (g *Grounding) snapshotBase(e *engine) {
 	g.baseCounts = e.counts
 	g.baseNpred = e.npred
 	g.basePushed = e.pushed
-	g.baseSteps = e.stepsApplied
 	g.baseConflict = e.conflict
 }

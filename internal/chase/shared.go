@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/model"
+	"repro/internal/order"
 	"repro/internal/rule"
 	"repro/internal/vcache"
 )
@@ -48,6 +49,12 @@ type Shared struct {
 	form2  *form2Index
 	dict   *model.Dict
 	master []masterColumn // [attr]; nil without a master relation
+	// empty is the grounding of the empty instance — no tuples, no
+	// steps, no trigger layers — that every fresh grounding extends by
+	// its whole instance. It carries only the Shared's compiled rules:
+	// no value overlay and no verdict cache, so nothing of one entity
+	// reaches another through it.
+	empty *Grounding
 }
 
 // MasterValue is one entry of a ranked master column: a distinct
@@ -154,6 +161,12 @@ func NewShared(schema *model.Schema, im *model.MasterRelation, rules *rule.Set) 
 			}
 		}
 	}
+	na := schema.Arity()
+	// Version -1, so the fresh grounding that extends it is version 0.
+	sh.empty = &Grounding{im: im, schema: schema, nattr: na,
+		form1: sh.form1, corrs: sh.corrs, form2: sh.form2, master: master,
+		valID: make([][]uint32, na), vals: make([][]model.Value, na), groups: make([]idGroups, na),
+		baseOrders: order.NewSet(na, 0), baseCounts: make([][]int32, na), version: -1}
 	return sh, nil
 }
 
@@ -226,11 +239,10 @@ func (sh *Shared) Schema() *model.Schema { return sh.schema }
 // the per-instance Instantiation (pair grounding, value indexing into a
 // fresh overlay of the base dictionary) and base chase still run, but
 // validation, the compiled form-(1) rules and the form-(2) index are
-// reused. The instance must use the exact schema
-// the Shared was built for (pointer identity, as everywhere in package
-// model).
-//
-//relacc:grounding-builder
+// reused. It is the one grounding builder, extend, applied to the
+// empty grounding with the whole instance as the new tuples. The
+// instance must use the exact schema the Shared was built for (pointer
+// identity, as everywhere in package model); it is kept, not copied.
 func (sh *Shared) NewGrounding(ie *model.EntityInstance, opts Options) (*Grounding, error) {
 	if ie == nil {
 		return nil, fmt.Errorf("chase: specification has no entity instance")
@@ -242,29 +254,11 @@ func (sh *Shared) NewGrounding(ie *model.EntityInstance, opts Options) (*Groundi
 	if ie.Size() >= maxTuples {
 		return nil, fmt.Errorf("chase: instance holds %d tuples, limit is %d", ie.Size(), maxTuples-1)
 	}
-	g := &Grounding{
-		ie:        ie,
-		im:        sh.im,
-		schema:    sh.schema,
-		n:         ie.Size(),
-		nattr:     sh.schema.Arity(),
-		useAxioms: !opts.DisableAxioms,
-		orderTrig: make(map[uint64][]predRef),
-		form1:     sh.form1,
-		corrs:     sh.corrs,
-		form2:     sh.form2,
-		master:    sh.master,
-		dict:      sh.dict.Overlay(),
-	}
+	var verdicts *vcache.Cache[verdictEntry]
 	if !opts.DisableVerdictCache {
-		g.verdicts = vcache.New[verdictEntry](opts.VerdictCacheCap)
+		verdicts = vcache.New[verdictEntry](opts.VerdictCacheCap)
 	}
-	g.indexValues()
-	e := newBaseEngine(g)
-	g.ground(0, e)
-	g.hasOrderTrig = len(g.orderTrig) > 0
-	g.baseChase(e)
-	return g, nil
+	return sh.empty.extend(ie, sh.dict.Overlay(), verdicts, !opts.DisableAxioms), nil
 }
 
 // cmpPred is a tuple/constant comparison predicate compiled against the

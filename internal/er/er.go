@@ -69,35 +69,6 @@ func StringSimilarity(a, b string) float64 {
 	return 1 - float64(Levenshtein(a, b))/float64(max)
 }
 
-// JaccardTokens returns the Jaccard similarity of the whitespace token
-// sets of two strings (case-insensitive).
-func JaccardTokens(a, b string) float64 {
-	ta := tokenSet(a)
-	tb := tokenSet(b)
-	if len(ta) == 0 && len(tb) == 0 {
-		return 1
-	}
-	inter := 0
-	for t := range ta {
-		if tb[t] {
-			inter++
-		}
-	}
-	union := len(ta) + len(tb) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
-func tokenSet(s string) map[string]bool {
-	out := map[string]bool{}
-	for _, t := range strings.Fields(strings.ToLower(s)) {
-		out[t] = true
-	}
-	return out
-}
-
 // Config tunes the resolution pipeline.
 type Config struct {
 	// KeyAttrs are the attributes compared for identity; all must exist

@@ -62,18 +62,6 @@ func TestStringSimilarity(t *testing.T) {
 	}
 }
 
-func TestJaccardTokens(t *testing.T) {
-	if s := er.JaccardTokens("chicago bulls", "bulls chicago"); s != 1 {
-		t.Errorf("token order must not matter: %v", s)
-	}
-	if s := er.JaccardTokens("chicago bulls", "chicago"); s != 0.5 {
-		t.Errorf("Jaccard = %v, want 0.5", s)
-	}
-	if s := er.JaccardTokens("", ""); s != 1 {
-		t.Errorf("empty = %v", s)
-	}
-}
-
 func TestResolveClusters(t *testing.T) {
 	s := model.MustSchema("r", "name", "city")
 	tuples := []*model.Tuple{

@@ -34,15 +34,6 @@ type Dataset struct {
 	Rules    *rule.Set
 }
 
-// TotalTuples sums the entity instance sizes.
-func (d *Dataset) TotalTuples() int {
-	n := 0
-	for _, e := range d.Entities {
-		n += e.Instance.Size()
-	}
-	return n
-}
-
 // EntityConfig parameterises the shared Med/CFP-style generator. The
 // schema is laid out as:
 //

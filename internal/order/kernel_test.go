@@ -6,6 +6,27 @@ import (
 	"testing"
 )
 
+// AddAllTo32 is AddAllToWords visiting one pair at a time, the shape
+// the reference refAddAllTo32 reports in.
+func (r *Relation) AddAllTo32(group []int32, visit func(from, to int)) {
+	r.AddAllToWords(group, func(p, wi int, diff uint64) bool {
+		base := wi << 6
+		for d := diff; d != 0; d &= d - 1 {
+			visit(p, base+bits.TrailingZeros64(d))
+		}
+		return true
+	})
+}
+
+// DirtyRows returns the number of rows currently marked dirty.
+func (r *Relation) DirtyRows() int {
+	c := 0
+	for _, word := range r.dirty {
+		c += bits.OnesCount64(word)
+	}
+	return c
+}
+
 // kernelSizes crosses the 64-bit word boundaries the word-parallel
 // kernels special-case implicitly: one word exactly, one word plus one
 // bit, two words, and the small degenerate sizes.
@@ -67,31 +88,6 @@ func TestKernelMaxDifferential(t *testing.T) {
 			r.SetClique32(members)
 			if got, want := r.Max(), r.refMax(); got != want || got != 0 {
 				t.Fatalf("n=%d clique: Max=%d refMax=%d", n, got, want)
-			}
-		}
-	}
-}
-
-// TestKernelColumnCountsDifferential checks the bit-sliced counter
-// against the per-bit reference, including the Into variant with an
-// oversized reused buffer.
-func TestKernelColumnCountsDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	buf := make([]int, 200) // shared across all sizes; oversize on purpose
-	for _, n := range kernelSizes {
-		for trial := 0; trial < 8; trial++ {
-			r := randomRelation(rng, n, 0.8)
-			want := r.refColumnCounts()
-			got := r.ColumnCounts()
-			into := r.ColumnCountsInto(buf)
-			if len(got) != n || len(into) != n {
-				t.Fatalf("n=%d: lengths %d / %d", n, len(got), len(into))
-			}
-			for j := 0; j < n; j++ {
-				if got[j] != want[j] || into[j] != want[j] {
-					t.Fatalf("n=%d col %d: ColumnCounts=%d Into=%d ref=%d",
-						n, j, got[j], into[j], want[j])
-				}
 			}
 		}
 	}
@@ -262,8 +258,8 @@ func TestKernelDirtyTracking(t *testing.T) {
 // FuzzRelationOps feeds a byte-string op program to a tracked relation
 // and its naive mirror: every mutation runs through both the word-
 // parallel kernel and the reference, and after each op the matrices,
-// Max, ColumnCounts and closure must agree; at the end the tracked
-// relation must restore its base exactly.
+// Max and closure must agree; at the end the tracked relation must
+// restore its base exactly.
 func FuzzRelationOps(f *testing.F) {
 	f.Add([]byte{65, 0, 1, 2, 3, 1, 4, 5, 2, 6, 7, 8})
 	f.Add([]byte{129, 0, 10, 20, 3, 200, 100, 50})
@@ -317,12 +313,6 @@ func FuzzRelationOps(f *testing.F) {
 			}
 			if fast.Max() != ref.refMax() {
 				t.Fatalf("Max=%d refMax=%d", fast.Max(), ref.refMax())
-			}
-			fc, rc := fast.ColumnCounts(), ref.refColumnCounts()
-			for j := range fc {
-				if fc[j] != rc[j] {
-					t.Fatalf("col %d: ColumnCounts=%d ref=%d", j, fc[j], rc[j])
-				}
 			}
 			if fast.Len() != ref.refLen() {
 				t.Fatalf("Len=%d refLen=%d", fast.Len(), ref.refLen())

@@ -17,11 +17,11 @@
 // # Kernels
 //
 // The hot kernels operate on whole 64-bit words, not single bits: Max
-// is an AND-accumulation over rows, ColumnCounts a bit-sliced vertical
-// addition, Len a popcount sweep, TransitiveOK a word-subset check per
-// derived pair, and the closure-restoring insertions (AddDiffs,
-// AddAllToWords) hand newly derived pairs back as per-row word masks so
-// callers — the chase engine — consume them word-at-a-time. Every
+// is an AND-accumulation over rows, Len a popcount sweep, TransitiveOK
+// a word-subset check per derived pair, and the closure-restoring
+// insertions (AddDiffs, AddAllToWords) hand newly derived pairs back as
+// per-row word masks so callers — the chase engine — consume them
+// word-at-a-time. Every
 // word-parallel kernel is bit-for-bit equivalent to the naive bit-loop
 // reference retained in reference_test.go; kernel_test.go enforces the
 // equivalence differentially.
@@ -217,27 +217,15 @@ func (r *Relation) AddDiffs(i, j int) []WordDiff {
 	return diffs
 }
 
-// AddAllTo32 bulk-inserts x ⪯ g for every tuple x and every g in
-// group, restoring transitive closure, and calls visit for each newly
-// derived pair. It implements the axiom ϕ8: once te[A] is known, every
-// tuple is at most as accurate as the tuples carrying that value. The
-// group is an int32 list because the chase's value-ID equality classes
-// are; the chase itself fires ϕ8 through AddAllToWords.
-func (r *Relation) AddAllTo32(group []int32, visit func(from, to int)) {
-	r.AddAllToWords(group, func(p, wi int, diff uint64) bool {
-		base := wi << 6
-		for d := diff; d != 0; d &= d - 1 {
-			visit(p, base+bits.TrailingZeros64(d))
-		}
-		return true
-	})
-}
-
-// AddAllToWords is the word-mask form of AddAllTo32: it ORs the group's
-// accumulated successor mask into every row and hands the newly derived
-// pairs back as per-row word masks, rows then words ascending — the
-// shape the chase engine consumes word-at-a-time. Returning false from
-// visit stops further visits; the matrix is still fully updated.
+// AddAllToWords bulk-inserts x ⪯ g for every tuple x and every g in
+// group, restoring transitive closure. It implements the axiom ϕ8: once
+// te[A] is known, every tuple is at most as accurate as the tuples
+// carrying that value (the chase's value-ID equality classes, hence
+// int32). It ORs the group's accumulated successor mask into every row
+// and hands the newly derived pairs back as per-row word masks, rows
+// then words ascending — the shape the chase engine consumes
+// word-at-a-time. Returning false from visit stops further visits; the
+// matrix is still fully updated.
 func (r *Relation) AddAllToWords(group []int32, visit func(p, wi int, diff uint64) bool) {
 	if len(group) == 0 {
 		return
@@ -255,8 +243,8 @@ func (r *Relation) AddAllToWords(group []int32, visit func(p, wi int, diff uint6
 }
 
 // addMaskWords ORs mask into every row, handing each row's newly
-// derived bits to visit word-at-a-time; the closure-restoring core
-// shared by the AddAllTo variants.
+// derived bits to visit word-at-a-time; the closure-restoring core of
+// AddAllToWords.
 func (r *Relation) addMaskWords(mask []uint64, visit func(p, wi int, diff uint64) bool) {
 	w := r.w
 	live := true
@@ -281,9 +269,9 @@ func (r *Relation) addMaskWords(mask []uint64, visit func(p, wi int, diff uint64
 }
 
 // SetClique32 marks every ordered pair within members (including
-// reflexive pairs) as derived, without closure propagation. It is used
-// to seed the initial relation with the value-equality cliques of axiom
-// ϕ9; callers must only use it on an empty relation where cliques are
+// reflexive pairs) as derived, without closure propagation. It seeds
+// the value-equality cliques of axiom ϕ9; callers must only use it on
+// rows and columns that hold no pair yet, where cliques are
 // closure-safe. The value-ID groups of the chase index their equality
 // classes as []int32, so the seeding path hands them straight through.
 func (r *Relation) SetClique32(members []int32) {
@@ -305,10 +293,11 @@ func (r *Relation) SetClique32(members []int32) {
 }
 
 // SetBelow32 marks lo ⪯ hi for every lo in los and hi in his, without
-// closure propagation. It seeds the initial relation with axiom ϕ7
-// (null values have the lowest accuracy); callers must ensure closure
-// safety as for SetClique32 (nulls form a clique that reaches all
-// non-null tuples, which have no outgoing edges yet).
+// closure propagation. It seeds axiom ϕ7 (null values have the lowest
+// accuracy); as for SetClique32, callers must only use it on rows and
+// columns that hold no pair yet, besides the cliques just seeded there
+// (nulls form a clique that reaches all non-null tuples, which have no
+// outgoing edges yet).
 func (r *Relation) SetBelow32(los, his []int32) {
 	if len(los) == 0 || len(his) == 0 {
 		return
@@ -383,68 +372,6 @@ func (r *Relation) Max() int {
 		}
 	}
 	return -1
-}
-
-// ColumnCounts returns, for each tuple j, the number of tuples i ≠ j
-// with i ⪯ j. A tuple j is maximal exactly when its count is n-1.
-func (r *Relation) ColumnCounts() []int {
-	return r.ColumnCountsInto(make([]int, r.n))
-}
-
-// ColumnCountsInto is ColumnCounts writing into a caller-supplied
-// buffer of length ≥ n (a larger buffer is truncated to n), so a loop
-// over many relations of one instance — the settled-target scan of the
-// chase — reuses one allocation.
-//
-// Counting is word-parallel: every row word is added into a bit-sliced
-// column accumulator (slice d holds bit d of all 64 running counts of
-// that word column), a ripple-carry that costs O(n·w) amortised word
-// operations, and the per-column totals are read back at the end —
-// instead of iterating every one of the O(n²) set bits.
-func (r *Relation) ColumnCountsInto(counts []int) []int {
-	n, w := r.n, r.w
-	counts = counts[:n]
-	for j := range counts {
-		counts[j] = 0
-	}
-	if n == 0 {
-		return counts
-	}
-	depth := bits.Len(uint(n)) // column counts are ≤ n < 1<<depth
-	slices := make([]uint64, depth*w)
-	carry := make([]uint64, w)
-	for i := 0; i < n; i++ {
-		copy(carry, r.rows[i*w:(i+1)*w])
-		for d := 0; d < depth; d++ {
-			s := slices[d*w : (d+1)*w]
-			var anyCarry uint64
-			for wi := 0; wi < w; wi++ {
-				c := carry[wi]
-				if c == 0 {
-					continue
-				}
-				t := s[wi] & c
-				s[wi] ^= c
-				carry[wi] = t
-				anyCarry |= t
-			}
-			if anyCarry == 0 {
-				break
-			}
-		}
-	}
-	for j := 0; j < n; j++ {
-		jw, jb := j>>6, uint(j)&63
-		c := 0
-		for d := 0; d < depth; d++ {
-			c += int(slices[d*w+jw]>>jb&1) << d
-		}
-		// The accumulator counted every row, including the diagonal;
-		// ColumnCounts excludes i == j.
-		c -= int(r.rows[j*w+jw] >> jb & 1)
-		counts[j] = c
-	}
-	return counts
 }
 
 // VisitPairs calls visit for every derived pair i ⪯ j with i ≠ j.
@@ -527,23 +454,6 @@ func (r *Relation) CloneTracked() *Relation {
 	return out
 }
 
-// CloneInto overwrites dst with a deep copy of r, reusing dst's buffers
-// when shapes match (reallocating otherwise). dst's dirty-tracking mode
-// is preserved; all rows are marked clean.
-func (r *Relation) CloneInto(dst *Relation) {
-	if dst.n != r.n || dst.w != r.w || len(dst.rows) != len(r.rows) {
-		dst.n, dst.w = r.n, r.w
-		dst.rows = make([]uint64, len(r.rows))
-		if dst.dirty != nil {
-			dst.dirty = make([]uint64, (r.n+63)/64)
-		}
-	}
-	copy(dst.rows, r.rows)
-	for i := range dst.dirty {
-		dst.dirty[i] = 0
-	}
-}
-
 // CopyFrom overwrites r with src's contents; the relations must have the
 // same size. It lets a chase runner reuse allocations across runs.
 func (r *Relation) CopyFrom(src *Relation) {
@@ -572,16 +482,6 @@ func (r *Relation) ResetFrom(base *Relation) {
 			word &= word - 1
 		}
 	}
-}
-
-// DirtyRows returns the number of rows currently marked dirty; it is
-// used by tests and by callers sizing restore work.
-func (r *Relation) DirtyRows() int {
-	c := 0
-	for _, word := range r.dirty {
-		c += bits.OnesCount64(word)
-	}
-	return c
 }
 
 // TransitiveOK verifies the relation is transitively closed; it is used

@@ -87,17 +87,6 @@ func TestMutual(t *testing.T) {
 	}
 }
 
-func TestColumnCounts(t *testing.T) {
-	r := New(3)
-	r.Add(0, 2)
-	r.Add(1, 2)
-	r.Add(0, 0) // reflexive pairs are not counted
-	c := r.ColumnCounts()
-	if c[0] != 0 || c[1] != 0 || c[2] != 2 {
-		t.Errorf("ColumnCounts = %v", c)
-	}
-}
-
 func TestSetCliqueAndBelow(t *testing.T) {
 	r := New(5)
 	r.SetClique32([]int32{0, 1})
@@ -292,9 +281,10 @@ func TestLargeRelation(t *testing.T) {
 	if !r.Has(0, n-1) {
 		t.Errorf("chain closure missing")
 	}
-	counts := r.ColumnCounts()
-	if counts[n-1] != n-1 {
-		t.Errorf("count[%d] = %d, want %d", n-1, counts[n-1], n-1)
+	for i := 0; i < n-1; i++ {
+		if !r.Has(i, n-1) {
+			t.Errorf("chain closure misses %d ⪯ %d", i, n-1)
+		}
 	}
 	if r.Max() != n-1 {
 		t.Errorf("Max = %d", r.Max())
@@ -387,32 +377,6 @@ func TestSetCloneTrackedResetFrom(t *testing.T) {
 	}
 	if s.Attr(0).Has(2, 3) || s.Attr(1).Has(0, 69) {
 		t.Error("diverged pairs survived ResetFrom")
-	}
-}
-
-func TestCloneInto(t *testing.T) {
-	src := New(80)
-	src.Add(0, 70)
-	dst := New(80)
-	src.CloneInto(dst)
-	if !dst.Has(0, 70) {
-		t.Error("CloneInto did not copy rows")
-	}
-	// Shape mismatch reallocates.
-	small := New(3)
-	src.CloneInto(small)
-	if small.Size() != 80 || !small.Has(0, 70) {
-		t.Error("CloneInto did not adopt source shape")
-	}
-	// Tracked destinations come back clean.
-	tracked := src.CloneTracked()
-	tracked.Add(5, 6)
-	src.CloneInto(tracked)
-	if tracked.DirtyRows() != 0 {
-		t.Error("CloneInto left dirty rows")
-	}
-	if tracked.Has(5, 6) {
-		t.Error("CloneInto kept diverged pair")
 	}
 }
 

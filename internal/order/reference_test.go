@@ -36,26 +36,6 @@ outer:
 	return -1
 }
 
-// refColumnCounts is the per-bit column counter: walk every set bit of
-// every row and increment its column, skipping the diagonal.
-func (r *Relation) refColumnCounts() []int {
-	counts := make([]int, r.n)
-	for i := 0; i < r.n; i++ {
-		row := r.row(i)
-		for wi, word := range row {
-			for word != 0 {
-				b := word & -word
-				j := wi<<6 + bits.TrailingZeros64(b)
-				if j != i {
-					counts[j]++
-				}
-				word &= word - 1
-			}
-		}
-	}
-	return counts
-}
-
 // refLen counts non-reflexive derived pairs by enumerating them.
 func (r *Relation) refLen() int {
 	c := 0

@@ -20,8 +20,9 @@
 // value rows only, and the decoder rebuilds them on the store's own
 // schema. Values serialize by kind tag; the one synthetic value the
 // model can hand us — the NaN canonical sentinel produced by
-// Value.Norm — gets its own tag so a persisted dictionary round-trips
-// bit-for-bit.
+// Value.Norm — has its own tag. Snapshots no longer persist a value
+// dictionary, but older ones do, and recovery decodes their dictionary
+// sections value by value to skip them, so the tag stays readable.
 package wal
 
 import (
@@ -38,11 +39,15 @@ import (
 // maxRecord bounds a single frame's payload. It exists to keep a
 // corrupted length prefix from asking the decoder to allocate
 // gigabytes: any frame claiming more than this is treated as a torn
-// tail. 64 MiB is far past what a request-sized update batch (the
-// serving layer caps bodies at single-digit MiB) or a demo-scale
-// snapshot section can produce. Writers enforce it too (fitsFrame):
-// a frame past it would be written, then dropped as torn on the next
-// read, together with everything after it.
+// tail. 64 MiB is far past what a request-sized update batch can
+// produce (the serving layer caps bodies at single-digit MiB), but not
+// past a snapshot body, which is one frame holding the whole store: at
+// about 2.2 KB per gen.Med entity, a store of more than about 30,000
+// such entities outgrows it, and Checkpoint refuses every snapshot
+// (ROADMAP item 4 streams snapshots in frames under the bound). Writers
+// enforce the bound too (fitsFrame): a frame past it would be written,
+// then dropped as torn on the next read, together with everything
+// after it.
 const maxRecord = 64 << 20
 
 // fitsFrame refuses a payload too large for one frame, naming what it
@@ -69,10 +74,10 @@ const (
 	tagFloat  = 3
 	tagBool   = 4
 	// tagNaNNorm is the canonical NaN sentinel Value.Norm produces
-	// (Bool-kinded, payload "NaN"). It can reach a dictionary via
-	// Intern(F(NaN).Norm()) and must survive a snapshot round-trip
-	// exactly, so it gets its own tag instead of being folded into a
-	// plain bool or float.
+	// (Bool-kinded, payload "NaN"). Snapshots written while the value
+	// dictionary was persisted can hold it in their dictionary section,
+	// which recovery still decodes to skip, so it keeps its own tag
+	// instead of being folded into a plain bool or float.
 	tagNaNNorm = 5
 )
 

@@ -1,7 +1,6 @@
 // Package wal makes the live-entity store durable: an append-only,
 // CRC-checksummed write-ahead log of Update batches, periodic
-// snapshots of the raw tuples plus the append-only value dictionary,
-// and a recovery path that replays snapshot + WAL tail through the
+// snapshots of every live entity's raw tuples, and a recovery path that replays snapshot + WAL tail through the
 // Updater — so a relaccd restart (or a crash mid-batch) loses nothing
 // that was acknowledged.
 //
@@ -30,7 +29,8 @@
 //
 //	wal.log       magic "RACWAL01", one schema frame, then batch frames
 //	snapshot.dat  magic "RACSNAP1", a meta frame (sequence number),
-//	              then one body frame (schema, dictionary, entities)
+//	              then one body frame (schema, an empty dictionary
+//	              section, entities)
 //	snapshot.tmp  in-progress snapshot; ignored and removed at Open
 //
 // Checkpoint writes snapshot.tmp, fsyncs, renames over snapshot.dat,

@@ -25,7 +25,11 @@
 #   BenchmarkIncrementalAdd  delta instantiation vs rebuild; the
 #                            rebuild's B/op is what one grounding
 #                            allocates, which the bounded chase
-#                            worklist keeps near its order matrices
+#                            worklist keeps near its order matrices.
+#                            Ie=300/extend64 absorbs 64 tuples in one
+#                            Extend (a bulk-seeded block), Med/extend
+#                            one tuple per gen.Med entity — the
+#                            relaccd append shape
 #   BenchmarkUpdaterApply    disjoint-key batch on the sharded
 #                            live-entity store, 1 vs N workers (PR 5)
 #   BenchmarkWALAppend       per-batch durable-log cost, with and

@@ -4,7 +4,8 @@
 # Fails when a markdown file referenced from Go doc comments or from
 # README.md does not exist at the repository root, so the docs the code
 # promises (DESIGN.md, EXPERIMENTS.md, ...) can never silently go
-# missing again.
+# missing again; and when the docs name an analyzer, a package, a test
+# function or a command-line flag the code does not define.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -51,6 +52,19 @@ for p in $pkgs; do
 		echo "check-docs: $p is named in a package table but has no directory" >&2
 		fail=1
 	fi
+done
+# Every Test…, Benchmark… or Fuzz… function DESIGN.md, README.md or
+# EXPERIMENTS.md names must be defined in some _test.go file, so
+# deleting or renaming a test cannot leave a stale reference behind.
+tests=$(grep -rhoE '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]*' --include='*_test.go' . |
+	sed 's/^func //' | sort -u)
+for f in DESIGN.md README.md EXPERIMENTS.md; do
+	for name in $(grep -ohE '\b(Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*' "$f" | sort -u); do
+		if ! echo "$tests" | grep -qx "$name"; then
+			echo "check-docs: $f names $name, which no _test.go file defines" >&2
+			fail=1
+		fi
+	done
 done
 # Every flag a documented relacc or relaccd command line passes must be
 # one the binary defines, so a deleted flag cannot linger in the docs.
@@ -110,6 +124,7 @@ if [ "$fail" -eq 0 ]; then
 	echo "check-docs: all referenced markdown files exist"
 	echo "check-docs: DESIGN.md analyzer table matches relacc-lint -list"
 	echo "check-docs: every package-table row names an existing package"
+	echo "check-docs: every test, benchmark and fuzz target the docs name exists"
 	echo "check-docs: every documented relacc/relaccd flag exists"
 fi
 exit "$fail"
