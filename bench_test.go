@@ -247,7 +247,7 @@ func BenchmarkCheckPooled(b *testing.B) {
 
 // BenchmarkCheckCached measures the repeated check a server actually
 // performs: the verdict cache (on by default) answers every iteration
-// after the first from the packed ID-row key — pack, one shard lookup,
+// after the first from the packed ID-row key — pack, one map lookup,
 // no chase. Compare against BenchmarkCheckPooled for the per-check win
 // (BENCH_pr7.json records both).
 func BenchmarkCheckCached(b *testing.B) {

@@ -47,7 +47,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/chase"
 	"repro/internal/csvio"
 	"repro/internal/er"
 	"repro/internal/ingest"
@@ -76,9 +75,6 @@ func main() {
 	snapshotEvery := flag.Int("snapshot-every", 0, "checkpoint after every N appends (0 = only on shutdown / POST /v1/snapshot); a snapshot is one frame of at most 64 MiB, about 30,000 Med-shaped entities at ~2.2 KB each, past which checkpoints are refused and the log is not truncated (ROADMAP item 4)")
 	maxEntityTuples := flag.Int("max-entity-tuples", 0, "evidence tuples one entity may accumulate; appends past it fail with 422 (0 = unbounded)")
 	window := flag.Int("window", 0, "max open entities while streaming the seed (0 = unbounded; a bound needs the seed grouped in contiguous -by runs, e.g. sorted)")
-	verdictCache := flag.Bool("verdict-cache", true, "memoise chase candidate checks per grounding version")
-	verdictCacheCap := flag.Int("verdict-cache-cap", 0, "verdict-cache entries per grounding version (0 = default, negative = unbounded)")
-	settledCache := flag.Bool("settled-cache", true, "memoise each entity's last (version, k, algo) query answer")
 	flag.Parse()
 	if *dataPath == "" || *rulesPath == "" {
 		fmt.Fprintln(os.Stderr, "relaccd: -data and -rules are required")
@@ -124,14 +120,6 @@ func main() {
 		// Bound the evidence ONE entity may accumulate: with a durable
 		// log the absorb failure replays identically on recovery.
 		MaxEntityTuples: *maxEntityTuples,
-		// The two read-path caches are semantically invisible (cached
-		// answers are byte-identical to recomputing); the flags exist
-		// for measurement and emergency memory relief.
-		Options: chase.Options{
-			DisableVerdictCache: !*verdictCache,
-			VerdictCacheCap:     *verdictCacheCap,
-		},
-		DisableSettledCache: !*settledCache,
 	})
 	if err != nil {
 		fatal(err)

@@ -2,9 +2,10 @@ package chase
 
 import (
 	"encoding/binary"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/model"
-	"repro/internal/vcache"
 )
 
 // Verdict caching (DESIGN.md invariant 8).
@@ -18,9 +19,9 @@ import (
 // normalised semantics; Eq/Ne compare the IDs themselves). So a map
 // from packed ID rows to verdicts, hung off the version, memoises
 // checks with no invalidation protocol at all: a new version gets a
-// new (empty) cache, a superseded version's cache dies with it, and an
+// new (empty) map, a superseded version's map dies with it, and an
 // in-flight Checker pinned to an old version keeps hitting that
-// version's cache — which is still correct for the evidence that
+// version's map — which is still correct for the evidence that
 // version answers for.
 //
 // Uncacheable templates exist: a caller-built template, or a top-k
@@ -33,6 +34,14 @@ import (
 // share a key). Every other candidate the top-k search assembles
 // carries a resolved ID row and is cacheable.
 
+// verdictCap bounds one version's verdict map: generous next to any
+// real candidate search (a top-k run checks hundreds to thousands of
+// candidates), small next to the grounding it hangs off. A full map
+// refuses inserts and never evicts, which keeps cached-vs-uncached
+// equivalence trivially deterministic: an entry either is the verdict
+// the chase computes, or is absent.
+const verdictCap = 1 << 16
+
 // verdictEntry is one memoised check outcome: the conflict description
 // ("" = Church-Rosser) and, for CR checks, the deduced target tuple.
 // The target is stored once, cloned from the engine that computed it,
@@ -41,6 +50,63 @@ import (
 type verdictEntry struct {
 	conflict string
 	target   *model.Tuple
+}
+
+// verdictCounts is the hit/miss accounting that every version of one
+// grounding shares, so it spans an entity's whole life while each
+// version's entries go with that version.
+type verdictCounts struct {
+	hits, misses atomic.Int64
+}
+
+// verdictCache is one grounding version's verdict memo. counts is nil
+// when Options.DisableVerdictCache was set; m is nil until the first
+// cacheable check puts a verdict, so grounding, Extend and Run never
+// allocate it. mu guards m; checks on one version may run on any
+// number of goroutines.
+type verdictCache struct {
+	counts *verdictCounts
+	mu     sync.Mutex
+	m      map[string]verdictEntry
+}
+
+// get returns the verdict stored under key and whether one exists,
+// counting a hit or a miss. The []byte key is looked up without
+// converting it to a string, so a lookup allocates nothing.
+func (c *verdictCache) get(key []byte) (verdictEntry, bool) {
+	c.mu.Lock()
+	ent, ok := c.m[string(key)]
+	c.mu.Unlock()
+	if ok {
+		c.counts.hits.Add(1)
+	} else {
+		c.counts.misses.Add(1)
+	}
+	return ent, ok
+}
+
+// put stores ent under key unless the map holds verdictCap entries.
+// Concurrent puts of one key are benign: verdicts are deterministic,
+// so racing checks store the same value.
+func (c *verdictCache) put(key []byte, ent verdictEntry) {
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = make(map[string]verdictEntry)
+	}
+	if len(c.m) < verdictCap {
+		c.m[string(key)] = ent
+	}
+	c.mu.Unlock()
+}
+
+// VerdictStats is a point-in-time view of a grounding's verdict-cache
+// accounting. Hits and Misses are cumulative across the grounding's
+// whole version chain; Entries counts the viewed version's entries
+// only (earlier versions' entries died with them).
+type VerdictStats struct {
+	Hits    int64
+	Misses  int64
+	Entries int64
 }
 
 // verdictKey packs template's value-ID row into buf (reused across
@@ -78,4 +144,13 @@ func (g *Grounding) verdictKey(template *model.Tuple, buf []byte) ([]byte, bool)
 // hits and misses cumulative across the whole version chain, entries
 // counting the receiver's version only. All zero when the cache is
 // disabled.
-func (g *Grounding) VerdictCacheStats() vcache.Stats { return g.verdicts.Stats() }
+func (g *Grounding) VerdictCacheStats() VerdictStats {
+	c := &g.verdicts
+	if c.counts == nil {
+		return VerdictStats{}
+	}
+	c.mu.Lock()
+	n := len(c.m)
+	c.mu.Unlock()
+	return VerdictStats{Hits: c.counts.hits.Load(), Misses: c.counts.misses.Load(), Entries: int64(n)}
+}

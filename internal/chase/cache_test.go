@@ -7,6 +7,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/paperdata"
 	"repro/internal/rule"
+	"repro/internal/topk"
 )
 
 // opposedRulesGrounding builds the TestExtendIntroducesConflict
@@ -177,5 +178,60 @@ func TestDisabledCacheChecks(t *testing.T) {
 	ext.Pool().Check(nil)
 	if st := ext.VerdictCacheStats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
 		t.Fatalf("disabled cache re-enabled itself across Extend: %+v", st)
+	}
+}
+
+// TestCacheCapEquivalence: a verdict map with no room left still
+// answers byte-identically — a full map refuses inserts, it never
+// serves anything but the verdict the chase would compute. The map is
+// filled with keys no template packs to until two slots are left, so
+// the search below fills it and then runs against a full map.
+func TestCacheCapEquivalence(t *testing.T) {
+	ie := paperdata.Stat()
+	im := paperdata.NBA()
+	var pruned []rule.Rule
+	for _, r := range paperdata.Rules() {
+		if r.Name() != "phi6b" { // Example 9: keep the target incomplete
+			pruned = append(pruned, r)
+		}
+	}
+	rs, err := rule.NewSet(ie.Schema(), im.Schema(), pruned...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := chase.Spec{Ie: ie, Im: im, Rules: rs}
+	g, err := chase.NewGrounding(spec, chase.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := chase.NewGrounding(spec, chase.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chase.FillVerdictCache(full, 2)
+	te := g.Run(nil).Target
+	pref := topk.Preference{K: 3, MaxChecks: 2000}
+	want, wantStats, err := topk.TopKCT(g, te, pref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		got, gotStats, err := topk.TopKCT(full, te, pref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || gotStats != wantStats {
+			t.Fatalf("round %d: full-cache search diverged: %d cands %+v vs %d cands %+v",
+				round, len(got), gotStats, len(want), wantStats)
+		}
+		for i := range got {
+			if got[i].Tuple.Key() != want[i].Tuple.Key() || got[i].Score != want[i].Score {
+				t.Fatalf("round %d cand %d: %s@%v vs %s@%v", round, i,
+					got[i].Tuple.Key(), got[i].Score, want[i].Tuple.Key(), want[i].Score)
+			}
+		}
+	}
+	if st := full.VerdictCacheStats(); st.Entries != chase.VerdictCap || st.Hits == 0 {
+		t.Fatalf("full map: %+v, want %d entries and the second round's hits", st, chase.VerdictCap)
 	}
 }

@@ -122,7 +122,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/order"
 	"repro/internal/rule"
-	"repro/internal/vcache"
 )
 
 // Spec is a specification S = (D0, Σ, Im, te0) minus the target
@@ -149,11 +148,6 @@ type Options struct {
 	// useful for measurement and for the equivalence tests that prove
 	// that claim.
 	DisableVerdictCache bool
-	// VerdictCacheCap bounds the verdict cache's entry count: 0 means
-	// vcache.DefaultCap, negative means unbounded. A full cache stops
-	// admitting new entries (it never evicts), so the bound trades hit
-	// rate for memory without affecting any verdict.
-	VerdictCacheCap int
 }
 
 // Result is the outcome of running the chase to termination.
@@ -288,7 +282,13 @@ type corrRule struct {
 // may issue checks against the same Grounding concurrently (enforced by
 // the race tests in pool_test.go). All mutable chase state lives in
 // per-run engines; the only internal synchronisation is the lazily
-// created checker pool.
+// created checker pool and the verdict map the first cacheable check
+// builds.
+//
+// A grounding keeps its instance's tuples, not a copy of their values:
+// the chase reads a tuple's value from the tuple itself, next to the ID
+// it interned at grounding time. So a tuple handed to a grounding, by
+// NewGrounding or Extend, must not change afterwards.
 type Grounding struct {
 	ie        *model.EntityInstance
 	im        *model.MasterRelation
@@ -304,8 +304,7 @@ type Grounding struct {
 	// it. All hot-path value comparisons below are ID comparisons
 	// against it.
 	dict  *model.Dict
-	valID [][]uint32      // [attr][tuple] dictionary ID (0 = null)
-	vals  [][]model.Value // [attr][tuple]
+	valID [][]uint32 // [attr][tuple] dictionary ID (0 = null) of val(attr, tuple)
 	// groups[attr] indexes the non-null tuples of an attribute by value
 	// ID (the paper's value-equality classes, feeding axioms ϕ8/ϕ9).
 	groups []idGroups
@@ -354,10 +353,10 @@ type Grounding struct {
 
 	// verdicts memoises Checker verdicts for this version, keyed by the
 	// template's packed value-ID row (cache.go). It is version-private:
-	// Extend gives the successor a fresh cache (sharing only cumulative
+	// Extend gives the successor an empty one (sharing only cumulative
 	// counters), so entries never outlive the grounding they are valid
-	// for. nil when Options.DisableVerdictCache was set.
-	verdicts *vcache.Cache[verdictEntry]
+	// for.
+	verdicts verdictCache
 
 	poolOnce sync.Once
 	pool     *CheckerPool
@@ -552,7 +551,7 @@ func (g *Grounding) NumDistinct(a int) int { return len(g.groups[a].ids) }
 // its first occurrence.
 func (g *Grounding) Distinct(a, k int) (v model.Value, id uint32, count, first int) {
 	m := g.groups[a].members[k]
-	return g.vals[a][m[0]], g.groups[a].ids[k], len(m), int(m[0])
+	return g.val(int32(a), m[0]), g.groups[a].ids[k], len(m), int(m[0])
 }
 
 // Count returns how many tuples of Ie carry the value with dictionary
@@ -582,6 +581,10 @@ func (g *Grounding) MasterColumn(a int) []MasterValue {
 func (g *Grounding) groupFor(attr int32, id uint32) []int32 {
 	return g.groups[attr].find(id)
 }
+
+// val returns tuple i's value at attribute a, read from the tuple
+// itself; valID[a][i] is its dictionary ID.
+func (g *Grounding) val(a, i int32) model.Value { return g.ie.Tuple(int(i)).At(int(a)) }
 
 // valEq reports whether tuples i and j agree on attr — both null, or
 // both carrying the same interned value. One integer comparison,
@@ -618,7 +621,7 @@ func (g *Grounding) ground(oldN int32, e *engine) {
 func (g *Grounding) evalCmpOnPair(p *cmpPred, i, j int32) bool {
 	l := pick(p.lt, i, j)
 	if p.rt == 0 {
-		return p.op.Eval(g.vals[p.la][l], p.c)
+		return p.op.Eval(g.val(p.la, l), p.c)
 	}
 	r := pick(p.rt, i, j)
 	switch p.op {
@@ -627,7 +630,7 @@ func (g *Grounding) evalCmpOnPair(p *cmpPred, i, j int32) bool {
 	case rule.Ne:
 		return g.valID[p.la][l] != g.valID[p.ra][r]
 	}
-	return p.op.Eval(g.vals[p.la][l], g.vals[p.ra][r])
+	return p.op.Eval(g.val(p.la, l), g.val(p.ra, r))
 }
 
 // holdsAll reports whether every comparison in ps holds on (i, j).
@@ -705,7 +708,7 @@ func (g *Grounding) foldCmp(p *premise, i, j int32) resid {
 		tp.val, tp.valID = p.c, p.cID
 	} else {
 		x := pick(p.xt, i, j)
-		tp.val, tp.valID = g.vals[p.xa][x], g.valID[p.xa][x]
+		tp.val, tp.valID = g.val(p.xa, x), g.valID[p.xa][x]
 	}
 	return tp
 }
@@ -898,7 +901,7 @@ func (g *Grounding) runWith(e *engine, template *model.Tuple) {
 		for j := 0; j < g.n; j++ {
 			if e.counts[a][j] == int32(g.n-1) && (g.n > 1 || g.baseOrders.Attr(a).Has(j, j)) {
 				if vid := g.valID[a][j]; vid != model.NullID {
-					e.pushTarget(int32(a), g.vals[a][j], vid)
+					e.pushTarget(int32(a), g.val(int32(a), int32(j)), vid)
 				}
 			}
 		}

@@ -396,10 +396,10 @@ func (e *engine) derivedWord(attr int32, rel *order.Relation, x int32, wi int, d
 					if cur := e.teID[attr]; cur != model.NullID && cur != vid {
 						e.conflict = fmt.Sprintf(
 							"λ conflict on %s: maximum value %s contradicts te value %s",
-							e.g.schema.Attr(int(attr)), e.g.vals[attr][y], e.te.At(int(attr)))
+							e.g.schema.Attr(int(attr)), e.g.val(attr, y), e.te.At(int(attr)))
 						return
 					}
-					if e.pushTarget(attr, e.g.vals[attr][y], vid); e.conflict != "" {
+					if e.pushTarget(attr, e.g.val(attr, y), vid); e.conflict != "" {
 						return
 					}
 				}
@@ -565,5 +565,5 @@ func (e *engine) fireForm2(attr int32, vid uint32) {
 func (e *engine) conflictPair(attr, i, j int32) {
 	e.conflict = fmt.Sprintf(
 		"order conflict on %s: tuples %d and %d are mutually more accurate with values %s vs %s",
-		e.g.schema.Attr(int(attr)), i, j, e.g.vals[attr][i], e.g.vals[attr][j])
+		e.g.schema.Attr(int(attr)), i, j, e.g.val(attr, i), e.g.val(attr, j))
 }

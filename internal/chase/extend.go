@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/model"
-	"repro/internal/vcache"
 )
 
 // Extend absorbs new evidence tuples into the grounded specification
@@ -56,19 +55,20 @@ func (g *Grounding) Extend(tuples ...*model.Tuple) (*Grounding, error) {
 	// value groups — stays valid here. See the DESIGN.md invariant on ID
 	// stability. The verdict cache is version-private: the successor
 	// starts empty (old verdicts answer for the old evidence) but shares
-	// the chain's cumulative hit/miss counters. nil stays nil.
-	return g.extend(ie2, g.dict, g.verdicts.NextVersion(), g.useAxioms), nil
+	// the chain's cumulative hit/miss counters, nil when disabled.
+	return g.extend(ie2, g.dict, g.verdicts.counts, g.useAxioms), nil
 }
 
 // extend is the one grounding builder. It grounds ie, whose first p.n
 // tuples are p's, on top of p's terminal state, and returns the new
-// version over dict (the entity's overlay) with the given verdict
-// cache. A fresh grounding is the extension of the Shared's empty
-// grounding by its whole instance, so the steps below then run on
-// empty parent state: every tuple is new, and nothing is resumed.
+// version over dict (the entity's overlay) with an empty verdict cache
+// counting into counts. A fresh grounding is the extension of the
+// Shared's empty grounding by its whole instance, so the steps below
+// then run on empty parent state: every tuple is new, and nothing is
+// resumed.
 //
 //relacc:grounding-builder
-func (p *Grounding) extend(ie *model.EntityInstance, dict *model.Dict, verdicts *vcache.Cache[verdictEntry], useAxioms bool) *Grounding {
+func (p *Grounding) extend(ie *model.EntityInstance, dict *model.Dict, counts *verdictCounts, useAxioms bool) *Grounding {
 	g := &Grounding{
 		ie:        ie,
 		im:        p.im,
@@ -86,7 +86,7 @@ func (p *Grounding) extend(ie *model.EntityInstance, dict *model.Dict, verdicts 
 		corrs:     p.corrs,
 		form2:     p.form2,
 		master:    p.master,
-		verdicts:  verdicts,
+		verdicts:  verdictCache{counts: counts},
 		version:   p.version + 1,
 	}
 	// Stack the parent's trigger layers (sharing the maps, not the
@@ -152,7 +152,8 @@ func (g *Grounding) Version() int { return g.version }
 // indexValues builds the per-version value indexes: p's ID rows are
 // copied (they are O(nattr·n) uint32s, cheap next to any chase work),
 // the new tuples' values resolved against the overlay (a cached base ID
-// when the tuple carries one, an overlay insert otherwise), and the
+// when the tuple carries one, an overlay insert otherwise; the values
+// themselves stay in the tuples, read through val), and the
 // value groups extended copy-on-append — a group gaining no member
 // shares its slice with p, so p's groups (which in-flight checkers on
 // the old version may be reading) never change.
@@ -161,19 +162,15 @@ func (g *Grounding) Version() int { return g.version }
 func (g *Grounding) indexValues(p *Grounding) {
 	n, na, oldN := g.n, g.nattr, p.n
 	g.valID = make([][]uint32, na)
-	g.vals = make([][]model.Value, na)
 	g.groups = make([]idGroups, na)
 	g.targetTrig = make([][]predRef, na)
 	for a := 0; a < na; a++ {
 		ids := make([]uint32, n)
-		vs := make([]model.Value, n)
 		copy(ids, p.valID[a])
-		copy(vs, p.vals[a])
 		for i := oldN; i < n; i++ {
-			t := g.ie.Tuple(i)
-			vs[i], ids[i] = t.At(a), g.dict.InternAt(t, a)
+			ids[i] = g.dict.InternAt(g.ie.Tuple(i), a)
 		}
-		g.valID[a], g.vals[a] = ids, vs
+		g.valID[a] = ids
 		g.groups[a] = p.groups[a].extend(ids, oldN)
 	}
 }

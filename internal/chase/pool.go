@@ -54,13 +54,14 @@ func (c *Checker) CheckConflict(template *model.Tuple) string {
 		return c.g.baseConflict
 	}
 	c.hit = nil
+	vc := &c.g.verdicts
 	var key []byte
 	cacheable := false
-	if c.g.verdicts != nil {
+	if vc.counts != nil {
 		key, cacheable = c.g.verdictKey(template, c.kbuf)
 		c.kbuf = key
 		if cacheable {
-			if ent, ok := c.g.verdicts.Get(key); ok {
+			if ent, ok := vc.get(key); ok {
 				c.hit = ent.target
 				return ent.conflict
 			}
@@ -73,7 +74,7 @@ func (c *Checker) CheckConflict(template *model.Tuple) string {
 		if ent.conflict == "" {
 			ent.target = c.e.te.Clone()
 		}
-		c.g.verdicts.Put(key, ent)
+		vc.put(key, ent)
 	}
 	return c.e.conflict
 }

@@ -124,8 +124,8 @@ func TestPooledResetAfterConflict(t *testing.T) {
 	// target still pending.
 	e.reset()
 	e.pushPair(0, row, other)
-	e.pushTarget(0, g.vals[0][row], g.valID[0][row])
-	e.pushTarget(0, g.vals[0][other], g.valID[0][other])
+	e.pushTarget(0, g.val(0, row), g.valID[0][row])
+	e.pushTarget(0, g.val(0, other), g.valID[0][other])
 	if e.conflict == "" {
 		t.Fatal("two different targets for one attribute must conflict")
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/order"
 	"repro/internal/rule"
-	"repro/internal/vcache"
 )
 
 // Shared is the instance-independent groundwork of a specification: the
@@ -52,7 +51,7 @@ type Shared struct {
 	// empty is the grounding of the empty instance — no tuples, no
 	// steps, no trigger layers — that every fresh grounding extends by
 	// its whole instance. It carries only the Shared's compiled rules:
-	// no value overlay and no verdict cache, so nothing of one entity
+	// no value overlay and no verdict counters, so nothing of one entity
 	// reaches another through it.
 	empty *Grounding
 }
@@ -165,7 +164,7 @@ func NewShared(schema *model.Schema, im *model.MasterRelation, rules *rule.Set) 
 	// Version -1, so the fresh grounding that extends it is version 0.
 	sh.empty = &Grounding{im: im, schema: schema, nattr: na,
 		form1: sh.form1, corrs: sh.corrs, form2: sh.form2, master: master,
-		valID: make([][]uint32, na), vals: make([][]model.Value, na), groups: make([]idGroups, na),
+		valID: make([][]uint32, na), groups: make([]idGroups, na),
 		baseOrders: order.NewSet(na, 0), baseCounts: make([][]int32, na), version: -1}
 	return sh, nil
 }
@@ -254,11 +253,11 @@ func (sh *Shared) NewGrounding(ie *model.EntityInstance, opts Options) (*Groundi
 	if ie.Size() >= maxTuples {
 		return nil, fmt.Errorf("chase: instance holds %d tuples, limit is %d", ie.Size(), maxTuples-1)
 	}
-	var verdicts *vcache.Cache[verdictEntry]
+	var counts *verdictCounts
 	if !opts.DisableVerdictCache {
-		verdicts = vcache.New[verdictEntry](opts.VerdictCacheCap)
+		counts = new(verdictCounts)
 	}
-	return sh.empty.extend(ie, sh.dict.Overlay(), verdicts, !opts.DisableAxioms), nil
+	return sh.empty.extend(ie, sh.dict.Overlay(), counts, !opts.DisableAxioms), nil
 }
 
 // cmpPred is a tuple/constant comparison predicate compiled against the

@@ -28,7 +28,6 @@ import (
 	"repro/internal/rule"
 	"repro/internal/ruledsl"
 	"repro/internal/topk"
-	"repro/internal/vcache"
 )
 
 // Re-exported types, so most callers only import core.
@@ -151,7 +150,7 @@ func (s *Session) Grounding() *chase.Grounding { return s.g }
 // session through; entries count the current version only).
 // Sessions always run with the cache on; the stats expose how much of
 // the check load it absorbed.
-func (s *Session) VerdictCacheStats() vcache.Stats { return s.g.VerdictCacheStats() }
+func (s *Session) VerdictCacheStats() chase.VerdictStats { return s.g.VerdictCacheStats() }
 
 // Groundwork is the schema-level part of session construction: the
 // rule set validated once against one (entity schema, master schema)

@@ -34,11 +34,6 @@ type Window struct {
 	// emitted. 0 means no entity-count bound. 1 is run-length mode:
 	// every key change seals the previous entity.
 	MaxEntities int
-	// MaxBytes caps the approximate bytes held by open entities'
-	// tuples; past it the oldest open entities are sealed until under
-	// the cap (the newest entity is never sealed by the byte bound, so
-	// one oversized entity still groups correctly). 0 means no bound.
-	MaxBytes int64
 }
 
 // WindowError reports input too disordered for the window: the named
@@ -85,12 +80,10 @@ type StreamOpts struct {
 	OnRowError func(error) error
 }
 
-// openEntity is one entity still accepting tuples, plus the accounting
-// the window needs.
+// openEntity is one entity still accepting tuples.
 type openEntity struct {
-	key   string // "" for a null singleton (never matched)
-	ie    *model.EntityInstance
-	bytes int64
+	key string // "" for a null singleton (never matched)
+	ie  *model.EntityInstance
 }
 
 // EntityStream emits grouped entities as Next is called, pulling tuples
@@ -105,7 +98,6 @@ type EntityStream struct {
 	byKey   map[string]*openEntity // real-keyed open entities only
 	sealed  []*openEntity          // emitted order, ready for Next
 	seen    map[uint64]struct{}    // FNV-64a hashes of sealed keys
-	bytes   int64                  // total open bytes
 	tuple   int                    // 1-based count of source tuples consumed
 	lastKey string
 	srcDone bool
@@ -204,7 +196,7 @@ func (es *EntityStream) pull() error {
 		}
 		ie := model.NewEntityInstance(es.s)
 		ie.MustAdd(t)
-		es.push(&openEntity{ie: ie, bytes: tupleBytes(t)})
+		es.push(&openEntity{ie: ie})
 		return nil
 	}
 
@@ -228,31 +220,14 @@ func (es *EntityStream) pull() error {
 		es.push(oe)
 	}
 	oe.ie.MustAdd(t)
-	b := tupleBytes(t)
-	oe.bytes += b
-	es.bytes += b
-	es.enforce()
 	return nil
 }
 
-// push appends a new open entity and applies the window.
+// push appends a new open entity and, when that exceeds the window,
+// seals the oldest one.
 func (es *EntityStream) push(oe *openEntity) {
 	es.open = append(es.open, oe)
-	es.bytes += oe.bytes
-	es.enforce()
-}
-
-// enforce seals oldest-first until the window holds. The byte bound
-// never seals the newest entity: one entity larger than MaxBytes must
-// still group in full.
-func (es *EntityStream) enforce() {
-	w := es.opts.Window
-	for len(es.open) > 0 {
-		over := w.MaxEntities > 0 && len(es.open) > w.MaxEntities
-		overBytes := w.MaxBytes > 0 && es.bytes > w.MaxBytes && len(es.open) > 1
-		if !over && !overBytes {
-			return
-		}
+	if m := es.opts.Window.MaxEntities; m > 0 && len(es.open) > m {
 		es.sealN(1)
 	}
 }
@@ -263,28 +238,10 @@ func (es *EntityStream) sealN(n int) {
 		oe := es.open[0]
 		es.open[0] = nil
 		es.open = es.open[1:]
-		es.bytes -= oe.bytes
 		if oe.key != "" {
 			delete(es.byKey, oe.key)
 			es.seen[hashKey(oe.key)] = struct{}{}
 		}
 		es.sealed = append(es.sealed, oe)
 	}
-}
-
-// tupleBytes approximates a tuple's resident size for the byte bound:
-// string payloads by length, everything else by a word, plus slice and
-// header overhead. Precision doesn't matter — the bound is a memory
-// ceiling, not an accounting ledger.
-func tupleBytes(t *model.Tuple) int64 {
-	n := int64(48) // tuple header + slice overhead, roughly
-	for j := 0; j < t.Schema().Arity(); j++ {
-		v := t.At(j)
-		if v.Kind() == model.String {
-			n += int64(len(v.String())) + 16
-		} else {
-			n += 8
-		}
-	}
-	return n
 }

@@ -105,8 +105,6 @@ func TestStreamGroupByEquivalence(t *testing.T) {
 		{MaxEntities: 1},
 		{MaxEntities: 2},
 		{MaxEntities: 7},
-		{MaxBytes: 1}, // forces per-entity seal, newest survives
-		{MaxEntities: 3, MaxBytes: 200},
 	} {
 		es, err := er.StreamGroupBy(&sliceSource{tuples: tuples, errAt: -1}, s, "id", er.StreamOpts{Window: w})
 		if err != nil {

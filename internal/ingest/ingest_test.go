@@ -93,7 +93,6 @@ func TestStreamCSVEquivalence(t *testing.T) {
 		{MaxEntities: 2},
 		{MaxEntities: 7},
 		{}, // unbounded
-		{MaxBytes: 1},
 	} {
 		var got []pipeline.Result
 		sum, err := ingest.StreamCSV(strings.NewReader(csvText), "rel",

@@ -66,7 +66,8 @@ func (ie *EntityInstance) Value(i, a int) Value { return ie.tuples[i].At(a) }
 // by more. The receiver is unchanged — groundings, sessions and
 // checkers built on it keep reading it — and the tuples themselves are
 // shared, not copied. Every appended tuple must belong to the
-// instance's schema.
+// instance's schema. A grounding reads its values from these shared
+// tuples, so a tuple must not change once a grounding holds it.
 func (ie *EntityInstance) Extend(more ...*Tuple) (*EntityInstance, error) {
 	out := &EntityInstance{
 		schema: ie.schema,

@@ -169,56 +169,3 @@ func TestCacheEquivalenceProperty(t *testing.T) {
 		}
 	}
 }
-
-// TestCacheCapEquivalence: a cache too small to hold the working set
-// still answers byte-identically — a full shard refuses inserts, it
-// never serves anything but the verdict the chase would compute.
-func TestCacheCapEquivalence(t *testing.T) {
-	g, te := example9Grounding(t)
-	tiny, err := chase.NewGrounding(chase.Spec{
-		Ie: g.Instance(), Im: g.Master(), Rules: rulesOf(t, g)}, chase.Options{VerdictCacheCap: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pref := topk.Preference{K: 3, MaxChecks: 2000}
-	want, wantStats, err := topk.TopKCT(g, te, pref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 2; round++ {
-		got, gotStats, err := topk.TopKCT(tiny, te, pref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) || gotStats != wantStats {
-			t.Fatalf("round %d: tiny-cache search diverged: %d cands %+v vs %d cands %+v",
-				round, len(got), gotStats, len(want), wantStats)
-		}
-		for i := range got {
-			if got[i].Tuple.Key() != want[i].Tuple.Key() || got[i].Score != want[i].Score {
-				t.Fatalf("round %d cand %d: %s@%v vs %s@%v", round, i,
-					got[i].Tuple.Key(), got[i].Score, want[i].Tuple.Key(), want[i].Score)
-			}
-		}
-	}
-	if st := tiny.VerdictCacheStats(); st.Entries > 16 {
-		t.Fatalf("cap 2 cache holds %d entries", st.Entries)
-	}
-}
-
-// rulesOf rebuilds the Example 9 rule set (phi6b pruned); grounding
-// does not expose its rule set, so the cap test reconstructs it.
-func rulesOf(t *testing.T, g *chase.Grounding) *rule.Set {
-	t.Helper()
-	var pruned []rule.Rule
-	for _, r := range paperdata.Rules() {
-		if r.Name() != "phi6b" {
-			pruned = append(pruned, r)
-		}
-	}
-	rs, err := rule.NewSet(g.Schema(), g.Master().Schema(), pruned...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rs
-}

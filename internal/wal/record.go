@@ -268,11 +268,7 @@ func encodeBatch(seq uint64, updates []pipeline.Update) []byte {
 		b = appendString(b, up.Key)
 		b = appendUvarint(b, uint64(len(up.Tuples)))
 		for _, t := range up.Tuples {
-			arity := t.Schema().Arity()
-			b = appendUvarint(b, uint64(arity))
-			for i := 0; i < arity; i++ {
-				b = appendValue(b, t.At(i))
-			}
+			b = appendTuple(b, t)
 		}
 	}
 	return b
@@ -324,6 +320,17 @@ func decodeBatch(payload []byte, schema *model.Schema) (Batch, error) {
 		return out, fmt.Errorf("wal: %d trailing bytes after batch record", len(payload)-d.off)
 	}
 	return out, nil
+}
+
+// appendTuple serializes one tuple as decoder.tuple reads it back: its
+// arity, then its values in attribute order.
+func appendTuple(b []byte, t *model.Tuple) []byte {
+	arity := t.Schema().Arity()
+	b = appendUvarint(b, uint64(arity))
+	for i := 0; i < arity; i++ {
+		b = appendValue(b, t.At(i))
+	}
+	return b
 }
 
 func (d *decoder) tuple(schema *model.Schema) (*model.Tuple, error) {

@@ -100,7 +100,7 @@ func (s *Store) resetLog(seq uint64) error {
 		os.Remove(tmp)
 		return fmt.Errorf("wal: %w", err)
 	}
-	if err := s.syncDirLocked(); err != nil {
+	if err := s.syncDir(); err != nil {
 		nf.Close()
 		return err
 	}
@@ -112,10 +112,6 @@ func (s *Store) resetLog(seq uint64) error {
 	old.Close()
 	return nil
 }
-
-// syncDirLocked is syncDir callable with s.mu held (it touches no
-// store state).
-func (s *Store) syncDirLocked() error { return s.syncDir() }
 
 // writeFileSync writes data to path and fsyncs it.
 func writeFileSync(path string, data []byte) error {
@@ -172,10 +168,7 @@ func encodeSnapshotBody(schema *model.Schema, keys []string, entities []*model.E
 		tuples := entities[i].Tuples()
 		b = appendUvarint(b, uint64(len(tuples)))
 		for _, t := range tuples {
-			b = appendUvarint(b, uint64(t.Schema().Arity()))
-			for a := 0; a < t.Schema().Arity(); a++ {
-				b = appendValue(b, t.At(a))
-			}
+			b = appendTuple(b, t)
 		}
 	}
 	return b

@@ -532,7 +532,8 @@ func (s *Store) Close() error {
 }
 
 // syncDir fsyncs the store directory, making renames and creations
-// durable on POSIX filesystems.
+// durable on POSIX filesystems. It touches no store state, so callers
+// may hold s.mu.
 func (s *Store) syncDir() error {
 	d, err := os.Open(s.dir)
 	if err != nil {

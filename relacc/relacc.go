@@ -125,11 +125,12 @@ type (
 	// the settled-target memo (each entity's last computed query
 	// answer, invalidated structurally when Apply publishes a new
 	// grounding version) and the per-version verdict caches that
-	// memoise candidate checks. Both caches are on by default and
-	// semantically invisible — cached answers are byte-identical to
-	// recomputing; BatchConfig.DisableSettledCache and
-	// BatchConfig.Options.DisableVerdictCache turn them off. Obtain
-	// with Updater.CacheStats.
+	// memoise candidate checks. Both caches are semantically invisible
+	// — cached answers are byte-identical to recomputing — and always
+	// on in relaccd. BatchConfig.DisableSettledCache and
+	// BatchConfig.Options.DisableVerdictCache remain only as the
+	// uncached references that equivalence tests and benchmarks
+	// compare against. Obtain with Updater.CacheStats.
 	CacheStats = pipeline.CacheStats
 )
 
@@ -353,9 +354,9 @@ type (
 	// StreamOptions tunes StreamCSV: the grouping attribute, the
 	// bounded window, and the bad-row policy.
 	StreamOptions = ingest.Options
-	// Window bounds the streaming grouper's working set of open
-	// entities (max open entities and/or approximate bytes); the zero
-	// value is unbounded. Sorted input streams at Window{MaxEntities:1}.
+	// Window bounds how many entities the streaming grouper holds open;
+	// the zero value is unbounded. Sorted input streams at
+	// Window{MaxEntities:1}.
 	Window = er.Window
 	// WindowError reports input too disordered for the window: a
 	// grouping key reappeared after its entity was already emitted.

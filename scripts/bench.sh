@@ -11,9 +11,16 @@
 # for uncommitted changes). scripts/benchdiff.sh warns when two
 # snapshots' machines differ.
 #
+# Each tracked benchmark function runs in its own test process, so no
+# function's heap, GC pacing or warmed caches carry into the next one's
+# numbers. With COUNT > 1 a benchmark gets one entry holding the median
+# ns/op of its COUNT runs with their min and max (ns_min, ns_max) and
+# the medians of the other metrics; scripts/benchdiff.sh reads that
+# spread to tell a delta from noise.
+#
 # Environment:
 #   BENCHTIME  go test -benchtime value (default 1s; CI smoke uses 1x)
-#   COUNT      go test -count value      (default 1)
+#   COUNT      runs per benchmark        (default 1)
 #
 # The tracked benchmarks are the hot paths the performance PRs moved:
 #   BenchmarkCheckPooled     allocation-free candidate check, verdict
@@ -62,47 +69,70 @@ out="$1"
 benchtime="${BENCHTIME:-1s}"
 count="${COUNT:-1}"
 
-raw=$(mktemp)
-trap 'rm -f "$raw"' EXIT
+funcs="CheckPooled CheckCached ColdCheck OrderAdd OrderMax TopKCT900
+IncrementalAdd UpdaterApply WALAppend RecoveryReplay TopKWarmQuery
+StreamIngest Instantiation TopKCold"
 
-go test -run '^$' \
-  -bench 'BenchmarkCheckPooled$|BenchmarkCheckCached$|BenchmarkColdCheck$|BenchmarkOrderAdd|BenchmarkOrderMax|BenchmarkTopKCT900|BenchmarkIncrementalAdd|BenchmarkUpdaterApply|BenchmarkWALAppend|BenchmarkRecoveryReplay|BenchmarkTopKWarmQuery|BenchmarkStreamIngest|BenchmarkInstantiation|BenchmarkTopKCold' \
-  -benchmem -benchtime "$benchtime" -count "$count" . | tee "$raw"
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
-# Parse `go test -bench` lines into JSON records. A -benchmem line looks
-# like:  BenchmarkName-8  123  456 ns/op  789 B/op  12 allocs/op
+go test -c -o "$tmp/bench.test" .
+for f in $funcs; do
+    "$tmp/bench.test" -test.run '^$' -test.bench "^Benchmark$f\$" -test.benchmem \
+        -test.benchtime "$benchtime" -test.count "$count" -test.timeout 60m | tee -a "$tmp/raw"
+done
+
+# Parse `go test -bench` lines into one JSON record per benchmark. A
+# -benchmem line looks like:
+#   BenchmarkName-8  123  456 ns/op  789 B/op  12 allocs/op
 # where -8 is GOMAXPROCS; the header takes it and the cpu: line.
-awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v benchtime="$benchtime" \
-    -v gover="$(go version)" -v nproc="$(nproc)" \
-    -v commit="$(git describe --always --dirty 2>/dev/null || echo unknown)" '
-function jstr(s) { gsub(/\\/, "\\\\", s); gsub(/"/, "\\\"", s); return "\"" s "\"" }
-BEGIN { n = 0; procs = 1; cpu = "unknown"; body = "" }
-/^cpu: / { cpu = substr($0, 6) }
-/^Benchmark/ && / ns\/op/ {
-    name = $1
-    if (match(name, /-[0-9]+$/)) { procs = substr(name, RSTART + 1); name = substr(name, 1, RSTART - 1) }
-    iters = $2; ns = $3
-    bytes = "null"; allocs = "null"; rows = "null"; peak = "null"
-    for (i = 4; i <= NF; i++) {
-        if ($i == "B/op") bytes = $(i-1)
-        if ($i == "allocs/op") allocs = $(i-1)
-        if ($i == "rows/s") rows = $(i-1)
-        if ($i == "peak-bytes") peak = $(i-1)
-    }
-    if (n++) body = body ","
-    body = body sprintf("\n    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s", name, iters, ns, bytes, allocs)
-    # Custom metrics (only BenchmarkStreamIngest emits them today):
-    # ingest throughput and the peak sampled heap during one ingest.
-    if (rows != "null") body = body sprintf(", \"rows_per_s\": %s", rows)
-    if (peak != "null") body = body sprintf(", \"peak_bytes\": %s", peak)
-    body = body "}"
-}
-END {
-    print "{"
-    printf "  \"generated\": \"%s\",\n  \"benchtime\": \"%s\",\n", date, benchtime
-    printf "  \"header\": {\"go\": %s, \"nproc\": %s, \"gomaxprocs\": %s, \"cpu\": %s, \"commit\": %s},\n", jstr(gover), nproc, procs, jstr(cpu), jstr(commit)
-    printf "  \"results\": [%s\n  ]\n}\n", body
-}
-' "$raw" > "$out"
+python3 - "$tmp/raw" "$out" "$benchtime" "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
+    "$(go version)" "$(nproc)" "$(git describe --always --dirty 2>/dev/null || echo unknown)" <<'PY'
+import json, re, statistics, sys
+
+raw, out, benchtime, date, gover, nproc, commit = sys.argv[1:]
+procs, cpu, runs = 1, "unknown", {}
+units = {"ns/op": "ns_per_op", "B/op": "bytes_per_op", "allocs/op": "allocs_per_op",
+         # Custom metrics (only BenchmarkStreamIngest emits them today):
+         # ingest throughput and the peak sampled heap during one ingest.
+         "rows/s": "rows_per_s", "peak-bytes": "peak_bytes"}
+for line in open(raw):
+    if line.startswith("cpu: "):
+        cpu = line[5:].strip()
+    f = line.split()
+    if not f or not f[0].startswith("Benchmark") or "ns/op" not in f:
+        continue
+    name = f[0]
+    m = re.search(r"-([0-9]+)$", name)
+    if m:
+        procs, name = int(m.group(1)), name[:m.start()]
+    rec = {"iterations": float(f[1])}
+    for i in range(3, len(f)):
+        if f[i] in units:
+            rec[units[f[i]]] = float(f[i - 1])
+    runs.setdefault(name, []).append(rec)
+
+def num(x):
+    return int(x) if x == int(x) else x
+
+def median(rs, key):
+    vals = [r[key] for r in rs if key in r]
+    return num(statistics.median(vals)) if vals else None
+
+lines = []
+for name, rs in runs.items():
+    ns = [r["ns_per_op"] for r in rs]
+    e = {"name": name, "runs": len(rs), "iterations": median(rs, "iterations"),
+         "ns_per_op": median(rs, "ns_per_op"), "ns_min": num(min(ns)), "ns_max": num(max(ns)),
+         "bytes_per_op": median(rs, "bytes_per_op"), "allocs_per_op": median(rs, "allocs_per_op")}
+    for key in ("rows_per_s", "peak_bytes"):
+        if median(rs, key) is not None:
+            e[key] = median(rs, key)
+    lines.append("    " + json.dumps(e))
+header = {"go": gover, "nproc": int(nproc), "gomaxprocs": procs, "cpu": cpu, "commit": commit}
+with open(out, "w") as fh:
+    fh.write('{\n  "generated": %s,\n  "benchtime": %s,\n  "header": %s,\n  "results": [\n%s\n  ]\n}\n'
+             % (json.dumps(date), json.dumps(benchtime), json.dumps(header), ",\n".join(lines)))
+PY
 
 echo "wrote $out"

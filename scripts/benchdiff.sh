@@ -7,8 +7,11 @@
 #   ./scripts/benchdiff.sh BENCH_pr7.json BENCH_pr8.json
 #
 # Output: one line per benchmark present in either file, with old and
-# new ns/op, the delta percentage (negative = faster), and the
-# allocs/op movement. Benchmarks present in only one file are flagged.
+# new ns/op, each side's spread (min..max over its runs, from a
+# COUNT > 1 snapshot), the delta percentage (negative = faster), and
+# the allocs/op movement. A delta is marked "noise" when the two
+# spreads overlap: then not every run of one side beat every run of
+# the other. Benchmarks present in only one file are flagged.
 # Benchmarks carrying the ingest memory metrics (rows_per_s,
 # peak_bytes — see BenchmarkStreamIngest) get a second line with their
 # deltas. Both snapshots' headers (Go version, nproc, GOMAXPROCS, CPU,
@@ -49,20 +52,30 @@ print()
 names = list(dict.fromkeys(list(old) + list(new)))
 width = max((len(n) for n in names), default=4)
 
-print(f"{'benchmark':<{width}}  {'old ns/op':>14}  {'new ns/op':>14}  {'delta':>8}  allocs/op")
+def spread(r):
+    """The min..max of a benchmark's runs; a one-run snapshot's single value."""
+    return r.get("ns_min", r["ns_per_op"]), r.get("ns_max", r["ns_per_op"])
+
+def span(r):
+    lo, hi = spread(r)
+    return f"{lo}..{hi}" if lo != hi else "-"
+
+print(f"{'benchmark':<{width}}  {'old ns/op':>14} {'(spread)':>22}  {'new ns/op':>14} {'(spread)':>22}  {'delta':>8}  allocs/op")
 for n in names:
     o, w = old.get(n), new.get(n)
     if o is None:
-        print(f"{n:<{width}}  {'-':>14}  {w['ns_per_op']:>14}  {'new':>8}  {w.get('allocs_per_op')}")
+        print(f"{n:<{width}}  {'-':>14} {'':>22}  {w['ns_per_op']:>14} {span(w):>22}  {'new':>8}  {w.get('allocs_per_op')}")
         continue
     if w is None:
-        print(f"{n:<{width}}  {o['ns_per_op']:>14}  {'-':>14}  {'gone':>8}  -")
+        print(f"{n:<{width}}  {o['ns_per_op']:>14} {span(o):>22}  {'-':>14} {'':>22}  {'gone':>8}  -")
         continue
     ons, wns = o["ns_per_op"], w["ns_per_op"]
     delta = "n/a" if not ons else f"{(wns - ons) / ons * 100:+.1f}%"
+    (olo, ohi), (wlo, whi) = spread(o), spread(w)
+    noise = " noise" if ons and wns != ons and olo <= whi and wlo <= ohi else ""
     oa, wa = o.get("allocs_per_op"), w.get("allocs_per_op")
     allocs = f"{oa}" if oa == wa else f"{oa} -> {wa}"
-    print(f"{n:<{width}}  {ons:>14}  {wns:>14}  {delta:>8}  {allocs}")
+    print(f"{n:<{width}}  {ons:>14} {span(o):>22}  {wns:>14} {span(w):>22}  {delta:>8}{noise}  {allocs}")
     # The ingest memory metrics, when both sides carry them.
     extras = []
     for key, label, better_down in (("peak_bytes", "peak MiB", True),
