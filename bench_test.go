@@ -310,9 +310,9 @@ func BenchmarkOrderMax(b *testing.B) {
 	for _, n := range []int{129, 900} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			r := order.New(n)
-			members := make([]int32, n)
+			members := make([]uint32, n)
 			for i := range members {
-				members[i] = int32(i)
+				members[i] = uint32(i)
 			}
 			r.SetClique32(members)
 			b.ReportAllocs()

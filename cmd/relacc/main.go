@@ -4,8 +4,8 @@
 //	relacc topk   -data instance.csv [-master master.csv] -rules rules.txt -k 10 [-algo topkct|rankjoin|topkcth]
 //	relacc check  -data instance.csv [-master master.csv] -rules rules.txt -candidate cand.csv
 //	relacc rules  -rules rules.txt -data instance.csv [-master master.csv]
-//	relacc batch  -data relation.csv [-master master.csv] -rules rules.txt [-by id | -key a,b] [-workers N] [-topk K] [-algo ...] [-o fused.csv]
-//	relacc append -data base.csv -delta delta.csv [-master master.csv] -rules rules.txt -by id [-workers N] [-topk K] [-algo ...] [-o fused.csv]
+//	relacc batch  -data relation.csv [-master master.csv] -rules rules.txt [-by id | -key a,b] [-workers N] [-topk K] [-algo ...] [-o fused.csv] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	relacc append -data base.csv -delta delta.csv [-master master.csv] -rules rules.txt -by id [-workers N] [-topk K] [-algo ...] [-o fused.csv] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // deduce/topk/check operate on the tuples of ONE entity; batch takes a
 // whole relation of many entities, groups it into entity instances —
@@ -42,6 +42,11 @@
 // the window error. -o writes the settled targets
 // (pipeline.Result.Settled) of the final state of every entity.
 //
+// batch and append profile themselves on request: -cpuprofile writes a
+// CPU profile of the whole run and -memprofile the allocation profile
+// (runtime/pprof's "allocs": every sampled allocation since the process
+// started, plus what is live at exit), both readable by go tool pprof.
+//
 // The optional master CSV holds master data; the rule file uses the
 // textual rule language (see internal/ruledsl):
 //
@@ -55,6 +60,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -90,6 +97,8 @@ func main() {
 	verbose := fs.Bool("v", false, "batch: print every entity (default: only unsettled ones)")
 	stream := fs.String("stream", "auto", "batch/append: -by grouping window: on (-window), off (unbounded), or auto (-window when -by input is run-length sorted, else unbounded)")
 	window := fs.Int("window", 1024, "batch/append: max open entities in the streaming group window (0 = unbounded)")
+	cpuProfile := fs.String("cpuprofile", "", "batch/append: write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "batch/append: write the allocation profile to this file at exit")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
@@ -100,7 +109,7 @@ func main() {
 		// mode's flags loudly instead of silently ignoring them.
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "by", "key", "threshold", "workers", "topk", "o", "v", "delta", "stream", "window":
+			case "by", "key", "threshold", "workers", "topk", "o", "v", "delta", "stream", "window", "cpuprofile", "memprofile":
 				fatal(fmt.Errorf("flag -%s applies to batch/append; %s uses -k", f.Name, cmd))
 			}
 		})
@@ -111,6 +120,7 @@ func main() {
 				fatal(fmt.Errorf("flag -%s does not apply to batch; batch uses -topk and -workers", f.Name))
 			}
 		})
+		stop := startProfiles(*cpuProfile, *memProfile)
 		runBatch(batchArgs{
 			data: *dataPath, master: *masterPath, rules: *rulesPath,
 			by: *by, key: *key, threshold: *threshold,
@@ -118,6 +128,7 @@ func main() {
 			out: *outPath, verbose: *verbose,
 			stream: *stream, window: *window,
 		})
+		stop()
 		return
 	case "append":
 		fs.Visit(func(f *flag.Flag) {
@@ -126,12 +137,14 @@ func main() {
 				fatal(fmt.Errorf("flag -%s does not apply to append; append routes deltas by -by", f.Name))
 			}
 		})
+		stop := startProfiles(*cpuProfile, *memProfile)
 		runAppend(appendArgs{
 			data: *dataPath, delta: *deltaPath, master: *masterPath, rules: *rulesPath,
 			by: *by, workers: *workers, topK: *topK, algo: *algo,
 			out: *outPath, verbose: *verbose,
 			stream: *stream, window: *window,
 		})
+		stop()
 		return
 	default:
 		usage()
@@ -207,6 +220,40 @@ func main() {
 		} else {
 			fmt.Println("candidate FAILS the chase check")
 			os.Exit(1)
+		}
+	}
+}
+
+// startProfiles starts the CPU profile when cpuPath is set and returns
+// the function that ends the run's profiling: it stops the CPU profile
+// and, when memPath is set, writes the allocation profile after a
+// collection, so its live figures are current. A profile that cannot
+// be written is fatal, as any output file is.
+func startProfiles(cpuPath, memPath string) (stop func()) {
+	var cpu *os.File
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		cpu = f
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fatal(err)
+			}
+		}
+		if memPath != "" {
+			runtime.GC()
+			err := atomicWrite(memPath, func(w io.Writer) error { return pprof.Lookup("allocs").WriteTo(w, 0) })
+			if err != nil {
+				fatal(err)
+			}
 		}
 	}
 }
@@ -659,6 +706,7 @@ func usage() {
   deduce/topk/check/rules operate on one entity's tuples;
   batch groups a multi-entity relation (-by col | -key a,b) and runs the
   pipeline over it (-workers N -topk K -algo topkct|rankjoin|topkcth -o out.csv);
+  batch and append write pprof profiles with -cpuprofile FILE and -memprofile FILE;
   append deduces a base relation, then streams -delta (the base's
   columns, in any order) into the live entities by -by and incrementally
   re-deduces only the touched ones;

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -298,6 +299,35 @@ func settledCSV(t *testing.T, f medFiles, args ...string) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestBatchProfiles: batch -cpuprofile and -memprofile each write a
+// non-empty gzip stream (the pprof encoding) next to a normal run.
+func TestBatchProfiles(t *testing.T) {
+	f := writeMed(t)
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if text, err := relacc(t, "batch", "-data", f.sorted, "-master", f.master, "-rules", f.rules,
+		"-by", "name", "-cpuprofile", cpu, "-memprofile", mem); err != nil {
+		t.Fatalf("relacc batch: %v\n%s", err, text)
+	}
+	for _, path := range []string{cpu, mem} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s is not a gzip stream: %v", filepath.Base(path), err)
+		}
+		body, err := io.ReadAll(zr)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		if len(body) == 0 {
+			t.Fatalf("%s holds an empty profile", filepath.Base(path))
+		}
+	}
 }
 
 // TestBatchOutputIndependentOfStream: -stream only sizes the grouping

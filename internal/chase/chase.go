@@ -58,12 +58,18 @@
 // uint32 IDs — instance value rows, the ϕ8/ϕ9 equality classes,
 // form-(2) trigger keys (packed attr<<32|valueID uint64s),
 // target-premise firing and the engine's te row all compare IDs
-// instead of hashing model.Value structs. The chase compares a value
+// instead of hashing model.Value structs, and so do the compiled
+// guards: a comparison with the null constant tests an ID against
+// NullID, and an ordering between two tuples on one attribute compares
+// the ranks of the attribute's distinct values, computed once per
+// version (evalCmpOnPair). A version keeps its ID rows, value groups
+// and ranks in one slab (layout.go). The chase compares a value
 // only with values of the same entity, with master data and with rule
 // constants, so IDs need only agree within one entity: the Shared's
 // read-only base dictionary holds master values, rule constants and
 // ⊥, and each grounding interns its entity's other values into its
-// own overlay of the base. Candidate templates assembled by the top-k
+// own overlay of the base, an open-addressing table sized from the
+// entity. Candidate templates assembled by the top-k
 // search carry cached ID rows, so a check never probes the dictionary.
 // IDs equate values up to model.Value.Norm — the same classes the Key
 // strings define — and are append-only: every Extend version of a
@@ -116,7 +122,6 @@ package chase
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/model"
@@ -303,15 +308,28 @@ type Grounding struct {
 	// previously issued ID valid. Only grounding builders insert into
 	// it. All hot-path value comparisons below are ID comparisons
 	// against it.
-	dict  *model.Dict
-	valID [][]uint32 // [attr][tuple] dictionary ID (0 = null) of val(attr, tuple)
-	// groups[attr] indexes the non-null tuples of an attribute by value
-	// ID (the paper's value-equality classes, feeding axioms ϕ8/ϕ9).
-	groups []idGroups
+	dict *model.Dict
+	// The version's value indexes, cut from one slab (layout.go): ID
+	// rows (ids), value groups in CSR form (grpOff, gIDs, memOff,
+	// members — the paper's value-equality classes, feeding axioms
+	// ϕ8/ϕ9) and guard ranks (rankOK, ranks) for the Shared's rank
+	// slots, whose attributes rankAttrs lists.
+	ids       []uint32
+	grpOff    []uint32
+	gIDs      []uint32
+	memOff    []uint32
+	members   []uint32
+	rankOK    []uint32
+	ranks     []uint32
+	rankAttrs []int32
 
+	// steps are the materialised ground steps; orderTrig and
+	// targetTrig ([attr] -> premises te[attr] op v, form-1 only) index
+	// this version's own premises, each allocated by the first step that
+	// registers one.
 	steps      []groundStep
 	orderTrig  map[uint64][]predRef
-	targetTrig [][]predRef // [attr] -> premises te[attr] op v (form-1 only)
+	targetTrig [][]predRef
 
 	// form1 and corrs are the Shared's compiled form-(1) rules, read
 	// by every grounding and version of it and never written.
@@ -329,7 +347,7 @@ type Grounding struct {
 	master []masterColumn
 
 	baseOrders   *order.Set
-	baseCounts   [][]int32
+	baseCounts   []int32 // [attr·n + j]: the base state's λ counts
 	baseNpred    []int32
 	basePushed   []bool
 	baseConflict string
@@ -443,120 +461,23 @@ func (g *Grounding) ownLayer() (trigLayer, bool) {
 	return trigLayer{orderTrig: g.orderTrig, targetTrig: g.targetTrig}, has
 }
 
-// idGroups indexes the non-null tuples of one attribute by value ID:
-// ids is sorted ascending and members[k] lists the tuple indices
-// carrying ids[k], in ascending index order.
-type idGroups struct {
-	ids     []uint32
-	members [][]int32
-}
-
-// find returns the tuple indices carrying value id (nil when no tuple
-// does). Groups per attribute are few, so a branch-light binary search
-// beats hashing a 48-byte Value — and allocates nothing.
-func (gr *idGroups) find(id uint32) []int32 {
-	lo, hi := 0, len(gr.ids)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if gr.ids[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(gr.ids) && gr.ids[lo] == id {
-		return gr.members[lo]
-	}
-	return nil
-}
-
-// extend returns the groups over the grown ID row ids, of which the
-// receiver covers the first oldN entries (none, for a fresh grounding).
-// The new tuples' indices are sorted by (ID, index) into one slice, and
-// a group with no old member is a sub-slice of it. True copy-on-append:
-// a group gaining no member shares its member slice with the receiver,
-// and a grown old group is copied, with its new members, into one
-// backing array for all of them, so the receiver — which in-flight
-// checkers on the old grounding version may still be reading — is
-// never written. Members stay in ascending tuple order, and every
-// member slice has exact capacity, so none is shared with spare room a
-// later version could append into.
-func (gr *idGroups) extend(ids []uint32, oldN int) idGroups {
-	idx := make([]int32, 0, len(ids)-oldN)
-	for i := oldN; i < len(ids); i++ {
-		if ids[i] != model.NullID {
-			idx = append(idx, int32(i))
-		}
-	}
-	if len(idx) == 0 {
-		return *gr
-	}
-	sort.Slice(idx, func(x, y int) bool {
-		if a, b := ids[idx[x]], ids[idx[y]]; a != b {
-			return a < b
-		}
-		return idx[x] < idx[y]
-	})
-	added, carried := 0, 0
-	for k, i := range idx {
-		if k > 0 && ids[i] == ids[idx[k-1]] {
-			continue
-		}
-		if old := gr.find(ids[i]); old != nil {
-			carried += len(old)
-		} else {
-			added++
-		}
-	}
-	out := idGroups{
-		ids:     make([]uint32, 0, len(gr.ids)+added),
-		members: make([][]int32, 0, len(gr.ids)+added),
-	}
-	var grown []int32
-	if carried > 0 {
-		grown = make([]int32, 0, carried+len(idx))
-	}
-	gi := 0
-	for k := 0; k < len(idx); {
-		id, start := ids[idx[k]], k
-		for k < len(idx) && ids[idx[k]] == id {
-			k++
-		}
-		for ; gi < len(gr.ids) && gr.ids[gi] < id; gi++ {
-			out.ids = append(out.ids, gr.ids[gi])
-			out.members = append(out.members, gr.members[gi])
-		}
-		m := idx[start:k:k]
-		if gi < len(gr.ids) && gr.ids[gi] == id {
-			b := len(grown)
-			grown = append(append(grown, gr.members[gi]...), m...)
-			m = grown[b:len(grown):len(grown)]
-			gi++
-		}
-		out.ids = append(out.ids, id)
-		out.members = append(out.members, m)
-	}
-	out.ids = append(out.ids, gr.ids[gi:]...)
-	out.members = append(out.members, gr.members[gi:]...)
-	return out
-}
-
 // NumDistinct returns how many distinct non-null values attribute a
 // carries in Ie.
-func (g *Grounding) NumDistinct(a int) int { return len(g.groups[a].ids) }
+func (g *Grounding) NumDistinct(a int) int { return int(g.grpOff[a+1] - g.grpOff[a]) }
 
 // Distinct returns the k-th distinct non-null value of attribute a in
 // Ie, for k < NumDistinct(a), in dictionary ID order: its first
 // occurrence, its ID, how many tuples carry it, and the tuple index of
 // its first occurrence.
 func (g *Grounding) Distinct(a, k int) (v model.Value, id uint32, count, first int) {
-	m := g.groups[a].members[k]
-	return g.val(int32(a), m[0]), g.groups[a].ids[k], len(m), int(m[0])
+	gk := g.grpOff[a] + uint32(k)
+	m := g.member(gk)
+	return g.val(int32(a), int32(m[0])), g.gIDs[gk], len(m), int(m[0])
 }
 
 // Count returns how many tuples of Ie carry the value with dictionary
 // ID id at attribute a.
-func (g *Grounding) Count(a int, id uint32) int { return len(g.groups[a].find(id)) }
+func (g *Grounding) Count(a int, id uint32) int { return len(g.groupFor(int32(a), id)) }
 
 // MasterColumn returns the distinct master values of attribute a,
 // ranked by String with ties in master row order (rankMaster), or nil
@@ -576,21 +497,16 @@ func (g *Grounding) MasterColumn(a int) []MasterValue {
 	return g.master[a].ranked
 }
 
-// groupFor returns the tuple indices whose attr value has dictionary
-// ID id (the ϕ8/ϕ9 equality class of that value).
-func (g *Grounding) groupFor(attr int32, id uint32) []int32 {
-	return g.groups[attr].find(id)
-}
-
 // val returns tuple i's value at attribute a, read from the tuple
-// itself; valID[a][i] is its dictionary ID.
+// itself; valID(a, i) is its dictionary ID.
 func (g *Grounding) val(a, i int32) model.Value { return g.ie.Tuple(int(i)).At(int(a)) }
 
 // valEq reports whether tuples i and j agree on attr — both null, or
 // both carrying the same interned value. One integer comparison,
 // replacing the string-key comparison of the pre-dictionary code.
 func (g *Grounding) valEq(attr, i, j int32) bool {
-	return g.valID[attr][i] == g.valID[attr][j]
+	row := g.ids[int(attr)*g.n:]
+	return row[i] == row[j]
 }
 
 // ground performs Instantiation over the Shared's compiled form-(1)
@@ -604,33 +520,62 @@ func (g *Grounding) valEq(attr, i, j int32) bool {
 // pairs), so an Extend's work is the new-tuple × existing-tuple and
 // new-tuple × new-tuple pairs — O(‖Σ‖·d·n) for d added tuples instead
 // of the full O(‖Σ‖·n²) rebuild.
-func (g *Grounding) ground(oldN int32, e *engine) {
-	ok2 := make([]bool, g.n)
+func (g *Grounding) ground(oldN int32, e *engine, sc *buildScratch) {
+	ok2 := grow(&sc.ok2, g.n)
 	for k := range g.form1 {
 		g.groundForm1(&g.form1[k], e, oldN, ok2)
 	}
 }
 
 // evalCmpOnPair evaluates a compiled comparison on the ordered tuple
-// pair (i, j) standing for (t1, t2). Equality tests between instance
-// values compare dictionary IDs; everything else (ordering operators,
-// constants) falls back to value comparison. Grounding's guards and
-// pair comparisons and the engine's correlation guards all evaluate
-// here, so the ID-based Eq/Ne path — whose NaN folding differs from
-// Value.Equal — never depends on which compiled shape a rule took.
+// pair (i, j) standing for (t1, t2), on integers wherever NewShared
+// could compile it so (cmpKind): a comparison with the null constant
+// tests a value ID against NullID, an equality test between instance
+// values compares IDs, and an ordered comparison of two tuples on one
+// attribute compares the version's ranks of their values, when the
+// version could rank that attribute. Every other comparison — other
+// constants, cross-attribute ordering, an unranked attribute — is
+// Op.Eval on the values. Grounding's guards and pair comparisons and
+// the engine's correlation guards all evaluate here, so the ID-based
+// Eq/Ne path — whose NaN folding differs from Value.Equal — never
+// depends on which compiled shape a rule took.
 func (g *Grounding) evalCmpOnPair(p *cmpPred, i, j int32) bool {
 	l := pick(p.lt, i, j)
+	switch p.kind {
+	case cmpNull:
+		null := g.valID(p.la, l) == model.NullID
+		switch p.op {
+		case rule.Eq:
+			return null
+		case rule.Ne:
+			return !null
+		}
+		return false // null orders against nothing
+	case cmpID:
+		eq := g.valID(p.la, l) == g.valID(p.ra, pick(p.rt, i, j))
+		return eq == (p.op == rule.Eq)
+	case cmpRank:
+		if g.rankOK[p.slot] != 0 {
+			row := g.ranks[int(p.slot)*g.n:]
+			x, y := row[l], row[pick(p.rt, i, j)]
+			if x == 0 || y == 0 {
+				return false
+			}
+			switch p.op {
+			case rule.Lt:
+				return x < y
+			case rule.Le:
+				return x <= y
+			case rule.Gt:
+				return x > y
+			}
+			return x >= y
+		}
+	}
 	if p.rt == 0 {
 		return p.op.Eval(g.val(p.la, l), p.c)
 	}
-	r := pick(p.rt, i, j)
-	switch p.op {
-	case rule.Eq:
-		return g.valID[p.la][l] == g.valID[p.ra][r]
-	case rule.Ne:
-		return g.valID[p.la][l] != g.valID[p.ra][r]
-	}
-	return p.op.Eval(g.val(p.la, l), g.val(p.ra, r))
+	return p.op.Eval(g.val(p.la, l), g.val(p.ra, pick(p.rt, i, j)))
 }
 
 // holdsAll reports whether every comparison in ps holds on (i, j).
@@ -708,7 +653,7 @@ func (g *Grounding) foldCmp(p *premise, i, j int32) resid {
 		tp.val, tp.valID = p.c, p.cID
 	} else {
 		x := pick(p.xt, i, j)
-		tp.val, tp.valID = g.val(p.xa, x), g.valID[p.xa][x]
+		tp.val, tp.valID = g.val(p.xa, x), g.valID(p.xa, x)
 	}
 	return tp
 }
@@ -833,9 +778,15 @@ func (g *Grounding) addStep(st groundStep) {
 		ref := predRef{step: idx, pred: int32(pi)}
 		switch p.kind {
 		case residOrder:
+			if g.orderTrig == nil {
+				g.orderTrig = make(map[uint64][]predRef)
+			}
 			k := trigKey(p.attr, p.i, p.j)
 			g.orderTrig[k] = append(g.orderTrig[k], ref)
 		case residTarget:
+			if g.targetTrig == nil {
+				g.targetTrig = make([][]predRef, g.nattr)
+			}
 			g.targetTrig[p.attr] = append(g.targetTrig[p.attr], ref)
 		}
 	}
@@ -898,9 +849,10 @@ func (g *Grounding) runWith(e *engine, template *model.Tuple) {
 	// chase step has touched the attribute's order, so for n == 1 we
 	// require the (reflexive) evidence of a step (axiom ϕ9 provides it).
 	for a := 0; a < g.nattr; a++ {
+		counts, ids := e.counts[a*g.n:(a+1)*g.n], g.idRow(a)
 		for j := 0; j < g.n; j++ {
-			if e.counts[a][j] == int32(g.n-1) && (g.n > 1 || g.baseOrders.Attr(a).Has(j, j)) {
-				if vid := g.valID[a][j]; vid != model.NullID {
+			if counts[j] == int32(g.n-1) && (g.n > 1 || g.baseOrders.Attr(a).Has(j, j)) {
+				if vid := ids[j]; vid != model.NullID {
 					e.pushTarget(int32(a), g.val(int32(a), int32(j)), vid)
 				}
 			}

@@ -48,7 +48,7 @@ func TestValueIDsStableAcrossExtend(t *testing.T) {
 		t.Helper()
 		for a := 0; a < g.nattr; a++ {
 			for i := 0; i < g.n; i++ {
-				id := g.valID[a][i]
+				id := g.idRow(a)[i]
 				if id == model.NullID {
 					continue
 				}
@@ -79,26 +79,26 @@ func TestValueIDsStableAcrossExtend(t *testing.T) {
 	}
 	for a := 0; a < g.nattr; a++ {
 		for i := 0; i < g.n; i++ {
-			if ng.valID[a][i] != g.valID[a][i] {
+			if ng.idRow(a)[i] != g.idRow(a)[i] {
 				t.Fatalf("attr %d tuple %d changed ID %d -> %d across Extend",
-					a, i, g.valID[a][i], ng.valID[a][i])
+					a, i, g.idRow(a)[i], ng.idRow(a)[i])
 			}
 		}
 	}
-	if got, want := ng.valID[0][6], g.valID[0][0]; got != want {
+	if got, want := ng.idRow(0)[6], g.idRow(0)[0]; got != want {
 		t.Fatalf("repeated value v0 interned as %d, existing tuples carry %d", got, want)
 	}
-	if id := ng.valID[1][7]; id != model.NullID {
+	if id := ng.idRow(1)[7]; id != model.NullID {
 		t.Fatalf("null value carries ID %d, want 0", id)
 	}
 	checkGroups(ng)
 
 	// The parent's groups must be untouched by the child's extension
 	// (in-flight checkers keep reading them).
-	if grp := g.groupFor(0, g.valID[0][0]); len(grp) != 2 {
+	if grp := g.groupFor(0, g.idRow(0)[0]); len(grp) != 2 {
 		t.Fatalf("parent group for v0 has %d members after Extend, want 2", len(grp))
 	}
-	if grp := ng.groupFor(0, g.valID[0][0]); len(grp) != 3 {
+	if grp := ng.groupFor(0, g.idRow(0)[0]); len(grp) != 3 {
 		t.Fatalf("child group for v0 has %d members, want 3", len(grp))
 	}
 
@@ -121,7 +121,7 @@ func TestValueIDsStableAcrossExtend(t *testing.T) {
 		}(k)
 	}
 	wg.Wait()
-	a0, a1 := kids[0].valID[0], kids[1].valID[0]
+	a0, a1 := kids[0].idRow(0), kids[1].idRow(0)
 	if a0[8] != a1[8] || a0[9] == a1[9] || a0[9] == a0[8] || kids[0].dict != ng.dict {
 		t.Fatalf("sibling Extends: \"both\" as %d and %d, own values as %d and %d", a0[8], a1[8], a0[9], a1[9])
 	}
@@ -170,10 +170,10 @@ func TestSharedDictAcrossBatch(t *testing.T) {
 	}
 	wg.Wait()
 	for w, g := range gs {
-		if g.valID[0][0] != common {
-			t.Fatalf("worker %d resolved the constant as %d, the base as %d", w, g.valID[0][0], common)
+		if g.idRow(0)[0] != common {
+			t.Fatalf("worker %d resolved the constant as %d, the base as %d", w, g.idRow(0)[0], common)
 		}
-		if own := g.valID[0][1]; own < uint32(base) {
+		if own := g.idRow(0)[1]; own < uint32(base) {
 			t.Fatalf("worker %d's own value took base ID %d", w, own)
 		}
 		if id, ok := gs[(w+1)%workers].dict.Lookup(model.S(fmt.Sprintf("own%d", w))); ok {
@@ -275,16 +275,16 @@ func TestCrossKindValueGrouping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.valID[0][0] != g.valID[0][1] {
+	if g.idRow(0)[0] != g.idRow(0)[1] {
 		t.Fatal("I(3) and F(3) carry different IDs")
 	}
-	if g.valID[0][0] == g.valID[0][2] {
+	if g.idRow(0)[0] == g.idRow(0)[2] {
 		t.Fatal("number 3 and string \"3\" share an ID")
 	}
-	if g.valID[0][3] != g.valID[0][4] {
+	if g.idRow(0)[3] != g.idRow(0)[4] {
 		t.Fatal("F(0) and I(0) carry different IDs")
 	}
-	if g.valID[0][5] != model.NullID {
+	if g.idRow(0)[5] != model.NullID {
 		t.Fatal("null does not carry NullID")
 	}
 }

@@ -34,7 +34,7 @@ type engine struct {
 	pooled bool // pooled mode: buffers are retained and reset across runs
 
 	orders *order.Set
-	counts [][]int32 // per attr: for each j, #{i≠j : i ⪯ j}
+	counts []int32 // [attr·n + j]: #{i≠j : i ⪯attr j}, one slab
 	te     *model.Tuple
 	// teID mirrors te as dictionary IDs (0 = still null); every target
 	// equality test during a run is an integer comparison against it.
@@ -44,8 +44,12 @@ type engine struct {
 	pushed []bool
 	// form2More holds per-run re-registrations of form-2 entries that
 	// advanced past their first condition (the grounding's form2 trig is
-	// immutable and shared across runs). Keys are f2Key-packed.
+	// immutable and shared across runs). Keys are f2Key-packed. A pooled
+	// reset empties the lists but keeps them, and f2buf is fireForm2's
+	// reused merge buffer, so re-registration allocates nothing once an
+	// engine has seen its keys.
 	form2More map[uint64][]form2Entry
+	f2buf     []form2Entry
 	// deadTouched lists the step indices marked dead this run, so a
 	// pooled reset clears them without wiping the whole slice.
 	deadTouched []int32
@@ -66,39 +70,38 @@ type engine struct {
 	stepsApplied int
 }
 
-// pairWork holds an engine's pending pair derivations: per attribute, a
-// matrix of word masks in the order matrix's shape (bit b of word wi of
-// row i pending means i ⪯ (wi<<6)+b awaits enforcement), and a ring of
-// the (attribute, row) slots that hold bits, in first-touch order. A
-// slot is on the ring at most once, so the ring never holds more than
-// nattr·n entries; an attribute's matrix is allocated on its first push.
+// pairWork holds an engine's pending pair derivations: one slab of
+// word masks holding, per attribute, a matrix in the order matrix's
+// shape (bit b of word wi of row i pending means i ⪯ (wi<<6)+b awaits
+// enforcement), and a ring of the (attribute, row) slots that hold
+// bits, in first-touch order. A slot is on the ring at most once, so
+// the ring never holds more than nattr·n entries. The slab, the ring
+// and its flags are allocated on the first push.
 type pairWork struct {
+	nattr  int
 	n, w   int
-	masks  [][]uint64 // [attr]: n rows of w words; nil until the first push
-	queued []bool     // [attr·n+row]: the slot is on the ring
-	ring   []int32    // circular FIFO of slots attr·n+row
+	masks  []uint64 // slot attr·n+row is words [(attr·n+row)·w, +w); nil until the first push
+	queued []bool   // [attr·n+row]: the slot is on the ring
+	ring   []int32  // circular FIFO of slots attr·n+row
 	head   int
 	size   int
 }
 
 func newPairWork(nattr, n int) pairWork {
-	return pairWork{n: n, w: (n + 63) >> 6, masks: make([][]uint64, nattr)}
+	return pairWork{nattr: nattr, n: n, w: (n + 63) >> 6}
 }
 
 // add ORs mask into word wi of the pending row (attr, i) and puts the
 // slot on the ring unless it is there already.
 func (p *pairWork) add(attr, i, wi int32, mask uint64) {
-	m := p.masks[attr]
-	if m == nil {
-		m = make([]uint64, p.n*p.w)
-		p.masks[attr] = m
-		if p.ring == nil {
-			p.queued = make([]bool, len(p.masks)*p.n)
-			p.ring = make([]int32, len(p.masks)*p.n)
-		}
+	if p.masks == nil {
+		p.masks = make([]uint64, p.nattr*p.n*p.w)
+		p.queued = make([]bool, p.nattr*p.n)
+		p.ring = make([]int32, p.nattr*p.n)
 	}
-	m[int(i)*p.w+int(wi)] |= mask
-	if s := attr*int32(p.n) + i; !p.queued[s] {
+	s := attr*int32(p.n) + i
+	p.masks[int(s)*p.w+int(wi)] |= mask
+	if !p.queued[s] {
 		p.queued[s] = true
 		t := p.head + p.size
 		if t >= len(p.ring) {
@@ -120,8 +123,8 @@ func (p *pairWork) pop() (attr, i int32, row []uint64) {
 	p.size--
 	p.queued[s] = false
 	attr, i = s/int32(p.n), s%int32(p.n)
-	off := int(i) * p.w
-	return attr, i, p.masks[attr][off : off+p.w]
+	off := int(s) * p.w
+	return attr, i, p.masks[off : off+p.w]
 }
 
 // reset drops every pending derivation. Every pending bit sits on a slot
@@ -144,15 +147,17 @@ func newBaseEngine(g, p *Grounding) *engine {
 		g:      g,
 		base:   true,
 		orders: p.baseOrders.Extend(g.n - p.n),
-		counts: make([][]int32, g.nattr),
+		counts: make([]int32, g.nattr*g.n),
 		pairs:  newPairWork(g.nattr, g.n),
 	}
-	for a := range e.counts {
-		e.counts[a] = make([]int32, g.n)
-		copy(e.counts[a], p.baseCounts[a])
+	for a := 0; a < g.nattr; a++ {
+		copy(e.countRow(a), p.baseCounts[a*p.n:(a+1)*p.n])
 	}
 	return e
 }
+
+// countRow returns attribute a's λ counts.
+func (e *engine) countRow(a int) []int32 { return e.counts[a*e.g.n : (a+1)*e.g.n] }
 
 // initSteps sizes the per-step state once Instantiation has materialised
 // the grounding's steps: the premise counters and pushed flags of the
@@ -184,7 +189,7 @@ func newRunEngine(g *Grounding, pooled bool) *engine {
 		g:      g,
 		pooled: pooled,
 		orders: orders(),
-		counts: make([][]int32, g.nattr),
+		counts: append([]int32(nil), g.baseCounts...),
 		te:     model.NewTuple(g.schema),
 		teID:   make([]uint32, g.nattr),
 		npred:  append([]int32(nil), g.baseNpred...),
@@ -195,9 +200,6 @@ func newRunEngine(g *Grounding, pooled bool) *engine {
 		tgtID:  make([]uint32, g.nattr),
 		// An attribute's slot fills at most once per run.
 		tgtQ: make([]int32, 0, g.nattr),
-	}
-	for a := range e.counts {
-		e.counts[a] = append([]int32(nil), g.baseCounts[a]...)
 	}
 	return e
 }
@@ -211,9 +213,7 @@ func newRunEngine(g *Grounding, pooled bool) *engine {
 func (e *engine) reset() {
 	g := e.g
 	e.orders.ResetFrom(g.baseOrders)
-	for a := range e.counts {
-		copy(e.counts[a], g.baseCounts[a])
-	}
+	copy(e.counts, g.baseCounts)
 	copy(e.npred, g.baseNpred)
 	copy(e.pushed, g.basePushed)
 	for _, s := range e.deadTouched {
@@ -224,7 +224,9 @@ func (e *engine) reset() {
 		e.te.SetAt(a, model.Value{})
 		e.teID[a] = model.NullID
 	}
-	clear(e.form2More)
+	for k, more := range e.form2More {
+		e.form2More[k] = more[:0]
+	}
 	e.pairs.reset()
 	for _, a := range e.tgtQ[e.tgtHead:] {
 		e.tgtVal[a], e.tgtID[a] = model.Value{}, model.NullID
@@ -378,8 +380,8 @@ func (e *engine) applyPair(attr, i, j int32) {
 // the bit loop, and the correlation cascade pushes one mask per (rule,
 // word) instead of one pair at a time.
 func (e *engine) derivedWord(attr int32, rel *order.Relation, x int32, wi int, diff uint64) {
-	ids := e.g.valID[attr]
-	counts := e.counts[attr]
+	ids := e.g.idRow(int(attr))
+	counts := e.countRow(int(attr))
 	base := int32(wi << 6)
 	nm1 := int32(e.g.n - 1)
 	for d := diff; d != 0; d &= d - 1 {
@@ -481,11 +483,16 @@ func (e *engine) applyTarget(attr int32) {
 	}
 	// Target triggers are layered by grounding version like the order
 	// triggers; step indices are global across the layers, so one npred
-	// array serves them all.
+	// array serves them all. A layer whose steps hold no target premise
+	// has no targetTrig.
 	for _, l := range e.g.ancestors {
-		e.fireTargetRefs(l.targetTrig[attr], v, vid)
+		if l.targetTrig != nil {
+			e.fireTargetRefs(l.targetTrig[attr], v, vid)
+		}
 	}
-	e.fireTargetRefs(e.g.targetTrig[attr], v, vid)
+	if e.g.targetTrig != nil {
+		e.fireTargetRefs(e.g.targetTrig[attr], v, vid)
+	}
 	if e.g.useAxioms {
 		// ϕ8: every tuple is at most as accurate as the tuples whose
 		// attr value equals the (now known) target value.
@@ -540,9 +547,12 @@ func (e *engine) fireTargetRefs(refs []predRef, v model.Value, vid uint32) {
 func (e *engine) fireForm2(attr int32, vid uint32) {
 	key := f2Key(attr, vid)
 	entries := e.g.form2.trig[key]
-	if more, ok := e.form2More[key]; ok {
-		entries = append(append([]form2Entry(nil), entries...), more...)
-		delete(e.form2More, key)
+	if more := e.form2More[key]; len(more) > 0 {
+		// Later re-registrations go to other keys (te[attr] is set
+		// now), so the merged list is stable while the loop runs.
+		e.f2buf = append(append(e.f2buf[:0], entries...), more...)
+		entries = e.f2buf
+		e.form2More[key] = more[:0]
 	}
 	for _, entry := range entries {
 		nextAttr, want, pending := e.g.form2.nextCond(entry, e.teID)

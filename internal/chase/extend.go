@@ -81,11 +81,11 @@ func (p *Grounding) extend(ie *model.EntityInstance, dict *model.Dict, counts *v
 		// expression forces the first new step onto a fresh backing
 		// array instead of overwriting the parent's.
 		steps:     p.steps[:len(p.steps):len(p.steps)],
-		orderTrig: make(map[uint64][]predRef),
 		form1:     p.form1,
 		corrs:     p.corrs,
 		form2:     p.form2,
 		master:    p.master,
+		rankAttrs: p.rankAttrs,
 		verdicts:  verdictCache{counts: counts},
 		version:   p.version + 1,
 	}
@@ -97,10 +97,12 @@ func (p *Grounding) extend(ie *model.EntityInstance, dict *model.Dict, counts *v
 	if l, ok := p.ownLayer(); ok {
 		g.ancestors = append(g.ancestors, l)
 	}
-	g.indexValues(p)
+	sc := scratchPool.Get().(*buildScratch)
+	g.indexValues(p, sc)
 	e := newBaseEngine(g, p)
-	g.seedAxioms(e, p.n)
-	g.ground(int32(p.n), e)
+	g.seedAxioms(e, p.n, sc)
+	g.ground(int32(p.n), e, sc)
+	scratchPool.Put(sc)
 	if len(g.ancestors) > maxTrigLayers {
 		g.compactTriggers()
 	}
@@ -127,53 +129,28 @@ const maxTrigLayers = 32
 //relacc:grounding-builder
 func (ng *Grounding) compactTriggers() {
 	merged := make(map[uint64][]predRef)
-	mt := make([][]predRef, ng.nattr)
-	for _, l := range ng.ancestors {
+	var mt [][]predRef
+	fold := func(l trigLayer) {
 		for k, refs := range l.orderTrig {
 			merged[k] = append(merged[k], refs...)
+		}
+		if l.targetTrig != nil && mt == nil {
+			mt = make([][]predRef, ng.nattr)
 		}
 		for a, refs := range l.targetTrig {
 			mt[a] = append(mt[a], refs...)
 		}
 	}
-	for k, refs := range ng.orderTrig {
-		merged[k] = append(merged[k], refs...)
+	for _, l := range ng.ancestors {
+		fold(l)
 	}
-	for a, refs := range ng.targetTrig {
-		mt[a] = append(mt[a], refs...)
-	}
+	fold(trigLayer{orderTrig: ng.orderTrig, targetTrig: ng.targetTrig})
 	ng.orderTrig, ng.targetTrig, ng.ancestors = merged, mt, nil
 }
 
 // Version reports how many evidence deltas this grounding has absorbed:
 // 0 for a fresh grounding, incremented by each Extend.
 func (g *Grounding) Version() int { return g.version }
-
-// indexValues builds the per-version value indexes: p's ID rows are
-// copied (they are O(nattr·n) uint32s, cheap next to any chase work),
-// the new tuples' values resolved against the overlay (a cached base ID
-// when the tuple carries one, an overlay insert otherwise; the values
-// themselves stay in the tuples, read through val), and the
-// value groups extended copy-on-append — a group gaining no member
-// shares its slice with p, so p's groups (which in-flight checkers on
-// the old version may be reading) never change.
-//
-//relacc:grounding-builder
-func (g *Grounding) indexValues(p *Grounding) {
-	n, na, oldN := g.n, g.nattr, p.n
-	g.valID = make([][]uint32, na)
-	g.groups = make([]idGroups, na)
-	g.targetTrig = make([][]predRef, na)
-	for a := 0; a < na; a++ {
-		ids := make([]uint32, n)
-		copy(ids, p.valID[a])
-		for i := oldN; i < n; i++ {
-			ids[i] = g.dict.InternAt(g.ie.Tuple(i), a)
-		}
-		g.valID[a] = ids
-		g.groups[a] = p.groups[a].extend(ids, oldN)
-	}
-}
 
 // seedAxioms enforces ϕ9 (equal values are mutually ⪯) and ϕ7 (null
 // has the lowest accuracy) for the tuples from oldN on. Among
@@ -185,31 +162,39 @@ func (g *Grounding) indexValues(p *Grounding) {
 // triggers and correlation rules for them.
 //
 //relacc:grounding-builder
-func (g *Grounding) seedAxioms(e *engine, oldN int) {
+func (g *Grounding) seedAxioms(e *engine, oldN int, sc *buildScratch) {
 	if !g.useAxioms {
 		return
 	}
-	var nulls, nonNulls []int32
+	buf := grow(&sc.newIDs, g.n-oldN)
 	for a := 0; a < g.nattr; a++ {
-		aa, ids, counts, rel := int32(a), g.valID[a], e.counts[a], e.orders.Attr(a)
-		nulls, nonNulls = nulls[:0], nonNulls[:0]
+		aa, ids, counts, rel := int32(a), g.idRow(a), e.countRow(a), e.orders.Attr(a)
+		// The new nulls fill buf from the front, the new non-nulls from
+		// the back; both end up ascending.
+		lo, hi := 0, len(buf)
 		for i := oldN; i < g.n; i++ {
 			if ids[i] == model.NullID {
-				nulls = append(nulls, int32(i))
+				buf[lo] = uint32(i)
+				lo++
 			} else {
-				nonNulls = append(nonNulls, int32(i))
+				hi--
+				buf[hi] = uint32(i)
 			}
 		}
+		nulls, nonNulls := buf[:lo], buf[hi:]
+		slices.Reverse(nonNulls)
 		// A group's new members are its tail. SetClique32 is a bitwise
 		// OR, so group order cannot matter.
-		for _, m := range g.groups[a].members {
-			k := len(m)
-			for k > 0 && int(m[k-1]) >= oldN {
-				k--
+		_, first := g.attrGroups(a)
+		for k := first; k < g.grpOff[a+1]; k++ {
+			m := g.member(k)
+			t := len(m)
+			for t > 0 && int(m[t-1]) >= oldN {
+				t--
 			}
-			rel.SetClique32(m[k:])
-			for _, j := range m[k:] {
-				counts[j] = int32(len(m) - k - 1 + len(nulls))
+			rel.SetClique32(m[t:])
+			for _, j := range m[t:] {
+				counts[j] = int32(len(m) - t - 1 + len(nulls))
 			}
 		}
 		rel.SetClique32(nulls)
@@ -222,9 +207,9 @@ func (g *Grounding) seedAxioms(e *engine, oldN int) {
 		// its group's old members and sits above the old nulls.
 		for _, i := range nulls {
 			for j := int32(0); j < int32(oldN); j++ {
-				e.pushPair(aa, i, j)
+				e.pushPair(aa, int32(i), j)
 				if ids[j] == model.NullID {
-					e.pushPair(aa, j, i)
+					e.pushPair(aa, j, int32(i))
 				}
 			}
 		}
@@ -233,12 +218,12 @@ func (g *Grounding) seedAxioms(e *engine, oldN int) {
 				if int(j) >= oldN {
 					break
 				}
-				e.pushPair(aa, i, j)
-				e.pushPair(aa, j, i)
+				e.pushPair(aa, int32(i), int32(j))
+				e.pushPair(aa, int32(j), int32(i))
 			}
 			for j := int32(0); j < int32(oldN); j++ {
 				if ids[j] == model.NullID {
-					e.pushPair(aa, j, i)
+					e.pushPair(aa, j, int32(i))
 				}
 			}
 		}

@@ -57,12 +57,11 @@ func TestPooledResetAfterConflict(t *testing.T) {
 	e := c.e
 	assertClean := func(when string) {
 		t.Helper()
-		for a, m := range e.pairs.masks {
-			for k, w := range m {
-				if w != 0 {
-					t.Fatalf("%s: attr %d row %d word %d keeps pending bits %#x",
-						when, a, k/e.pairs.w, k%e.pairs.w, w)
-				}
+		for k, w := range e.pairs.masks {
+			if w != 0 {
+				slot := k / e.pairs.w
+				t.Fatalf("%s: attr %d row %d word %d keeps pending bits %#x",
+					when, slot/e.pairs.n, slot%e.pairs.n, k%e.pairs.w, w)
 			}
 		}
 		if e.pairs.size != 0 {
@@ -124,8 +123,8 @@ func TestPooledResetAfterConflict(t *testing.T) {
 	// target still pending.
 	e.reset()
 	e.pushPair(0, row, other)
-	e.pushTarget(0, g.val(0, row), g.valID[0][row])
-	e.pushTarget(0, g.val(0, other), g.valID[0][other])
+	e.pushTarget(0, g.val(0, row), g.idRow(0)[row])
+	e.pushTarget(0, g.val(0, other), g.idRow(0)[other])
 	if e.conflict == "" {
 		t.Fatal("two different targets for one attribute must conflict")
 	}

@@ -48,6 +48,10 @@ type Shared struct {
 	form2  *form2Index
 	dict   *model.Dict
 	master []masterColumn // [attr]; nil without a master relation
+	// rankAttrs lists, by rank slot, the attributes that some compiled
+	// guard compares in order between two tuples (cmpRank); every
+	// grounding ranks their values.
+	rankAttrs []int32
 	// empty is the grounding of the empty instance — no tuples, no
 	// steps, no trigger layers — that every fresh grounding extends by
 	// its whole instance. It carries only the Shared's compiled rules:
@@ -149,10 +153,10 @@ func NewShared(schema *model.Schema, im *model.MasterRelation, rules *rule.Set) 
 	for _, r := range rules.Rules() {
 		switch f := r.(type) {
 		case *rule.Form1:
-			if cr, ok := compileCorr(schema, f); ok {
+			if cr, ok := sh.compileCorr(f); ok {
 				sh.corrs[cr.fromAttr] = append(sh.corrs[cr.fromAttr], cr)
 			} else {
-				sh.form1 = append(sh.form1, compileForm1(schema, f, sh.dict))
+				sh.form1 = append(sh.form1, sh.compileForm1(f))
 			}
 		case *rule.Form2:
 			if im != nil {
@@ -160,12 +164,11 @@ func NewShared(schema *model.Schema, im *model.MasterRelation, rules *rule.Set) 
 			}
 		}
 	}
-	na := schema.Arity()
 	// Version -1, so the fresh grounding that extends it is version 0.
-	sh.empty = &Grounding{im: im, schema: schema, nattr: na,
+	sh.empty = &Grounding{im: im, schema: schema, nattr: schema.Arity(),
 		form1: sh.form1, corrs: sh.corrs, form2: sh.form2, master: master,
-		valID: make([][]uint32, na), groups: make([]idGroups, na),
-		baseOrders: order.NewSet(na, 0), baseCounts: make([][]int32, na), version: -1}
+		rankAttrs: sh.rankAttrs, baseOrders: order.NewSet(schema.Arity(), 0), version: -1}
+	sh.empty.layout(0, 0)
 	return sh, nil
 }
 
@@ -257,7 +260,23 @@ func (sh *Shared) NewGrounding(ie *model.EntityInstance, opts Options) (*Groundi
 	if !opts.DisableVerdictCache {
 		counts = new(verdictCounts)
 	}
-	return sh.empty.extend(ie, sh.dict.Overlay(), counts, !opts.DisableAxioms), nil
+	ov := sh.dict.Overlay()
+	ov.Grow(sh.overlayHint(ie))
+	return sh.empty.extend(ie, ov, counts, !opts.DisableAxioms), nil
+}
+
+// overlayHint sizes a fresh entity's overlay: half the cells whose
+// cached ID row does not resolve them in the base. Those are the values
+// the overlay may have to add, and an entity's tuples repeat about half
+// of them (gen.Med entities carry 110 such cells and add 52 values on
+// average), so most overlays never reallocate and none holds much room
+// it does not use.
+func (sh *Shared) overlayHint(ie *model.EntityInstance) int {
+	miss := 0
+	for _, t := range ie.Tuples() {
+		miss += t.Unresolved(sh.dict)
+	}
+	return miss / 2
 }
 
 // cmpPred is a tuple/constant comparison predicate compiled against the
@@ -265,12 +284,35 @@ func (sh *Shared) NewGrounding(ie *model.EntityInstance, opts Options) (*Groundi
 // tuple rt's value at position ra — or with the constant c when rt is
 // 0. A constant operand is moved to the right at compile time, with op
 // flipped, so evaluation reads at most two positions and never a name.
+// kind says how evalCmpOnPair decides it; slot is a cmpRank
+// comparison's rank slot.
 type cmpPred struct {
 	op     rule.Op
+	kind   cmpKind
 	lt, rt int8 // 1 = t1, 2 = t2; rt 0 = the constant c
 	la, ra int32
+	slot   int32
 	c      model.Value
 }
+
+// cmpKind is how a compiled comparison is evaluated.
+type cmpKind uint8
+
+const (
+	// cmpValue compares the values with Op.Eval: a constant other than
+	// null (Value.Equal is finer than the Norm classes IDs stand for),
+	// and an ordered comparison across two attributes.
+	cmpValue cmpKind = iota
+	// cmpNull compares a tuple value with the null constant: a NullID
+	// test for = and ≠, false for an ordering operator.
+	cmpNull
+	// cmpID is = or ≠ between two tuple values: an ID comparison.
+	cmpID
+	// cmpRank is an ordering operator between two tuples' values on one
+	// attribute: a comparison of the version's ranks of the values, or
+	// cmpValue when the version left the attribute unranked.
+	cmpRank
+)
 
 // premise is an order or target predicate compiled against the entity
 // schema; grounding turns each into one resid of a ground step, in rule
@@ -306,7 +348,8 @@ type form1Rule struct {
 // compileCorr recognises the correlated-attribute rule shape: exactly
 // one order predicate, no target references, and any number of
 // tuple/constant comparisons.
-func compileCorr(schema *model.Schema, f *rule.Form1) (corrRule, bool) {
+func (sh *Shared) compileCorr(f *rule.Form1) (corrRule, bool) {
+	schema := sh.schema
 	var order *rule.Pred
 	var extra []cmpPred
 	for k := range f.LHS {
@@ -320,7 +363,7 @@ func compileCorr(schema *model.Schema, f *rule.Form1) (corrRule, bool) {
 		case p.Left.Kind == rule.TargetAttr || p.Right.Kind == rule.TargetAttr:
 			return corrRule{}, false
 		default:
-			extra = append(extra, compileCmp(schema, p))
+			extra = append(extra, sh.compileCmp(p))
 		}
 	}
 	if order == nil {
@@ -336,8 +379,9 @@ func compileCorr(schema *model.Schema, f *rule.Form1) (corrRule, bool) {
 }
 
 // compileForm1 compiles a form-(1) rule that is not correlation-shaped
-// against the base dictionary d.
-func compileForm1(schema *model.Schema, f *rule.Form1, d *model.Dict) form1Rule {
+// against the base dictionary.
+func (sh *Shared) compileForm1(f *rule.Form1) form1Rule {
+	schema := sh.schema
 	fr := form1Rule{name: f.RuleName, rhs: int32(schema.Index(f.RHS))}
 	for k := range f.LHS {
 		p := &f.LHS[k]
@@ -353,11 +397,11 @@ func compileForm1(schema *model.Schema, f *rule.Form1, d *model.Dict) form1Rule 
 			if x.Kind == rule.TupleAttr {
 				pr.xt, pr.xa = int8(x.Tup), int32(schema.Index(x.Attr))
 			} else {
-				pr.c, pr.cID = x.Val, baseID(d, x.Val)
+				pr.c, pr.cID = x.Val, baseID(sh.dict, x.Val)
 			}
 			fr.prems = append(fr.prems, pr)
 		default:
-			cp := compileCmp(schema, p)
+			cp := sh.compileCmp(p)
 			switch cp.lt | cp.rt {
 			case 1:
 				fr.guard1 = append(fr.guard1, cp)
@@ -372,15 +416,33 @@ func compileForm1(schema *model.Schema, f *rule.Form1, d *model.Dict) form1Rule 
 }
 
 // compileCmp compiles a comparison between tuple operands and at most
-// one constant (Validate rejects two constants).
-func compileCmp(schema *model.Schema, p *rule.Pred) cmpPred {
+// one constant (Validate rejects two constants), choosing its cmpKind;
+// a cmpRank comparison gets its attribute's rank slot, which the first
+// such comparison opens.
+//
+//relacc:grounding-builder
+func (sh *Shared) compileCmp(p *rule.Pred) cmpPred {
 	l, op, r := p.Left, p.Op, p.Right
 	if l.Kind == rule.Const {
 		l, op, r = r, op.Flip(), l
 	}
-	cp := cmpPred{op: op, lt: int8(l.Tup), la: int32(schema.Index(l.Attr)), c: r.Val}
+	cp := cmpPred{op: op, lt: int8(l.Tup), la: int32(sh.schema.Index(l.Attr)), c: r.Val}
 	if r.Kind == rule.TupleAttr {
-		cp.rt, cp.ra = int8(r.Tup), int32(schema.Index(r.Attr))
+		cp.rt, cp.ra = int8(r.Tup), int32(sh.schema.Index(r.Attr))
+	}
+	switch {
+	case cp.rt == 0 && cp.c.IsNull():
+		cp.kind = cmpNull
+	case cp.rt == 0:
+	case op == rule.Eq || op == rule.Ne:
+		cp.kind = cmpID
+	case cp.la == cp.ra:
+		cp.kind = cmpRank
+		cp.slot = int32(slices.Index(sh.rankAttrs, cp.la))
+		if cp.slot < 0 {
+			cp.slot = int32(len(sh.rankAttrs))
+			sh.rankAttrs = append(sh.rankAttrs, cp.la)
+		}
 	}
 	return cp
 }

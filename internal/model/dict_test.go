@@ -7,6 +7,21 @@ import (
 	"testing"
 )
 
+// internAt interns position i of the one tuple t into d.
+func internAt(d *Dict, t *Tuple, i int) uint32 {
+	var id [1]uint32
+	d.InternAt([]*Tuple{t}, i, id[:])
+	return id[0]
+}
+
+// intern returns the ID of v in the overlay d, appending v when neither
+// the base nor the overlay holds an Equal value.
+func (d *Dict) intern(v Value) uint32 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.valueLocked(entryOf(v))
+}
+
 func TestDictNullIsZero(t *testing.T) {
 	d := NewDict()
 	if d.Size() != 1 {
@@ -75,7 +90,7 @@ func TestDictBaseIsReadOnly(t *testing.T) {
 				t.Error("InternAt on a base did not panic")
 			}
 		}()
-		d.InternAt(MustTuple(MustSchema("R", "a"), S("c")), 0)
+		internAt(d, MustTuple(MustSchema("R", "a"), S("c")), 0)
 	}()
 	if d.Size() != 4 {
 		t.Fatalf("base holds %d values after refused inserts, want 4", d.Size())
@@ -180,11 +195,11 @@ func TestTupleIDRow(t *testing.T) {
 	// An overlay takes the base IDs from the row and interns the miss.
 	o := d.Overlay()
 	for i := 0; i < 3; i++ {
-		if got, want := o.InternAt(tu, i), tu.ids[i]; got != want {
+		if got, want := internAt(o, tu, i), tu.ids[i]; got != want {
 			t.Fatalf("InternAt(%d) = %d, row caches %d", i, got, want)
 		}
 	}
-	newID := o.InternAt(tu, 3)
+	newID := internAt(o, tu, 3)
 	if id, ok := o.Lookup(S("new")); !ok || id != newID || newID != 3 {
 		t.Fatalf("missing value interned as %d, lookup (%d, %v), want 3", newID, id, ok)
 	}
@@ -193,10 +208,10 @@ func TestTupleIDRow(t *testing.T) {
 	}
 	// A row tagged with another dictionary is ignored.
 	foreign := MustTuple(s, S("y"), I(8), NullValue(), S("new")).Resolve(NewDict(S("y"), I(8)))
-	if got := o.InternAt(foreign, 0); got == foreign.ids[0] {
+	if got := internAt(o, foreign, 0); got == foreign.ids[0] {
 		t.Fatalf("InternAt trusted a foreign row's ID %d", got)
 	}
-	if got := o.InternAt(foreign, 3); got != newID {
+	if got := internAt(o, foreign, 3); got != newID {
 		t.Fatalf("InternAt(foreign, 3) = %d, want the overlay's %d", got, newID)
 	}
 	// SetAt invalidates (non-null) or fixes up (null).

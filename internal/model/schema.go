@@ -196,6 +196,22 @@ func (t *Tuple) IDIn(d *Dict, i int) (uint32, bool) {
 	return id, id < missID
 }
 
+// Unresolved returns how many of t's positions its cached ID row does
+// not resolve against d: those Resolve marked missing, and every
+// position when the row is absent or tagged with another dictionary.
+func (t *Tuple) Unresolved(d *Dict) int {
+	if t.dict != d || t.dict == nil {
+		return len(t.vals)
+	}
+	n := 0
+	for _, id := range t.ids {
+		if id >= missID {
+			n++
+		}
+	}
+	return n
+}
+
 // Detach drops the cached ID row, so t no longer keeps a dictionary
 // reachable, and returns t.
 func (t *Tuple) Detach() *Tuple {

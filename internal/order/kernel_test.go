@@ -8,7 +8,7 @@ import (
 
 // AddAllTo32 is AddAllToWords visiting one pair at a time, the shape
 // the reference refAddAllTo32 reports in.
-func (r *Relation) AddAllTo32(group []int32, visit func(from, to int)) {
+func (r *Relation) AddAllTo32(group []uint32, visit func(from, to int)) {
 	r.AddAllToWords(group, func(p, wi int, diff uint64) bool {
 		base := wi << 6
 		for d := diff; d != 0; d &= d - 1 {
@@ -81,9 +81,9 @@ func TestKernelMaxDifferential(t *testing.T) {
 		// Full clique: every index is maximal; both must pick index 0.
 		if n > 0 {
 			r := New(n)
-			members := make([]int32, n)
+			members := make([]uint32, n)
 			for i := range members {
-				members[i] = int32(i)
+				members[i] = uint32(i)
 			}
 			r.SetClique32(members)
 			if got, want := r.Max(), r.refMax(); got != want || got != 0 {
@@ -167,9 +167,9 @@ func TestKernelAddAllToDifferential(t *testing.T) {
 		fast, ref := randomRelation(rng, n, 0.5), New(n)
 		ref.CopyFrom(fast)
 		for step := 0; step < 6; step++ {
-			group := make([]int32, 1+rng.Intn(3))
+			group := make([]uint32, 1+rng.Intn(3))
 			for k := range group {
-				group[k] = int32(rng.Intn(n))
+				group[k] = uint32(rng.Intn(n))
 			}
 			var got, want []Pair
 			fast.AddAllTo32(group, func(f, to int) { got = append(got, Pair{f, to}) })
@@ -239,10 +239,10 @@ func TestKernelDirtyTracking(t *testing.T) {
 			case 0:
 				tr.Add(rng.Intn(n), rng.Intn(n))
 			case 1:
-				group := []int32{int32(rng.Intn(n))}
+				group := []uint32{uint32(rng.Intn(n))}
 				tr.AddAllTo32(group, func(int, int) {})
 			case 2:
-				tr.SetClique32([]int32{int32(rng.Intn(n)), int32(rng.Intn(n))})
+				tr.SetClique32([]uint32{uint32(rng.Intn(n)), uint32(rng.Intn(n))})
 			}
 		}
 		tr.ResetFrom(base)
@@ -289,7 +289,7 @@ func FuzzRelationOps(f *testing.F) {
 					}
 				}
 			case 1: // bulk ϕ8 group
-				group := []int32{int32(a), int32(b)}
+				group := []uint32{uint32(a), uint32(b)}
 				var got, want []Pair
 				fast.AddAllTo32(group, func(x, y int) { got = append(got, Pair{x, y}) })
 				ref.refAddAllTo32(group, func(x, y int) { want = append(want, Pair{x, y}) })

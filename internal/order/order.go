@@ -34,7 +34,12 @@ type Pair struct{ From, To int }
 
 // Relation is the weak accuracy order ⪯ on one attribute over tuples
 // 0..n-1 of an entity instance. It maintains its own transitive closure
-// incrementally. Create one with New.
+// incrementally. Create one with New, or as part of a Set.
+//
+// The header holds only the size, the rows and the dirty bits, plus a
+// pointer to the scratch area of the insertion kernels, which every
+// relation of one Set shares: a kernel's returned slice is valid until
+// the next insertion into any relation of the set.
 type Relation struct {
 	n    int
 	w    int      // 64-bit words per row
@@ -45,14 +50,19 @@ type Relation struct {
 	// rewriting only the rows it diverged on — the snapshot-restore
 	// scheme behind the chase engine pool.
 	dirty []uint64
-	// scratch is the reusable one-row mask buffer of the insertion
-	// kernels; pairBuf backs Add's result slice and diffBuf AddDiffs'.
-	// Together they make the mutation hot path allocation-free on a
-	// long-lived relation.
-	scratch []uint64
-	mwBuf   []int32
-	pairBuf []Pair
-	diffBuf []WordDiff
+	sc    *scratch
+}
+
+// scratch holds the reusable buffers of the insertion kernels: the
+// one-row mask, AddDiffs' live-word list, and the backing arrays of
+// Add's and AddDiffs' results. They make the mutation hot path
+// allocation-free on a long-lived relation, and one scratch serves all
+// the relations of a Set, which are never written concurrently.
+type scratch struct {
+	mask  []uint64
+	mw    []int32
+	pairs []Pair
+	diffs []WordDiff
 }
 
 // WordDiff is one word of newly derived pairs: for each set bit b of
@@ -65,25 +75,33 @@ type WordDiff struct {
 	Bits uint64
 }
 
-// mask returns the scratch buffer, zeroed and sized to one row.
+// mask returns the scratch mask, zeroed and sized to one row.
 func (r *Relation) mask() []uint64 {
-	if cap(r.scratch) < r.w {
-		r.scratch = make([]uint64, r.w)
-	} else {
-		r.scratch = r.scratch[:r.w]
-		for i := range r.scratch {
-			r.scratch[i] = 0
-		}
+	if r.sc == nil {
+		r.sc = new(scratch)
 	}
-	return r.scratch
+	sc := r.sc
+	if cap(sc.mask) < r.w {
+		sc.mask = make([]uint64, r.w)
+	} else {
+		sc.mask = sc.mask[:r.w]
+		clear(sc.mask)
+	}
+	return sc.mask
+}
+
+// words returns the number of 64-bit words in a row over n tuples; an
+// empty relation keeps one, so row arithmetic never divides by zero.
+func words(n int) int {
+	if n == 0 {
+		return 1
+	}
+	return (n + 63) >> 6
 }
 
 // New creates an empty relation over n tuples.
 func New(n int) *Relation {
-	w := (n + 63) / 64
-	if w == 0 {
-		w = 1
-	}
+	w := words(n)
 	return &Relation{n: n, w: w, rows: make([]uint64, n*w)}
 }
 
@@ -115,19 +133,20 @@ func (r *Relation) row(i int) []uint64 { return r.rows[i*r.w : (i+1)*r.w] }
 // already-derived pair returns nil. Reflexive pairs (i == j) are
 // permitted and harmless. Conflict detection is the caller's concern:
 // inspect the returned pairs with Mutual. The returned slice is backed
-// by a per-relation buffer and only valid until the next Add.
+// by the relation's scratch and only valid until the next insertion.
 func (r *Relation) Add(i, j int) []Pair {
-	added := r.pairBuf[:0]
-	for _, d := range r.AddDiffs(i, j) {
+	diffs := r.AddDiffs(i, j)
+	if len(diffs) == 0 {
+		return nil
+	}
+	added := r.sc.pairs[:0]
+	for _, d := range diffs {
 		base := int(d.Word) << 6
 		for bs := d.Bits; bs != 0; bs &= bs - 1 {
 			added = append(added, Pair{From: int(d.Row), To: base + bits.TrailingZeros64(bs)})
 		}
 	}
-	r.pairBuf = added
-	if len(added) == 0 {
-		return nil
-	}
+	r.sc.pairs = added
 	return added
 }
 
@@ -139,7 +158,7 @@ func (r *Relation) Add(i, j int) []Pair {
 // already-derived pair returns nil. The matrix is always fully updated
 // before AddDiffs returns, so a caller that stops consuming the diffs
 // early (the engine, on conflict) leaves the relation closed. The
-// returned slice is backed by a per-relation buffer and only valid
+// returned slice is backed by the relation's scratch and only valid
 // until the next insertion.
 //
 // The closure propagation iterates only the actual predecessors of i,
@@ -160,15 +179,16 @@ func (r *Relation) AddDiffs(i, j int) []WordDiff {
 	// every row visit scans the live words, not all w. A sparse insert —
 	// the delta path's staple — has one or two live words per row
 	// against fifteen at n = 900.
-	mw := r.mwBuf[:0]
+	sc := r.sc
+	mw := sc.mw[:0]
 	for wi, m := range mask {
 		if m != 0 {
 			mw = append(mw, int32(wi))
 		}
 	}
-	r.mwBuf = mw
+	sc.mw = mw
 
-	diffs := r.diffBuf[:0]
+	diffs := sc.diffs[:0]
 	apply := func(p int) {
 		row := r.row(p)
 		marked := false
@@ -213,7 +233,7 @@ func (r *Relation) AddDiffs(i, j int) []WordDiff {
 			apply(base + bits.TrailingZeros64(word))
 		}
 	}
-	r.diffBuf = diffs
+	sc.diffs = diffs
 	return diffs
 }
 
@@ -221,12 +241,12 @@ func (r *Relation) AddDiffs(i, j int) []WordDiff {
 // group, restoring transitive closure. It implements the axiom ϕ8: once
 // te[A] is known, every tuple is at most as accurate as the tuples
 // carrying that value (the chase's value-ID equality classes, hence
-// int32). It ORs the group's accumulated successor mask into every row
+// uint32). It ORs the group's accumulated successor mask into every row
 // and hands the newly derived pairs back as per-row word masks, rows
 // then words ascending — the shape the chase engine consumes
 // word-at-a-time. Returning false from visit stops further visits; the
 // matrix is still fully updated.
-func (r *Relation) AddAllToWords(group []int32, visit func(p, wi int, diff uint64) bool) {
+func (r *Relation) AddAllToWords(group []uint32, visit func(p, wi int, diff uint64) bool) {
 	if len(group) == 0 {
 		return
 	}
@@ -273,8 +293,8 @@ func (r *Relation) addMaskWords(mask []uint64, visit func(p, wi int, diff uint64
 // the value-equality cliques of axiom ϕ9; callers must only use it on
 // rows and columns that hold no pair yet, where cliques are
 // closure-safe. The value-ID groups of the chase index their equality
-// classes as []int32, so the seeding path hands them straight through.
-func (r *Relation) SetClique32(members []int32) {
+// classes as []uint32, so the seeding path hands them straight through.
+func (r *Relation) SetClique32(members []uint32) {
 	if len(members) == 0 {
 		return
 	}
@@ -298,7 +318,7 @@ func (r *Relation) SetClique32(members []int32) {
 // columns that hold no pair yet, besides the cliques just seeded there
 // (nulls form a clique that reaches all non-null tuples, which have no
 // outgoing edges yet).
-func (r *Relation) SetBelow32(los, his []int32) {
+func (r *Relation) SetBelow32(los, his []uint32) {
 	if len(los) == 0 || len(his) == 0 {
 		return
 	}
@@ -427,14 +447,20 @@ func (r *Relation) Extend(m int) *Relation {
 		panic("order: Extend with negative growth")
 	}
 	out := New(r.n + m)
-	if out.w == r.w {
-		copy(out.rows, r.rows)
-		return out
+	r.extendInto(out.rows, out.w)
+	return out
+}
+
+// extendInto copies r's rows into rows, a zeroed matrix of r.n or more
+// rows of w ≥ r.w words.
+func (r *Relation) extendInto(rows []uint64, w int) {
+	if w == r.w {
+		copy(rows, r.rows)
+		return
 	}
 	for i := 0; i < r.n; i++ {
-		copy(out.rows[i*out.w:i*out.w+r.w], r.row(i))
+		copy(rows[i*w:i*w+r.w], r.row(i))
 	}
-	return out
 }
 
 // Clone returns a deep copy of the relation (without dirty tracking).
@@ -513,20 +539,45 @@ func (r *Relation) TransitiveOK() bool {
 
 // Set is the collection of accuracy orders for all attributes of a
 // schema: one Relation per attribute, as in the accuracy instance
-// D = (Ie, ⪯A1, ..., ⪯An).
+// D = (Ie, ⪯A1, ..., ⪯An). A Set holds its relations in one slice and
+// all their rows in one slab (rows), relation a's matrix being the a-th
+// n·w-word stretch of it, so building, cloning or extending a Set costs
+// a constant number of allocations however many attributes it has; its
+// relations share one kernel scratch.
 type Set struct {
 	n     int
 	attrs int
-	rels  []*Relation
+	rels  []Relation
+	rows  []uint64
+}
+
+// newSet lays out a Set of attrs relations over n tuples on the row
+// slab rows (attrs·n·words(n) words) and, when tracked, with dirty-row
+// tracking.
+func newSet(attrs, n int, rows []uint64, tracked bool) *Set {
+	w := words(n)
+	s := &Set{n: n, attrs: attrs, rels: make([]Relation, attrs), rows: rows}
+	var dirty []uint64
+	dw := (n + 63) >> 6
+	if tracked {
+		dirty = make([]uint64, attrs*dw)
+	}
+	sc := new(scratch)
+	stride := n * w
+	for a := range s.rels {
+		r := &s.rels[a]
+		r.n, r.w, r.sc = n, w, sc
+		r.rows = rows[a*stride : (a+1)*stride : (a+1)*stride]
+		if tracked {
+			r.dirty = dirty[a*dw : (a+1)*dw : (a+1)*dw]
+		}
+	}
+	return s
 }
 
 // NewSet creates empty relations for attrs attributes over n tuples.
 func NewSet(attrs, n int) *Set {
-	s := &Set{n: n, attrs: attrs, rels: make([]*Relation, attrs)}
-	for i := range s.rels {
-		s.rels[i] = New(n)
-	}
-	return s
+	return newSet(attrs, n, make([]uint64, attrs*n*words(n)), false)
 }
 
 // Attrs returns the number of attributes.
@@ -536,33 +587,29 @@ func (s *Set) Attrs() int { return s.attrs }
 func (s *Set) Size() int { return s.n }
 
 // Attr returns the relation for attribute position a.
-func (s *Set) Attr(a int) *Relation { return s.rels[a] }
+func (s *Set) Attr(a int) *Relation { return &s.rels[a] }
 
 // Clone deep-copies all relations.
 func (s *Set) Clone() *Set {
-	out := &Set{n: s.n, attrs: s.attrs, rels: make([]*Relation, s.attrs)}
-	for i, r := range s.rels {
-		out.rels[i] = r.Clone()
-	}
-	return out
+	return newSet(s.attrs, s.n, append([]uint64(nil), s.rows...), false)
 }
 
 // CloneTracked deep-copies all relations with dirty-row tracking
 // enabled, so the copy can ResetFrom(s) cheaply after divergence.
 func (s *Set) CloneTracked() *Set {
-	out := &Set{n: s.n, attrs: s.attrs, rels: make([]*Relation, s.attrs)}
-	for i, r := range s.rels {
-		out.rels[i] = r.CloneTracked()
-	}
-	return out
+	return newSet(s.attrs, s.n, append([]uint64(nil), s.rows...), true)
 }
 
 // Extend returns a new set over n+m tuples with every relation's pairs
 // carried over; see Relation.Extend.
 func (s *Set) Extend(m int) *Set {
-	out := &Set{n: s.n + m, attrs: s.attrs, rels: make([]*Relation, s.attrs)}
-	for i, r := range s.rels {
-		out.rels[i] = r.Extend(m)
+	if m < 0 {
+		panic("order: Extend with negative growth")
+	}
+	n := s.n + m
+	out := newSet(s.attrs, n, make([]uint64, s.attrs*n*words(n)), false)
+	for a := range s.rels {
+		s.rels[a].extendInto(out.rels[a].rows, out.rels[a].w)
 	}
 	return out
 }
@@ -570,16 +617,16 @@ func (s *Set) Extend(m int) *Set {
 // ResetFrom restores every relation to base's contents, touching only
 // rows written since the last reset (see Relation.ResetFrom).
 func (s *Set) ResetFrom(base *Set) {
-	for i, r := range s.rels {
-		r.ResetFrom(base.rels[i])
+	for a := range s.rels {
+		s.rels[a].ResetFrom(&base.rels[a])
 	}
 }
 
 // TotalPairs sums Len over all attributes.
 func (s *Set) TotalPairs() int {
 	t := 0
-	for _, r := range s.rels {
-		t += r.Len()
+	for a := range s.rels {
+		t += s.rels[a].Len()
 	}
 	return t
 }

@@ -89,9 +89,9 @@ func TestMutual(t *testing.T) {
 
 func TestSetCliqueAndBelow(t *testing.T) {
 	r := New(5)
-	r.SetClique32([]int32{0, 1})
-	r.SetClique32([]int32{3, 4})
-	r.SetBelow32([]int32{3, 4}, []int32{0, 1, 2})
+	r.SetClique32([]uint32{0, 1})
+	r.SetClique32([]uint32{3, 4})
+	r.SetBelow32([]uint32{3, 4}, []uint32{0, 1, 2})
 	if !r.Has(0, 1) || !r.Has(1, 0) || !r.Has(0, 0) {
 		t.Errorf("clique pairs missing")
 	}
@@ -108,9 +108,9 @@ func TestSetCliqueAndBelow(t *testing.T) {
 
 func TestAddAllTo(t *testing.T) {
 	r := New(4)
-	r.SetClique32([]int32{1, 2}) // the value group
+	r.SetClique32([]uint32{1, 2}) // the value group
 	var derived []Pair
-	r.AddAllTo32([]int32{1, 2}, func(i, j int) { derived = append(derived, Pair{i, j}) })
+	r.AddAllTo32([]uint32{1, 2}, func(i, j int) { derived = append(derived, Pair{i, j}) })
 	for i := 0; i < 4; i++ {
 		if !r.Has(i, 1) || !r.Has(i, 2) {
 			t.Errorf("tuple %d should reach the group", i)
@@ -131,7 +131,7 @@ func TestAddAllToPropagation(t *testing.T) {
 	// Group members already reach 3; everyone must now reach 3 too.
 	r := New(4)
 	r.Add(1, 3)
-	r.AddAllTo32([]int32{1}, func(int, int) {})
+	r.AddAllTo32([]uint32{1}, func(int, int) {})
 	if !r.Has(0, 3) || !r.Has(2, 3) {
 		t.Errorf("AddAllTo32 must propagate the group's successors")
 	}
@@ -348,9 +348,9 @@ func TestCloneTrackedResetFrom(t *testing.T) {
 		}
 	}
 	// The restored relation is reusable: diverge and restore again.
-	r.AddAllTo32([]int32{5}, func(int, int) {})
-	r.SetClique32([]int32{90, 91})
-	r.SetBelow32([]int32{10}, []int32{11})
+	r.AddAllTo32([]uint32{5}, func(int, int) {})
+	r.SetClique32([]uint32{90, 91})
+	r.SetBelow32([]uint32{10}, []uint32{11})
 	r.ResetFrom(base)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {

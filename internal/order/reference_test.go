@@ -103,7 +103,7 @@ func (r *Relation) refAdd(i, j int) []Pair {
 // refAddAllTo32 is the per-pair ϕ8 bulk insertion: accumulate the
 // group's successor mask, then OR it into every row, visiting each new
 // pair. Like refAdd it allocates its own mask buffer.
-func (r *Relation) refAddAllTo32(group []int32, visit func(from, to int)) {
+func (r *Relation) refAddAllTo32(group []uint32, visit func(from, to int)) {
 	if len(group) == 0 {
 		return
 	}

@@ -4,6 +4,19 @@
 #
 # Usage:
 #   ./scripts/bench.sh OUTPUT.json
+#   ./scripts/bench.sh OUTPUT.json PARENT_DIR
+#
+# With PARENT_DIR, a checkout of the parent commit (a git clone or a
+# git worktree), bench.sh runs paired: it compiles both trees' root test
+# binaries and runs each tracked benchmark function alternately on the
+# parent and on this tree, COUNT pairs of one run each, the parent first
+# in odd pairs and second in even ones, so both sides see the same host
+# drift. It writes OUTPUT.json for this tree and OUTPUT.parent.json (the
+# .json suffix replaced) for the parent from that one session; each
+# entry lists its runs in pair order (ns_runs), and each entry of this
+# tree's file records how many pairs it won (won: its run was faster).
+# A benchmark only one tree defines gets an entry in that tree's file
+# alone. scripts/benchdiff.sh reads the pairs.
 #
 # The snapshot opens with a header naming what produced it: the Go
 # version, nproc, GOMAXPROCS (the -N suffix go test prints; none
@@ -20,7 +33,8 @@
 #
 # Environment:
 #   BENCHTIME  go test -benchtime value (default 1s; CI smoke uses 1x)
-#   COUNT      runs per benchmark        (default 1)
+#   COUNT      runs per benchmark, or pairs of runs in paired mode
+#              (default 1)
 #
 # The tracked benchmarks are the hot paths the performance PRs moved:
 #   BenchmarkCheckPooled     allocation-free candidate check, verdict
@@ -61,13 +75,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-if [ $# -ne 1 ]; then
-    echo "usage: $0 OUTPUT.json" >&2
+if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+    echo "usage: $0 OUTPUT.json [PARENT_DIR]" >&2
     exit 2
 fi
 out="$1"
+parent="${2:-}"
 benchtime="${BENCHTIME:-1s}"
 count="${COUNT:-1}"
+if [ -n "$parent" ] && [ ! -f "$parent/go.mod" ]; then
+    echo "bench.sh: $parent is not a checkout of this repository" >&2
+    exit 2
+fi
 
 funcs="CheckPooled CheckCached ColdCheck OrderAdd OrderMax TopKCT900
 IncrementalAdd UpdaterApply WALAppend RecoveryReplay TopKWarmQuery
@@ -76,41 +95,78 @@ StreamIngest Instantiation TopKCold"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
+# run BINARY FUNC COUNT RAWFILE appends COUNT runs of one benchmark
+# function to RAWFILE (and the terminal).
+run() {
+    "$1" -test.run '^$' -test.bench "^Benchmark$2\$" -test.benchmem \
+        -test.benchtime "$benchtime" -test.count "$3" -test.timeout 60m | tee -a "$4"
+}
+
 go test -c -o "$tmp/bench.test" .
-for f in $funcs; do
-    "$tmp/bench.test" -test.run '^$' -test.bench "^Benchmark$f\$" -test.benchmem \
-        -test.benchtime "$benchtime" -test.count "$count" -test.timeout 60m | tee -a "$tmp/raw"
-done
+if [ -z "$parent" ]; then
+    for f in $funcs; do
+        run "$tmp/bench.test" "$f" "$count" "$tmp/raw"
+    done
+else
+    (cd "$parent" && go test -c -o "$tmp/parent.test" .)
+    for f in $funcs; do
+        for pair in $(seq 1 "$count"); do
+            # One marker line per pair, so a benchmark one binary lacks
+            # cannot shift the other side's pairing.
+            echo "pair $pair" | tee -a "$tmp/raw" >> "$tmp/raw.parent"
+            if [ $((pair % 2)) -eq 1 ]; then
+                run "$tmp/parent.test" "$f" 1 "$tmp/raw.parent"
+                run "$tmp/bench.test" "$f" 1 "$tmp/raw"
+            else
+                run "$tmp/bench.test" "$f" 1 "$tmp/raw"
+                run "$tmp/parent.test" "$f" 1 "$tmp/raw.parent"
+            fi
+        done
+    done
+fi
 
 # Parse `go test -bench` lines into one JSON record per benchmark. A
 # -benchmem line looks like:
 #   BenchmarkName-8  123  456 ns/op  789 B/op  12 allocs/op
 # where -8 is GOMAXPROCS; the header takes it and the cpu: line.
-python3 - "$tmp/raw" "$out" "$benchtime" "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-    "$(go version)" "$(nproc)" "$(git describe --always --dirty 2>/dev/null || echo unknown)" <<'PY'
-import json, re, statistics, sys
+parent_commit=""
+if [ -n "$parent" ]; then
+    parent_commit=$(cd "$parent" && git describe --always --dirty 2>/dev/null || echo unknown)
+fi
+python3 - "$tmp" "$out" "$benchtime" "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
+    "$(go version)" "$(nproc)" "$(git describe --always --dirty 2>/dev/null || echo unknown)" \
+    "$parent" "$parent_commit" <<'PY'
+import json, os, re, statistics, sys
 
-raw, out, benchtime, date, gover, nproc, commit = sys.argv[1:]
-procs, cpu, runs = 1, "unknown", {}
+tmp, out, benchtime, date, gover, nproc, commit, parent, parent_commit = sys.argv[1:]
 units = {"ns/op": "ns_per_op", "B/op": "bytes_per_op", "allocs/op": "allocs_per_op",
          # Custom metrics (only BenchmarkStreamIngest emits them today):
          # ingest throughput and the peak sampled heap during one ingest.
          "rows/s": "rows_per_s", "peak-bytes": "peak_bytes"}
-for line in open(raw):
-    if line.startswith("cpu: "):
-        cpu = line[5:].strip()
-    f = line.split()
-    if not f or not f[0].startswith("Benchmark") or "ns/op" not in f:
-        continue
-    name = f[0]
-    m = re.search(r"-([0-9]+)$", name)
-    if m:
-        procs, name = int(m.group(1)), name[:m.start()]
-    rec = {"iterations": float(f[1])}
-    for i in range(3, len(f)):
-        if f[i] in units:
-            rec[units[f[i]]] = float(f[i - 1])
-    runs.setdefault(name, []).append(rec)
+
+def parse(raw):
+    """Per benchmark, its runs in order; in a paired raw file each run
+    carries the pair it belongs to."""
+    procs, cpu, runs, pair = 1, "unknown", {}, None
+    for line in open(raw):
+        if line.startswith("cpu: "):
+            cpu = line[5:].strip()
+        f = line.split()
+        if len(f) == 2 and f[0] == "pair":
+            pair = int(f[1])
+            continue
+        if not f or not f[0].startswith("Benchmark") or "ns/op" not in f:
+            continue
+        name = f[0]
+        m = re.search(r"-([0-9]+)$", name)
+        if m:
+            procs, name = int(m.group(1)), name[:m.start()]
+        rec = {"iterations": float(f[1]), "pair": pair}
+        for i in range(3, len(f)):
+            if f[i] in units:
+                rec[units[f[i]]] = float(f[i - 1])
+        runs.setdefault(name, []).append(rec)
+    return procs, cpu, runs
 
 def num(x):
     return int(x) if x == int(x) else x
@@ -119,8 +175,7 @@ def median(rs, key):
     vals = [r[key] for r in rs if key in r]
     return num(statistics.median(vals)) if vals else None
 
-lines = []
-for name, rs in runs.items():
+def entry(name, rs):
     ns = [r["ns_per_op"] for r in rs]
     e = {"name": name, "runs": len(rs), "iterations": median(rs, "iterations"),
          "ns_per_op": median(rs, "ns_per_op"), "ns_min": num(min(ns)), "ns_max": num(max(ns)),
@@ -128,11 +183,42 @@ for name, rs in runs.items():
     for key in ("rows_per_s", "peak_bytes"):
         if median(rs, key) is not None:
             e[key] = median(rs, key)
-    lines.append("    " + json.dumps(e))
+    return e
+
+def write(path, header, entries):
+    lines = ["    " + json.dumps(e) for e in entries]
+    with open(path, "w") as fh:
+        fh.write('{\n  "generated": %s,\n  "benchtime": %s,\n  "header": %s,\n  "results": [\n%s\n  ]\n}\n'
+                 % (json.dumps(date), json.dumps(benchtime), json.dumps(header), ",\n".join(lines)))
+
+procs, cpu, runs = parse(os.path.join(tmp, "raw"))
 header = {"go": gover, "nproc": int(nproc), "gomaxprocs": procs, "cpu": cpu, "commit": commit}
-with open(out, "w") as fh:
-    fh.write('{\n  "generated": %s,\n  "benchtime": %s,\n  "header": %s,\n  "results": [\n%s\n  ]\n}\n'
-             % (json.dumps(date), json.dumps(benchtime), json.dumps(header), ",\n".join(lines)))
+if not parent:
+    write(out, header, [entry(n, rs) for n, rs in runs.items()])
+    sys.exit(0)
+
+pprocs, pcpu, pruns = parse(os.path.join(tmp, "raw.parent"))
+pout = re.sub(r"(\.json)?$", ".parent.json", out, count=1)
+header["paired_with"] = parent_commit
+pheader = {"go": gover, "nproc": int(nproc), "gomaxprocs": pprocs, "cpu": pcpu,
+           "commit": parent_commit, "paired_with": commit}
+entries, pentries = [], []
+for name, rs in runs.items():
+    e = entry(name, rs)
+    e["ns_runs"] = [num(r["ns_per_op"]) for r in rs]
+    if name in pruns:
+        theirs = {r["pair"]: r["ns_per_op"] for r in pruns[name]}
+        paired = [(r["ns_per_op"], theirs[r["pair"]]) for r in rs if r["pair"] in theirs]
+        e["pairs"] = len(paired)
+        e["won"] = sum(1 for mine, other in paired if mine < other)
+    entries.append(e)
+for name, rs in pruns.items():
+    e = entry(name, rs)
+    e["ns_runs"] = [num(r["ns_per_op"]) for r in rs]
+    pentries.append(e)
+write(out, header, entries)
+write(pout, pheader, pentries)
+print("wrote " + pout)
 PY
 
 echo "wrote $out"
