@@ -9,6 +9,7 @@ package repro_test
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -371,6 +372,9 @@ func BenchmarkTopKCT900(b *testing.B) {
 // themselves as a block, and Med/extend absorbs the last tuple of each
 // gen.Med entity in turn (rows resolved against the Shared's base, as
 // csvio decodes them) — the one-tuple append relaccd runs per request.
+// GroundSteps/Ie=300/extend is a one-tuple Extend under rules that
+// ground steps (groundStepsPrefix), the only leg whose chase walks the
+// trigger layers.
 func BenchmarkIncrementalAdd(b *testing.B) {
 	for _, size := range []int{300, 900} {
 		cfg := gen.SynDefault()
@@ -463,6 +467,53 @@ func BenchmarkIncrementalAdd(b *testing.B) {
 			}
 		}
 	})
+	b.Run("GroundSteps/Ie=300/extend", func(b *testing.B) {
+		g, last := groundStepsPrefix(b, 300)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := g.Extend(last); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// groundStepsPrefix grounds the first n-1 tuples of an entity whose
+// rules materialise ground steps, which no Syn or Med rule does (they
+// compile to correlation triggers): TestExtendLongChain's three rules,
+// where "both" waits on two order facts per pair. Attribute c rises
+// with a, so the base chase stays Church-Rosser. It returns the
+// grounding and the n-th tuple, for a one-tuple Extend that registers
+// trigger layers and resumes the chase over them.
+func groundStepsPrefix(b *testing.B, n int) (*chase.Grounding, *model.Tuple) {
+	b.Helper()
+	s := model.MustSchema("r", "a", "b", "c")
+	rules := rule.MustSet(s, nil,
+		&rule.Form1{RuleName: "curA",
+			LHS: []rule.Pred{rule.Cmp(rule.T1("a"), rule.Lt, rule.T2("a"))}, RHS: "a"},
+		&rule.Form1{RuleName: "both",
+			LHS: []rule.Pred{rule.Prec("a"), rule.Prec("b")}, RHS: "c"},
+		&rule.Form1{RuleName: "curB",
+			LHS: []rule.Pred{rule.Cmp(rule.T1("b"), rule.Lt, rule.T2("b"))}, RHS: "b"},
+	)
+	rng := rand.New(rand.NewSource(11))
+	ie := model.NewEntityInstance(s)
+	var last *model.Tuple
+	for i := 0; i < n; i++ {
+		last = model.MustTuple(s, model.I(int64(i)), model.I(int64(rng.Intn(40))), model.I(int64(i)))
+		if i < n-1 {
+			ie.MustAdd(last)
+		}
+	}
+	g, err := chase.NewGrounding(chase.Spec{Ie: ie, Rules: rules}, chase.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res := g.Run(nil); !res.CR {
+		b.Fatalf("the base chase is not Church-Rosser: %s", res.Conflict)
+	}
+	return g, last
 }
 
 // BenchmarkUpdaterApply measures one Apply batch over 32 disjoint-key

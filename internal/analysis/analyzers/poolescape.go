@@ -11,14 +11,13 @@ import (
 // invariant 4 family): a value taken from a sync.Pool is owned by the
 // taking function until it is Put back, and must not outlive that
 // window. Within each function it tracks variables bound to a
-// (sync.Pool).Get() result — through the usual type assertion and
-// through simple aliases — and flags any use that lets the value
-// escape before Put: returning it, storing it into a field, map,
-// slice, pointer target or package variable, sending it on a channel,
-// or appending it to a slice. The one sanctioned escape is an accessor
-// that exists to hand the value out: a method named Get on the type
-// that owns the pool (CheckerPool.Get returns its pooled *Checker on
-// purpose; its caller is the one holding the Put obligation).
+// (sync.Pool).Get() result — through the usual type assertion, its
+// comma-ok form (`v, ok :=` and `v, _ :=`) and simple aliases — and
+// flags any use that lets the value escape before Put: returning it,
+// storing it into a field, map, slice, pointer target or package
+// variable, sending it on a channel, or appending it to a slice. No
+// function is exempt, accessors included: a Put obligation handed to a
+// caller is one the analysis can no longer see discharged.
 //
 // The analysis is per-function and syntactic: a Get result handed to
 // another function is not followed (passing a pooled value down a call
@@ -72,32 +71,8 @@ func recvIsSyncPool(fn *types.Func) bool {
 	return analysis.IsNamedType(sig.Recv().Type(), "sync", "Pool")
 }
 
-// isPoolAccessor reports whether fd is a method named Get on a type
-// that owns a sync.Pool field — the sanctioned hand-out accessor whose
-// whole point is returning the pooled value.
-func isPoolAccessor(pass *analysis.Pass, fd *ast.FuncDecl) bool {
-	if fd.Name.Name != "Get" || fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return false
-	}
-	n := analysis.NamedOf(typeOf(pass.TypesInfo, fd.Recv.List[0].Type))
-	if n == nil {
-		return false
-	}
-	st, ok := n.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if analysis.IsNamedType(st.Field(i).Type(), "sync", "Pool") {
-			return true
-		}
-	}
-	return false
-}
-
 func checkPoolEscapes(pass *analysis.Pass, fd *ast.FuncDecl) {
 	info := pass.TypesInfo
-	accessor := isPoolAccessor(pass, fd)
 
 	// pooled: variables currently holding an un-Put pool value, in
 	// source order (the same linear approximation lockscope uses).
@@ -130,8 +105,13 @@ func checkPoolEscapes(pass *analysis.Pass, fd *ast.FuncDecl) {
 		case *ast.AssignStmt:
 			for i, lhs := range st.Lhs {
 				var rhs ast.Expr
-				if len(st.Rhs) == len(st.Lhs) {
+				switch {
+				case len(st.Rhs) == len(st.Lhs):
 					rhs = st.Rhs[i]
+				case i == 0 && len(st.Rhs) == 1:
+					// v, ok := p.Get().(*T): the comma-ok assertion
+					// binds the pooled value to the first variable.
+					rhs = st.Rhs[0]
 				}
 				lv := varOf(lhs)
 				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name == "_" {
@@ -156,9 +136,6 @@ func checkPoolEscapes(pass *analysis.Pass, fd *ast.FuncDecl) {
 				}
 			}
 		case *ast.ReturnStmt:
-			if accessor {
-				return true
-			}
 			for _, r := range st.Results {
 				if isPooledExpr(r) {
 					report(r, "returned to the caller")

@@ -30,6 +30,14 @@ func (r *registry) direct() int {
 	return n
 }
 
+// checked: a candidate check runs the chase like Run does.
+func (r *registry) checked() bool {
+	r.mu.RLock()
+	ok := r.g.Check() // want `r.mu is still held at this call to Check`
+	r.mu.RUnlock()
+	return ok
+}
+
 // underDefer: a deferred Unlock holds the lock to the end of the
 // function, so the call is still covered.
 func (r *registry) underDefer(vals []uint32) int {
@@ -76,6 +84,7 @@ func (r *registry) cheapUnderLock() int {
 func (r *registry) count() int { return 1 }
 
 var _ = (*registry).direct
+var _ = (*registry).checked
 var _ = (*registry).underDefer
 var _ = (*registry).transitive
 var _ = (*registry).releaseFirst

@@ -1,6 +1,7 @@
 // Package poolescape exercises the pooled-value ownership analyzer:
-// values from a sync.Pool must stay function-scoped until Put, with a
-// pool-owning type's Get accessor as the one sanctioned hand-out.
+// values from a sync.Pool must stay function-scoped until Put, whether
+// they were taken by a plain or a comma-ok type assertion, and no
+// accessor is exempt.
 package poolescape
 
 import "sync"
@@ -14,8 +15,8 @@ type pool struct {
 
 var global *checker
 
-// returned: handing the pooled value to the caller without transferring
-// the Put obligation through a sanctioned accessor.
+// returned: handing the pooled value to the caller, who cannot be
+// seen to Put it.
 func returned(p *pool) *checker {
 	v := p.pool.Get().(*checker)
 	return v // want `sync.Pool value escapes before Put \(returned to the caller\)`
@@ -63,11 +64,48 @@ func use(c *checker, xs []int) int {
 	return len(c.scratch)
 }
 
-// Get is the sanctioned accessor: a method named Get on the type that
-// owns the pool exists to hand the value out, and its caller inherits
-// the Put obligation.
+// Get hands the pooled value out. A method named Get on the type that
+// owns the pool is no exception: its caller holds a Put obligation the
+// analysis cannot see discharged.
 func (p *pool) Get() *checker {
-	return p.pool.Get().(*checker)
+	return p.pool.Get().(*checker) // want `sync.Pool value escapes before Put \(returned to the caller\)`
+}
+
+// commaOK: the comma-ok assertion binds the pooled value just as the
+// single-value form does.
+func commaOK(p *pool) {
+	v, ok := p.pool.Get().(*checker)
+	if ok {
+		global = v // want `sync.Pool value escapes before Put \(stored to a field, element or package variable\)`
+	}
+	p.pool.Put(v)
+}
+
+// commaBlank: discarding the ok changes nothing.
+func commaBlank(p *pool) *checker {
+	v, _ := p.pool.Get().(*checker)
+	return v // want `sync.Pool value escapes before Put \(returned to the caller\)`
+}
+
+// commaField: a comma-ok assertion straight into a field escapes at
+// once.
+func commaField(p *pool) bool {
+	var ok bool
+	p.held, ok = p.pool.Get().(*checker) // want `sync.Pool value escapes before Put \(stored to a field, element or package variable\)`
+	return ok
+}
+
+// borrowedOrNew is the shape of chase's Grounding.Check: take an idle
+// value or make one (a pool with no New returns nil), use it, Put it
+// back.
+func borrowedOrNew(p *pool, xs []int) int {
+	v, _ := p.pool.Get().(*checker)
+	if v == nil {
+		v = &checker{}
+	}
+	n := use(v, xs)
+	p.pool.Put(v)
+	return n
 }
 
 // rebound: once the variable is overwritten with a non-pooled value,
@@ -86,3 +124,7 @@ var _ = sent
 var _ = appended
 var _ = borrowed
 var _ = rebound
+var _ = commaOK
+var _ = commaBlank
+var _ = commaField
+var _ = borrowedOrNew

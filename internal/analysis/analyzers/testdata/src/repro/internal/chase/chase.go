@@ -52,9 +52,11 @@ func buildVia(n int) *Grounding {
 	return g
 }
 
-// Run and Extend are the deduction entry points the lockscope
+// Run, Check and Extend are the deduction entry points the lockscope
 // fixtures call.
 func (g *Grounding) Run() int { return g.version }
+
+func (g *Grounding) Check() bool { return g.version > 0 }
 
 // depth only reads; no directive needed.
 func (g *Grounding) depth() int { return len(g.steps) }

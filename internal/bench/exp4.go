@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/gen"
+	"repro/internal/model"
 	"repro/internal/par"
 	"repro/internal/stats"
 	"repro/internal/topk"
@@ -33,28 +34,36 @@ func synPoint(cfg gen.SynConfig, k int) (row []string, err error) {
 	if !res.CR {
 		return nil, fmt.Errorf("bench: Syn point not Church-Rosser: %s", res.Conflict)
 	}
-	pref := topk.Preference{K: k}
-
-	t0 = time.Now()
-	_, _, rjErr := topk.RankJoinCTOpts(g, res.Target, pref, topk.RankJoinOptions{MaxGenerated: rankJoinBudget})
-	if rjErr != nil && !errors.Is(rjErr, topk.ErrBudget) {
-		return nil, rjErr
-	}
-	rjT := time.Since(t0)
-
-	t0 = time.Now()
-	if _, _, err := topk.TopKCT(g, res.Target, pref); err != nil {
+	rjT, ctT, hT, err := searchTimes(g, res.Target, k)
+	if err != nil {
 		return nil, err
 	}
-	ctT := time.Since(t0)
-
-	t0 = time.Now()
-	if _, _, err := topk.TopKCTh(g, res.Target, pref); err != nil {
-		return nil, err
-	}
-	hT := time.Since(t0)
-
 	return []string{ms(rjT), ms(ctT), ms(hT), ms(iscrT), ms(groundT)}, nil
+}
+
+// searchTimes times RankJoinCT, TopKCT and TopKCTh back to back on one
+// grounding, each searching k candidates from the deduced target te.
+// RankJoinCT runs under rankJoinBudget; an overrun still counts as its
+// (lower-bound) timing.
+func searchTimes(g *chase.Grounding, te *model.Tuple, k int) (rj, ct, th time.Duration, err error) {
+	pref := topk.Preference{K: k}
+	t0 := time.Now()
+	if _, _, err := topk.RankJoinCTOpts(g, te, pref, topk.RankJoinOptions{MaxGenerated: rankJoinBudget}); err != nil && !errors.Is(err, topk.ErrBudget) {
+		return 0, 0, 0, err
+	}
+	rj = time.Since(t0)
+
+	t0 = time.Now()
+	if _, _, err := topk.TopKCT(g, te, pref); err != nil {
+		return 0, 0, 0, err
+	}
+	ct = time.Since(t0)
+
+	t0 = time.Now()
+	if _, _, err := topk.TopKCTh(g, te, pref); err != nil {
+		return 0, 0, 0, err
+	}
+	return rj, ct, time.Since(t0), nil
 }
 
 var synHeaderTail = []string{"RankJoinCT", "TopKCT", "TopKCTh", "IsCR", "Instantiation"}
@@ -64,24 +73,37 @@ var synHeaderTail = []string{"RankJoinCT", "TopKCT", "TopKCTh", "IsCR", "Instant
 // the algorithm's blow-up is itself the finding.
 const rankJoinBudget = 300_000
 
-// Fig6i sweeps ‖Ie‖ on Syn (paper: 300..1500; at 1500 TopKCTh 159ms,
-// TopKCT 271ms, RankJoinCT 1983ms).
-func (s *Suite) Fig6i() (*Report, error) {
+// synSweep times synPoint at each value of one Syn parameter, every
+// other parameter at the suite's default: set applies the value to the
+// point's generator config and search k. The report's first column,
+// headed param, holds the swept value.
+func (s *Suite) synSweep(id, title, param string, vals []int, set func(cfg *gen.SynConfig, k *int, v int)) (*Report, error) {
 	rep := &Report{
-		ID:     "Fig6i",
-		Title:  "Syn: elapsed time vs ‖Ie‖",
-		Header: append([]string{"‖Ie‖"}, synHeaderTail...),
+		ID:     id,
+		Title:  title,
+		Header: append([]string{param}, synHeaderTail...),
 	}
-	for _, n := range s.Cfg.SynSizes {
+	for _, v := range vals {
 		cfg := gen.SynDefault()
-		cfg.Tuples = n
-		cfg.Im = s.Cfg.SynIm
-		cfg.Rules = s.Cfg.SynSigma
-		row, err := synPoint(cfg, s.Cfg.SynK)
+		cfg.Tuples, cfg.Im, cfg.Rules = s.Cfg.SynTuples, s.Cfg.SynIm, s.Cfg.SynSigma
+		k := s.Cfg.SynK
+		set(&cfg, &k, v)
+		row, err := synPoint(cfg, k)
 		if err != nil {
 			return nil, err
 		}
-		rep.Rows = append(rep.Rows, append([]string{fmt.Sprintf("%d", n)}, row...))
+		rep.Rows = append(rep.Rows, append([]string{fmt.Sprintf("%d", v)}, row...))
+	}
+	return rep, nil
+}
+
+// Fig6i sweeps ‖Ie‖ on Syn (paper: 300..1500; at 1500 TopKCTh 159ms,
+// TopKCT 271ms, RankJoinCT 1983ms).
+func (s *Suite) Fig6i() (*Report, error) {
+	rep, err := s.synSweep("Fig6i", "Syn: elapsed time vs ‖Ie‖", "‖Ie‖", s.Cfg.SynSizes,
+		func(cfg *gen.SynConfig, _ *int, n int) { cfg.Tuples = n })
+	if err != nil {
+		return nil, err
 	}
 	rep.Notes = append(rep.Notes, "paper shape: TopKCTh < TopKCT << RankJoinCT, all growing with ‖Ie‖")
 	return rep, nil
@@ -89,65 +111,20 @@ func (s *Suite) Fig6i() (*Report, error) {
 
 // Fig6j sweeps ‖Σ‖ on Syn (paper: 20..100).
 func (s *Suite) Fig6j() (*Report, error) {
-	rep := &Report{
-		ID:     "Fig6j",
-		Title:  "Syn: elapsed time vs ‖Σ‖",
-		Header: append([]string{"‖Σ‖"}, synHeaderTail...),
-	}
-	for _, nr := range s.Cfg.SynSigmas {
-		cfg := gen.SynDefault()
-		cfg.Tuples = s.Cfg.SynTuples
-		cfg.Im = s.Cfg.SynIm
-		cfg.Rules = nr
-		row, err := synPoint(cfg, s.Cfg.SynK)
-		if err != nil {
-			return nil, err
-		}
-		rep.Rows = append(rep.Rows, append([]string{fmt.Sprintf("%d", nr)}, row...))
-	}
-	return rep, nil
+	return s.synSweep("Fig6j", "Syn: elapsed time vs ‖Σ‖", "‖Σ‖", s.Cfg.SynSigmas,
+		func(cfg *gen.SynConfig, _ *int, nr int) { cfg.Rules = nr })
 }
 
 // Fig6k sweeps ‖Im‖ on Syn (paper: 100..500).
 func (s *Suite) Fig6k() (*Report, error) {
-	rep := &Report{
-		ID:     "Fig6k",
-		Title:  "Syn: elapsed time vs ‖Im‖",
-		Header: append([]string{"‖Im‖"}, synHeaderTail...),
-	}
-	for _, im := range s.Cfg.SynIms {
-		cfg := gen.SynDefault()
-		cfg.Tuples = s.Cfg.SynTuples
-		cfg.Im = im
-		cfg.Rules = s.Cfg.SynSigma
-		row, err := synPoint(cfg, s.Cfg.SynK)
-		if err != nil {
-			return nil, err
-		}
-		rep.Rows = append(rep.Rows, append([]string{fmt.Sprintf("%d", im)}, row...))
-	}
-	return rep, nil
+	return s.synSweep("Fig6k", "Syn: elapsed time vs ‖Im‖", "‖Im‖", s.Cfg.SynIms,
+		func(cfg *gen.SynConfig, _ *int, im int) { cfg.Im = im })
 }
 
 // Fig6l sweeps k on Syn (paper: 5..25).
 func (s *Suite) Fig6l() (*Report, error) {
-	rep := &Report{
-		ID:     "Fig6l",
-		Title:  "Syn: elapsed time vs k",
-		Header: append([]string{"k"}, synHeaderTail...),
-	}
-	for _, k := range s.Cfg.SynKs {
-		cfg := gen.SynDefault()
-		cfg.Tuples = s.Cfg.SynTuples
-		cfg.Im = s.Cfg.SynIm
-		cfg.Rules = s.Cfg.SynSigma
-		row, err := synPoint(cfg, k)
-		if err != nil {
-			return nil, err
-		}
-		rep.Rows = append(rep.Rows, append([]string{fmt.Sprintf("%d", k)}, row...))
-	}
-	return rep, nil
+	return s.synSweep("Fig6l", "Syn: elapsed time vs k", "k", s.Cfg.SynKs,
+		func(_ *gen.SynConfig, k *int, v int) { *k = v })
 }
 
 // Fig7a buckets Med-style entities by instance size and reports the
@@ -195,8 +172,7 @@ func (s *Suite) timedTopK(entities []gen.Entity, ground func(gen.Entity) (*chase
 	}
 	samples := make([]sample, len(entities))
 	err = par.Each(s.timingWorkers(), len(entities), func(i int) error {
-		e := entities[i]
-		g, err := ground(e)
+		g, err := ground(entities[i])
 		if err != nil {
 			return err
 		}
@@ -204,27 +180,10 @@ func (s *Suite) timedTopK(entities []gen.Entity, ground func(gen.Entity) (*chase
 		if !res.CR {
 			return nil
 		}
-		pref := topk.Preference{K: 15}
-
-		t0 := time.Now()
-		if _, _, err := topk.RankJoinCTOpts(g, res.Target, pref, topk.RankJoinOptions{MaxGenerated: rankJoinBudget}); err != nil && !errors.Is(err, topk.ErrBudget) {
-			return err
-		}
-		samples[i].rj = time.Since(t0)
-
-		t0 = time.Now()
-		if _, _, err := topk.TopKCT(g, res.Target, pref); err != nil {
-			return err
-		}
-		samples[i].ct = time.Since(t0)
-
-		t0 = time.Now()
-		if _, _, err := topk.TopKCTh(g, res.Target, pref); err != nil {
-			return err
-		}
-		samples[i].th = time.Since(t0)
-		samples[i].ok = true
-		return nil
+		sm := &samples[i]
+		sm.rj, sm.ct, sm.th, err = searchTimes(g, res.Target, 15)
+		sm.ok = err == nil
+		return err
 	})
 	if err != nil {
 		return rj, ct, h, err

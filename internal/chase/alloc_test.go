@@ -58,8 +58,10 @@ func TestGroundingAllocationBound(t *testing.T) {
 // allocations: once a held Checker has run its first check, checking a
 // candidate again — through the chase with the verdict cache off, or
 // answered from the cache with it on — allocates nothing, on a Syn
-// entity at ‖Ie‖ = 300 and on a gen.Med entity. The candidate is the
-// entity's deduced target, which passes its own check.
+// entity at ‖Ie‖ = 300 and on a gen.Med entity. So does
+// Grounding.Check once the version holds an idle checker. The
+// candidate is the entity's deduced target, which passes its own
+// check.
 func TestPooledCheckAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -96,6 +98,9 @@ func TestPooledCheckAllocFree(t *testing.T) {
 				before := g.VerdictCacheStats()
 				if n := testing.AllocsPerRun(50, func() { ck.Check(res.Target) }); n != 0 {
 					t.Fatalf("a pooled check allocates %.1f times", n)
+				}
+				if n := testing.AllocsPerRun(50, func() { g.Check(res.Target) }); n != 0 {
+					t.Fatalf("a Grounding.Check allocates %.1f times", n)
 				}
 				if hits := g.VerdictCacheStats().Hits - before.Hits; cached != (hits > 0) {
 					t.Fatalf("verdict cache on = %v, but the checks made %d hits", cached, hits)

@@ -42,16 +42,6 @@ import (
 // the chase computes, or is absent.
 const verdictCap = 1 << 16
 
-// verdictEntry is one memoised check outcome: the conflict description
-// ("" = Church-Rosser) and, for CR checks, the deduced target tuple.
-// The target is stored once, cloned from the engine that computed it,
-// and shared read-only by every hit; Checker.Target re-clones it per
-// caller.
-type verdictEntry struct {
-	conflict string
-	target   *model.Tuple
-}
-
 // verdictCounts is the hit/miss accounting that every version of one
 // grounding shares, so it spans an entity's whole life while each
 // version's entries go with that version.
@@ -59,7 +49,8 @@ type verdictCounts struct {
 	hits, misses atomic.Int64
 }
 
-// verdictCache is one grounding version's verdict memo. counts is nil
+// verdictCache is one grounding version's verdict memo: each entry is
+// a check's conflict description, "" for Church-Rosser. counts is nil
 // when Options.DisableVerdictCache was set; m is nil until the first
 // cacheable check puts a verdict, so grounding, Extend and Run never
 // allocate it. mu guards m; checks on one version may run on any
@@ -67,34 +58,34 @@ type verdictCounts struct {
 type verdictCache struct {
 	counts *verdictCounts
 	mu     sync.Mutex
-	m      map[string]verdictEntry
+	m      map[string]string
 }
 
-// get returns the verdict stored under key and whether one exists,
+// get returns the conflict stored under key and whether one exists,
 // counting a hit or a miss. The []byte key is looked up without
 // converting it to a string, so a lookup allocates nothing.
-func (c *verdictCache) get(key []byte) (verdictEntry, bool) {
+func (c *verdictCache) get(key []byte) (string, bool) {
 	c.mu.Lock()
-	ent, ok := c.m[string(key)]
+	conflict, ok := c.m[string(key)]
 	c.mu.Unlock()
 	if ok {
 		c.counts.hits.Add(1)
 	} else {
 		c.counts.misses.Add(1)
 	}
-	return ent, ok
+	return conflict, ok
 }
 
-// put stores ent under key unless the map holds verdictCap entries.
-// Concurrent puts of one key are benign: verdicts are deterministic,
-// so racing checks store the same value.
-func (c *verdictCache) put(key []byte, ent verdictEntry) {
+// put stores conflict under key unless the map holds verdictCap
+// entries. Concurrent puts of one key are benign: verdicts are
+// deterministic, so racing checks store the same value.
+func (c *verdictCache) put(key []byte, conflict string) {
 	c.mu.Lock()
 	if c.m == nil {
-		c.m = make(map[string]verdictEntry)
+		c.m = make(map[string]string)
 	}
 	if len(c.m) < verdictCap {
-		c.m[string(key)] = ent
+		c.m[string(key)] = conflict
 	}
 	c.mu.Unlock()
 }

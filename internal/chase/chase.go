@@ -77,7 +77,7 @@
 // without invalidating any ID an earlier version issued (DESIGN.md
 // invariant 3a).
 //
-// Every chase — base, delta, Run and pooled check — keeps its pending
+// Every chase — base, delta, Run and check — keeps its pending
 // work within a small multiple of its order matrices: pending pair
 // derivations coalesce into word masks per (attribute, row) in the
 // matrices' shape, each ground step is queued at most once, and each
@@ -93,8 +93,10 @@
 // base snapshot is restored between runs through dirty-row tracking
 // (order.Relation.ResetFrom) — only the rows the previous run modified
 // are rewritten, so a check that derives little does near-zero restore
-// work instead of re-cloning O(nattr · n²/64) words. A CheckerPool
-// (sync.Pool) shares such engines among goroutines.
+// work instead of re-cloning O(nattr · n²/64) words. Grounding.Check
+// borrows such a checker from a sync.Pool the version holds, so the
+// goroutines checking one version share its engines, and caches each
+// verdict as its conflict string ("" for Church-Rosser).
 // The Grounding itself is immutable after NewGrounding, which is what
 // makes all of this safe: any number of engines may read it
 // concurrently.
@@ -109,7 +111,8 @@
 // only new steps and newly enforceable old steps replay), and returns
 // a NEW immutable grounding version. Immutability is per version:
 // in-flight checkers keep reading the old version; the new one shares
-// the old step prefix and trigger layers. There is one grounding
+// the old trigger layers, and the old step list when the delta adds no
+// step (a delta that adds steps copies it). There is one grounding
 // builder: a fresh grounding is the extension of the Shared's empty
 // grounding by its whole instance, so NewGrounding and Extend index
 // values, seed the axioms, instantiate and chase a block of new tuples
@@ -147,7 +150,7 @@ type Options struct {
 	// that exercise the bare rule semantics.
 	DisableAxioms bool
 	// DisableVerdictCache turns off the per-version verdict cache that
-	// pooled Checkers consult before running a candidate check (see
+	// Checkers consult before running a candidate check (see
 	// cache.go). The cache is semantically invisible — cached and
 	// uncached checks answer byte-identically — so disabling it is only
 	// useful for measurement and for the equivalence tests that prove
@@ -282,13 +285,12 @@ type corrRule struct {
 // which returns a new immutable version and leaves the receiver as it
 // was.
 //
-// A Grounding is read-only after construction: Run, Checker.Check and
-// Extend never mutate it, so any number of goroutines
-// may issue checks against the same Grounding concurrently (enforced by
-// the race tests in pool_test.go). All mutable chase state lives in
-// per-run engines; the only internal synchronisation is the lazily
-// created checker pool and the verdict map the first cacheable check
-// builds.
+// A Grounding is read-only after construction: Run, Check and Extend
+// never mutate it, so any number of goroutines may run checks against
+// the same Grounding concurrently (enforced by the race tests in
+// pool_test.go). All mutable chase state lives in per-run engines;
+// the only internal synchronisation is the sync.Pool of idle checkers
+// and the verdict map the first cacheable check builds.
 //
 // A grounding keeps its instance's tuples, not a copy of their values:
 // the chase reads a tuple's value from the tuple itself, next to the ID
@@ -376,8 +378,9 @@ type Grounding struct {
 	// for.
 	verdicts verdictCache
 
-	poolOnce sync.Once
-	pool     *CheckerPool
+	// checkers holds the version's idle Checkers for Check to borrow;
+	// like the verdicts, they go with the version.
+	checkers sync.Pool
 }
 
 // NewGrounding validates the rules, performs Instantiation and chases
@@ -801,7 +804,7 @@ func (g *Grounding) Run(template *model.Tuple) *Result {
 	if g.baseConflict != "" {
 		return &Result{CR: false, Conflict: g.baseConflict}
 	}
-	e := newRunEngine(g, false)
+	e := newRunEngine(g, g.baseOrders.Clone())
 	g.runWith(e, template)
 	res := &Result{
 		CR:       e.conflict == "",
@@ -818,7 +821,7 @@ func (g *Grounding) Run(template *model.Tuple) *Result {
 }
 
 // runWith drives the template-dependent chase on an engine primed with
-// the base snapshot (fresh or pooled-and-reset).
+// the base snapshot (fresh, or a Checker's after reset).
 func (g *Grounding) runWith(e *engine, template *model.Tuple) {
 	if template != nil {
 		for a := 0; a < g.nattr; a++ {

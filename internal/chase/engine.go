@@ -29,9 +29,8 @@ import (
 // order, so the priority decides only which invalid step a
 // non-Church-Rosser run reports first.
 type engine struct {
-	g      *Grounding
-	base   bool // base mode: template-independent only — no te, no λ, no ϕ8
-	pooled bool // pooled mode: buffers are retained and reset across runs
+	g    *Grounding
+	base bool // base mode: template-independent only — no te, no λ, no ϕ8
 
 	orders *order.Set
 	counts []int32 // [attr·n + j]: #{i≠j : i ⪯attr j}, one slab
@@ -44,15 +43,12 @@ type engine struct {
 	pushed []bool
 	// form2More holds per-run re-registrations of form-2 entries that
 	// advanced past their first condition (the grounding's form2 trig is
-	// immutable and shared across runs). Keys are f2Key-packed. A pooled
+	// immutable and shared across runs). Keys are f2Key-packed. A
 	// reset empties the lists but keeps them, and f2buf is fireForm2's
 	// reused merge buffer, so re-registration allocates nothing once an
 	// engine has seen its keys.
 	form2More map[uint64][]form2Entry
 	f2buf     []form2Entry
-	// deadTouched lists the step indices marked dead this run, so a
-	// pooled reset clears them without wiping the whole slice.
-	deadTouched []int32
 
 	pairs    pairWork
 	stepQ    []int32 // enforceable steps, from stepHead on
@@ -176,19 +172,15 @@ func (e *engine) initSteps(npred []int32, pushed []bool) {
 }
 
 // newRunEngine creates an engine that continues from the grounding's
-// base snapshot. In pooled mode the engine's buffers survive drain()
-// and reset() restores the base state in time proportional to the rows
-// the previous run actually modified (dirty-row tracking on the order
-// matrices), instead of reallocating O(nattr · n²/64) words per check.
-func newRunEngine(g *Grounding, pooled bool) *engine {
-	orders := g.baseOrders.Clone
-	if pooled {
-		orders = g.baseOrders.CloneTracked
-	}
-	e := &engine{
+// base snapshot, on orders, the caller's clone of the base orders. A
+// Checker's clone tracks dirty rows, so reset() restores the base state
+// in time proportional to the rows the previous run actually modified
+// instead of reallocating O(nattr · n²/64) words per check; Run's
+// untracked clone serves one run.
+func newRunEngine(g *Grounding, orders *order.Set) *engine {
+	return &engine{
 		g:      g,
-		pooled: pooled,
-		orders: orders(),
+		orders: orders,
 		counts: append([]int32(nil), g.baseCounts...),
 		te:     model.NewTuple(g.schema),
 		teID:   make([]uint32, g.nattr),
@@ -201,10 +193,9 @@ func newRunEngine(g *Grounding, pooled bool) *engine {
 		// An attribute's slot fills at most once per run.
 		tgtQ: make([]int32, 0, g.nattr),
 	}
-	return e
 }
 
-// reset restores a pooled engine to the grounding's base snapshot,
+// reset restores a Checker's engine to the grounding's base snapshot,
 // reusing every buffer. Order matrices are restored via dirty-row
 // tracking; the flat per-step slices are rewritten wholesale (they are
 // O(n) and O(|Γ|) int32/bool copies, cheap next to the matrices). A
@@ -216,10 +207,7 @@ func (e *engine) reset() {
 	copy(e.counts, g.baseCounts)
 	copy(e.npred, g.baseNpred)
 	copy(e.pushed, g.basePushed)
-	for _, s := range e.deadTouched {
-		e.dead[s] = false
-	}
-	e.deadTouched = e.deadTouched[:0]
+	clear(e.dead)
 	for a := 0; a < g.nattr; a++ {
 		e.te.SetAt(a, model.Value{})
 		e.teID[a] = model.NullID
@@ -235,16 +223,6 @@ func (e *engine) reset() {
 	e.stepQ, e.stepHead = e.stepQ[:0], 0
 	e.conflict = ""
 	e.stepsApplied = 0
-}
-
-// markDead records that step s can never fire this run.
-func (e *engine) markDead(s int32) {
-	if !e.dead[s] {
-		e.dead[s] = true
-		if e.pooled {
-			e.deadTouched = append(e.deadTouched, s)
-		}
-	}
 }
 
 func (e *engine) pushPair(attr, i, j int32) {
@@ -321,7 +299,7 @@ func (e *engine) drain() {
 // applyPair, word by word. A push that lands on the row meanwhile puts
 // the slot back on the ring. A conflict stops the row part-way; the
 // words it did not reach are dropped with it, so every bit still
-// pending afterwards sits on a slot on the ring, where a pooled reset
+// pending afterwards sits on a slot on the ring, where a reset
 // finds it.
 func (e *engine) applyRow(attr, i int32, row []uint64) {
 	rel := e.orders.Attr(int(attr))
@@ -535,7 +513,7 @@ func (e *engine) fireTargetRefs(refs []predRef, v model.Value, vid uint32) {
 		} else {
 			// te[attr] will never change again, so the premise — and with
 			// it the whole step — can never be satisfied.
-			e.markDead(ref.step)
+			e.dead[ref.step] = true
 		}
 	}
 }

@@ -27,7 +27,7 @@ const VerdictCap = verdictCap
 // test can drive a version whose map is full.
 func FillVerdictCache(g *Grounding, free int) {
 	for i := 0; i < verdictCap-free; i++ {
-		g.verdicts.put(append(make([]byte, 4*g.nattr), byte(i), byte(i>>8), byte(i>>16)), verdictEntry{})
+		g.verdicts.put(append(make([]byte, 4*g.nattr), byte(i), byte(i>>8), byte(i>>16)), "")
 	}
 }
 

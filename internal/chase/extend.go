@@ -14,8 +14,9 @@ import (
 // evidence. Each version is immutable after construction, which
 // carries the concurrency story of a fresh grounding over to the
 // incremental path; a version does NOT keep its parent alive — it
-// shares only the step prefix and the (bounded) trigger layers — so
-// superseded versions are garbage-collected once their readers finish.
+// shares only the (bounded) trigger layers, and the step list when the
+// delta adds no step — so superseded versions are garbage-collected
+// once their readers finish.
 //
 // Extend runs the same builder as a fresh grounding, which is the
 // extension of the empty grounding: only the new-tuple × existing-tuple
@@ -77,9 +78,10 @@ func (p *Grounding) extend(ie *model.EntityInstance, dict *model.Dict, counts *v
 		nattr:     p.nattr,
 		useAxioms: useAxioms,
 		dict:      dict,
-		// The step prefix is shared with the parent; the full slice
-		// expression forces the first new step onto a fresh backing
-		// array instead of overwriting the parent's.
+		// The step list is shared with the parent until the first new
+		// step: the full slice expression makes that append copy it
+		// onto a fresh backing array instead of overwriting the
+		// parent's.
 		steps:     p.steps[:len(p.steps):len(p.steps)],
 		form1:     p.form1,
 		corrs:     p.corrs,

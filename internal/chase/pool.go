@@ -1,10 +1,6 @@
 package chase
 
-import (
-	"sync"
-
-	"repro/internal/model"
-)
+import "repro/internal/model"
 
 // Checker is a reusable chase runner over a shared Grounding. Where
 // Grounding.Run allocates a fresh engine — deep-cloning the base order
@@ -15,21 +11,20 @@ import (
 // makes this reuse pay.
 //
 // A Checker is NOT safe for concurrent use; give each goroutine its own
-// (the underlying Grounding is shared safely). Use a CheckerPool to
-// hand checkers out across goroutines.
+// (the underlying Grounding is shared safely), or call Grounding.Check,
+// which borrows one from the version's idle checkers.
 type Checker struct {
 	g *Grounding
 	e *engine
-	// kbuf is the reusable verdict-key buffer; hit holds the cached
-	// target of the last CheckConflict that was answered from the
-	// verdict cache (nil when the last check actually ran).
+	// kbuf is the reusable verdict-key buffer.
 	kbuf []byte
-	hit  *model.Tuple
 }
 
-// NewChecker creates a reusable checker over g.
+// NewChecker creates a reusable checker over g. Its engine clones the
+// base orders with dirty-row tracking, so each reset rewrites only the
+// rows the previous check modified.
 func (g *Grounding) NewChecker() *Checker {
-	return &Checker{g: g, e: newRunEngine(g, true)}
+	return &Checker{g: g, e: newRunEngine(g, g.baseOrders.CloneTracked())}
 }
 
 // Check reports whether the specification revised with the given target
@@ -53,89 +48,36 @@ func (c *Checker) CheckConflict(template *model.Tuple) string {
 	if c.g.baseConflict != "" {
 		return c.g.baseConflict
 	}
-	c.hit = nil
 	vc := &c.g.verdicts
-	var key []byte
 	cacheable := false
 	if vc.counts != nil {
-		key, cacheable = c.g.verdictKey(template, c.kbuf)
-		c.kbuf = key
-		if cacheable {
-			if ent, ok := vc.get(key); ok {
-				c.hit = ent.target
-				return ent.conflict
-			}
+		c.kbuf, cacheable = c.g.verdictKey(template, c.kbuf)
+	}
+	if cacheable {
+		if conflict, ok := vc.get(c.kbuf); ok {
+			return conflict
 		}
 	}
 	c.e.reset()
 	c.g.runWith(c.e, template)
 	if cacheable {
-		ent := verdictEntry{conflict: c.e.conflict}
-		if ent.conflict == "" {
-			ent.target = c.e.te.Clone()
-		}
-		vc.put(key, ent)
+		vc.put(c.kbuf, c.e.conflict)
 	}
 	return c.e.conflict
 }
 
-// Target returns the target tuple deduced by the last successful Check,
-// cloned so it survives the checker's next run. It is only meaningful
-// immediately after a Check that returned true. When that check was
-// answered from the verdict cache, the returned tuple is the target
-// deduced for the first Norm-equal template checked against this
-// version — identical to this template's deduction up to
-// model.Value.Norm (the equivalence the cache key is built on). Like
-// Run's target, it carries no ID row, so it does not keep the entity's
-// overlay reachable.
-func (c *Checker) Target() *model.Tuple {
-	if c.hit != nil {
-		return c.hit.Clone().Detach()
+// Check is Checker.Check on a checker borrowed from g's idle checkers,
+// so callers on any number of goroutines share the version's engines:
+// steady-state checking allocates nothing, and the number of live
+// engines tracks the number of goroutines actually checking. All
+// callers verifying candidates against g — the top-k algorithms,
+// Session.Check, user code — go through here.
+func (g *Grounding) Check(template *model.Tuple) bool {
+	c, _ := g.checkers.Get().(*Checker)
+	if c == nil {
+		c = g.NewChecker()
 	}
-	return c.e.te.Clone().Detach()
-}
-
-// CheckerPool is a sync.Pool-backed pool of Checkers over one
-// Grounding: concurrent candidate verification borrows an engine,
-// runs, and returns it, so steady-state checking allocates nothing and
-// the number of live engines tracks the number of goroutines actually
-// checking.
-type CheckerPool struct {
-	g    *Grounding
-	pool sync.Pool
-}
-
-// NewCheckerPool creates a pool of checkers over g.
-func NewCheckerPool(g *Grounding) *CheckerPool {
-	p := &CheckerPool{g: g}
-	p.pool.New = func() any { return g.NewChecker() }
-	return p
-}
-
-// Get borrows a checker; return it with Put when done.
-func (p *CheckerPool) Get() *Checker { return p.pool.Get().(*Checker) }
-
-// Put returns a borrowed checker to the pool.
-func (p *CheckerPool) Put(c *Checker) { p.pool.Put(c) }
-
-// Check borrows a checker for a single candidate check.
-func (p *CheckerPool) Check(template *model.Tuple) bool {
-	c := p.Get()
 	ok := c.Check(template)
-	p.Put(c)
+	g.checkers.Put(c)
 	return ok
-}
-
-// Pool returns the grounding's shared checker pool, creating it on
-// first use. All callers verifying candidates against g — the top-k
-// algorithms, Session.Check, user code — share one pool so engines are
-// reused across call sites.
-//
-// The write to g.pool is lazy construction, made once-only by
-// poolOnce; the pool is deduction machinery, not deduced state.
-//
-//relacc:grounding-builder
-func (g *Grounding) Pool() *CheckerPool {
-	g.poolOnce.Do(func() { g.pool = NewCheckerPool(g) })
-	return g.pool
 }

@@ -72,15 +72,13 @@ func TestCheckerMatchesRun(t *testing.T) {
 		if gotConflict != want.Conflict {
 			t.Fatalf("candidate %d: conflict %q, want %q", i, gotConflict, want.Conflict)
 		}
-		if want.CR && !c.Target().EqualTo(want.Target) {
-			t.Fatalf("candidate %d: pooled target %s, want %s", i, c.Target(), want.Target)
-		}
 	}
 }
 
 // TestGroundingConcurrentUse hammers one grounding from many goroutines
-// mixing Run, pooled Check and each goroutine's own Checker; run under
-// -race it enforces that Grounding is read-only after construction.
+// mixing Run, Grounding.Check and each goroutine's own Checker; run
+// under -race it enforces that Grounding is read-only after
+// construction.
 func TestGroundingConcurrentUse(t *testing.T) {
 	g := synSpec(t, 40, 20, 25)
 	cands := synCandidates(t, g, 32)
@@ -88,7 +86,6 @@ func TestGroundingConcurrentUse(t *testing.T) {
 	for i, cand := range cands {
 		want[i] = g.Run(cand).CR
 	}
-	pool := g.Pool()
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for w := 0; w < 8; w++ {
@@ -104,8 +101,8 @@ func TestGroundingConcurrentUse(t *testing.T) {
 						errs <- fmt.Sprintf("Run(%d) = %v, want %v", ci, got, want[ci])
 					}
 				case 1:
-					if got := pool.Check(cands[ci]); got != want[ci] {
-						errs <- fmt.Sprintf("pool.Check(%d) = %v, want %v", ci, got, want[ci])
+					if got := g.Check(cands[ci]); got != want[ci] {
+						errs <- fmt.Sprintf("g.Check(%d) = %v, want %v", ci, got, want[ci])
 					}
 				case 2:
 					if got := own.Check(cands[ci]); got != want[ci] {
@@ -162,10 +159,6 @@ func TestPooledEngineNoStateLeak(t *testing.T) {
 				if (conflict == "") != want[i].CR || conflict != want[i].Conflict {
 					t.Fatalf("iter %d pass %d template %d: pooled (CR=%v, %q), fresh (CR=%v, %q)",
 						iter, pass, i, conflict == "", conflict, want[i].CR, want[i].Conflict)
-				}
-				if want[i].CR && !c.Target().EqualTo(want[i].Target) {
-					t.Fatalf("iter %d pass %d template %d: pooled target %s, fresh %s",
-						iter, pass, i, c.Target(), want[i].Target)
 				}
 			}
 		}

@@ -95,8 +95,8 @@ func TestPooledResetAfterConflict(t *testing.T) {
 			if got := c.CheckConflict(tmpl); got != want {
 				t.Fatalf("%s, template %v: conflict %q, a fresh checker's %q", when, tmpl, got, want)
 			}
-			if want == "" && !c.Target().EqualTo(fresh.Target()) {
-				t.Fatalf("%s, template %v: target %s, a fresh checker's %s", when, tmpl, c.Target(), fresh.Target())
+			if want == "" && !c.e.te.EqualTo(fresh.e.te) {
+				t.Fatalf("%s, template %v: te %s, a fresh checker's %s", when, tmpl, c.e.te, fresh.e.te)
 			}
 			for a := 0; a < g.nattr; a++ {
 				got, want := c.e.orders.Attr(a).Pairs(), fresh.e.orders.Attr(a).Pairs()

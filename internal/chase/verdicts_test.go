@@ -74,17 +74,17 @@ func TestVerdictCacheRefusesWhenFull(t *testing.T) {
 	c := &verdictCache{counts: new(verdictCounts)}
 	const over = 100
 	for i := 0; i < verdictCap+over; i++ {
-		c.put(verdictKeyOf(i), verdictEntry{conflict: fmt.Sprint(i)})
+		c.put(verdictKeyOf(i), fmt.Sprint(i))
 	}
 	if len(c.m) != verdictCap {
 		t.Fatalf("map holds %d entries after %d puts, want %d", len(c.m), verdictCap+over, verdictCap)
 	}
 	kept := 0
 	for i := 0; i < verdictCap+over; i++ {
-		if ent, ok := c.get(verdictKeyOf(i)); ok {
+		if conflict, ok := c.get(verdictKeyOf(i)); ok {
 			kept++
-			if ent.conflict != fmt.Sprint(i) {
-				t.Fatalf("key %d holds %q", i, ent.conflict)
+			if conflict != fmt.Sprint(i) {
+				t.Fatalf("key %d holds %q", i, conflict)
 			}
 		} else if i < verdictCap {
 			t.Fatalf("key %d, put before the map filled, is missing", i)
@@ -137,11 +137,11 @@ func TestVerdictCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				for i := 0; i < keys; i++ {
-					if ent, ok := c.get(verdictKeyOf(i)); ok && ent.conflict != fmt.Sprint(i) {
-						t.Errorf("key %d holds %q", i, ent.conflict)
+					if conflict, ok := c.get(verdictKeyOf(i)); ok && conflict != fmt.Sprint(i) {
+						t.Errorf("key %d holds %q", i, conflict)
 						return
 					}
-					c.put(verdictKeyOf(i), verdictEntry{conflict: fmt.Sprint(i)})
+					c.put(verdictKeyOf(i), fmt.Sprint(i))
 				}
 			}
 		}()

@@ -119,9 +119,9 @@ func (s *Session) DeduceFrom(template *model.Tuple) *Result { return s.g.Run(tem
 
 // Check verifies a complete candidate target (Section 6.1): the
 // specification with t as the initial template must be Church-Rosser.
-// Checks run on the grounding's pooled engines, so repeated checks are
-// allocation-free.
-func (s *Session) Check(t *model.Tuple) bool { return s.g.Pool().Check(t) }
+// It is Grounding.Check, which borrows one of the grounding's idle
+// checkers, so repeated checks are allocation-free.
+func (s *Session) Check(t *model.Tuple) bool { return s.g.Check(t) }
 
 // TopK computes top-k candidate targets for the current deduced target
 // using the selected algorithm. It fails when the specification is not

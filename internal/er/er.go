@@ -75,16 +75,16 @@ type Config struct {
 	// in the schema.
 	KeyAttrs []string
 	// Threshold is the minimum average similarity over the key
-	// attributes for two tuples to be merged; 0 means 0.85.
+	// attributes for two tuples to be merged; 0 means 0.85. Two
+	// non-null values compare by StringSimilarity on their String
+	// forms, a null and a non-null score 0.5, and two nulls are
+	// skipped.
 	Threshold float64
 	// BlockAttr optionally restricts comparisons to tuples sharing a
 	// blocking key: the first BlockPrefix runes of this attribute,
 	// lower-cased. Empty means no blocking (all pairs compared).
 	BlockAttr   string
 	BlockPrefix int
-	// Similarity compares two non-null values; nil defaults to
-	// StringSimilarity on the String() forms.
-	Similarity func(a, b model.Value) float64
 }
 
 // Resolve partitions the tuples of a relation into entity instances.
@@ -95,11 +95,6 @@ type Config struct {
 func Resolve(tuples []*model.Tuple, s *model.Schema, cfg Config) ([]*model.EntityInstance, error) {
 	if cfg.Threshold == 0 {
 		cfg.Threshold = 0.85
-	}
-	if cfg.Similarity == nil {
-		cfg.Similarity = func(a, b model.Value) float64 {
-			return StringSimilarity(a.String(), b.String())
-		}
 	}
 	if cfg.BlockPrefix == 0 {
 		cfg.BlockPrefix = 3
@@ -223,7 +218,7 @@ func similar(t1, t2 *model.Tuple, keyIdx []int, cfg Config) bool {
 			sum += 0.5
 			n++
 		default:
-			sum += cfg.Similarity(v1, v2)
+			sum += StringSimilarity(v1.String(), v2.String())
 			n++
 		}
 	}

@@ -34,9 +34,6 @@ type Options struct {
 	// (GroupBy-equivalent for any input order, at GroupBy's memory
 	// cost). See er.Window.
 	Window er.Window
-	// KeyOf optionally renders grouping values to entity keys; nil
-	// means model.Value.Key (GroupBy's key function).
-	KeyOf func(model.Value) (string, error)
 	// OnRowError is consulted for recoverable CSV row errors: return
 	// nil to skip the row, an error to abort. Nil aborts on the first
 	// bad row.
@@ -45,7 +42,8 @@ type Options struct {
 
 // StreamCSV grounds a CSV relation end to end in constant memory:
 // tuples are decoded one at a time, grouped into entities
-// by exact equality on opts.By within the bounded window, and fed to
+// by exact equality on opts.By (keyed by model.Value.Key, as GroupBy
+// keys) within the bounded window, and fed to
 // the pipeline's worker pool with backpressure all the way back to the
 // reader. Results reach sink in entity (first-appearance) order,
 // byte-identical to the materialized path. Input too disordered for the
@@ -66,7 +64,6 @@ func StreamCSV(r io.Reader, name string, opts Options, cfg pipeline.Config, sink
 	it.Intern(shared.Dict())
 	es, err := er.StreamGroupBy(it, it.Schema(), opts.By, er.StreamOpts{
 		Window:     opts.Window,
-		KeyOf:      opts.KeyOf,
 		OnRowError: opts.OnRowError,
 	})
 	if err != nil {

@@ -66,9 +66,6 @@ type Options struct {
 	// up). <= 0 means 256. /healthz bypasses the gate so liveness
 	// probes answer even at capacity.
 	MaxInFlight int
-	// DefaultTopK is the candidate count a topk query without ?k= asks
-	// for. <= 0 means 5.
-	DefaultTopK int
 	// MaxTopK caps the ?k= a topk query may request; every verified
 	// candidate costs a chase run, so an unbounded k would let one
 	// query pin the daemon's CPU. <= 0 means 100; requests past the
@@ -96,18 +93,15 @@ type Options struct {
 	SnapshotEvery int
 }
 
+// defaultTopK is the candidate count a topk query without ?k= asks
+// for, capped by Options.MaxTopK.
+const defaultTopK = 5
+
 func (o Options) maxInFlight() int {
 	if o.MaxInFlight > 0 {
 		return o.MaxInFlight
 	}
 	return 256
-}
-
-func (o Options) defaultTopK() int {
-	if o.DefaultTopK > 0 {
-		return o.DefaultTopK
-	}
-	return 5
 }
 
 func (o Options) maxTopK() int {
@@ -404,10 +398,7 @@ func (s *Server) handleEntity(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	s.queries.Add(1)
 	key := r.PathValue("key")
-	k := s.opts.defaultTopK()
-	if k > s.opts.maxTopK() {
-		k = s.opts.maxTopK() // the default must obey the cap too
-	}
+	k := min(defaultTopK, s.opts.maxTopK())
 	if kq := r.URL.Query().Get("k"); kq != "" {
 		n, err := strconv.Atoi(kq)
 		if err != nil || n <= 0 {

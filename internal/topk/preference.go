@@ -90,8 +90,7 @@ type problem struct {
 	pref  Preference
 	zAttr []int           // schema positions of null attributes of te
 	lists [][]scoredValue // per zAttr, descending weight
-	pool  *chase.CheckerPool
-	dict  *model.Dict // the grounding's value dictionary, read only
+	dict  *model.Dict     // the grounding's value dictionary, read only
 	stats Stats
 }
 
@@ -101,7 +100,7 @@ type problem struct {
 // instance's come from the grounding, master values and ⊥ from the
 // Shared's base.
 func newProblem(g *chase.Grounding, te *model.Tuple, pref Preference) *problem {
-	p := &problem{g: g, te: te, pref: pref, pool: g.Pool(), dict: g.Dict()}
+	p := &problem{g: g, te: te, pref: pref, dict: g.Dict()}
 	// Resolve the deduced target once (on a clone, so the caller's tuple
 	// is not touched): candidates are assembled from clones of p.te, so
 	// this makes their KNOWN attributes dictionary hits by cache, not
@@ -237,10 +236,11 @@ func (p *problem) assemble(zv []scoredValue) *model.Tuple {
 
 // check verifies a candidate via the chase (Section 6.1): the revised
 // specification with t as the initial template must be Church-Rosser.
-// It runs on a pooled engine, so a check allocates no engine state.
+// It runs on one of the grounding's idle checkers, so a check allocates
+// no engine state.
 func (p *problem) check(t *model.Tuple) bool {
 	p.stats.Checks++
-	return p.pool.Check(t)
+	return p.g.Check(t)
 }
 
 // exhausted reports whether the check budget has been spent.

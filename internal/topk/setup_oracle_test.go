@@ -47,7 +47,7 @@ func OccurrenceWeight(ie *model.EntityInstance) func(string, model.Value) float6
 // grounding's dictionary (model.NoID when it lacks it) and weighted by
 // the caller's Weight or OccurrenceWeight.
 func oracleProblem(g *chase.Grounding, te *model.Tuple, pref Preference) *problem {
-	p := &problem{g: g, te: te.Clone(), pref: pref, pool: g.Pool(), dict: g.Dict()}
+	p := &problem{g: g, te: te.Clone(), pref: pref, dict: g.Dict()}
 	for a := 0; a < g.Schema().Arity(); a++ {
 		if v := te.At(a); !v.IsNull() {
 			p.te.SetAtID(a, v, p.dict, p.lookup(v))

@@ -306,7 +306,8 @@ type (
 	// Server serves an update stream over HTTP/JSON; see NewServer.
 	Server = server.Server
 	// ServerOptions tunes the serving layer (request-concurrency
-	// limit, default query k).
+	// limit, query k cap, body limits); a query without ?k= asks for
+	// 5 candidates.
 	ServerOptions = server.Options
 )
 
@@ -386,8 +387,8 @@ func StreamCSV(r io.Reader, name string, opts StreamOptions, cfg BatchConfig, si
 }
 
 // ResolveConfig tunes similarity-based entity resolution; see
-// internal/er for the pipeline (blocking, attribute similarity,
-// transitive merging).
+// internal/er for the pipeline (blocking, StringSimilarity on the key
+// attributes, transitive merging).
 type ResolveConfig = er.Config
 
 // Resolve partitions a relation's tuples into entity instances by

@@ -50,7 +50,9 @@
 #                            Ie=300/extend64 absorbs 64 tuples in one
 #                            Extend (a bulk-seeded block), Med/extend
 #                            one tuple per gen.Med entity — the
-#                            relaccd append shape
+#                            relaccd append shape, and
+#                            GroundSteps/Ie=300/extend one tuple under
+#                            rules that ground steps
 #   BenchmarkUpdaterApply    disjoint-key batch on the sharded
 #                            live-entity store, 1 vs N workers (PR 5)
 #   BenchmarkWALAppend       per-batch durable-log cost, with and
