@@ -184,7 +184,7 @@ func SeedUpdater(u *pipeline.Updater, it *csvio.TupleIterator, opts SeedOptions)
 		if err != nil {
 			return err
 		}
-		addSummary(&sum, &bsum)
+		sum.Merge(&bsum)
 		if opts.Sink != nil {
 			for _, r := range results {
 				if err := opts.Sink(r); err != nil {
@@ -214,21 +214,6 @@ func SeedUpdater(u *pipeline.Updater, it *csvio.TupleIterator, opts SeedOptions)
 	}
 	sum.Elapsed = time.Since(start)
 	return sum, nil
-}
-
-// addSummary folds one batch's summary into the running total; Elapsed
-// is the caller's to measure (batch times overlap nothing — they are
-// sequential — but the seed's wall clock includes the reads between).
-func addSummary(dst, src *pipeline.Summary) {
-	dst.Entities += src.Entities
-	dst.Errors += src.Errors
-	dst.NotCR += src.NotCR
-	dst.Complete += src.Complete
-	dst.WithCandidates += src.WithCandidates
-	dst.Incomplete += src.Incomplete
-	dst.AttrsDeduced += src.AttrsDeduced
-	dst.AttrsTotal += src.AttrsTotal
-	dst.Checks += src.Checks
 }
 
 // LoadSpec loads the specification a relation is deduced under: the

@@ -165,6 +165,14 @@ func (r *Result) Status() string {
 	}
 }
 
+// AbsorbFailed reports whether Err happened while ABSORBING the delta,
+// so the entity kept its previous version and the batch may be
+// corrected and retried, as opposed to a failure in the later
+// candidate search, after the evidence was committed. An absorb
+// failure never reaches deduction, so Deduction is nil exactly then
+// (the per-phase contract documented on Updater.Apply).
+func (r *Result) AbsorbFailed() bool { return r.Err != nil && r.Deduction == nil }
+
 // Settled returns the target the entity settles on: the complete
 // deduced target, else the best verified candidate, else nil (an error,
 // a non-Church-Rosser specification, or an incomplete target with no
@@ -222,6 +230,21 @@ func (s *Summary) String() string {
 		"%d entities in %s: %d complete, %d with candidates, %d incomplete, %d not-CR, %d errors; attribute coverage %d/%d (%.0f%%), %d candidate checks",
 		s.Entities, s.Elapsed.Round(time.Millisecond), s.Complete, s.WithCandidates,
 		s.Incomplete, s.NotCR, s.Errors, s.AttrsDeduced, s.AttrsTotal, 100*s.Coverage(), s.Checks)
+}
+
+// Merge adds o's counts to s. Elapsed is left to the caller, whose
+// wall clock may span more than the merged batches (the reads between
+// them, say).
+func (s *Summary) Merge(o *Summary) {
+	s.Entities += o.Entities
+	s.Errors += o.Errors
+	s.NotCR += o.NotCR
+	s.Complete += o.Complete
+	s.WithCandidates += o.WithCandidates
+	s.Incomplete += o.Incomplete
+	s.AttrsDeduced += o.AttrsDeduced
+	s.AttrsTotal += o.AttrsTotal
+	s.Checks += o.Checks
 }
 
 func (s *Summary) add(r *Result, arity int) {

@@ -3,7 +3,9 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -225,5 +227,28 @@ func TestEmptyBatch(t *testing.T) {
 	results, sum, err := Run(nil, Config{})
 	if err != nil || len(results) != 0 || sum.Entities != 0 {
 		t.Fatalf("empty batch: results=%d sum=%+v err=%v", len(results), sum, err)
+	}
+}
+
+// TestSummaryMergeAddsEveryCount: Merge adds every count field of a
+// Summary and leaves Elapsed alone, so a count added to Summary without
+// its line in Merge fails here.
+func TestSummaryMergeAddsEveryCount(t *testing.T) {
+	sum, more := Summary{Elapsed: time.Second}, Summary{Elapsed: time.Minute}
+	sv, mv := reflect.ValueOf(&sum).Elem(), reflect.ValueOf(&more).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		if sv.Type().Field(i).Name != "Elapsed" {
+			sv.Field(i).SetInt(int64(i + 1))
+			mv.Field(i).SetInt(int64(100 * (i + 1)))
+		}
+	}
+	sum.Merge(&more)
+	for i := 0; i < sv.NumField(); i++ {
+		if name := sv.Type().Field(i).Name; name != "Elapsed" && sv.Field(i).Int() != int64(101*(i+1)) {
+			t.Errorf("Merge left %s at %d, want %d", name, sv.Field(i).Int(), 101*(i+1))
+		}
+	}
+	if sum.Elapsed != time.Second {
+		t.Errorf("Merge moved Elapsed to %v", sum.Elapsed)
 	}
 }

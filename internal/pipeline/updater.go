@@ -374,7 +374,8 @@ func (u *Updater) Version(key string) int {
 // absorption succeeds but the deduction's candidate SEARCH fails (say,
 // a check budget), the evidence is already in — the version advances,
 // Result.Deduction carries the chase outcome, and retrying the same
-// tuples would duplicate them (use Version to tell the cases apart).
+// tuples would duplicate them (Result.AbsorbFailed tells the cases
+// apart).
 func (u *Updater) Apply(updates []Update) ([]Result, Summary, error) {
 	return u.apply(updates, u.persister, &u.cfg)
 }

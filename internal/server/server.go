@@ -480,7 +480,7 @@ func (s *Server) handleAppendOne(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := results[0]
-	if absorbFailed(res) {
+	if res.AbsorbFailed() {
 		// Absorption failed: the entity keeps its previous version and
 		// the batch may be corrected and retried.
 		s.error(w, http.StatusUnprocessableEntity, res.Err.Error())
@@ -547,7 +547,7 @@ func (s *Server) handleAppendBatch(w http.ResponseWriter, r *http.Request) {
 	s.maybeSnapshot()
 	out := make([]map[string]any, 0, len(results))
 	for _, res := range results {
-		if !absorbFailed(res) {
+		if !res.AbsorbFailed() {
 			s.tuples.Add(int64(perKey[res.Key]))
 		}
 		out = append(out, s.entityJSON(res))
@@ -582,18 +582,6 @@ func badKey(key string) string {
 		return err.Error()
 	}
 	return ""
-}
-
-// absorbFailed reports whether a Result's error happened while
-// ABSORBING the delta — the entity kept its previous version and the
-// request should answer 422 so the caller retries — as opposed to a
-// failure in the later candidate search, after the evidence was
-// already committed (answer 200, error field set, retrying would
-// duplicate the tuples). The discrimination mirrors the per-phase
-// contract documented on pipeline.Updater.Apply: an absorb failure
-// never reaches deduction, so Deduction is nil exactly then.
-func absorbFailed(res pipeline.Result) bool {
-	return res.Err != nil && res.Deduction == nil
 }
 
 // --- JSON plumbing ---

@@ -276,7 +276,7 @@ func TestBatchEvidence(t *testing.T) {
 // against genuine updater Results. Absorption failures answer 422 —
 // but HTTP-built tuples always conform to the server's schema, so
 // that phase is only reachable through a direct Apply; the
-// discrimination (absorbFailed) is pinned against the real Result it
+// discrimination (Result.AbsorbFailed) is pinned against the real Result it
 // produces. Search failures ARE reachable over HTTP (here: a stream
 // configured with an empty candidate domain for an open attribute,
 // which RankJoinCT rejects) and must answer 200 with the evidence
@@ -294,7 +294,7 @@ func TestAbsorbVsSearchFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !absorbFailed(results[0]) {
+	if !results[0].AbsorbFailed() {
 		t.Fatalf("failed creation not classified as absorb failure: %+v", results[0])
 	}
 

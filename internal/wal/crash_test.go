@@ -3,14 +3,16 @@
 // state exactly as a SIGKILL there would), restarts from the
 // directory, retries whatever the client never got an ack for, and
 // demands the resumed stream be byte-identical to one that never
-// crashed. Three distinct fault points are covered: mid-append (with
-// torn tails of several shapes), after the snapshot tmp is written
+// crashed. Five distinct fault points are covered: mid-append (with
+// torn tails of several shapes), after the snapshot tmp's first record
+// and before its closing record, after the snapshot tmp is written
 // but before it is published, and after the snapshot is published but
 // before the log is truncated.
 package wal
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -90,6 +92,77 @@ func TestCrashMidAppend(t *testing.T) {
 				t.Fatalf("retried batch logged at seq %d, want 3 — the torn record's number was not reclaimed", got)
 			}
 			diffStreams(t, "crash mid-append ("+tc.name+")", streamFingerprint(t, re), want)
+		})
+	}
+}
+
+// TestCrashMidSnapshot kills a checkpoint while it streams
+// snapshot.tmp: after the first record, and before the closing record.
+// The tmp holds whole records but no closing one; the restart drops it
+// and recovers the snapshot published before, plus the log tail.
+func TestCrashMidSnapshot(t *testing.T) {
+	const entities = 6
+	want := neverCrashed(t, entities)
+
+	for _, point := range []string{"snapshot-frame", "snapshot-closing"} {
+		t.Run(point, func(t *testing.T) {
+			ds, cfg, waves := testWaves(t, entities)
+			dir := t.TempDir()
+			live := newUpdater(t, ds, cfg)
+			st := mustOpen(t, dir, ds.Schema, Options{Fsync: SyncAlways})
+			if _, err := st.Recover(live); err != nil {
+				t.Fatal(err)
+			}
+			live.AttachPersister(st)
+			applyAll(t, live, waves[:1])
+			if _, err := st.Checkpoint(live); err != nil {
+				t.Fatal(err)
+			}
+			applyAll(t, live, waves[1:2])
+
+			st.testFault = func(p string) error {
+				if p == point {
+					return fmt.Errorf("injected crash at %s", p)
+				}
+				return nil
+			}
+			if _, err := st.Checkpoint(live); err == nil {
+				t.Fatal("checkpoint survived the injected crash")
+			}
+			// SIGKILL. The tmp holds what the writer had flushed.
+			f, sc, err := st.scanFile(tmpName)
+			if err != nil {
+				t.Fatalf("the fault point should leave snapshot.tmp behind: %v", err)
+			}
+			b, ok := sc.next()
+			if !ok || len(b.Updates) == 0 {
+				t.Fatalf("snapshot.tmp lacks a whole entity record (scan: %v)", sc.err)
+			}
+			if _, ok := sc.next(); ok || sc.err != io.EOF {
+				t.Fatalf("snapshot.tmp goes on past its first record (scan: %v)", sc.err)
+			}
+			f.Close()
+
+			rds, rcfg := restartDataset(t, entities)
+			rwaves := wavesOf(rds)
+			re := newUpdater(t, rds, rcfg)
+			st2 := mustOpen(t, dir, rds.Schema, Options{})
+			defer st2.Close()
+			rs, err := st2.Recover(re)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rs.HadSnapshot || rs.SnapshotSeq != 1 || rs.Batches != 1 || rs.LastSeq != 2 {
+				t.Fatalf("recovered %+v: want the snapshot at seq 1 and one log batch", rs)
+			}
+			if _, err := os.Stat(filepath.Join(dir, tmpName)); !os.IsNotExist(err) {
+				t.Fatalf("restart left snapshot.tmp in place (err=%v)", err)
+			}
+			re.AttachPersister(st2)
+			if _, _, err := re.Apply(rwaves[2]); err != nil {
+				t.Fatal(err)
+			}
+			diffStreams(t, "crash mid-snapshot ("+point+")", streamFingerprint(t, re), want)
 		})
 	}
 }

@@ -1,7 +1,8 @@
 // Record framing and payload codec for the durable update stream.
 //
-// Everything the store writes — WAL batch records, the schema header
-// frame, the snapshot sections — travels inside one frame shape:
+// Both store files, wal.log and snapshot.dat, are a header (magic plus
+// schema frame) followed by batch records, and everything in them
+// travels inside one frame shape:
 //
 //	[4-byte little-endian payload length]
 //	[4-byte little-endian CRC-32C of the payload]
@@ -20,9 +21,7 @@
 // value rows only, and the decoder rebuilds them on the store's own
 // schema. Values serialize by kind tag; the one synthetic value the
 // model can hand us — the NaN canonical sentinel produced by
-// Value.Norm — has its own tag. Snapshots no longer persist a value
-// dictionary, but older ones do, and recovery decodes their dictionary
-// sections value by value to skip them, so the tag stays readable.
+// Value.Norm — has its own tag.
 package wal
 
 import (
@@ -40,21 +39,22 @@ import (
 // corrupted length prefix from asking the decoder to allocate
 // gigabytes: any frame claiming more than this is treated as a torn
 // tail. 64 MiB is far past what a request-sized update batch can
-// produce (the serving layer caps bodies at single-digit MiB), but not
-// past a snapshot body, which is one frame holding the whole store: at
-// about 2.2 KB per gen.Med entity, a store of more than about 30,000
-// such entities outgrows it, and Checkpoint refuses every snapshot
-// (ROADMAP item 4 streams snapshots in frames under the bound). Writers
-// enforce the bound too (fitsFrame): a frame past it would be written,
-// then dropped as torn on the next read, together with everything
-// after it.
+// produce (the serving layer caps bodies at single-digit MiB) and past
+// a snapshot record, which packs entities up to snapshotBudget: only
+// an entity whose tuples alone encode past it cannot be snapshotted.
+// Writers enforce the bound too (fitsFrame): a frame past it would be
+// written, then dropped as torn on the next read, together with
+// everything after it.
 const maxRecord = 64 << 20
 
-// fitsFrame refuses a payload too large for one frame, naming what it
-// holds.
-func fitsFrame(what string, payload []byte) error {
-	if len(payload) > maxRecord {
-		return fmt.Errorf("wal: %s of %d bytes exceeds the %d-byte frame limit", what, len(payload), maxRecord)
+// frameHeader is the length+CRC prefix of every frame.
+const frameHeader = 8
+
+// fitsFrame refuses a payload of size bytes, too large for one frame,
+// naming what it holds.
+func fitsFrame(what string, size int) error {
+	if size > maxRecord {
+		return fmt.Errorf("wal: %s of %d bytes exceeds the %d-byte frame limit", what, size, maxRecord)
 	}
 	return nil
 }
@@ -74,10 +74,8 @@ const (
 	tagFloat  = 3
 	tagBool   = 4
 	// tagNaNNorm is the canonical NaN sentinel Value.Norm produces
-	// (Bool-kinded, payload "NaN"). Snapshots written while the value
-	// dictionary was persisted can hold it in their dictionary section,
-	// which recovery still decodes to skip, so it keeps its own tag
-	// instead of being folded into a plain bool or float.
+	// (Bool-kinded, payload "NaN"). It keeps its own tag so that it
+	// reads back as itself, not as a plain bool or float.
 	tagNaNNorm = 5
 )
 
@@ -216,9 +214,9 @@ func (d *decoder) value() (model.Value, error) {
 
 // appendFrame wraps payload into the length+CRC frame.
 func appendFrame(b, payload []byte) []byte {
-	var hdr [8]byte
+	var hdr [frameHeader]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(hdr[4:], crcOf(payload))
 	b = append(b, hdr[:]...)
 	return append(b, payload...)
 }
@@ -227,7 +225,7 @@ func appendFrame(b, payload []byte) []byte {
 // absurd length, short payload, CRC mismatch — returns errTorn wrapped
 // with the detail; a clean EOF at a frame boundary returns io.EOF.
 func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [8]byte
+	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
@@ -242,14 +240,15 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("%w: short frame payload: %v", errTorn, err)
 	}
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(hdr[4:]); got != want {
+	if got, want := crcOf(payload), binary.LittleEndian.Uint32(hdr[4:]); got != want {
 		return nil, fmt.Errorf("%w: CRC mismatch (stored %08x, computed %08x)", errTorn, want, got)
 	}
 	return payload, nil
 }
 
-// Batch is one decoded WAL record: an update batch together with the
-// authoritative sequence number the log assigned it.
+// Batch is one decoded batch record, of the log or of a snapshot: an
+// update batch together with the authoritative sequence number the log
+// assigned it (a snapshot's records carry the number it covers).
 type Batch struct {
 	Seq     uint64
 	Updates []pipeline.Update
@@ -265,13 +264,40 @@ func encodeBatch(seq uint64, updates []pipeline.Update) []byte {
 	b = appendUvarint(b, seq)
 	b = appendUvarint(b, uint64(len(updates)))
 	for _, up := range updates {
-		b = appendString(b, up.Key)
-		b = appendUvarint(b, uint64(len(up.Tuples)))
-		for _, t := range up.Tuples {
-			b = appendTuple(b, t)
-		}
+		b = appendUpdate(b, up.Key, up.Tuples)
 	}
 	return b
+}
+
+// appendUpdate serializes one update the way a batch record lists it:
+// its key, its tuple count, then its tuples.
+func appendUpdate(b []byte, key string, tuples []*model.Tuple) []byte {
+	b = appendString(b, key)
+	b = appendUvarint(b, uint64(len(tuples)))
+	for _, t := range tuples {
+		b = appendTuple(b, t)
+	}
+	return b
+}
+
+// writeRecord writes one framed batch record at seq holding n updates,
+// already serialized into body by appendUpdate, so a record's updates
+// need not be collected first. A record past maxRecord is refused
+// before anything is written.
+func writeRecord(w io.Writer, seq uint64, n int, body []byte) error {
+	head := make([]byte, frameHeader, frameHeader+2*binary.MaxVarintLen64)
+	head = appendUvarint(appendUvarint(head, seq), uint64(n))
+	size := len(head) - frameHeader + len(body)
+	if err := fitsFrame("snapshot record", size); err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint32(head[:4], uint32(size))
+	binary.LittleEndian.PutUint32(head[4:], crc32.Update(crcOf(head[frameHeader:]), castagnoli, body))
+	if _, err := w.Write(head); err != nil {
+		return err
+	}
+	_, err := w.Write(body)
+	return err
 }
 
 // decodeBatch rebuilds a batch record on the given schema. Tuples come

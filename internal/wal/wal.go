@@ -1,8 +1,8 @@
 // Package wal makes the live-entity store durable: an append-only,
 // CRC-checksummed write-ahead log of Update batches, periodic
-// snapshots of every live entity's raw tuples, and a recovery path that replays snapshot + WAL tail through the
-// Updater — so a relaccd restart (or a crash mid-batch) loses nothing
-// that was acknowledged.
+// snapshots of every live entity's raw tuples, and a recovery path
+// that replays snapshot + WAL tail through the Updater — so a relaccd
+// restart (or a crash mid-batch) loses nothing that was acknowledged.
 //
 // A Store is the pipeline.Persister the Updater calls: Apply hands the
 // raw batch to LogApply BEFORE touching any entity, LogApply assigns
@@ -25,27 +25,33 @@
 // (recovery_test.go extends the incremental ≡ fresh property 1a to
 // replay ≡ fresh).
 //
-// On-disk layout under the store directory:
+// On-disk layout under the store directory. Both files have one
+// layout, read by one scanner: magic "RACWAL01", one schema frame,
+// then batch records.
 //
-//	wal.log       magic "RACWAL01", one schema frame, then batch frames
-//	snapshot.dat  magic "RACSNAP1", a meta frame (sequence number),
-//	              then one body frame (schema, an empty dictionary
-//	              section, entities)
+//	wal.log       batch records in sequence order
+//	snapshot.dat  batch records at the snapshot's sequence number, each
+//	              packing whole entities (key plus tuples) up to
+//	              snapshotBudget, then an empty batch record that marks
+//	              the snapshot complete
 //	snapshot.tmp  in-progress snapshot; ignored and removed at Open
 //
-// Checkpoint writes snapshot.tmp, fsyncs, renames over snapshot.dat,
-// fsyncs the directory, and only THEN truncates the log (by swapping
-// in a fresh one). A crash between those steps is safe in every
-// window: the old snapshot plus the full log, or the new snapshot plus
-// a log whose records are all ≤ its sequence number (skipped on
+// Checkpoint streams snapshot.tmp, fsyncs, renames it over
+// snapshot.dat, fsyncs the directory, and only THEN truncates the log
+// (by swapping in a fresh one). A crash between those steps is safe in
+// every window: the old snapshot plus the full log, or the new snapshot
+// plus a log whose records are all ≤ its sequence number (skipped on
 // replay), are both exactly recoverable. crash_test.go kills the
-// process at each fault point and proves it.
+// process at each fault point and proves it. A snapshot.dat in the
+// retired single-frame layout (magic "RACSNAP1") is refused by Open.
 package wal
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -60,12 +66,13 @@ import (
 // the end of the usable log.
 var errTorn = errors.New("wal: torn record")
 
-// walMagic / snapMagic are the 8-byte file signatures; a file that
-// does not start with its magic is rejected outright (it is some other
-// file, not a torn one of ours).
+// walMagic is the 8-byte signature both store files start with; a file
+// that does not start with it is rejected outright (it is some other
+// file, not a torn one of ours). oldSnapMagic started snapshots in the
+// retired single-frame layout, which Open refuses by name.
 const (
-	walMagic  = "RACWAL01"
-	snapMagic = "RACSNAP1"
+	walMagic     = "RACWAL01"
+	oldSnapMagic = "RACSNAP1"
 )
 
 const (
@@ -187,10 +194,13 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the durable store in dir for the
-// given entity schema. It scans the existing log, verifies the schema
-// frame, and TRUNCATES any torn tail — a record cut short or
-// corrupted by a crash mid-append — so subsequent appends extend the
-// last whole record. Open does not replay anything; call Recover.
+// given entity schema. It reads the snapshot's sequence number, scans
+// the existing log, verifies both schema frames, and TRUNCATES any torn
+// tail — a record cut short or corrupted by a crash mid-append — so
+// subsequent appends extend the last whole record. A snapshot Open
+// cannot read, such as one in the retired single-frame layout, fails
+// it before anything in dir changes. Open does not replay anything;
+// call Recover.
 func Open(dir string, schema *model.Schema, opts Options) (*Store, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("wal: store needs an entity schema")
@@ -198,14 +208,13 @@ func Open(dir string, schema *model.Schema, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
+	s := &Store{dir: dir, schema: schema, opts: opts}
+	if err := s.readSnapshotSeq(); err != nil {
+		return nil, err
+	}
 	// A leftover snapshot.tmp is an interrupted checkpoint; the durable
 	// snapshot (if any) is still whole, so the tmp is garbage.
 	_ = os.Remove(filepath.Join(dir, tmpName))
-
-	s := &Store{dir: dir, schema: schema, opts: opts}
-	if err := s.readSnapshotMeta(); err != nil {
-		return nil, err
-	}
 	if err := s.openLog(); err != nil {
 		return nil, err
 	}
@@ -223,41 +232,23 @@ func Open(dir string, schema *model.Schema, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// readSnapshotMeta reads the durable snapshot's sequence number (frame
-// 1 of snapshot.dat) without loading its body.
-func (s *Store) readSnapshotMeta() error {
-	f, err := os.Open(filepath.Join(s.dir, snapName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("wal: %w", err)
+// readSnapshotSeq reads the durable snapshot's sequence number from its
+// first record; Recover reads the rest.
+func (s *Store) readSnapshotSeq() error {
+	f, sc, err := s.scanFile(snapName)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
 	}
-	defer f.Close()
-	seq, err := readSnapshotSeq(f)
 	if err != nil {
 		return err
 	}
-	s.snap = seq
+	defer f.Close()
+	b, ok := sc.next()
+	if !ok {
+		return fmt.Errorf("wal: %s has no whole first record: %w", snapName, sc.err)
+	}
+	s.snap = b.Seq
 	return nil
-}
-
-// readSnapshotSeq reads magic + meta frame from an opened snapshot.
-func readSnapshotSeq(r io.Reader) (uint64, error) {
-	magic := make([]byte, len(snapMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != snapMagic {
-		return 0, fmt.Errorf("wal: %s is not a snapshot file", snapName)
-	}
-	meta, err := readFrame(r)
-	if err != nil {
-		return 0, fmt.Errorf("wal: snapshot meta frame: %w", err)
-	}
-	d := &decoder{buf: meta}
-	seq, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return seq, nil
 }
 
 // openLog opens wal.log, writing the header for a fresh file and
@@ -283,11 +274,15 @@ func (s *Store) openLog() error {
 		s.lastSync.Store(time.Now().UnixNano())
 		return s.syncDir()
 	}
-	good, lastSeq, err := s.scanLog(f)
+	sc, err := newScanner(f, walName, s.schema)
 	if err != nil {
 		f.Close()
 		return err
 	}
+	for b, ok := sc.next(); ok; b, ok = sc.next() {
+		s.seq = b.Seq
+	}
+	good := sc.off
 	if good < info.Size() {
 		// Torn tail: drop it so new appends extend the last whole
 		// record instead of burying live records behind garbage.
@@ -305,15 +300,19 @@ func (s *Store) openLog() error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	s.f, s.size, s.synced = f, good, good
-	s.seq = lastSeq
 	s.lastSync.Store(time.Now().UnixNano())
 	return nil
 }
 
-// writeLogHeader stamps a fresh log: magic plus the schema frame.
+// logHeader is the header both store files start with: the magic and
+// the schema frame.
+func logHeader(schema *model.Schema) []byte {
+	return appendFrame([]byte(walMagic), encodeSchema(schema))
+}
+
+// writeLogHeader stamps a fresh log with logHeader.
 func (s *Store) writeLogHeader(f *os.File) error {
-	hdr := append([]byte(walMagic), appendFrame(nil, encodeSchema(s.schema))...)
-	if _, err := f.Write(hdr); err != nil {
+	if _, err := f.Write(logHeader(s.schema)); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	if err := f.Sync(); err != nil {
@@ -322,55 +321,74 @@ func (s *Store) writeLogHeader(f *os.File) error {
 	return nil
 }
 
-// scanLog validates the header and walks every record, returning the
-// offset just past the last whole record and that record's sequence
-// number. Torn tails end the scan cleanly; a bad magic or a foreign
-// schema is a hard error (wrong file, not a torn one).
-func (s *Store) scanLog(f *os.File) (good int64, lastSeq uint64, err error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, fmt.Errorf("wal: %w", err)
-	}
-	cr := &countingReader{r: f}
+// scanner reads a store file, wal.log or snapshot.dat, record by
+// record. next stops at the end of the file or at the first record
+// that is torn, fails its CRC or does not decode as a batch; err then
+// says which (io.EOF at a clean end), and off is the offset just past
+// the last whole record.
+type scanner struct {
+	r      *bufio.Reader
+	schema *model.Schema
+	off    int64
+	err    error
+}
+
+// newScanner reads a store file's header from r: the magic and a
+// schema frame that must match schema. A bad magic or a foreign schema
+// is a hard error (wrong file, not a torn one); name labels it.
+func newScanner(r io.Reader, name string, schema *model.Schema) (*scanner, error) {
+	sc := &scanner{r: bufio.NewReaderSize(r, 1<<16), schema: schema}
 	magic := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(cr, magic); err != nil || string(magic) != walMagic {
-		return 0, 0, fmt.Errorf("wal: %s exists but is not a write-ahead log", walName)
+	if _, err := io.ReadFull(sc.r, magic); err != nil || string(magic) != walMagic {
+		if string(magic) == oldSnapMagic {
+			return nil, fmt.Errorf("wal: %s is a snapshot in the retired single-frame layout (magic %s), which this version does not read", name, oldSnapMagic)
+		}
+		return nil, fmt.Errorf("wal: %s exists but is not a store file", name)
 	}
-	schemaFrame, err := readFrame(cr)
+	schemaFrame, err := readFrame(sc.r)
 	if err != nil {
-		return 0, 0, fmt.Errorf("wal: log schema frame: %w", err)
+		return nil, fmt.Errorf("wal: %s schema frame: %w", name, err)
 	}
-	if err := checkSchema(schemaFrame, s.schema); err != nil {
-		return 0, 0, err
+	if err := checkSchema(schemaFrame, schema); err != nil {
+		return nil, err
 	}
-	good = cr.n
-	for {
-		payload, err := readFrame(cr)
-		if err != nil {
-			// io.EOF: clean end. errTorn: crash leftovers; drop them.
-			// Anything else would also be read through errTorn.
-			return good, lastSeq, nil
-		}
-		rec, err := decodeBatch(payload, s.schema)
-		if err != nil {
-			// The frame's CRC matched but the payload does not parse
-			// as a batch: corrupt at write time. Nothing after it can
-			// be trusted either — same torn-tail treatment.
-			return good, lastSeq, nil
-		}
-		good = cr.n
-		lastSeq = rec.Seq
-	}
+	sc.off = int64(len(magic) + frameHeader + len(schemaFrame))
+	return sc, nil
 }
 
-type countingReader struct {
-	r io.Reader
-	n int64
+// scanFile opens dir/name read-only and reads its header; the caller
+// closes the file.
+func (s *Store) scanFile(name string) (*os.File, *scanner, error) {
+	f, err := os.Open(filepath.Join(s.dir, name))
+	if err != nil {
+		return nil, nil, fmt.Errorf("wal: %w", err)
+	}
+	sc, err := newScanner(f, name, s.schema)
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return f, sc, nil
 }
 
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
+// next returns the next whole record, or false where the usable file
+// ends.
+func (sc *scanner) next() (Batch, bool) {
+	payload, err := readFrame(sc.r)
+	if err != nil {
+		sc.err = err
+		return Batch{}, false
+	}
+	b, err := decodeBatch(payload, sc.schema)
+	if err != nil {
+		// The frame's CRC matched but the payload does not parse as a
+		// batch: corrupt at write time. Nothing after it can be
+		// trusted either — same treatment as a torn frame.
+		sc.err = err
+		return Batch{}, false
+	}
+	sc.off += int64(frameHeader + len(payload))
+	return b, true
 }
 
 // LogApply implements pipeline.Persister: it durably records one
@@ -398,29 +416,27 @@ func (s *Store) LogApply(updates []pipeline.Update) (uint64, error) {
 	}
 	seq := s.seq + 1
 	payload := encodeBatch(seq, updates)
-	if err := fitsFrame("batch", payload); err != nil {
+	if err := fitsFrame("batch", len(payload)); err != nil {
 		s.mu.Unlock()
 		return 0, err
 	}
 	frame := appendFrame(nil, payload)
-	if fault := s.testFault; fault != nil {
+	if err := s.fault("append"); err != nil {
 		// Crash-injection: a fault here may write a PREFIX of the
 		// frame — exactly the torn record a SIGKILL mid-append leaves
 		// (TornFault), or a partial write the process SURVIVES and
 		// must repair (ShortWriteFault).
-		if err := fault("append"); err != nil {
-			if n := faultTornBytes(err); n > 0 && n < len(frame) {
+		if n := faultTornBytes(err); n > 0 && n < len(frame) {
+			s.f.Write(frame[:n])
+		}
+		if n, ok := faultShortWriteBytes(err); ok {
+			if n > 0 && n < len(frame) {
 				s.f.Write(frame[:n])
 			}
-			if n, ok := faultShortWriteBytes(err); ok {
-				if n > 0 && n < len(frame) {
-					s.f.Write(frame[:n])
-				}
-				s.healTailLocked()
-			}
-			s.mu.Unlock()
-			return 0, err
+			s.healTailLocked()
 		}
+		s.mu.Unlock()
+		return 0, err
 	}
 	if _, err := s.f.Write(frame); err != nil {
 		// A short write (disk full, I/O error) leaves a torn record.
@@ -560,6 +576,15 @@ func (s *Store) healTailLocked() {
 		s.f.Close()
 		s.f = nil
 	}
+}
+
+// fault consults the crash-injection hook at a named point; nil when
+// no hook is armed.
+func (s *Store) fault(point string) error {
+	if s.testFault == nil {
+		return nil
+	}
+	return s.testFault(point)
 }
 
 // tornError carries the byte count a fault-injected append should

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/hex"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -35,6 +37,22 @@ func mustOpen(t *testing.T, dir string, s *model.Schema, opts Options) *Store {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// logBatches reads every whole record of the store's log, the way
+// Recover scans it.
+func logBatches(t *testing.T, st *Store) []Batch {
+	t.Helper()
+	f, sc, err := st.scanFile(walName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out []Batch
+	for b, ok := sc.next(); ok; b, ok = sc.next() {
+		out = append(out, b)
+	}
+	return out
 }
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -92,6 +110,59 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteRecordIsABatchFrame: a record written from pre-serialized
+// updates (a snapshot record) is byte for byte the framed encodeBatch
+// payload a log append writes for the same updates.
+func TestWriteRecordIsABatchFrame(t *testing.T) {
+	s := testSchema(t)
+	updates := []pipeline.Update{
+		up(t, s, "a", model.S("ann"), model.NullValue(), model.I(10001)),
+		up(t, s, "b", model.NullValue(), model.F(2.5), model.B(true)),
+	}
+	for _, ups := range [][]pipeline.Update{updates, nil} {
+		var body []byte
+		for _, u := range ups {
+			body = appendUpdate(body, u.Key, u.Tuples)
+		}
+		var got bytes.Buffer
+		if err := writeRecord(&got, 300, len(ups), body); err != nil {
+			t.Fatal(err)
+		}
+		if want := appendFrame(nil, encodeBatch(300, ups)); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%d updates: writeRecord wrote %x, a log append %x", len(ups), got.Bytes(), want)
+		}
+	}
+}
+
+// TestLogBytes pins wal.log's on-disk layout: these two appends write
+// exactly these bytes (magic, schema frame, two batch frames).
+func TestLogBytes(t *testing.T) {
+	const want = "52414357414c3031160000008fbcdc3e0670656f706c6503046e616d650463697479037a6970" +
+		"120000000c863ea7010103616e6e01030103616e6e0002a29c01" +
+		"26000000df9ed72d020203626f6201030103626f62030000000000000440040103616e6e01030001036e79630205"
+	s := testSchema(t)
+	dir := t.TempDir()
+	st := mustOpen(t, dir, s, Options{})
+	for _, batch := range [][]pipeline.Update{
+		{up(t, s, "ann", model.S("ann"), model.NullValue(), model.I(10001))},
+		{up(t, s, "bob", model.S("bob"), model.F(2.5), model.B(true)), up(t, s, "ann", model.NullValue(), model.S("nyc"), model.I(-3))},
+	} {
+		if _, err := st.LogApply(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("wal.log is\n%x\nwant\n%s", got, want)
+	}
+}
+
 // TestValueRoundTrip drives every value kind — the NaN Norm sentinel
 // included — through the codec bit-for-bit.
 func TestValueRoundTrip(t *testing.T) {
@@ -146,10 +217,7 @@ func TestAppendReopenResume(t *testing.T) {
 	if seq != 3 {
 		t.Fatalf("post-reopen append got seq %d, want 3", seq)
 	}
-	batches, err := st.readTail(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batches := logBatches(t, st)
 	if len(batches) != 3 {
 		t.Fatalf("read %d batches, want 3", len(batches))
 	}
@@ -186,10 +254,7 @@ func TestTornTailDropped(t *testing.T) {
 	check := func(t *testing.T, dir string) {
 		st := mustOpen(t, dir, s, Options{})
 		defer st.Close()
-		batches, err := st.readTail(0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		batches := logBatches(t, st)
 		if len(batches) != 2 {
 			t.Fatalf("recovered %d batches, want the 2 whole ones", len(batches))
 		}
@@ -253,10 +318,7 @@ func TestTornTailDropped(t *testing.T) {
 		f.Close()
 		st := mustOpen(t, dir, s, Options{})
 		defer st.Close()
-		batches, err := st.readTail(0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		batches := logBatches(t, st)
 		if len(batches) != 3 { // all three records were whole here
 			t.Fatalf("recovered %d batches, want 3", len(batches))
 		}
@@ -413,10 +475,11 @@ func TestApplyRefusesOversizedBatch(t *testing.T) {
 	}
 }
 
-// TestWriteSnapshotRefusesOversizedBody: a snapshot body past
-// maxRecord is refused before snapshot.tmp is written, leaving the
-// published snapshot and the log as they were (published, it would
-// truncate the log and then be refused by Recover).
+// TestWriteSnapshotRefusesOversizedBody: a snapshot holding an entity
+// larger than one frame (maxRecord) is refused and leaves no
+// snapshot.tmp behind, so the published snapshot and the log stay as
+// they were (published, it would truncate the log and then be refused
+// by Recover).
 func TestWriteSnapshotRefusesOversizedBody(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a value past maxRecord is too large under race instrumentation")
@@ -441,8 +504,8 @@ func TestWriteSnapshotRefusesOversizedBody(t *testing.T) {
 	}
 	big := model.NewEntityInstance(s)
 	big.MustAdd(model.MustTuple(s, hugeValue(), model.NullValue(), model.NullValue()))
-	if _, err := st.WriteSnapshot([]string{"big"}, []*model.EntityInstance{big}); err == nil {
-		t.Fatal("a snapshot body past the frame limit was accepted")
+	if _, err := st.writeSnapshot([]string{"big"}, []*model.EntityInstance{big}); err == nil {
+		t.Fatal("a snapshot entity past the frame limit was accepted")
 	}
 	if _, err := os.Stat(filepath.Join(dir, tmpName)); !os.IsNotExist(err) {
 		t.Fatalf("refused snapshot left %s behind (stat: %v)", tmpName, err)
@@ -458,5 +521,185 @@ func TestWriteSnapshotRefusesOversizedBody(t *testing.T) {
 	}
 	if got, want := recoveredKeys(t, dir, s), []string{"a", "b"}; !slices.Equal(got, want) {
 		t.Fatalf("recovered keys %v, want %v", got, want)
+	}
+}
+
+// TestOpenRefusesOldSnapshotLayout: a snapshot.dat in the retired
+// single-frame layout (magic RACSNAP1, a sequence-number frame, then
+// one frame holding the schema, a dictionary section and every entity)
+// fails Open with an error that names the layout, and Open changes
+// nothing in the directory: not the snapshot, not the log's torn tail,
+// not a leftover snapshot.tmp.
+func TestOpenRefusesOldSnapshotLayout(t *testing.T) {
+	s := testSchema(t)
+	dir := t.TempDir()
+	st := mustOpen(t, dir, s, Options{})
+	ann := up(t, s, "ann", model.S("ann"), model.NullValue(), model.NullValue())
+	if _, err := st.LogApply([]pipeline.Update{ann}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	body := appendFrame(nil, encodeSchema(s))
+	body = appendUvarint(body, 1) // an empty dictionary section
+	body = appendUvarint(body, 1) // one entity
+	body = appendUpdate(body, ann.Key, ann.Tuples)
+	old := append([]byte(oldSnapMagic), appendFrame(nil, appendUvarint(nil, 1))...)
+	if err := os.WriteFile(filepath.Join(dir, snapName), appendFrame(old, body), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, tmpName), []byte("an interrupted checkpoint"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte{9, 0, 0}) // a torn tail Open would otherwise truncate
+	f.Close()
+
+	before := dirBytes(t, dir)
+	_, err = Open(dir, s, Options{})
+	if err == nil || !strings.Contains(err.Error(), "single-frame") || !strings.Contains(err.Error(), oldSnapMagic) {
+		t.Fatalf("Open on an old-layout snapshot: %v; want an error naming the layout", err)
+	}
+	if after := dirBytes(t, dir); !maps.Equal(after, before) {
+		t.Fatalf("the refused Open changed the directory: %d files before, %d after", len(before), len(after))
+	}
+}
+
+// dirBytes maps each file in dir to its contents.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(b)
+	}
+	return out
+}
+
+// multiRecordSnapshot checkpoints three entities of 600 KB each, so the
+// published snapshot is three entity records (two would pass
+// snapshotBudget) and the closing one. It returns the store directory
+// and the offset just past each record.
+func multiRecordSnapshot(t *testing.T, s *model.Schema) (string, []int64) {
+	t.Helper()
+	dir := t.TempDir()
+	u := peopleUpdater(t, s)
+	st := mustOpen(t, dir, s, Options{Fsync: SyncNever})
+	u.AttachPersister(st)
+	for _, key := range []string{"a", "b", "c"} {
+		if err := applyName(t, u, key, model.S(strings.Repeat(key, 600<<10))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Checkpoint(u); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, sc, err := st.scanFile(snapName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var ends []int64
+	for b, ok := sc.next(); ok; b, ok = sc.next() {
+		if b.Seq != 3 {
+			t.Fatalf("snapshot record at seq %d, want 3", b.Seq)
+		}
+		ends = append(ends, sc.off)
+	}
+	if sc.err != io.EOF || len(ends) != 4 {
+		t.Fatalf("snapshot holds %d records (scan ended with %v), want 3 entity records and the closing one", len(ends), sc.err)
+	}
+	return dir, ends
+}
+
+// TestRecoverRefusesDamagedSnapshot: a snapshot that spans several
+// records recovers whole, and one that lacks its closing record or
+// holds a record that fails its CRC fails recovery instead of
+// restoring part of the store. A damaged first record already fails
+// Open, which reads the snapshot's sequence number from it.
+func TestRecoverRefusesDamagedSnapshot(t *testing.T) {
+	s := testSchema(t)
+	dir, ends := multiRecordSnapshot(t, s)
+	if got, want := recoveredKeys(t, dir, s), []string{"a", "b", "c"}; !slices.Equal(got, want) {
+		t.Fatalf("recovered keys %v, want %v", got, want)
+	}
+	damaged := func(t *testing.T, damage func([]byte) []byte) string {
+		t.Helper()
+		d := t.TempDir()
+		for name, b := range dirBytes(t, dir) {
+			if name == snapName {
+				b = string(damage([]byte(b)))
+			}
+			if err := os.WriteFile(filepath.Join(d, name), []byte(b), 0o666); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d
+	}
+	cases := map[string]func([]byte) []byte{
+		"no-closing-record": func(b []byte) []byte { return b[:ends[2]] },
+		"cut-mid-record":    func(b []byte) []byte { return b[:ends[1]+100] },
+		"middle-record-crc": func(b []byte) []byte { b[ends[0]+frameHeader+10] ^= 1; return b },
+	}
+	for name, damage := range cases {
+		t.Run(name, func(t *testing.T) {
+			st := mustOpen(t, damaged(t, damage), s, Options{})
+			defer st.Close()
+			if rs, err := st.Recover(peopleUpdater(t, s)); err == nil {
+				t.Fatalf("recovered %+v from a damaged snapshot", rs)
+			}
+		})
+	}
+	t.Run("first-record-crc", func(t *testing.T) {
+		d := damaged(t, func(b []byte) []byte { b[len(logHeader(s))+frameHeader+10] ^= 1; return b })
+		if _, err := Open(d, s, Options{}); err == nil {
+			t.Fatal("opened a store whose snapshot's first record fails its CRC")
+		}
+	})
+}
+
+// TestRecoverRefusesUnabsorbableSnapshot: a snapshotted entity was
+// committed state, so an updater that fails to absorb it (here, one
+// whose MaxEntityTuples is below the entity's size) fails recovery
+// rather than dropping the entity.
+func TestRecoverRefusesUnabsorbableSnapshot(t *testing.T) {
+	s := testSchema(t)
+	dir := t.TempDir()
+	u := peopleUpdater(t, s)
+	st := mustOpen(t, dir, s, Options{})
+	u.AttachPersister(st)
+	for _, city := range []string{"nyc", "sf", "la"} {
+		if err := applyName(t, u, "a", model.S(city)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Checkpoint(u); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bounded, err := pipeline.NewUpdater(s, pipeline.Config{Rules: rule.MustSet(s, nil), MaxEntityTuples: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2 := mustOpen(t, dir, s, Options{})
+	defer st2.Close()
+	if rs, err := st2.Recover(bounded); err == nil {
+		t.Fatalf("recovered %+v into an updater that cannot absorb the snapshot's 3-tuple entity", rs)
 	}
 }

@@ -271,7 +271,8 @@ func NewUpdaterWith(gw *Groundwork, cfg BatchConfig) *Updater {
 // applied, and attaches the store so every subsequent Apply is logged
 // before it touches an entity. The returned RecoveryStats reports
 // what was rebuilt (RecoveryStats.Empty distinguishes a brand-new
-// store from a recovered one, for seed-exactly-once logic). Snapshot
+// store from a recovered one, for seed-exactly-once logic); after a
+// recovery error u may be partly filled and must be discarded. Snapshot
 // with Store.Checkpoint — typically on graceful shutdown — and Close
 // the store after the updater stops applying. ParseSyncPolicy maps
 // the flag spellings "always" | "interval" | "never" onto
