@@ -216,33 +216,21 @@ func syn900Uncached(b *testing.B) (*chase.Grounding, *model.Tuple, *model.Tuple)
 	return syn900Plain, syn900Te, syn900Cand
 }
 
-// BenchmarkCheck measures the candidate-target check of §6.1 at
-// ‖Ie‖ = 900 through Grounding.Run: every check allocates a fresh
-// engine, deep-cloning the base order matrices.
-func BenchmarkCheck(b *testing.B) {
-	g, _, cand := syn900(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Run(cand)
-	}
-}
-
-// BenchmarkCheckPooled measures the same check through a pooled
-// Checker: buffers are reused and the base state is restored through
-// dirty-row tracking, so steady-state checks allocate (almost) nothing.
-// It runs on the cache-disabled grounding — with the verdict cache on,
-// every iteration after the first would be a hit and this benchmark
-// would stop measuring the chase (that hit path is
+// BenchmarkCheckPooled measures the candidate-target check of §6.1 at
+// ‖Ie‖ = 900 through Grounding.Check, which lends each call one of the
+// version's idle checkers: buffers are reused and the base state is
+// restored through dirty-row tracking, so steady-state checks allocate
+// nothing. It runs on the cache-disabled grounding — with the verdict
+// cache on, every iteration after the first would be a hit and this
+// benchmark would stop measuring the chase (that hit path is
 // BenchmarkCheckCached).
 func BenchmarkCheckPooled(b *testing.B) {
 	g, _, cand := syn900Uncached(b)
-	c := g.NewChecker()
-	c.Check(cand) // warm the pooled buffers
+	g.Check(cand) // warm the version's idle checker
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Check(cand)
+		g.Check(cand)
 	}
 }
 
@@ -253,13 +241,12 @@ func BenchmarkCheckPooled(b *testing.B) {
 // (BENCH_pr7.json records both).
 func BenchmarkCheckCached(b *testing.B) {
 	g, _, cand := syn900(b)
-	c := g.NewChecker()
-	c.Check(cand) // populate the cache: every timed check is a hit
+	g.Check(cand) // populate the cache: every timed check is a hit
 	before := g.VerdictCacheStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Check(cand)
+		g.Check(cand)
 	}
 	b.StopTimer()
 	if after := g.VerdictCacheStats(); after.Hits-before.Hits < int64(b.N) {
@@ -267,38 +254,36 @@ func BenchmarkCheckCached(b *testing.B) {
 	}
 }
 
-// BenchmarkColdCheck measures the true cold start a server pays the
-// first time it checks a candidate against a new grounding version:
-// checker construction (a tracked deep clone of the base order
-// matrices) plus the first full chase, with no pooled buffers and no
-// verdict cache to hide behind. Compare BenchmarkCheckPooled for the
-// steady-state cost once the pool is warm.
+// BenchmarkColdCheck measures the cold start of a check at ‖Ie‖ = 900
+// through Grounding.Run: a fresh engine (a deep clone of the base order
+// matrices) plus one full chase, with no held buffers and no verdict
+// cache to hide behind. Compare BenchmarkCheckPooled for the
+// steady-state cost of a held checker.
 func BenchmarkColdCheck(b *testing.B) {
 	g, _, cand := syn900Uncached(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := g.NewChecker()
-		c.Check(cand)
+		g.Run(cand)
 	}
 }
 
 // BenchmarkOrderAdd measures the closure-restoring pair insertion on
-// one order matrix: each iteration resets a tracked relation to empty
+// one order matrix: each iteration resets a tracked set to empty
 // and derives the full ascending chain 0 ⪯ 1 ⪯ ... ⪯ n-1 one Add at a
 // time — the worst-case insertion pattern, deriving O(n²) pairs through
 // the predecessor-propagation path.
 func BenchmarkOrderAdd(b *testing.B) {
 	for _, n := range []int{129, 900} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			base := order.New(n)
+			base := order.NewSet(1, n)
 			r := base.CloneTracked()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				r.ResetFrom(base)
 				for j := 0; j+1 < n; j++ {
-					r.Add(j, j+1)
+					r.Add(0, j, j+1)
 				}
 			}
 		})
@@ -310,16 +295,16 @@ func BenchmarkOrderAdd(b *testing.B) {
 func BenchmarkOrderMax(b *testing.B) {
 	for _, n := range []int{129, 900} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			r := order.New(n)
+			r := order.NewSet(1, n)
 			members := make([]uint32, n)
 			for i := range members {
 				members[i] = uint32(i)
 			}
-			r.SetClique32(members)
+			r.SetClique32(0, members)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if r.Max() != 0 {
+				if r.Max(0) != 0 {
 					b.Fatal("clique lost its maximum")
 				}
 			}
@@ -329,7 +314,7 @@ func BenchmarkOrderMax(b *testing.B) {
 
 // BenchmarkCheckPaper measures one check on the paper's running example
 // (small instance; grounding-time dominated workloads look different —
-// see BenchmarkCheck for the ‖Ie‖ = 900 hot path).
+// see BenchmarkColdCheck for the ‖Ie‖ = 900 hot path).
 func BenchmarkCheckPaper(b *testing.B) {
 	g := paperGrounding(b)
 	cand := paperdata.Target()

@@ -11,10 +11,10 @@ import (
 // Lockscope enforces DESIGN.md invariant 5: no routing/registry lock is
 // held across deduction. It flags any call that (directly, or
 // transitively through same-package functions) reaches a deduction
-// entry point — Grounding.Run/Check/Extend, Checker.Check*, grounding
-// construction, the top-k searches, the Session and Updater entry
-// points — made while a sync.Mutex or sync.RWMutex acquired in the
-// same function is still held.
+// entry point — Grounding.Run/Check/Extend, grounding construction,
+// the top-k searches, the Session and Updater entry points — made
+// while a sync.Mutex or sync.RWMutex acquired in the same function is
+// still held.
 //
 // Locks that are DESIGNED to be held across deduction (the per-entity
 // lock serialising extend+commit+re-deduce, the updater's quiesce
@@ -50,11 +50,8 @@ var deductionEntries = []entryPattern{
 	{chasePath, "Grounding", "Run"},
 	{chasePath, "Grounding", "Check"},
 	{chasePath, "Grounding", "Extend"},
-	{chasePath, "Checker", "Check"},
-	{chasePath, "Checker", "CheckConflict"},
 	{chasePath, "Shared", "NewGrounding"},
 	{chasePath, "", "NewGrounding"},
-	{chasePath, "", "Deduce"},
 	{"repro/internal/topk", "", "TopK*"},
 	{"repro/internal/topk", "", "RankJoin*"},
 	{"repro/internal/framework", "Algorithm", "Search"},

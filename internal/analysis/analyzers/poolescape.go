@@ -47,7 +47,7 @@ func runPoolescape(pass *analysis.Pass) (any, error) {
 }
 
 // isPoolGetCall reports whether e is (sync.Pool).Get(), possibly
-// wrapped in a type assertion — `p.pool.Get().(*Checker)`.
+// wrapped in a type assertion — `g.checkers.Get().(*checker)`.
 func isPoolGetCall(info *types.Info, e ast.Expr) bool {
 	e = ast.Unparen(e)
 	if ta, ok := e.(*ast.TypeAssertExpr); ok {

@@ -91,7 +91,7 @@ func TestPooledCheckAllocFree(t *testing.T) {
 				if !res.CR {
 					t.Fatalf("entity is not Church-Rosser: %s", res.Conflict)
 				}
-				ck := g.NewChecker()
+				ck := chase.NewChecker(g)
 				if !ck.Check(res.Target) {
 					t.Fatal("the deduced target fails its own check")
 				}

@@ -58,7 +58,7 @@ func TestExtendBlockBoundaries(t *testing.T) {
 	}
 	for _, disableAxioms := range []bool{false, true} {
 		opts := chase.Options{DisableAxioms: disableAxioms}
-		fresh := map[int]*chase.Result{}
+		fresh := map[int]chase.Terminal{}
 		for _, base := range bases {
 			for _, delta := range deltas {
 				n := base + delta
@@ -70,14 +70,14 @@ func TestExtendBlockBoundaries(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						want = g.Run(nil)
+						want = chase.RunTerminal(g, nil)
 						if !want.CR {
 							t.Fatalf("fresh grounding is not Church-Rosser: %s", want.Conflict)
 						}
 						sameAsNaive(t, spec, want, chase.Naive(spec, opts, nil))
 						fresh[n] = want
 					}
-					got := groundPrefix(t, spec, opts, base, []int{delta}).Run(nil)
+					got := chase.RunTerminal(groundPrefix(t, spec, opts, base, []int{delta}), nil)
 					if !sameResult(t, n, spec.Ie.Schema().Arity(), want, got) {
 						t.Fatal("extended grounding diverged from the fresh one")
 					}
@@ -90,7 +90,7 @@ func TestExtendBlockBoundaries(t *testing.T) {
 // sameAsNaive fails t unless the engine's result agrees with the Naive
 // oracle's on the verdict, the target and every non-reflexive order
 // pair (the oracle derives reflexive pairs only through ϕ9).
-func sameAsNaive(t *testing.T, spec chase.Spec, fast, slow *chase.Result) {
+func sameAsNaive(t *testing.T, spec chase.Spec, fast, slow chase.Terminal) {
 	t.Helper()
 	if fast.CR != slow.CR {
 		t.Fatalf("CR engine=%v (%s) naive=%v (%s)", fast.CR, fast.Conflict, slow.CR, slow.Conflict)
@@ -102,9 +102,9 @@ func sameAsNaive(t *testing.T, spec chase.Spec, fast, slow *chase.Result) {
 	for a := 0; a < spec.Ie.Schema().Arity(); a++ {
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if i != j && fast.Orders.Attr(a).Has(i, j) != slow.Orders.Attr(a).Has(i, j) {
+				if i != j && fast.Orders.Has(a, i, j) != slow.Orders.Has(a, i, j) {
 					t.Fatalf("order[%d] (%d,%d) engine=%v naive=%v", a, i, j,
-						fast.Orders.Attr(a).Has(i, j), slow.Orders.Attr(a).Has(i, j))
+						fast.Orders.Has(a, i, j), slow.Orders.Has(a, i, j))
 				}
 			}
 		}

@@ -20,7 +20,7 @@ import (
 // from packed ID rows to verdicts, hung off the version, memoises
 // checks with no invalidation protocol at all: a new version gets a
 // new (empty) map, a superseded version's map dies with it, and an
-// in-flight Checker pinned to an old version keeps hitting that
+// in-flight checker pinned to an old version keeps hitting that
 // version's map — which is still correct for the evidence that
 // version answers for.
 //

@@ -87,16 +87,18 @@
 // zero-premise pairs straight into the base engine's masks.
 //
 // On top of the shared base state, checks are pooled. A
-// Checker keeps one run engine alive across checks: its buffers
+// checker keeps one run engine alive across checks: its buffers
 // (order matrices, λ counts, premise counters, dead/pushed flags, the
 // worklist and the form-2 re-registration map) are reused, and the
 // base snapshot is restored between runs through dirty-row tracking
-// (order.Relation.ResetFrom) — only the rows the previous run modified
+// (order.Set.ResetFrom) — only the rows the previous run modified
 // are rewritten, so a check that derives little does near-zero restore
 // work instead of re-cloning O(nattr · n²/64) words. Grounding.Check
 // borrows such a checker from a sync.Pool the version holds, so the
 // goroutines checking one version share its engines, and caches each
-// verdict as its conflict string ("" for Church-Rosser).
+// verdict as its conflict string ("" for Church-Rosser). Run and Check
+// are the whole public run API: a deduction is its verdict and target,
+// and a run's terminal orders die with its engine.
 // The Grounding itself is immutable after NewGrounding, which is what
 // makes all of this safe: any number of engines may read it
 // concurrently.
@@ -150,7 +152,7 @@ type Options struct {
 	// that exercise the bare rule semantics.
 	DisableAxioms bool
 	// DisableVerdictCache turns off the per-version verdict cache that
-	// Checkers consult before running a candidate check (see
+	// Check consults before running a candidate check (see
 	// cache.go). The cache is semantically invisible — cached and
 	// uncached checks answer byte-identically — so disabling it is only
 	// useful for measurement and for the equivalence tests that prove
@@ -167,8 +169,6 @@ type Result struct {
 	Conflict string
 	// Target is the deduced target tuple (meaningful when CR).
 	Target *model.Tuple
-	// Orders are the terminal accuracy orders (meaningful when CR).
-	Orders *order.Set
 	// Steps counts the residual ground steps enforced during this run.
 	// Most chase work does not appear here: template-independent steps
 	// are folded into the shared base state at grounding time, and the
@@ -371,14 +371,14 @@ type Grounding struct {
 	// trigger, so the per-derived-pair fast path stays one branch.
 	hasOrderTrig bool
 
-	// verdicts memoises Checker verdicts for this version, keyed by the
+	// verdicts memoises check verdicts for this version, keyed by the
 	// template's packed value-ID row (cache.go). It is version-private:
 	// Extend gives the successor an empty one (sharing only cumulative
 	// counters), so entries never outlive the grounding they are valid
 	// for.
 	verdicts verdictCache
 
-	// checkers holds the version's idle Checkers for Check to borrow;
+	// checkers holds the version's idle checkers for Check to borrow;
 	// like the verdicts, they go with the version.
 	checkers sync.Pool
 }
@@ -796,13 +796,23 @@ func (g *Grounding) addStep(st groundStep) {
 }
 
 // Run chases the specification with the given initial target template
-// and returns the terminal instance. A nil template stands for the
-// all-null template of the initial accuracy instance; a complete
-// template makes Run the candidate-target check of Section 6.1.
-// The grounding is not mutated; Run is safe for sequential reuse.
+// and returns the verdict and the deduced target. A nil template stands
+// for the all-null template of the initial accuracy instance, which
+// makes Run the paper's IsCR; a complete template makes it the
+// candidate-target check of Section 6.1. The grounding is not mutated;
+// Run is safe for sequential reuse.
 func (g *Grounding) Run(template *model.Tuple) *Result {
+	res, _ := g.run(template)
+	return res
+}
+
+// run is Run that also returns the run's terminal orders (nil when it
+// is not Church-Rosser). The Result does not keep them, so a caller
+// that keeps a deduction keeps no order matrices; only the tests that
+// compare terminal orders ask for them.
+func (g *Grounding) run(template *model.Tuple) (*Result, *order.Set) {
 	if g.baseConflict != "" {
-		return &Result{CR: false, Conflict: g.baseConflict}
+		return &Result{CR: false, Conflict: g.baseConflict}, nil
 	}
 	e := newRunEngine(g, g.baseOrders.Clone())
 	g.runWith(e, template)
@@ -811,17 +821,17 @@ func (g *Grounding) Run(template *model.Tuple) *Result {
 		Conflict: e.conflict,
 		Steps:    e.stepsApplied,
 	}
-	if res.CR {
-		// The target leaves without its ID row, which would keep the
-		// entity's overlay reachable for as long as the caller keeps it.
-		res.Target = e.te.Detach()
-		res.Orders = e.orders
+	if !res.CR {
+		return res, nil
 	}
-	return res
+	// The target leaves without its ID row, which would keep the
+	// entity's overlay reachable for as long as the caller keeps it.
+	res.Target = e.te.Detach()
+	return res, e.orders
 }
 
 // runWith drives the template-dependent chase on an engine primed with
-// the base snapshot (fresh, or a Checker's after reset).
+// the base snapshot (fresh, or a checker's after reset).
 func (g *Grounding) runWith(e *engine, template *model.Tuple) {
 	if template != nil {
 		for a := 0; a < g.nattr; a++ {
@@ -854,7 +864,7 @@ func (g *Grounding) runWith(e *engine, template *model.Tuple) {
 	for a := 0; a < g.nattr; a++ {
 		counts, ids := e.counts[a*g.n:(a+1)*g.n], g.idRow(a)
 		for j := 0; j < g.n; j++ {
-			if counts[j] == int32(g.n-1) && (g.n > 1 || g.baseOrders.Attr(a).Has(j, j)) {
+			if counts[j] == int32(g.n-1) && (g.n > 1 || g.baseOrders.Has(a, j, j)) {
 				if vid := ids[j]; vid != model.NullID {
 					e.pushTarget(int32(a), g.val(int32(a), int32(j)), vid)
 				}
@@ -871,16 +881,4 @@ func (g *Grounding) runWith(e *engine, template *model.Tuple) {
 		}
 	}
 	e.drain()
-}
-
-// Deduce is the convenience entry point matching the paper's IsCR: it
-// grounds the specification and runs the chase from the all-null
-// template. It returns the terminal instance when S is Church-Rosser
-// and a Result with CR == false otherwise.
-func Deduce(spec Spec, opts Options) (*Result, error) {
-	g, err := NewGrounding(spec, opts)
-	if err != nil {
-		return nil, err
-	}
-	return g.Run(nil), nil
 }

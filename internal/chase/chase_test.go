@@ -23,14 +23,24 @@ func paperSpec(t *testing.T) chase.Spec {
 	return chase.Spec{Ie: ie, Im: im, Rules: rs}
 }
 
+// deduce grounds spec and runs it from the all-null template, the
+// paper's IsCR, returning the terminal orders beside the result.
+func deduce(spec chase.Spec, opts chase.Options) (chase.Terminal, error) {
+	g, err := chase.NewGrounding(spec, opts)
+	if err != nil {
+		return chase.Terminal{}, err
+	}
+	return chase.RunTerminal(g, nil), nil
+}
+
 // TestPaperExample5 is the golden test for the running example: the
 // chase must be Church-Rosser and deduce the exact complete target of
 // Example 5.
 func TestPaperExample5(t *testing.T) {
 	spec := paperSpec(t)
-	res, err := chase.Deduce(spec, chase.Options{})
+	res, err := deduce(spec, chase.Options{})
 	if err != nil {
-		t.Fatalf("Deduce: %v", err)
+		t.Fatalf("deduce: %v", err)
 	}
 	if !res.CR {
 		t.Fatalf("specification should be Church-Rosser, got conflict: %s", res.Conflict)
@@ -218,7 +228,7 @@ func TestGroundingTrustsOnlyItsOwnCachedIDs(t *testing.T) {
 					t.Errorf("%s entity %d via %s: %d ground steps, plain copies %d",
 						kind.name, ei, got.path, got.g.GroundSteps(), want.GroundSteps())
 				}
-				if !sameResult(t, n, nattr, want.Run(nil), got.g.Run(nil)) {
+				if !sameResult(t, n, nattr, chase.RunTerminal(want, nil), chase.RunTerminal(got.g, nil)) {
 					t.Errorf("%s entity %d via %s: Run differs from plain copies", kind.name, ei, got.path)
 				}
 			}
@@ -234,9 +244,9 @@ func TestPaperExample6(t *testing.T) {
 		t.Fatalf("append phi12: %v", err)
 	}
 	spec.Rules = rs
-	res, err := chase.Deduce(spec, chase.Options{})
+	res, err := deduce(spec, chase.Options{})
 	if err != nil {
-		t.Fatalf("Deduce: %v", err)
+		t.Fatalf("deduce: %v", err)
 	}
 	if res.CR {
 		t.Fatalf("specification with phi12 should not be Church-Rosser; deduced %s", res.Target)
@@ -251,9 +261,9 @@ func TestPaperExample6(t *testing.T) {
 func TestIncompleteWithoutPhi11(t *testing.T) {
 	spec := paperSpec(t)
 	spec.Rules = spec.Rules.Filter(func(r rule.Rule) bool { return r.Name() != "phi11" })
-	res, err := chase.Deduce(spec, chase.Options{})
+	res, err := deduce(spec, chase.Options{})
 	if err != nil {
-		t.Fatalf("Deduce: %v", err)
+		t.Fatalf("deduce: %v", err)
 	}
 	if !res.CR {
 		t.Fatalf("should be Church-Rosser, got %s", res.Conflict)
@@ -290,9 +300,9 @@ func TestRuleFormsInteract(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := paperSpec(t)
 			spec.Rules = tc.pick(spec.Rules)
-			res, err := chase.Deduce(spec, chase.Options{})
+			res, err := deduce(spec, chase.Options{})
 			if err != nil {
-				t.Fatalf("Deduce: %v", err)
+				t.Fatalf("deduce: %v", err)
 			}
 			if !res.CR {
 				t.Fatalf("should be Church-Rosser, got %s", res.Conflict)
@@ -364,9 +374,9 @@ func TestSingletonInstance(t *testing.T) {
 	s := model.MustSchema("r", "a", "b")
 	ie := model.NewEntityInstance(s)
 	ie.MustAdd(model.MustTuple(s, model.S("x"), model.NullValue()))
-	res, err := chase.Deduce(chase.Spec{Ie: ie, Rules: rule.MustSet(s, nil)}, chase.Options{})
+	res, err := deduce(chase.Spec{Ie: ie, Rules: rule.MustSet(s, nil)}, chase.Options{})
 	if err != nil {
-		t.Fatalf("Deduce: %v", err)
+		t.Fatalf("deduce: %v", err)
 	}
 	if !res.CR {
 		t.Fatalf("singleton should be CR: %s", res.Conflict)
@@ -386,9 +396,9 @@ func TestAgreementResolves(t *testing.T) {
 	ie := model.NewEntityInstance(s)
 	ie.MustAdd(model.MustTuple(s, model.S("x"), model.S("p")))
 	ie.MustAdd(model.MustTuple(s, model.S("x"), model.S("q")))
-	res, err := chase.Deduce(chase.Spec{Ie: ie, Rules: rule.MustSet(s, nil)}, chase.Options{})
+	res, err := deduce(chase.Spec{Ie: ie, Rules: rule.MustSet(s, nil)}, chase.Options{})
 	if err != nil {
-		t.Fatalf("Deduce: %v", err)
+		t.Fatalf("deduce: %v", err)
 	}
 	if v, _ := res.Target.Get("a"); !v.Equal(model.S("x")) {
 		t.Errorf("te[a] = %s, want x", v)
@@ -405,9 +415,9 @@ func TestNullLowest(t *testing.T) {
 	ie.MustAdd(model.MustTuple(s, model.NullValue()))
 	ie.MustAdd(model.MustTuple(s, model.S("v")))
 	ie.MustAdd(model.MustTuple(s, model.NullValue()))
-	res, err := chase.Deduce(chase.Spec{Ie: ie, Rules: rule.MustSet(s, nil)}, chase.Options{})
+	res, err := deduce(chase.Spec{Ie: ie, Rules: rule.MustSet(s, nil)}, chase.Options{})
 	if err != nil {
-		t.Fatalf("Deduce: %v", err)
+		t.Fatalf("deduce: %v", err)
 	}
 	if v, _ := res.Target.Get("a"); !v.Equal(model.S("v")) {
 		t.Errorf("te[a] = %s, want v", v)
@@ -430,9 +440,9 @@ func TestConflictingMasters(t *testing.T) {
 		TargetAttr: "b",
 		MasterAttr: "b",
 	})
-	res, err := chase.Deduce(chase.Spec{Ie: ie, Im: im, Rules: rs}, chase.Options{})
+	res, err := deduce(chase.Spec{Ie: ie, Im: im, Rules: rs}, chase.Options{})
 	if err != nil {
-		t.Fatalf("Deduce: %v", err)
+		t.Fatalf("deduce: %v", err)
 	}
 	if res.CR {
 		t.Fatalf("conflicting masters should not be CR, got %s", res.Target)
@@ -450,9 +460,9 @@ func TestCyclicCurrencyConflict(t *testing.T) {
 		LHS: []rule.Pred{rule.Cmp(rule.T1("a"), rule.Lt, rule.T2("a"))}, RHS: "a"}
 	down := &rule.Form1{RuleName: "down",
 		LHS: []rule.Pred{rule.Cmp(rule.T1("a"), rule.Gt, rule.T2("a"))}, RHS: "a"}
-	res, err := chase.Deduce(chase.Spec{Ie: ie, Rules: rule.MustSet(s, nil, up, down)}, chase.Options{})
+	res, err := deduce(chase.Spec{Ie: ie, Rules: rule.MustSet(s, nil, up, down)}, chase.Options{})
 	if err != nil {
-		t.Fatalf("Deduce: %v", err)
+		t.Fatalf("deduce: %v", err)
 	}
 	if res.CR {
 		t.Fatalf("opposite orders should conflict")
@@ -464,9 +474,9 @@ func TestCyclicCurrencyConflict(t *testing.T) {
 func TestEmptyInstance(t *testing.T) {
 	s := model.MustSchema("r", "a")
 	ie := model.NewEntityInstance(s)
-	res, err := chase.Deduce(chase.Spec{Ie: ie, Rules: rule.MustSet(s, nil)}, chase.Options{})
+	res, err := deduce(chase.Spec{Ie: ie, Rules: rule.MustSet(s, nil)}, chase.Options{})
 	if err != nil {
-		t.Fatalf("Deduce: %v", err)
+		t.Fatalf("deduce: %v", err)
 	}
 	if !res.CR || res.Complete() {
 		t.Fatalf("empty instance: CR=%v complete=%v", res.CR, res.Complete())
@@ -478,10 +488,10 @@ func TestDisableAxioms(t *testing.T) {
 	s := model.MustSchema("r", "a")
 	ie := model.NewEntityInstance(s)
 	ie.MustAdd(model.MustTuple(s, model.S("x")))
-	res, err := chase.Deduce(chase.Spec{Ie: ie, Rules: rule.MustSet(s, nil)},
+	res, err := deduce(chase.Spec{Ie: ie, Rules: rule.MustSet(s, nil)},
 		chase.Options{DisableAxioms: true})
 	if err != nil {
-		t.Fatalf("Deduce: %v", err)
+		t.Fatalf("deduce: %v", err)
 	}
 	if v, _ := res.Target.Get("a"); !v.IsNull() {
 		t.Errorf("te[a] = %s, want null with axioms disabled", v)
@@ -492,9 +502,9 @@ func TestDisableAxioms(t *testing.T) {
 // against the reference implementation on the running example.
 func TestNaiveAgreesOnPaperExample(t *testing.T) {
 	spec := paperSpec(t)
-	fast, err := chase.Deduce(spec, chase.Options{})
+	fast, err := deduce(spec, chase.Options{})
 	if err != nil {
-		t.Fatalf("Deduce: %v", err)
+		t.Fatalf("deduce: %v", err)
 	}
 	slow := chase.Naive(spec, chase.Options{}, nil)
 	if fast.CR != slow.CR {
@@ -507,9 +517,9 @@ func TestNaiveAgreesOnPaperExample(t *testing.T) {
 	// And on the non-CR variant of Example 6.
 	rs, _ := spec.Rules.Append(spec.Ie.Schema(), spec.Im.Schema(), paperdata.Phi12())
 	spec.Rules = rs
-	fast2, err := chase.Deduce(spec, chase.Options{})
+	fast2, err := deduce(spec, chase.Options{})
 	if err != nil {
-		t.Fatalf("Deduce: %v", err)
+		t.Fatalf("deduce: %v", err)
 	}
 	slow2 := chase.Naive(spec, chase.Options{}, nil)
 	if fast2.CR != slow2.CR {

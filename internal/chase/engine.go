@@ -173,7 +173,7 @@ func (e *engine) initSteps(npred []int32, pushed []bool) {
 
 // newRunEngine creates an engine that continues from the grounding's
 // base snapshot, on orders, the caller's clone of the base orders. A
-// Checker's clone tracks dirty rows, so reset() restores the base state
+// checker's clone tracks dirty rows, so reset() restores the base state
 // in time proportional to the rows the previous run actually modified
 // instead of reallocating O(nattr · n²/64) words per check; Run's
 // untracked clone serves one run.
@@ -195,7 +195,7 @@ func newRunEngine(g *Grounding, orders *order.Set) *engine {
 	}
 }
 
-// reset restores a Checker's engine to the grounding's base snapshot,
+// reset restores a checker's engine to the grounding's base snapshot,
 // reusing every buffer. Order matrices are restored via dirty-row
 // tracking; the flat per-step slices are rewritten wholesale (they are
 // O(n) and O(|Γ|) int32/bool copies, cheap next to the matrices). A
@@ -235,7 +235,7 @@ func (e *engine) pushPair(attr, i, j int32) {
 // one pending bit; applyPair's Has check stays the final word on pairs
 // derived between the push and the drain.
 func (e *engine) pushPairMask(attr, i, wi int32, mask uint64) {
-	if mask &^= e.orders.Attr(int(attr)).Word(int(i), int(wi)); mask != 0 {
+	if mask &^= e.orders.Word(int(attr), int(i), int(wi)); mask != 0 {
 		e.pairs.add(attr, i, wi, mask)
 	}
 }
@@ -302,14 +302,13 @@ func (e *engine) drain() {
 // pending afterwards sits on a slot on the ring, where a reset
 // finds it.
 func (e *engine) applyRow(attr, i int32, row []uint64) {
-	rel := e.orders.Attr(int(attr))
 	for wi, m := range row {
 		if m == 0 {
 			continue
 		}
 		row[wi] = 0
 		base := int32(wi) << 6
-		for m &^= rel.Word(int(i), wi); m != 0; m &= m - 1 {
+		for m &^= e.orders.Word(int(attr), int(i), wi); m != 0; m &= m - 1 {
 			e.applyPair(attr, i, base+int32(bits.TrailingZeros64(m)))
 			if e.conflict != "" {
 				clear(row[wi+1:])
@@ -343,8 +342,8 @@ func (e *engine) applyPair(attr, i, j int32) {
 		e.conflictPair(attr, i, j)
 		return
 	}
-	for _, d := range rel.AddDiffs(int(i), int(j)) {
-		e.derivedWord(attr, rel, d.Row, int(d.Word), d.Bits)
+	for _, d := range e.orders.AddDiffs(int(attr), int(i), int(j)) {
+		e.derivedWord(attr, d.Row, int(d.Word), d.Bits)
 		if e.conflict != "" {
 			return
 		}
@@ -357,9 +356,10 @@ func (e *engine) applyPair(attr, i, j int32) {
 // for the word as a whole. The per-attribute lookups are hoisted out of
 // the bit loop, and the correlation cascade pushes one mask per (rule,
 // word) instead of one pair at a time.
-func (e *engine) derivedWord(attr int32, rel *order.Relation, x int32, wi int, diff uint64) {
+func (e *engine) derivedWord(attr int32, x int32, wi int, diff uint64) {
 	ids := e.g.idRow(int(attr))
 	counts := e.countRow(int(attr))
+	rel := e.orders.Attr(int(attr))
 	base := int32(wi << 6)
 	nm1 := int32(e.g.n - 1)
 	for d := diff; d != 0; d &= d - 1 {
@@ -476,9 +476,8 @@ func (e *engine) applyTarget(attr int32) {
 		// attr value equals the (now known) target value.
 		group := e.g.groupFor(attr, vid)
 		if len(group) > 0 {
-			rel := e.orders.Attr(int(attr))
-			rel.AddAllToWords(group, func(p, wi int, diff uint64) bool {
-				e.derivedWord(attr, rel, int32(p), wi, diff)
+			e.orders.AddAllToWords(int(attr), group, func(p, wi int, diff uint64) bool {
+				e.derivedWord(attr, int32(p), wi, diff)
 				return e.conflict == ""
 			})
 		}

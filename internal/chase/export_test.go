@@ -3,6 +3,8 @@ package chase
 import (
 	"slices"
 
+	"repro/internal/model"
+	"repro/internal/order"
 	"repro/internal/rule"
 )
 
@@ -49,3 +51,33 @@ func Ranked(g *Grounding, a int) bool {
 	s := slices.Index(g.rankAttrs, int32(a))
 	return s >= 0 && g.rankOK[s] != 0
 }
+
+// Terminal is a run's Result beside the terminal orders that Run does
+// not return.
+type Terminal struct {
+	*Result
+	Orders *order.Set
+}
+
+// RunTerminal runs template on g as Run does and also returns the
+// run's terminal orders (nil unless it is Church-Rosser), for the tests
+// that compare them.
+func RunTerminal(g *Grounding, template *model.Tuple) Terminal {
+	res, orders := g.run(template)
+	return Terminal{res, orders}
+}
+
+// Checker is a version's held checker, for the tests that drive one
+// directly instead of borrowing one through Grounding.Check.
+type Checker = checker
+
+// NewChecker returns a new held checker over g.
+func NewChecker(g *Grounding) *Checker { return g.newChecker() }
+
+// Check reports whether the specification revised with template is
+// Church-Rosser.
+func (c *Checker) Check(template *model.Tuple) bool { return c.conflict(template) == "" }
+
+// CheckConflict returns the check's first invalid step, "" when the
+// revised specification is Church-Rosser.
+func (c *Checker) CheckConflict(template *model.Tuple) string { return c.conflict(template) }

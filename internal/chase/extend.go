@@ -9,7 +9,7 @@ import (
 
 // Extend absorbs new evidence tuples into the grounded specification
 // and returns a NEW grounding version; the receiver is left exactly as
-// it was, so in-flight Runs and Checkers against it are
+// it was, so in-flight Runs and checks against it are
 // unaffected and later checks against it keep answering for the old
 // evidence. Each version is immutable after construction, which
 // carries the concurrency story of a fresh grounding over to the
@@ -170,7 +170,7 @@ func (g *Grounding) seedAxioms(e *engine, oldN int, sc *buildScratch) {
 	}
 	buf := grow(&sc.newIDs, g.n-oldN)
 	for a := 0; a < g.nattr; a++ {
-		aa, ids, counts, rel := int32(a), g.idRow(a), e.countRow(a), e.orders.Attr(a)
+		aa, ids, counts := int32(a), g.idRow(a), e.countRow(a)
 		// The new nulls fill buf from the front, the new non-nulls from
 		// the back; both end up ascending.
 		lo, hi := 0, len(buf)
@@ -194,13 +194,13 @@ func (g *Grounding) seedAxioms(e *engine, oldN int, sc *buildScratch) {
 			for t > 0 && int(m[t-1]) >= oldN {
 				t--
 			}
-			rel.SetClique32(m[t:])
+			e.orders.SetClique32(a, m[t:])
 			for _, j := range m[t:] {
 				counts[j] = int32(len(m) - t - 1 + len(nulls))
 			}
 		}
-		rel.SetClique32(nulls)
-		rel.SetBelow32(nulls, nonNulls)
+		e.orders.SetClique32(a, nulls)
+		e.orders.SetBelow32(a, nulls, nonNulls)
 		for _, j := range nulls {
 			counts[j] = int32(len(nulls) - 1)
 		}
@@ -270,7 +270,7 @@ func (g *Grounding) baseChase(p *Grounding, e *engine) {
 		slices.Sort(keys)
 		for _, k := range keys {
 			attr, i, j := trigKeyDecode(k)
-			if e.orders.Attr(int(attr)).Has(int(i), int(j)) {
+			if e.orders.Has(int(attr), int(i), int(j)) {
 				e.fireOrderKey(k)
 			}
 		}
@@ -281,10 +281,9 @@ func (g *Grounding) baseChase(p *Grounding, e *engine) {
 			if len(g.corrs[a]) == 0 {
 				continue
 			}
-			rel := e.orders.Attr(a)
 			for i := oldN; i < g.n; i++ {
 				for wi := oldN >> 6; wi<<6 < g.n; wi++ {
-					if w := rel.Word(i, wi); w != 0 {
+					if w := e.orders.Word(a, i, wi); w != 0 {
 						e.fireCorrWord(int32(a), int32(i), wi, w)
 					}
 				}

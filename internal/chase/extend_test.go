@@ -46,7 +46,7 @@ func groundPrefix(t testing.TB, spec chase.Spec, opts chase.Options, base int, b
 // target, the terminal orders (bit for bit) and the residual step
 // count. Conflict strings may legitimately differ (the first invalid
 // step depends on enforcement order), so they are not compared.
-func sameResult(t *testing.T, n, nattr int, fresh, inc *chase.Result) bool {
+func sameResult(t *testing.T, n, nattr int, fresh, inc chase.Terminal) bool {
 	t.Helper()
 	if fresh.CR != inc.CR {
 		t.Logf("CR fresh=%v (%s) incremental=%v (%s)", fresh.CR, fresh.Conflict, inc.CR, inc.Conflict)
@@ -64,11 +64,11 @@ func sameResult(t *testing.T, n, nattr int, fresh, inc *chase.Result) bool {
 		return false
 	}
 	for a := 0; a < nattr; a++ {
-		fr, ir := fresh.Orders.Attr(a), inc.Orders.Attr(a)
+		fr, ir := fresh.Orders, inc.Orders
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if fr.Has(i, j) != ir.Has(i, j) {
-					t.Logf("order[%d] (%d,%d) fresh=%v incremental=%v", a, i, j, fr.Has(i, j), ir.Has(i, j))
+				if fr.Has(a, i, j) != ir.Has(a, i, j) {
+					t.Logf("order[%d] (%d,%d) fresh=%v incremental=%v", a, i, j, fr.Has(a, i, j), ir.Has(a, i, j))
 					return false
 				}
 			}
@@ -117,18 +117,18 @@ func TestExtendMatchesFresh(t *testing.T) {
 					return false
 				}
 				nattr := spec.Ie.Schema().Arity()
-				if !sameResult(t, n, nattr, fresh.Run(nil), inc.Run(nil)) {
+				if !sameResult(t, n, nattr, chase.RunTerminal(fresh, nil), chase.RunTerminal(inc, nil)) {
 					t.Logf("seed %d: Run(nil) diverged (base=%d batches=%v)", seed, base, batches)
 					return false
 				}
-				if tpl != nil && !sameResult(t, n, nattr, fresh.Run(tpl), inc.Run(tpl)) {
+				if tpl != nil && !sameResult(t, n, nattr, chase.RunTerminal(fresh, tpl), chase.RunTerminal(inc, tpl)) {
 					t.Logf("seed %d: Run(tpl) diverged (base=%d batches=%v)", seed, base, batches)
 					return false
 				}
 				// Pooled checks against the extended version agree with the
 				// fresh grounding's verdicts too.
 				if tpl != nil {
-					c := inc.NewChecker()
+					c := chase.NewChecker(inc)
 					if c.Check(tpl) != fresh.Run(tpl).CR {
 						t.Logf("seed %d: pooled check diverged", seed)
 						return false
@@ -164,7 +164,7 @@ func TestExtendLeavesParentUntouched(t *testing.T) {
 			return false
 		}
 		before := g.Run(tpl)
-		checker := g.NewChecker()
+		checker := chase.NewChecker(g)
 		ext, err := g.Extend(spec.Ie.Tuples()[base:]...)
 		if err != nil {
 			t.Logf("seed %d: extend error %v", seed, err)
@@ -213,7 +213,7 @@ func TestExtendPaperExample(t *testing.T) {
 		batches[i] = 1
 	}
 	inc := groundPrefix(t, spec, chase.Options{}, 1, batches)
-	if !sameResult(t, ie.Size(), ie.Schema().Arity(), fresh.Run(nil), inc.Run(nil)) {
+	if !sameResult(t, ie.Size(), ie.Schema().Arity(), chase.RunTerminal(fresh, nil), chase.RunTerminal(inc, nil)) {
 		t.Fatal("incremental replay of the paper example diverged")
 	}
 	res := inc.Run(nil)
@@ -310,7 +310,7 @@ func TestExtendLongChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameResult(t, full.Size(), s.Arity(), fresh.Run(nil), g.Run(nil)) {
+		if !sameResult(t, full.Size(), s.Arity(), chase.RunTerminal(fresh, nil), chase.RunTerminal(g, nil)) {
 			t.Fatalf("step %d: extended grounding diverged from fresh", i)
 		}
 	}

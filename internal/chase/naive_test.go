@@ -16,8 +16,9 @@ import (
 // than Grounding.Run and exists as the reference implementation for
 // differential (property-based) testing. It is test code: the external
 // chase_test package reaches it through the test build, the way the
-// export_test.go idiom works.
-func Naive(spec Spec, opts Options, template *model.Tuple) *Result {
+// export_test.go idiom works. It returns its terminal orders beside
+// its Result, as RunTerminal does.
+func Naive(spec Spec, opts Options, template *model.Tuple) Terminal {
 	n := spec.Ie.Size()
 	schema := spec.Ie.Schema()
 	na := schema.Arity()
@@ -85,7 +86,7 @@ func Naive(spec Spec, opts Options, template *model.Tuple) *Result {
 	predHolds := func(p rule.Pred, i, j int) bool {
 		if p.Kind == rule.OrderPred {
 			a := schema.Index(p.Attr)
-			if !orders.Attr(a).Has(i, j) {
+			if !orders.Has(a, i, j) {
 				return false
 			}
 			if p.Strict {
@@ -122,20 +123,19 @@ func Naive(spec Spec, opts Options, template *model.Tuple) *Result {
 
 	// addPair enforces i ⪯a j with λ; it returns (changed, conflictMsg).
 	addPair := func(a, i, j int) (bool, string) {
-		rel := orders.Attr(a)
-		if rel.Has(i, j) {
+		if orders.Has(a, i, j) {
 			return false, ""
 		}
-		if rel.Has(j, i) && !valEq(a, i, j) {
+		if orders.Has(a, j, i) && !valEq(a, i, j) {
 			return false, fmt.Sprintf("order conflict on %s: %d vs %d", schema.Attr(a), i, j)
 		}
-		added := rel.Add(i, j)
+		added := orders.Add(a, i, j)
 		for _, p := range added {
-			if p.From != p.To && rel.Has(p.To, p.From) && !valEq(a, p.From, p.To) {
+			if p.From != p.To && orders.Has(a, p.To, p.From) && !valEq(a, p.From, p.To) {
 				return true, fmt.Sprintf("order conflict on %s: %d vs %d", schema.Attr(a), p.From, p.To)
 			}
 		}
-		if m := rel.Max(); m >= 0 {
+		if m := orders.Max(a); m >= 0 {
 			if v := spec.Ie.Value(m, a); !v.IsNull() {
 				if _, msg := setTarget(a, v); msg != "" {
 					return true, "λ " + msg
@@ -161,7 +161,7 @@ func Naive(spec Spec, opts Options, template *model.Tuple) *Result {
 						}
 						ch, msg := addPair(a, i, j)
 						if msg != "" {
-							return &Result{Conflict: fmt.Sprintf("%s: %s", f.RuleName, msg)}
+							return Terminal{Result: &Result{Conflict: fmt.Sprintf("%s: %s", f.RuleName, msg)}}
 						}
 						if ch {
 							changed = true
@@ -203,7 +203,7 @@ func Naive(spec Spec, opts Options, template *model.Tuple) *Result {
 					}
 					ch, msg := setTarget(a, v)
 					if msg != "" {
-						return &Result{Conflict: fmt.Sprintf("%s: %s", f.RuleName, msg)}
+						return Terminal{Result: &Result{Conflict: fmt.Sprintf("%s: %s", f.RuleName, msg)}}
 					}
 					if ch {
 						changed = true
@@ -216,5 +216,5 @@ func Naive(spec Spec, opts Options, template *model.Tuple) *Result {
 			break
 		}
 	}
-	return &Result{CR: true, Target: te, Orders: orders, Steps: steps}
+	return Terminal{&Result{CR: true, Target: te, Steps: steps}, orders}
 }

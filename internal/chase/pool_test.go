@@ -62,7 +62,7 @@ func synCandidates(t testing.TB, g *chase.Grounding, count int) []*model.Tuple {
 func TestCheckerMatchesRun(t *testing.T) {
 	g := synSpec(t, 60, 30, 40)
 	cands := synCandidates(t, g, 80)
-	c := g.NewChecker()
+	c := chase.NewChecker(g)
 	for i, cand := range cands {
 		want := g.Run(cand)
 		gotConflict := c.CheckConflict(cand)
@@ -92,7 +92,7 @@ func TestGroundingConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			own := g.NewChecker()
+			own := chase.NewChecker(g)
 			for i := 0; i < 20; i++ {
 				ci := (w*7 + i) % len(cands)
 				switch i % 3 {
@@ -150,7 +150,7 @@ func TestPooledEngineNoStateLeak(t *testing.T) {
 		for i, tpl := range tpls {
 			want[i] = g.Run(tpl)
 		}
-		c := g.NewChecker()
+		c := chase.NewChecker(g)
 		// Two passes over the batch through one checker: the second pass
 		// catches state leaking across the whole first pass.
 		for pass := 0; pass < 2; pass++ {

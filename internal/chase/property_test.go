@@ -176,7 +176,7 @@ func TestEngineMatchesNaive(t *testing.T) {
 					t.Logf("seed %d: grounding error %v", seed, err)
 					return false
 				}
-				fast := g.Run(tpl)
+				fast := chase.RunTerminal(g, tpl)
 				slow := chase.Naive(spec, opts, tpl)
 
 				if fast.CR != slow.CR {
@@ -192,12 +192,12 @@ func TestEngineMatchesNaive(t *testing.T) {
 					return false
 				}
 				for a := 0; a < spec.Ie.Schema().Arity(); a++ {
-					fr, sr := fast.Orders.Attr(a), slow.Orders.Attr(a)
+					fr, sr := fast.Orders, slow.Orders
 					for i := 0; i < spec.Ie.Size(); i++ {
 						for j := 0; j < spec.Ie.Size(); j++ {
-							if i != j && fr.Has(i, j) != sr.Has(i, j) {
+							if i != j && fr.Has(a, i, j) != sr.Has(a, i, j) {
 								t.Logf("seed %d: order[%d] (%d,%d) fast=%v slow=%v",
-									seed, a, i, j, fr.Has(i, j), sr.Has(i, j))
+									seed, a, i, j, fr.Has(a, i, j), sr.Has(a, i, j))
 								return false
 							}
 						}
@@ -248,19 +248,18 @@ func TestOrdersStayValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res := g.Run(tpl)
+		res := chase.RunTerminal(g, tpl)
 		if !res.CR {
 			return true
 		}
 		n := spec.Ie.Size()
 		for a := 0; a < spec.Ie.Schema().Arity(); a++ {
-			rel := res.Orders.Attr(a)
-			if !rel.TransitiveOK() {
+			if !res.Orders.TransitiveOK(a) {
 				return false
 			}
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
-					if i != j && rel.Mutual(i, j) &&
+					if i != j && res.Orders.Mutual(a, i, j) &&
 						!spec.Ie.Value(i, a).Equal(spec.Ie.Value(j, a)) {
 						return false
 					}
@@ -285,7 +284,7 @@ func TestTargetDominates(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res := g.Run(nil)
+		res := chase.RunTerminal(g, nil)
 		if !res.CR {
 			return true
 		}
@@ -297,7 +296,7 @@ func TestTargetDominates(t *testing.T) {
 			}
 			// If the value occurs in the instance, some carrier must be
 			// dominated by no conflicting maximum; verify via Max.
-			m := res.Orders.Attr(a).Max()
+			m := res.Orders.Max(a)
 			if m >= 0 {
 				mv := spec.Ie.Value(m, a)
 				if !mv.IsNull() && !mv.Equal(v) {

@@ -53,7 +53,7 @@ func TestPooledResetAfterConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := g.NewChecker()
+	c := NewChecker(g)
 	e := c.e
 	assertClean := func(when string) {
 		t.Helper()
@@ -90,7 +90,7 @@ func TestPooledResetAfterConflict(t *testing.T) {
 	checkLikeFresh := func(when string) {
 		t.Helper()
 		for _, tmpl := range []*model.Tuple{tpl, nil} {
-			fresh := g.NewChecker()
+			fresh := NewChecker(g)
 			want := fresh.CheckConflict(tmpl)
 			if got := c.CheckConflict(tmpl); got != want {
 				t.Fatalf("%s, template %v: conflict %q, a fresh checker's %q", when, tmpl, got, want)
@@ -99,7 +99,7 @@ func TestPooledResetAfterConflict(t *testing.T) {
 				t.Fatalf("%s, template %v: te %s, a fresh checker's %s", when, tmpl, c.e.te, fresh.e.te)
 			}
 			for a := 0; a < g.nattr; a++ {
-				got, want := c.e.orders.Attr(a).Pairs(), fresh.e.orders.Attr(a).Pairs()
+				got, want := c.e.orders.Pairs(a), fresh.e.orders.Pairs(a)
 				if fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("%s, template %v: terminal order on attr %d differs from a fresh checker's", when, tmpl, a)
 				}

@@ -48,7 +48,7 @@ func TestVerdictMapBuiltByFirstCheck(t *testing.T) {
 			t.Fatalf("%s version: verdict map allocated before any check", name)
 		}
 	}
-	if !ext.NewChecker().Check(nil) {
+	if !NewChecker(ext).Check(nil) {
 		t.Fatal("the extended instance must be Church-Rosser")
 	}
 	if ext.verdicts.m == nil || len(ext.verdicts.m) != 1 {
@@ -62,7 +62,7 @@ func TestVerdictMapBuiltByFirstCheck(t *testing.T) {
 	}
 
 	off := twoTupleGrounding(t, true)
-	off.NewChecker().Check(nil)
+	NewChecker(off).Check(nil)
 	if off.verdicts.m != nil {
 		t.Fatal("a disabled verdict cache built its map")
 	}
@@ -99,7 +99,7 @@ func TestVerdictCacheRefusesWhenFull(t *testing.T) {
 // along a version chain, while each version starts with an empty map.
 func TestVerdictCountersSurviveExtend(t *testing.T) {
 	g := twoTupleGrounding(t, false)
-	c := g.NewChecker()
+	c := NewChecker(g)
 	c.Check(nil) // miss
 	c.Check(nil) // hit
 	ext, err := g.Extend(model.MustTuple(g.Schema(), model.I(3), model.S("y")))
@@ -112,7 +112,7 @@ func TestVerdictCountersSurviveExtend(t *testing.T) {
 	if st := ext.VerdictCacheStats(); st != (VerdictStats{Hits: 1, Misses: 1}) {
 		t.Fatalf("successor stats %+v, want the chain's 1 hit and 1 miss and no entry", st)
 	}
-	ext.NewChecker().Check(nil) // a miss: the parent's verdict stays with the parent
+	NewChecker(ext).Check(nil) // a miss: the parent's verdict stays with the parent
 	if st := ext.VerdictCacheStats(); st != (VerdictStats{Hits: 1, Misses: 2, Entries: 1}) {
 		t.Fatalf("successor stats %+v after its first check", st)
 	}

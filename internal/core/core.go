@@ -110,7 +110,8 @@ func (s *Session) Instance() *model.EntityInstance { return s.g.Instance() }
 
 // Deduce runs the chase from the all-null template: it decides the
 // Church-Rosser property and, when it holds, returns the deduced target
-// tuple and accuracy orders (algorithm IsCR, Fig. 4).
+// tuple (algorithm IsCR, Fig. 4). The accuracy orders are the chase's
+// working state and are not returned.
 func (s *Session) Deduce() *Result { return s.g.Run(nil) }
 
 // DeduceFrom runs the chase from a partially (or fully) instantiated

@@ -23,7 +23,7 @@ func fingerprintSession(t *testing.T, s *core.Session, topK int, algo core.Algor
 	if !res.CR {
 		return out
 	}
-	out += fmt.Sprintf(" target=%s steps=%d pairs=%d", res.Target.Key(), res.Steps, res.Orders.TotalPairs())
+	out += fmt.Sprintf(" target=%s steps=%d", res.Target.Key(), res.Steps)
 	if res.Target.Complete() || topK <= 0 {
 		return out
 	}

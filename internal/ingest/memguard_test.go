@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/er"
+	"repro/internal/gen"
 	"repro/internal/ingest"
 	"repro/internal/model"
 	"repro/internal/pipeline"
@@ -169,4 +170,52 @@ func TestSynthCSVWellFormed(t *testing.T) {
 	if lines := strings.Count(sb.String(), "\n"); lines != 101 {
 		t.Fatalf("%d lines, want 101", lines)
 	}
+}
+
+// liveEntityBudget bounds the heap one live gen.Med entity holds beyond
+// its evidence tuples: its grounding version and its settled deduction.
+// Measured as below, an entity held about 15.2 KB while a deduction kept
+// its terminal orders and an order set kept a header per attribute, and
+// about 9.3 KB since.
+const liveEntityBudget = 12_000
+
+// TestLiveMedEntityHeapGuard applies the 2,700 gen.Med entities to an
+// Updater configured as relaccd runs by default (deduce only, settled
+// memo on) and bounds the heap each live entity holds, measured as
+// HeapAlloc after GC with and without the store beside the dataset.
+func TestLiveMedEntityHeapGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation distorts heap accounting")
+	}
+	if testing.Short() {
+		t.Skip("2,700-entity store in -short mode")
+	}
+	ds := gen.Generate(gen.MedConfig())
+	ups := make([]pipeline.Update, len(ds.Entities))
+	for i, e := range ds.Entities {
+		ups[i] = pipeline.Update{Key: fmt.Sprintf("e%05d", i), Tuples: e.Instance.Tuples()}
+	}
+	before := heapAfterGC()
+	u, err := pipeline.NewUpdater(ds.Schema, pipeline.Config{Master: ds.Master, Rules: ds.Rules})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, sum, err := u.Apply(ups); err != nil || sum.Errors > 0 {
+		t.Fatalf("apply: err=%v, %d entity errors", err, sum.Errors)
+	}
+	per := (float64(heapAfterGC()) - float64(before)) / float64(u.Len())
+	runtime.KeepAlive(u)
+	runtime.KeepAlive(ups)
+	t.Logf("%d live Med entities hold %.0f B of heap each", u.Len(), per)
+	if per > liveEntityBudget {
+		t.Fatalf("a live Med entity holds %.0f B of heap, over the %d B budget", per, liveEntityBudget)
+	}
+}
+
+// heapAfterGC returns HeapAlloc right after a collection.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

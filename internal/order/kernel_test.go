@@ -3,13 +3,14 @@ package order
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // AddAllTo32 is AddAllToWords visiting one pair at a time, the shape
 // the reference refAddAllTo32 reports in.
-func (r *Relation) AddAllTo32(group []uint32, visit func(from, to int)) {
-	r.AddAllToWords(group, func(p, wi int, diff uint64) bool {
+func (s *Set) AddAllTo32(a int, group []uint32, visit func(from, to int)) {
+	s.AddAllToWords(a, group, func(p, wi int, diff uint64) bool {
 		base := wi << 6
 		for d := diff; d != 0; d &= d - 1 {
 			visit(p, base+bits.TrailingZeros64(d))
@@ -18,10 +19,11 @@ func (r *Relation) AddAllTo32(group []uint32, visit func(from, to int)) {
 	})
 }
 
-// DirtyRows returns the number of rows currently marked dirty.
-func (r *Relation) DirtyRows() int {
+// DirtyRows returns the number of (attribute, row) slots currently
+// marked dirty.
+func (s *Set) DirtyRows() int {
 	c := 0
-	for _, word := range r.dirty {
+	for _, word := range s.dirty {
 		c += bits.OnesCount64(word)
 	}
 	return c
@@ -32,31 +34,38 @@ func (r *Relation) DirtyRows() int {
 // bit, two words, and the small degenerate sizes.
 var kernelSizes = []int{0, 1, 2, 3, 7, 63, 64, 65, 127, 128, 129}
 
-// randomRelation drives r (and its mirror, when non-nil) through a
+// The differential tests run every kernel on attribute ka of a Set of
+// kattrs attributes, so each kernel's offset arithmetic is exercised
+// and a write that strays into a neighbouring attribute fails sameRows.
+const kattrs, ka = 3, 1
+
+// randomRelation drives attribute ka of a new Set through a
 // deterministic random op sequence using only the naive reference
 // mutators, so the resulting matrix is trusted ground truth for the
 // read-kernel comparisons.
-func randomRelation(rng *rand.Rand, n int, density float64) *Relation {
-	r := New(n)
+func randomRelation(rng *rand.Rand, n int, density float64) *Set {
+	s := NewSet(kattrs, n)
 	if n == 0 {
-		return r
+		return s
 	}
 	pairs := int(float64(n*n) * density / float64(n))
 	if pairs < 1 {
 		pairs = 1
 	}
 	for k := 0; k < pairs; k++ {
-		r.refAdd(rng.Intn(n), rng.Intn(n))
+		s.refAdd(ka, rng.Intn(n), rng.Intn(n))
 	}
-	return r
+	return s
 }
 
-func sameRows(a, b *Relation) bool {
-	if a.n != b.n || a.w != b.w || len(a.rows) != len(b.rows) {
+// sameRows reports whether a and b hold the same slab, with every bit
+// of a in attribute ka.
+func sameRows(a, b *Set) bool {
+	if a.n != b.n || a.w != b.w || !slices.Equal(a.rows, b.rows) {
 		return false
 	}
-	for i, w := range a.rows {
-		if b.rows[i] != w {
+	for at := 0; at < a.attrs; at++ {
+		if at != ka && slices.ContainsFunc(a.matrix(at), func(w uint64) bool { return w != 0 }) {
 			return false
 		}
 	}
@@ -73,20 +82,20 @@ func TestKernelMaxDifferential(t *testing.T) {
 		for _, density := range []float64{0, 0.1, 0.5, 1.5, 8} {
 			for trial := 0; trial < 8; trial++ {
 				r := randomRelation(rng, n, density)
-				if got, want := r.Max(), r.refMax(); got != want {
+				if got, want := r.Max(ka), r.refMax(ka); got != want {
 					t.Fatalf("n=%d density=%v: Max=%d refMax=%d", n, density, got, want)
 				}
 			}
 		}
 		// Full clique: every index is maximal; both must pick index 0.
 		if n > 0 {
-			r := New(n)
+			r := NewSet(kattrs, n)
 			members := make([]uint32, n)
 			for i := range members {
 				members[i] = uint32(i)
 			}
-			r.SetClique32(members)
-			if got, want := r.Max(), r.refMax(); got != want || got != 0 {
+			r.SetClique32(ka, members)
+			if got, want := r.Max(ka), r.refMax(ka); got != want || got != 0 {
 				t.Fatalf("n=%d clique: Max=%d refMax=%d", n, got, want)
 			}
 		}
@@ -101,10 +110,10 @@ func TestKernelLenAndTransitiveDifferential(t *testing.T) {
 	for _, n := range kernelSizes {
 		for trial := 0; trial < 8; trial++ {
 			r := randomRelation(rng, n, 1.2)
-			if got, want := r.Len(), r.refLen(); got != want {
+			if got, want := r.Len(ka), r.refLen(ka); got != want {
 				t.Fatalf("n=%d: Len=%d refLen=%d", n, got, want)
 			}
-			if got, want := r.TransitiveOK(), r.refTransitiveOK(); got != want || !got {
+			if got, want := r.TransitiveOK(ka), r.refTransitiveOK(ka); got != want || !got {
 				t.Fatalf("n=%d: TransitiveOK=%v ref=%v (closed relation)", n, got, want)
 			}
 		}
@@ -112,13 +121,13 @@ func TestKernelLenAndTransitiveDifferential(t *testing.T) {
 			continue // can't break closure without a 3-chain
 		}
 		// Break the closure by hand: derive 0 ⪯ 1 ⪯ 2 then clear 0 ⪯ 2.
-		r := New(n)
-		r.refAdd(0, 1)
-		r.refAdd(1, 2)
-		r.rows[0*r.w+(2>>6)] &^= 1 << 2
-		if r.TransitiveOK() || r.refTransitiveOK() {
+		r := NewSet(kattrs, n)
+		r.refAdd(ka, 0, 1)
+		r.refAdd(ka, 1, 2)
+		r.row(ka, 0)[2>>6] &^= 1 << 2
+		if r.TransitiveOK(ka) || r.refTransitiveOK(ka) {
 			t.Fatalf("n=%d: broken closure not detected (TransitiveOK=%v ref=%v)",
-				n, r.TransitiveOK(), r.refTransitiveOK())
+				n, r.TransitiveOK(ka), r.refTransitiveOK(ka))
 		}
 	}
 }
@@ -132,11 +141,11 @@ func TestKernelAddDifferential(t *testing.T) {
 		if n == 0 {
 			continue
 		}
-		fast, ref := New(n), New(n)
+		fast, ref := NewSet(kattrs, n), NewSet(kattrs, n)
 		for step := 0; step < 4*n+8; step++ {
 			i, j := rng.Intn(n), rng.Intn(n)
-			got := fast.Add(i, j)
-			want := ref.refAdd(i, j)
+			got := fast.Add(ka, i, j)
+			want := ref.refAdd(ka, i, j)
 			if len(got) != len(want) {
 				t.Fatalf("n=%d Add(%d,%d): %d pairs, ref %d", n, i, j, len(got), len(want))
 			}
@@ -149,7 +158,7 @@ func TestKernelAddDifferential(t *testing.T) {
 				t.Fatalf("n=%d Add(%d,%d): matrices diverged", n, i, j)
 			}
 		}
-		if !fast.TransitiveOK() {
+		if !fast.TransitiveOK(ka) {
 			t.Fatalf("n=%d: closure lost after Add sequence", n)
 		}
 	}
@@ -164,16 +173,16 @@ func TestKernelAddAllToDifferential(t *testing.T) {
 		if n == 0 {
 			continue
 		}
-		fast, ref := randomRelation(rng, n, 0.5), New(n)
-		ref.CopyFrom(fast)
+		fast := randomRelation(rng, n, 0.5)
+		ref := fast.Clone()
 		for step := 0; step < 6; step++ {
 			group := make([]uint32, 1+rng.Intn(3))
 			for k := range group {
 				group[k] = uint32(rng.Intn(n))
 			}
 			var got, want []Pair
-			fast.AddAllTo32(group, func(f, to int) { got = append(got, Pair{f, to}) })
-			ref.refAddAllTo32(group, func(f, to int) { want = append(want, Pair{f, to}) })
+			fast.AddAllTo32(ka, group, func(f, to int) { got = append(got, Pair{f, to}) })
+			ref.refAddAllTo32(ka, group, func(f, to int) { want = append(want, Pair{f, to}) })
 			if len(got) != len(want) {
 				t.Fatalf("n=%d group %v: %d pairs, ref %d", n, group, len(got), len(want))
 			}
@@ -196,12 +205,12 @@ func TestKernelAddAllToDifferential(t *testing.T) {
 func TestKernelAddDiffs(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, n := range []int{5, 65, 129} {
-		fast, ref := randomRelation(rng, n, 0.4), New(n)
-		ref.CopyFrom(fast)
+		fast := randomRelation(rng, n, 0.4)
+		ref := fast.Clone()
 		for step := 0; step < 3*n; step++ {
 			i, j := rng.Intn(n), rng.Intn(n)
 			var got []Pair
-			for _, d := range fast.AddDiffs(i, j) {
+			for _, d := range fast.AddDiffs(ka, i, j) {
 				if d.Bits == 0 {
 					t.Fatalf("n=%d AddDiffs(%d,%d): empty word diff", n, i, j)
 				}
@@ -210,7 +219,7 @@ func TestKernelAddDiffs(t *testing.T) {
 					got = append(got, Pair{From: int(d.Row), To: base + bits.TrailingZeros64(bs)})
 				}
 			}
-			want := ref.refAdd(i, j)
+			want := ref.refAdd(ka, i, j)
 			if len(got) != len(want) {
 				t.Fatalf("n=%d AddDiffs(%d,%d): %d pairs, ref %d", n, i, j, len(got), len(want))
 			}
@@ -237,12 +246,12 @@ func TestKernelDirtyTracking(t *testing.T) {
 		for step := 0; step < 2*n; step++ {
 			switch rng.Intn(3) {
 			case 0:
-				tr.Add(rng.Intn(n), rng.Intn(n))
+				tr.Add(ka, rng.Intn(n), rng.Intn(n))
 			case 1:
 				group := []uint32{uint32(rng.Intn(n))}
-				tr.AddAllTo32(group, func(int, int) {})
+				tr.AddAllTo32(ka, group, func(int, int) {})
 			case 2:
-				tr.SetClique32([]uint32{uint32(rng.Intn(n)), uint32(rng.Intn(n))})
+				tr.SetClique32(ka, []uint32{uint32(rng.Intn(n)), uint32(rng.Intn(n))})
 			}
 		}
 		tr.ResetFrom(base)
@@ -255,11 +264,12 @@ func TestKernelDirtyTracking(t *testing.T) {
 	}
 }
 
-// FuzzRelationOps feeds a byte-string op program to a tracked relation
+// FuzzRelationOps feeds a byte-string op program to a tracked set
 // and its naive mirror: every mutation runs through both the word-
-// parallel kernel and the reference, and after each op the matrices,
-// Max and closure must agree; at the end the tracked relation must
-// restore its base exactly.
+// parallel kernel and the reference, on the attribute the op byte
+// names, and after each op the slabs, and that attribute's Max, Len
+// and closure, must agree; at the end the tracked set must restore its
+// base exactly.
 func FuzzRelationOps(f *testing.F) {
 	f.Add([]byte{65, 0, 1, 2, 3, 1, 4, 5, 2, 6, 7, 8})
 	f.Add([]byte{129, 0, 10, 20, 3, 200, 100, 50})
@@ -269,61 +279,61 @@ func FuzzRelationOps(f *testing.F) {
 			return
 		}
 		n := int(program[0])%130 + 1
-		base := New(n)
+		base := NewSet(kattrs, n)
 		fast := base.CloneTracked()
-		ref := New(n)
+		ref := NewSet(kattrs, n)
 		program = program[1:]
 		for len(program) >= 3 {
-			op, a, b := program[0]%3, int(program[1])%n, int(program[2])%n
+			op, at, a, b := program[0]%3, int(program[0]/3)%kattrs, int(program[1])%n, int(program[2])%n
 			program = program[3:]
 			switch op {
 			case 0: // single pair
-				got := fast.Add(a, b)
-				want := ref.refAdd(a, b)
+				got := fast.Add(at, a, b)
+				want := ref.refAdd(at, a, b)
 				if len(got) != len(want) {
-					t.Fatalf("Add(%d,%d): %d pairs vs ref %d", a, b, len(got), len(want))
+					t.Fatalf("Add(%d,%d,%d): %d pairs vs ref %d", at, a, b, len(got), len(want))
 				}
 				for k := range got {
 					if got[k] != want[k] {
-						t.Fatalf("Add(%d,%d) pair %d: %v vs %v", a, b, k, got[k], want[k])
+						t.Fatalf("Add(%d,%d,%d) pair %d: %v vs %v", at, a, b, k, got[k], want[k])
 					}
 				}
 			case 1: // bulk ϕ8 group
 				group := []uint32{uint32(a), uint32(b)}
 				var got, want []Pair
-				fast.AddAllTo32(group, func(x, y int) { got = append(got, Pair{x, y}) })
-				ref.refAddAllTo32(group, func(x, y int) { want = append(want, Pair{x, y}) })
+				fast.AddAllTo32(at, group, func(x, y int) { got = append(got, Pair{x, y}) })
+				ref.refAddAllTo32(at, group, func(x, y int) { want = append(want, Pair{x, y}) })
 				if len(got) != len(want) {
-					t.Fatalf("AddAllTo(%v): %d pairs vs ref %d", group, len(got), len(want))
+					t.Fatalf("AddAllTo(%d,%v): %d pairs vs ref %d", at, group, len(got), len(want))
 				}
 				for k := range got {
 					if got[k] != want[k] {
-						t.Fatalf("AddAllTo(%v) pair %d: %v vs %v", group, k, got[k], want[k])
+						t.Fatalf("AddAllTo(%d,%v) pair %d: %v vs %v", at, group, k, got[k], want[k])
 					}
 				}
 			case 2: // clique seed (closure-safe only on matching state; use refAdd path)
-				got := fast.Add(a, a)
-				want := ref.refAdd(a, a)
+				got := fast.Add(at, a, a)
+				want := ref.refAdd(at, a, a)
 				if len(got) != len(want) {
-					t.Fatalf("Add(%d,%d) reflexive: %d pairs vs ref %d", a, a, len(got), len(want))
+					t.Fatalf("Add(%d,%d,%d) reflexive: %d pairs vs ref %d", at, a, a, len(got), len(want))
 				}
 			}
-			if !sameRows(fast, ref) {
-				t.Fatal("matrices diverged")
+			if !slices.Equal(fast.rows, ref.rows) {
+				t.Fatal("slabs diverged")
 			}
-			if fast.Max() != ref.refMax() {
-				t.Fatalf("Max=%d refMax=%d", fast.Max(), ref.refMax())
+			if fast.Max(at) != ref.refMax(at) {
+				t.Fatalf("Max(%d)=%d refMax=%d", at, fast.Max(at), ref.refMax(at))
 			}
-			if fast.Len() != ref.refLen() {
-				t.Fatalf("Len=%d refLen=%d", fast.Len(), ref.refLen())
+			if fast.Len(at) != ref.refLen(at) {
+				t.Fatalf("Len(%d)=%d refLen=%d", at, fast.Len(at), ref.refLen(at))
 			}
-			if !fast.TransitiveOK() || !ref.refTransitiveOK() {
+			if !fast.TransitiveOK(at) || !ref.refTransitiveOK(at) {
 				t.Fatal("closure lost")
 			}
 		}
 		fast.ResetFrom(base)
-		if !sameRows(fast, base) {
-			t.Fatal("ResetFrom did not restore the base matrix")
+		if !slices.Equal(fast.rows, base.rows) {
+			t.Fatal("ResetFrom did not restore the base slab")
 		}
 	})
 }

@@ -12,9 +12,9 @@ import "math/bits"
 // over speed.
 
 // refMax is the O(n²) probe-based Max: scan columns left to right and
-// return the first column j whose every other row i has i ⪯ j.
-func (r *Relation) refMax() int {
-	n := r.n
+// return the first column j whose every other row i has i ⪯a j.
+func (s *Set) refMax(a int) int {
+	n := s.n
 	if n == 0 {
 		return -1
 	}
@@ -27,7 +27,7 @@ outer:
 			if i == j {
 				continue
 			}
-			if !r.Has(i, j) {
+			if !s.Has(a, i, j) {
 				continue outer
 			}
 		}
@@ -37,22 +37,22 @@ outer:
 }
 
 // refLen counts non-reflexive derived pairs by enumerating them.
-func (r *Relation) refLen() int {
+func (s *Set) refLen(a int) int {
 	c := 0
-	r.VisitPairs(func(_, _ int) { c++ })
+	s.visitPairs(a, func(_, _ int) { c++ })
 	return c
 }
 
 // refTransitiveOK is the O(n³) probe-based closure check.
-func (r *Relation) refTransitiveOK() bool {
-	n := r.n
+func (s *Set) refTransitiveOK(a int) bool {
+	n := s.n
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if i == j || !r.Has(i, j) {
+			if i == j || !s.Has(a, i, j) {
 				continue
 			}
 			for k := 0; k < n; k++ {
-				if r.Has(j, k) && !r.Has(i, k) {
+				if s.Has(a, j, k) && !s.Has(a, i, k) {
 					return false
 				}
 			}
@@ -63,27 +63,27 @@ func (r *Relation) refTransitiveOK() bool {
 
 // refAdd is the probe-based closure insertion: build the successor mask
 // of j, then OR it into row i and into every row p found by probing all
-// n rows for p ⪯ i. It allocates its own buffers so a test can drive
-// refAdd and Add against relations that share nothing.
-func (r *Relation) refAdd(i, j int) []Pair {
-	if r.Has(i, j) {
+// n rows for p ⪯a i. It allocates its own buffers so a test can drive
+// refAdd and Add against sets that share nothing.
+func (s *Set) refAdd(a, i, j int) []Pair {
+	if s.Has(a, i, j) {
 		return nil
 	}
-	w := r.w
+	w := s.w
 	mask := make([]uint64, w)
-	copy(mask, r.row(j))
+	copy(mask, s.row(a, j))
 	mask[j>>6] |= 1 << (uint(j) & 63)
 
 	var added []Pair
 	apply := func(p int) {
-		row := r.row(p)
+		row := s.row(a, p)
 		for wi := 0; wi < w; wi++ {
 			diff := mask[wi] &^ row[wi]
 			if diff == 0 {
 				continue
 			}
 			row[wi] |= diff
-			r.markRow(p)
+			markRow(s.dirtyOf(a), p)
 			for diff != 0 {
 				b := diff & -diff
 				added = append(added, Pair{From: p, To: wi<<6 + bits.TrailingZeros64(b)})
@@ -92,8 +92,8 @@ func (r *Relation) refAdd(i, j int) []Pair {
 		}
 	}
 	apply(i)
-	for p := 0; p < r.n; p++ {
-		if p != i && r.Has(p, i) {
+	for p := 0; p < s.n; p++ {
+		if p != i && s.Has(a, p, i) {
 			apply(p)
 		}
 	}
@@ -103,28 +103,28 @@ func (r *Relation) refAdd(i, j int) []Pair {
 // refAddAllTo32 is the per-pair ϕ8 bulk insertion: accumulate the
 // group's successor mask, then OR it into every row, visiting each new
 // pair. Like refAdd it allocates its own mask buffer.
-func (r *Relation) refAddAllTo32(group []uint32, visit func(from, to int)) {
+func (s *Set) refAddAllTo32(a int, group []uint32, visit func(from, to int)) {
 	if len(group) == 0 {
 		return
 	}
-	w := r.w
+	w := s.w
 	mask := make([]uint64, w)
 	for _, g := range group {
-		row := r.row(int(g))
+		row := s.row(a, int(g))
 		for wi := 0; wi < w; wi++ {
 			mask[wi] |= row[wi]
 		}
 		mask[g>>6] |= 1 << (uint(g) & 63)
 	}
-	for p := 0; p < r.n; p++ {
-		row := r.row(p)
+	for p := 0; p < s.n; p++ {
+		row := s.row(a, p)
 		for wi := 0; wi < w; wi++ {
 			diff := mask[wi] &^ row[wi]
 			if diff == 0 {
 				continue
 			}
 			row[wi] |= diff
-			r.markRow(p)
+			markRow(s.dirtyOf(a), p)
 			for diff != 0 {
 				b := diff & -diff
 				visit(p, wi<<6+bits.TrailingZeros64(b))

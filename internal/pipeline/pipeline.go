@@ -134,8 +134,8 @@ type Result struct {
 	// partial candidates of a budget abort; empty for errors that
 	// stop a search before it checks anything).
 	Err error
-	// Deduction is the chase outcome: Church-Rosser verdict, deduced
-	// target and terminal accuracy orders.
+	// Deduction is the chase outcome: Church-Rosser verdict and
+	// deduced target.
 	Deduction *chase.Result
 	// Candidates holds the top-k candidate targets when the deduced
 	// target was incomplete and Config.TopK > 0.

@@ -127,11 +127,11 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := chase.Deduce(chase.Spec{Ie: ie, Im: im, Rules: rs}, chase.Options{})
+	g, err := chase.NewGrounding(chase.Spec{Ie: ie, Im: im, Rules: rs}, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.CR || !res.Target.EqualTo(paperdata.Target()) {
+	if res := g.Run(nil); !res.CR || !res.Target.EqualTo(paperdata.Target()) {
 		t.Errorf("parsed rules deduce %v (CR=%v)", res.Target, res.CR)
 	}
 }

@@ -59,16 +59,16 @@ func Voting(ie *model.EntityInstance) *model.Tuple {
 // Remark in Section 2.1). The returned target may be incomplete —
 // DeduceOrder never guesses.
 func DeduceOrder(ie *model.EntityInstance, im *model.MasterRelation, rules *rule.Set) (*model.Tuple, error) {
-	res, err := chase.Deduce(chase.Spec{Ie: ie, Im: im, Rules: rules}, chase.Options{})
+	g, err := chase.NewGrounding(chase.Spec{Ie: ie, Im: im, Rules: rules}, chase.Options{})
 	if err != nil {
 		return nil, err
 	}
-	if !res.CR {
-		// Conflicting currency information: resolve nothing, as [14]
-		// reports no answer for irreconcilable orders.
-		return model.NewTuple(ie.Schema()), nil
+	if res := g.Run(nil); res.CR {
+		return res.Target, nil
 	}
-	return res.Target, nil
+	// Conflicting currency information: resolve nothing, as [14]
+	// reports no answer for irreconcilable orders.
+	return model.NewTuple(ie.Schema()), nil
 }
 
 // Claim is one source's assertion about one attribute of one entity —

@@ -95,8 +95,9 @@ type (
 	Candidate = core.Candidate
 	// SearchStats reports the work a top-k search performed.
 	SearchStats = core.SearchStats
-	// DeduceResult is a chase outcome: Church-Rosser verdict, deduced
-	// target tuple and terminal accuracy orders.
+	// DeduceResult is a chase outcome: Church-Rosser verdict (with the
+	// first invalid step when it fails), deduced target tuple and
+	// residual step count.
 	DeduceResult = core.Result
 	// Oracle drives the interactive framework of Section 4.
 	Oracle = core.Oracle

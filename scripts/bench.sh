@@ -35,9 +35,13 @@
 #   BENCHTIME  go test -benchtime value (default 1s; CI smoke uses 1x)
 #   COUNT      runs per benchmark, or pairs of runs in paired mode
 #              (default 1)
+#   FUNCS      the benchmark functions to run, named without their
+#              Benchmark prefix and separated by spaces (default: the
+#              tracked list below), e.g. FUNCS="CheckPooled OrderAdd"
 #
 # The tracked benchmarks are the hot paths the performance PRs moved:
-#   BenchmarkCheckPooled     allocation-free candidate check, verdict
+#   BenchmarkCheckPooled     allocation-free candidate check (through
+#                            Grounding.Check), verdict
 #                            cache disabled — the raw chase   (PR 1/4)
 #   BenchmarkCheckCached     the same repeated check with the verdict
 #                            cache on (the default): a hit    (PR 7)
@@ -60,8 +64,8 @@
 #   BenchmarkRecoveryReplay  cold boot: log scan + full replay (PR 6)
 #   BenchmarkTopKWarmQuery   repeated Updater.Query, cold (both caches
 #                            off) vs warm (settled memo hit)   (PR 7)
-#   BenchmarkColdCheck       checker construction + first chase on a
-#                            fresh grounding version            (PR 8)
+#   BenchmarkColdCheck       one Grounding.Run: a fresh engine (clone
+#                            of the base orders) + one chase
 #   BenchmarkOrderAdd        closure-restoring chain insertion on one
 #                            order matrix                       (PR 8)
 #   BenchmarkOrderMax        word-parallel λ scan on a full clique (PR 8)
@@ -90,9 +94,9 @@ if [ -n "$parent" ] && [ ! -f "$parent/go.mod" ]; then
     exit 2
 fi
 
-funcs="CheckPooled CheckCached ColdCheck OrderAdd OrderMax TopKCT900
+funcs="${FUNCS:-CheckPooled CheckCached ColdCheck OrderAdd OrderMax TopKCT900
 IncrementalAdd UpdaterApply WALAppend RecoveryReplay TopKWarmQuery
-StreamIngest Instantiation TopKCold"
+StreamIngest Instantiation TopKCold}"
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
