@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/chase"
 	"repro/internal/gen"
@@ -150,5 +151,14 @@ func TestInstantiationAllocBound(t *testing.T) {
 	t.Logf("%.1f allocations per Med grounding", n)
 	if n > instantiationAllocBound {
 		t.Fatalf("one Med grounding allocates %.1f times on average, bound %d", n, instantiationAllocBound)
+	}
+}
+
+// TestGroundingSize bounds the struct every grounding version is: the
+// Shared's compiled state is read through one pointer, not copied into
+// each version, so a version fits Go's 480 B size class.
+func TestGroundingSize(t *testing.T) {
+	if got := unsafe.Sizeof(chase.Grounding{}); got > 480 {
+		t.Fatalf("unsafe.Sizeof(Grounding{}) = %d, want at most 480", got)
 	}
 }

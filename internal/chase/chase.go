@@ -297,9 +297,12 @@ type corrRule struct {
 // it interned at grounding time. So a tuple handed to a grounding, by
 // NewGrounding or Extend, must not change afterwards.
 type Grounding struct {
-	ie        *model.EntityInstance
-	im        *model.MasterRelation
-	schema    *model.Schema
+	ie *model.EntityInstance
+	// sh is the groundwork this grounding was built on: its schema,
+	// master relation, compiled rules and master columns, shared by
+	// every grounding and version of it. Only MasterColumn writes
+	// through it, ranking a column once.
+	sh        *Shared
 	n         int // |Ie|
 	nattr     int
 	useAxioms bool
@@ -315,15 +318,14 @@ type Grounding struct {
 	// rows (ids), value groups in CSR form (grpOff, gIDs, memOff,
 	// members — the paper's value-equality classes, feeding axioms
 	// ϕ8/ϕ9) and guard ranks (rankOK, ranks) for the Shared's rank
-	// slots, whose attributes rankAttrs lists.
-	ids       []uint32
-	grpOff    []uint32
-	gIDs      []uint32
-	memOff    []uint32
-	members   []uint32
-	rankOK    []uint32
-	ranks     []uint32
-	rankAttrs []int32
+	// slots.
+	ids     []uint32
+	grpOff  []uint32
+	gIDs    []uint32
+	memOff  []uint32
+	members []uint32
+	rankOK  []uint32
+	ranks   []uint32
 
 	// steps are the materialised ground steps; orderTrig and
 	// targetTrig ([attr] -> premises te[attr] op v, form-1 only) index
@@ -332,21 +334,6 @@ type Grounding struct {
 	steps      []groundStep
 	orderTrig  map[uint64][]predRef
 	targetTrig [][]predRef
-
-	// form1 and corrs are the Shared's compiled form-(1) rules, read
-	// by every grounding and version of it and never written.
-	form1 []form1Rule
-	corrs [][]corrRule
-
-	// Form-(2) rules are grounded lazily: each (rule, master row) pair
-	// waits on its first unmet condition, indexed by (attr, value key);
-	// when te[attr] takes that exact value the entry advances to its
-	// next unmet condition or fires. This keeps Instantiation linear in
-	// |Im| without materialising a ground step per master tuple, and
-	// target-assignment triggers O(matching rows) instead of O(|Im|).
-	form2 *form2Index
-	// master is the Shared's ranked master columns, shared like form2.
-	master []masterColumn
 
 	baseOrders   *order.Set
 	baseCounts   []int32 // [attr·n + j]: the base state's λ counts
@@ -403,10 +390,10 @@ func NewGrounding(spec Spec, opts Options) (*Grounding, error) {
 func (g *Grounding) Instance() *model.EntityInstance { return g.ie }
 
 // Master returns the master relation (possibly nil).
-func (g *Grounding) Master() *model.MasterRelation { return g.im }
+func (g *Grounding) Master() *model.MasterRelation { return g.sh.im }
 
 // Schema returns the entity schema.
-func (g *Grounding) Schema() *model.Schema { return g.schema }
+func (g *Grounding) Schema() *model.Schema { return g.sh.schema }
 
 // Dict returns the dictionary this grounding's IDs refer to: the
 // entity's overlay of the Shared's base, shared by every version
@@ -493,11 +480,12 @@ func (g *Grounding) Count(a int, id uint32) int { return len(g.groupFor(int32(a)
 //
 //relacc:grounding-builder
 func (g *Grounding) MasterColumn(a int) []MasterValue {
-	if g.master == nil || g.master[a].ma < 0 {
+	sh := g.sh
+	if sh.master == nil || sh.master[a].ma < 0 {
 		return nil
 	}
-	g.master[a].once.Do(func() { g.master[a].ranked = rankMaster(g.im, g.master[a].ma, g.dict) })
-	return g.master[a].ranked
+	sh.master[a].once.Do(func() { sh.master[a].ranked = rankMaster(sh.im, sh.master[a].ma, g.dict) })
+	return sh.master[a].ranked
 }
 
 // val returns tuple i's value at attribute a, read from the tuple
@@ -525,8 +513,8 @@ func (g *Grounding) valEq(attr, i, j int32) bool {
 // of the full O(‖Σ‖·n²) rebuild.
 func (g *Grounding) ground(oldN int32, e *engine, sc *buildScratch) {
 	ok2 := grow(&sc.ok2, g.n)
-	for k := range g.form1 {
-		g.groundForm1(&g.form1[k], e, oldN, ok2)
+	for k := range g.sh.form1 {
+		g.groundForm1(&g.sh.form1[k], e, oldN, ok2)
 	}
 }
 
@@ -871,8 +859,8 @@ func (g *Grounding) runWith(e *engine, template *model.Tuple) {
 			}
 		}
 	}
-	for _, entry := range g.form2.zero {
-		attr, val, vid := g.form2.consequence(g.im, entry)
+	for _, entry := range g.sh.form2.zero {
+		attr, val, vid := g.sh.form2.consequence(g.sh.im, entry)
 		e.pushTarget(attr, val, vid)
 	}
 	for s := range g.steps {

@@ -182,7 +182,7 @@ func newRunEngine(g *Grounding, orders *order.Set) *engine {
 		g:      g,
 		orders: orders,
 		counts: append([]int32(nil), g.baseCounts...),
-		te:     model.NewTuple(g.schema),
+		te:     model.NewTuple(g.sh.schema),
 		teID:   make([]uint32, g.nattr),
 		npred:  append([]int32(nil), g.baseNpred...),
 		dead:   make([]bool, len(g.steps)),
@@ -264,7 +264,7 @@ func (e *engine) pushTarget(attr int32, v model.Value, vid uint32) {
 		e.tgtQ = append(e.tgtQ, attr)
 		return
 	}
-	e.conflict = fmt.Sprintf("target conflict on %s: %s vs %s", e.g.schema.Attr(int(attr)), cur, v)
+	e.conflict = fmt.Sprintf("target conflict on %s: %s vs %s", e.g.sh.schema.Attr(int(attr)), cur, v)
 }
 
 func (e *engine) pushStep(s int32) {
@@ -376,7 +376,7 @@ func (e *engine) derivedWord(attr int32, x int32, wi int, diff uint64) {
 					if cur := e.teID[attr]; cur != model.NullID && cur != vid {
 						e.conflict = fmt.Sprintf(
 							"λ conflict on %s: maximum value %s contradicts te value %s",
-							e.g.schema.Attr(int(attr)), e.g.val(attr, y), e.te.At(int(attr)))
+							e.g.sh.schema.Attr(int(attr)), e.g.val(attr, y), e.te.At(int(attr)))
 						return
 					}
 					if e.pushTarget(attr, e.g.val(attr, y), vid); e.conflict != "" {
@@ -425,7 +425,7 @@ func (e *engine) fireOrderRefs(refs []predRef) {
 // extra premises — the common shape — forwards the whole word without
 // touching any bit.
 func (e *engine) fireCorrWord(attr, x int32, wi int, diff uint64) {
-	crs := e.g.corrs[attr]
+	crs := e.g.sh.corrs[attr]
 	if len(crs) == 0 {
 		return
 	}
@@ -523,7 +523,7 @@ func (e *engine) fireTargetRefs(refs []predRef, v model.Value, vid uint32) {
 // re-registration are all integer-only.
 func (e *engine) fireForm2(attr int32, vid uint32) {
 	key := f2Key(attr, vid)
-	entries := e.g.form2.trig[key]
+	entries := e.g.sh.form2.trig[key]
 	if more := e.form2More[key]; len(more) > 0 {
 		// Later re-registrations go to other keys (te[attr] is set
 		// now), so the merged list is stable while the loop runs.
@@ -532,10 +532,10 @@ func (e *engine) fireForm2(attr int32, vid uint32) {
 		e.form2More[key] = more[:0]
 	}
 	for _, entry := range entries {
-		nextAttr, want, pending := e.g.form2.nextCond(entry, e.teID)
+		nextAttr, want, pending := e.g.sh.form2.nextCond(entry, e.teID)
 		switch {
 		case !pending:
-			tgt, val, cid := e.g.form2.consequence(e.g.im, entry)
+			tgt, val, cid := e.g.sh.form2.consequence(e.g.sh.im, entry)
 			e.pushTarget(tgt, val, cid)
 		case nextAttr < 0:
 			// dead: a condition mismatched
@@ -552,5 +552,5 @@ func (e *engine) fireForm2(attr int32, vid uint32) {
 func (e *engine) conflictPair(attr, i, j int32) {
 	e.conflict = fmt.Sprintf(
 		"order conflict on %s: tuples %d and %d are mutually more accurate with values %s vs %s",
-		e.g.schema.Attr(int(attr)), i, j, e.g.val(attr, i), e.g.val(attr, j))
+		e.g.sh.schema.Attr(int(attr)), i, j, e.g.val(attr, i), e.g.val(attr, j))
 }

@@ -38,9 +38,9 @@ func FillVerdictCache(g *Grounding, free int) {
 // attribute's rank slot, which g's rules must have opened — and
 // evaluates it on the tuple pair (i, j), standing for (t1, t2).
 func EvalCmp(g *Grounding, p rule.Pred, i, j int) bool {
-	sh := &Shared{schema: g.schema, rankAttrs: slices.Clip(g.rankAttrs)}
+	sh := &Shared{schema: g.sh.schema, rankAttrs: slices.Clip(g.sh.rankAttrs)}
 	cp := sh.compileCmp(&p)
-	if cp.kind == cmpRank && int(cp.slot) >= len(g.rankAttrs) {
+	if cp.kind == cmpRank && int(cp.slot) >= len(g.sh.rankAttrs) {
 		panic("chase: EvalCmp on an attribute g's rules do not rank")
 	}
 	return g.evalCmpOnPair(&cp, int32(i), int32(j))
@@ -48,7 +48,7 @@ func EvalCmp(g *Grounding, p rule.Pred, i, j int) bool {
 
 // Ranked reports whether g ranked attribute a's values for its guards.
 func Ranked(g *Grounding, a int) bool {
-	s := slices.Index(g.rankAttrs, int32(a))
+	s := slices.Index(g.sh.rankAttrs, int32(a))
 	return s >= 0 && g.rankOK[s] != 0
 }
 

@@ -72,8 +72,7 @@ func (g *Grounding) Extend(tuples ...*model.Tuple) (*Grounding, error) {
 func (p *Grounding) extend(ie *model.EntityInstance, dict *model.Dict, counts *verdictCounts, useAxioms bool) *Grounding {
 	g := &Grounding{
 		ie:        ie,
-		im:        p.im,
-		schema:    p.schema,
+		sh:        p.sh,
 		n:         ie.Size(),
 		nattr:     p.nattr,
 		useAxioms: useAxioms,
@@ -82,14 +81,9 @@ func (p *Grounding) extend(ie *model.EntityInstance, dict *model.Dict, counts *v
 		// step: the full slice expression makes that append copy it
 		// onto a fresh backing array instead of overwriting the
 		// parent's.
-		steps:     p.steps[:len(p.steps):len(p.steps)],
-		form1:     p.form1,
-		corrs:     p.corrs,
-		form2:     p.form2,
-		master:    p.master,
-		rankAttrs: p.rankAttrs,
-		verdicts:  verdictCache{counts: counts},
-		version:   p.version + 1,
+		steps:    p.steps[:len(p.steps):len(p.steps)],
+		verdicts: verdictCache{counts: counts},
+		version:  p.version + 1,
 	}
 	// Stack the parent's trigger layers (sharing the maps, not the
 	// parent itself — its heavy state must stay collectable), then fold
@@ -278,7 +272,7 @@ func (g *Grounding) baseChase(p *Grounding, e *engine) {
 		// (The seeds hold every new reflexive pair on every attribute, so
 		// the push drops the i ⪯ i a row's own bit forwards.)
 		for a := 0; a < g.nattr; a++ {
-			if len(g.corrs[a]) == 0 {
+			if len(g.sh.corrs[a]) == 0 {
 				continue
 			}
 			for i := oldN; i < g.n; i++ {

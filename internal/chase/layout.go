@@ -35,7 +35,7 @@ import (
 //
 //relacc:grounding-builder
 func (g *Grounding) layout(groups, cells int) {
-	n, na, nr := g.n, g.nattr, len(g.rankAttrs)
+	n, na, nr := g.n, g.nattr, len(g.sh.rankAttrs)
 	slab := make([]uint32, na*n+(na+1)+groups+(groups+1)+cells+nr+nr*n)
 	cut := func(k int) []uint32 {
 		s := slab[:k:k]
@@ -213,7 +213,7 @@ func newGroups(old []uint32, keys []uint64) int {
 //
 //relacc:grounding-builder
 func (g *Grounding) rankValues(sc *buildScratch) {
-	for s, a := range g.rankAttrs {
+	for s, a := range g.sh.rankAttrs {
 		ids, first := g.attrGroups(int(a))
 		vals, order := sc.vals[:0], sc.order[:0]
 		class, ok := 0, true

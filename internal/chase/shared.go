@@ -45,6 +45,13 @@ type Shared struct {
 	im     *model.MasterRelation
 	form1  []form1Rule  // per-pair form-(1) rules, in rule-set order
 	corrs  [][]corrRule // [fromAttr] correlation rules, in rule-set order
+	// form2 grounds the form-(2) rules lazily: each (rule, master row)
+	// pair waits on its first unmet condition, indexed by (attr, value
+	// key); when te[attr] takes that exact value the entry advances to
+	// its next unmet condition or fires. This keeps Instantiation
+	// linear in |Im| without materialising a ground step per master
+	// tuple, and target-assignment triggers O(matching rows) instead of
+	// O(|Im|).
 	form2  *form2Index
 	dict   *model.Dict
 	master []masterColumn // [attr]; nil without a master relation
@@ -165,9 +172,8 @@ func NewShared(schema *model.Schema, im *model.MasterRelation, rules *rule.Set) 
 		}
 	}
 	// Version -1, so the fresh grounding that extends it is version 0.
-	sh.empty = &Grounding{im: im, schema: schema, nattr: schema.Arity(),
-		form1: sh.form1, corrs: sh.corrs, form2: sh.form2, master: master,
-		rankAttrs: sh.rankAttrs, baseOrders: order.NewSet(schema.Arity(), 0), version: -1}
+	sh.empty = &Grounding{sh: sh, nattr: schema.Arity(),
+		baseOrders: order.NewSet(schema.Arity(), 0), version: -1}
 	sh.empty.layout(0, 0)
 	return sh, nil
 }

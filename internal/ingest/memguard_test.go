@@ -174,9 +174,7 @@ func TestSynthCSVWellFormed(t *testing.T) {
 
 // liveEntityBudget bounds the heap one live gen.Med entity holds beyond
 // its evidence tuples: its grounding version and its settled deduction.
-// Measured as below, an entity held about 15.2 KB while a deduction kept
-// its terminal orders and an order set kept a header per attribute, and
-// about 9.3 KB since.
+// Measured as below, an entity holds about 10.25 KB.
 const liveEntityBudget = 12_000
 
 // TestLiveMedEntityHeapGuard applies the 2,700 gen.Med entities to an
@@ -206,9 +204,37 @@ func TestLiveMedEntityHeapGuard(t *testing.T) {
 	per := (float64(heapAfterGC()) - float64(before)) / float64(u.Len())
 	runtime.KeepAlive(u)
 	runtime.KeepAlive(ups)
+	runtime.KeepAlive(ds) // else the second reading lacks the dataset the first one holds
 	t.Logf("%d live Med entities hold %.0f B of heap each", u.Len(), per)
 	if per > liveEntityBudget {
 		t.Fatalf("a live Med entity holds %.0f B of heap, over the %d B budget", per, liveEntityBudget)
+	}
+}
+
+// medDatasetBudget bounds the heap of the gen.Med dataset: 2,700
+// entities, 11,936 tuples and 370,016 cells. Measured as below it holds
+// 19.0 MB, a 31-value tuple's values taking 992 B in Go's 1,024 B size
+// class; with 48-byte values, 1,488 B in the 1,536 B class, it held
+// 26.7 MB, which the bound rejects.
+const medDatasetBudget = 22_000_000
+
+// TestMedDatasetHeapGuard bounds the heap gen.Generate(gen.MedConfig())
+// holds, measured as HeapAlloc after GC before and after it with the
+// dataset kept alive; most of it is the tuples' values.
+func TestMedDatasetHeapGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation distorts heap accounting")
+	}
+	if testing.Short() {
+		t.Skip("2,700-entity dataset in -short mode")
+	}
+	before := heapAfterGC()
+	ds := gen.Generate(gen.MedConfig())
+	held := float64(heapAfterGC()) - float64(before)
+	runtime.KeepAlive(ds)
+	t.Logf("the gen.Med dataset holds %.1f MB of heap", held/1e6)
+	if held > medDatasetBudget {
+		t.Fatalf("the gen.Med dataset holds %.0f B of heap, over the %d B budget", held, medDatasetBudget)
 	}
 }
 

@@ -2,7 +2,6 @@ package model
 
 import (
 	"hash/maphash"
-	"math"
 	"sync"
 )
 
@@ -55,56 +54,17 @@ type Dict struct {
 	mu sync.Mutex // overlays only: guards tab
 }
 
-// table is an open-addressing hash table over canonical values. vals
-// lists the values in ID order, vals[k] holding ID first+k, so IDs are
-// dense and issued in first-insert order. slots is a power-of-two array
+// table is an open-addressing hash table over Norm values. vals lists
+// the values in ID order, vals[k] holding ID first+k, so IDs are dense
+// and issued in first-insert order. slots is a power-of-two array
 // probed linearly from a value's hash; a slot holds the upper half of
 // the hash (a tag that settles most mismatches without reading vals) and
 // the ID, and 0 marks it empty — null is never stored in a table (its
 // ID is NullID in every dictionary), so no stored ID is 0.
 type table struct {
 	slots []uint64
-	vals  []entry
+	vals  []Value
 	first uint32
-}
-
-// entry is a canonical value as a table stores it: two-thirds the size
-// of a Value, since a Norm value is a string, a float or a boolean.
-// Equal entries are exactly equal Norms.
-type entry struct {
-	s    string // String: the string
-	bits uint64 // Float: math.Float64bits; Bool: 0 false, 1 true, 2 the NaN class
-	kind Kind   // String, Float or Bool; Null only for a base's ID 0
-}
-
-// entryOf returns the entry of v's Norm class, folding as Norm does:
-// an int into the float it converts to, −0 into +0, every NaN — and
-// the Bool-kinded sentinel Norm turns NaN into — into one class.
-func entryOf(v Value) entry {
-	switch v.kind {
-	case String:
-		return entry{s: v.s, kind: String}
-	case Int:
-		return entry{bits: math.Float64bits(float64(v.i)), kind: Float}
-	case Float:
-		switch f := v.f; {
-		case f != f:
-			return entry{bits: 2, kind: Bool}
-		case f == 0:
-			return entry{kind: Float}
-		default:
-			return entry{bits: math.Float64bits(f), kind: Float}
-		}
-	case Bool:
-		switch {
-		case v.s != "":
-			return entry{bits: 2, kind: Bool}
-		case v.b:
-			return entry{bits: 1, kind: Bool}
-		}
-		return entry{kind: Bool}
-	}
-	return entry{}
 }
 
 // minSlots is the smallest table a dictionary allocates.
@@ -115,14 +75,14 @@ const minSlots = 8
 // computed for its own table.
 var hashSeed = maphash.MakeSeed()
 
-// hash hashes an entry per kind: a string through hash/maphash, a
-// float's bits (every number, after Norm) and a boolean — the NaN class
-// among them — by mixing them.
-func (e entry) hash() uint64 {
-	if e.kind == String {
-		return maphash.String(hashSeed, e.s)
+// hash hashes a Norm value per kind: a string through hash/maphash,
+// a float's bits (every number, after Norm) and a boolean — the NaN
+// class among them — by mixing them.
+func hash(v Value) uint64 {
+	if v.kind == String {
+		return maphash.String(hashSeed, v.s)
 	}
-	return mix64(e.bits ^ uint64(e.kind)<<56)
+	return mix64(v.bits ^ uint64(v.kind)<<56)
 }
 
 // mix64 is the 64-bit finaliser of MurmurHash3: every input bit
@@ -140,8 +100,8 @@ func mix64(x uint64) uint64 {
 // next returns the ID the table would issue next.
 func (t *table) next() uint32 { return t.first + uint32(len(t.vals)) }
 
-// find returns the ID of the entry nv, whose hash is h.
-func (t *table) find(nv entry, h uint64) (uint32, bool) {
+// find returns the ID of the Norm value nv, whose hash is h.
+func (t *table) find(nv Value, h uint64) (uint32, bool) {
 	if len(t.slots) == 0 {
 		return 0, false
 	}
@@ -160,9 +120,9 @@ func (t *table) find(nv entry, h uint64) (uint32, bool) {
 	}
 }
 
-// add appends the entry nv, which the table lacks, and returns its new
-// ID. The table doubles before it is three quarters full.
-func (t *table) add(nv entry, h uint64) uint32 {
+// add appends the Norm value nv, which the table lacks, and returns its
+// new ID. The table doubles before it is three quarters full.
+func (t *table) add(nv Value, h uint64) uint32 {
 	id := t.next()
 	if id >= missID {
 		panic("model: dictionary overflow (2³²-2 distinct values)")
@@ -183,9 +143,9 @@ func (t *table) rehash(n int) {
 		size *= 2
 	}
 	t.slots = make([]uint64, size)
-	for k, e := range t.vals {
-		if e.kind != Null {
-			t.place(t.first+uint32(k), e.hash())
+	for k, v := range t.vals {
+		if v.kind != Null {
+			t.place(t.first+uint32(k), hash(v))
 		}
 	}
 }
@@ -205,14 +165,14 @@ func (t *table) place(id uint32, h uint64) {
 // IDs assigned in order of first occurrence. A base is read-only.
 func NewDict(vals ...Value) *Dict {
 	d := &Dict{}
-	d.tab.vals = make([]entry, 1, 1+len(vals)) // vals[0]: null, ID 0
+	d.tab.vals = make([]Value, 1, 1+len(vals)) // vals[0]: null, ID 0
 	d.tab.rehash(len(vals))
 	for _, v := range vals {
-		nv := entryOf(v)
+		nv := v.Norm()
 		if nv.kind == Null {
 			continue
 		}
-		h := nv.hash()
+		h := hash(nv)
 		if _, ok := d.tab.find(nv, h); !ok {
 			d.tab.add(nv, h)
 		}
@@ -241,7 +201,7 @@ func (d *Dict) Grow(n int) {
 	defer d.mu.Unlock()
 	want := len(d.tab.vals) + n
 	if cap(d.tab.vals) < want {
-		d.tab.vals = append(make([]entry, 0, want), d.tab.vals...)
+		d.tab.vals = append(make([]Value, 0, want), d.tab.vals...)
 	}
 	if 4*(want+1) > 3*len(d.tab.slots) {
 		d.tab.rehash(want)
@@ -262,11 +222,11 @@ func (d *Dict) Size() int {
 // Lookup returns the ID of v if some Equal value is in d (null always
 // is). It never interns.
 func (d *Dict) Lookup(v Value) (uint32, bool) {
-	nv := entryOf(v)
+	nv := v.Norm()
 	if nv.kind == Null {
 		return NullID, true
 	}
-	h := nv.hash()
+	h := hash(nv)
 	if d.base == nil {
 		return d.tab.find(nv, h)
 	}
@@ -296,8 +256,8 @@ func (d *Dict) InternAt(ts []*Tuple, i int, ids []uint32) {
 		if t.dict != nil && (t.dict == d || t.dict == d.base) {
 			switch id := t.ids[i]; id {
 			case missID:
-				nv := entryOf(t.vals[i])
-				ids[k] = d.ownLocked(nv, nv.hash())
+				nv := t.vals[i].Norm()
+				ids[k] = d.ownLocked(nv, hash(nv))
 				continue
 			case NoID:
 			default:
@@ -305,27 +265,27 @@ func (d *Dict) InternAt(ts []*Tuple, i int, ids []uint32) {
 				continue
 			}
 		}
-		ids[k] = d.valueLocked(entryOf(t.vals[i]))
+		ids[k] = d.valueLocked(t.vals[i].Norm())
 	}
 }
 
-// valueLocked returns the ID of the entry nv in the overlay d, whose
-// lock the caller holds, appending nv when neither the base nor the
-// overlay holds it.
-func (d *Dict) valueLocked(nv entry) uint32 {
+// valueLocked returns the ID of the Norm value nv in the overlay d,
+// whose lock the caller holds, appending nv when neither the base nor
+// the overlay holds it.
+func (d *Dict) valueLocked(nv Value) uint32 {
 	if nv.kind == Null {
 		return NullID
 	}
-	h := nv.hash()
+	h := hash(nv)
 	if id, ok := d.base.tab.find(nv, h); ok {
 		return id
 	}
 	return d.ownLocked(nv, h)
 }
 
-// ownLocked interns the entry nv, whose hash is h and which the base
-// lacks, into the overlay d, whose lock the caller holds.
-func (d *Dict) ownLocked(nv entry, h uint64) uint32 {
+// ownLocked interns the Norm value nv, whose hash is h and which the
+// base lacks, into the overlay d, whose lock the caller holds.
+func (d *Dict) ownLocked(nv Value, h uint64) uint32 {
 	if id, ok := d.tab.find(nv, h); ok {
 		return id
 	}

@@ -19,7 +19,7 @@ func internAt(d *Dict, t *Tuple, i int) uint32 {
 func (d *Dict) intern(v Value) uint32 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.valueLocked(entryOf(v))
+	return d.valueLocked(v.Norm())
 }
 
 func TestDictNullIsZero(t *testing.T) {

@@ -11,6 +11,7 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -57,28 +58,45 @@ func (k Kind) String() string {
 // Value is an immutable, dynamically typed attribute value. The zero
 // Value is null. Values are comparable with == only through Equal;
 // use Compare for ordering.
+//
+// A Value is 32 bytes: a string, one 64-bit payload word and the kind.
+// The word holds an Int's bits, a Float's math.Float64bits, or 1 for
+// true and 0 for false; the string holds a String's text. A field a
+// kind does not use is zero, so a string, a boolean or a Float that
+// is neither −0 nor NaN is already its own Norm, and a dictionary
+// table (Dict) stores Norm values as they are: tuple cells and
+// dictionary entries share one shape, and Norm is the one place
+// values are folded. The shape is the smallest that holds a string
+// beside a 64-bit number, which is what most of a dataset's heap is:
+// a 31-attribute tuple's values take 992 bytes.
 type Value struct {
+	s    string // String: the text; the NaN class (Norm): "NaN"
+	bits uint64 // Int: the int64's bits; Float: math.Float64bits; Bool: 1 true, 0 false
 	kind Kind
-	s    string
-	i    int64
-	f    float64
-	b    bool
 }
+
+// nanNorm is the one value every NaN normalizes to (see Norm).
+var nanNorm = Value{s: "NaN", kind: Bool}
 
 // NullValue returns the null value.
 func NullValue() Value { return Value{} }
 
 // S returns a string value.
-func S(s string) Value { return Value{kind: String, s: s} }
+func S(s string) Value { return Value{s: s, kind: String} }
 
 // I returns an integer value.
-func I(i int64) Value { return Value{kind: Int, i: i} }
+func I(i int64) Value { return Value{bits: uint64(i), kind: Int} }
 
 // F returns a float value.
-func F(f float64) Value { return Value{kind: Float, f: f} }
+func F(f float64) Value { return Value{bits: math.Float64bits(f), kind: Float} }
 
 // B returns a boolean value.
-func B(b bool) Value { return Value{kind: Bool, b: b} }
+func B(b bool) Value {
+	if b {
+		return Value{bits: 1, kind: Bool}
+	}
+	return Value{kind: Bool}
+}
 
 // Kind reports the dynamic type of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -90,36 +108,39 @@ func (v Value) IsNull() bool { return v.kind == Null }
 func (v Value) Str() string { return v.s }
 
 // Int returns the integer payload; it is only meaningful when Kind()==Int.
-func (v Value) Int() int64 { return v.i }
+func (v Value) Int() int64 {
+	if v.kind != Int {
+		return 0
+	}
+	return int64(v.bits)
+}
 
 // Float returns the numeric payload as a float64 for Int or Float values.
 func (v Value) Float() float64 {
-	if v.kind == Int {
-		return float64(v.i)
+	switch v.kind {
+	case Int:
+		return float64(int64(v.bits))
+	case Float:
+		return math.Float64frombits(v.bits)
 	}
-	return v.f
+	return 0
 }
 
 // Bool returns the boolean payload; it is only meaningful when Kind()==Bool.
-func (v Value) Bool() bool { return v.b }
+func (v Value) Bool() bool { return v.kind == Bool && v.bits == 1 }
 
 // Equal reports whether two values are identical. Int and Float values
 // are numerically compared (I(3).Equal(F(3)) is true); null equals only
-// null.
+// null; NaN, and the NaN class Norm folds it into, equal nothing.
 func (v Value) Equal(w Value) bool {
 	if v.kind == w.kind {
 		switch v.kind {
-		case Null:
-			return true
-		case String:
-			return v.s == w.s
-		case Int:
-			return v.i == w.i
 		case Float:
-			return v.f == w.f
+			return v.Float() == w.Float()
 		case Bool:
-			return v.b == w.b
+			return v == w && v.s == ""
 		}
+		return v == w
 	}
 	if v.isNumeric() && w.isNumeric() {
 		return v.Float() == w.Float()
@@ -163,20 +184,13 @@ func (v Value) Compare(w Value) (int, bool) {
 	case String:
 		return strings.Compare(v.s, w.s), true
 	case Bool:
-		switch {
-		case v.b == w.b:
-			return 0, true
-		case !v.b:
-			return -1, true
-		default:
-			return 1, true
-		}
+		return cmp.Compare(v.bits, w.bits), true
 	}
 	return 0, false
 }
 
 // String renders the value for display. Null renders as "null"; strings
-// render verbatim.
+// render verbatim, and the NaN class as NaN.
 func (v Value) String() string {
 	switch v.kind {
 	case Null:
@@ -184,11 +198,14 @@ func (v Value) String() string {
 	case String:
 		return v.s
 	case Int:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case Float:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case Bool:
-		return strconv.FormatBool(v.b)
+		if v.s != "" {
+			return v.s
+		}
+		return strconv.FormatBool(v.bits == 1)
 	default:
 		return "?"
 	}
@@ -203,68 +220,56 @@ func (v Value) Quote() string {
 	return v.String()
 }
 
-// Norm returns a canonical representative of v with the same equality
-// semantics as Key: Equal values normalize identically, ints fold into
-// floats (they compare equal numerically, so int64 magnitudes beyond
-// float64 precision collide — exactly as their Key strings do), and
-// unused payload fields are zeroed. The result is directly usable as a
-// map key and — unlike Key — allocates nothing.
+// Norm returns the canonical representative of v, which is what a
+// dictionary table stores for it. Norm is the one place values fold:
+// an int into the float it converts to (so int64 magnitudes beyond
+// float64 precision collide, exactly as their Key strings do), −0
+// into +0, and every NaN into one class. Every other value is its own
+// Norm. The result is directly usable as a map key and — unlike Key —
+// allocates nothing.
 //
 // Norm is a true canonical form: Norm(v) == Norm(w) (Go ==) exactly
 // when Key(v) == Key(w), and Equal(v, w) implies equal Norms. Value
 // interning (Dict) is sound only because of this — the fuzz test
-// FuzzValueCanon pins it. The one value equal Norms do NOT imply Equal
-// for is NaN: IEEE makes NaN unequal to itself, but Key and Norm fold
-// all NaNs into one class so maps and dictionaries stay usable.
+// FuzzValueCanon pins it, on Norm's own results too. Equal Norms do
+// not imply Equal for two ints that round to one float (Equal compares
+// ints exactly) nor for NaN: IEEE makes NaN unequal to itself, but
+// NaN != NaN under == would make a NaN useless as a map key, so Norm
+// folds every NaN into a Bool-kinded value with the string "NaN",
+// which no other value normalizes to. That class answers Equal,
+// String, Quote and Key as NaN does.
 func (v Value) Norm() Value {
 	switch v.kind {
-	case String:
-		return Value{kind: String, s: v.s}
 	case Int:
-		return Value{kind: Float, f: float64(v.i)}
+		return F(v.Float())
 	case Float:
-		if math.IsNaN(v.f) {
-			// NaN != NaN under ==, which would make the result useless
-			// as a map key; fold every NaN to a sentinel no real value
-			// normalizes to, preserving Key's "nNaN" grouping.
-			return Value{kind: Bool, s: "NaN"}
+		switch f := v.Float(); {
+		case f != f:
+			return nanNorm
+		case f == 0:
+			return Value{kind: Float}
 		}
-		if v.f == 0 {
-			// Fold -0.0 into +0.0: they are == (so they'd collide as map
-			// keys anyway) but format differently, which would desync
-			// Norm classes from Key strings.
-			return Value{kind: Float, f: 0}
-		}
-		return Value{kind: Float, f: v.f}
-	case Bool:
-		// Preserve the s payload: the NaN sentinel above is Bool-kinded
-		// with s == "NaN", and Norm must be idempotent on its own output
-		// (FuzzValueCanon pins this).
-		return Value{kind: Bool, s: v.s, b: v.b}
-	default:
-		return Value{}
 	}
+	return v
 }
 
-// Key returns a string that is identical exactly for Equal values, for
-// use as a map key. Numeric values of equal magnitude share a key
-// (including -0.0 and +0.0, which are numerically equal).
+// Key returns a string that is identical exactly for values of one
+// Norm class, for use as a map key: Equal values share a key, and so
+// do numeric values of equal magnitude (-0.0 and +0.0 among them) and
+// all NaNs.
 func (v Value) Key() string {
-	switch v.kind {
+	switch nv := v.Norm(); nv.kind {
 	case Null:
 		return "\x00"
 	case String:
-		return "s" + v.s
-	case Int:
-		return "n" + strconv.FormatFloat(float64(v.i), 'g', -1, 64)
+		return "s" + nv.s
 	case Float:
-		f := v.f
-		if f == 0 {
-			f = 0 // fold -0.0 into +0.0, matching Norm
-		}
-		return "n" + strconv.FormatFloat(f, 'g', -1, 64)
+		return "n" + nv.String()
 	case Bool:
-		return "b" + strconv.FormatBool(v.b)
+		if nv.s != "" {
+			return "n" + nv.s
+		}
+		return "b" + nv.String()
 	default:
 		return "?"
 	}

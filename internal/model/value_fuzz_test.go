@@ -8,7 +8,8 @@ import (
 
 // FuzzValueCanon pins the canonicalization contract that value
 // interning (Dict) is built on: Norm must be a true canonical form.
-// For arbitrary parsed values v, w the invariants are
+// For arbitrary parsed values v, w — and for their Norms, which are
+// what a dictionary stores — the invariants are
 //
 //  1. Norm is idempotent and allocation-free comparable: Norm(Norm(v))
 //     == Norm(v) under Go ==.
@@ -42,44 +43,53 @@ func FuzzValueCanon(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, s1, s2 string) {
 		v, w := Parse(s1), Parse(s2)
-
-		// (1) Idempotence.
-		if v.Norm() != v.Norm().Norm() {
-			t.Fatalf("Norm not idempotent for %q: %#v vs %#v", s1, v.Norm(), v.Norm().Norm())
-		}
-
-		// (2) Norm classes == Key classes.
-		sameNorm := v.Norm() == w.Norm()
-		sameKey := v.Key() == w.Key()
-		if sameNorm != sameKey {
-			t.Fatalf("Norm/Key disagree for %q vs %q: sameNorm=%v sameKey=%v (norms %#v %#v, keys %q %q)",
-				s1, s2, sameNorm, sameKey, v.Norm(), w.Norm(), v.Key(), w.Key())
-		}
-
-		// (3) Equal refines Norm equality, exactly up to NaN.
-		if v.Equal(w) && !sameNorm {
-			t.Fatalf("Equal values %q, %q have different Norms", s1, s2)
-		}
-		isNaN := v.Kind() == Float && math.IsNaN(v.Float())
-		if sameNorm && !isNaN && !v.Equal(w) {
-			t.Fatalf("same-Norm values %q, %q are not Equal", s1, s2)
-		}
-
-		// (4) Quote/Parse round-trip stays in the class.
-		rt := Parse(v.Quote())
-		if rt.Norm() != v.Norm() {
-			t.Fatalf("round-trip moved %q out of its Norm class: %q -> %#v vs %#v",
-				s1, v.Quote(), rt.Norm(), v.Norm())
-		}
-
-		// String stays parseable for non-strings (strings may collide
-		// with literals; Quote covers those above).
-		if v.Kind() == Int {
-			if i, err := strconv.ParseInt(v.String(), 10, 64); err != nil || i != v.Int() {
-				t.Fatalf("Int String round-trip broke: %q", v.String())
+		for _, v := range [2]Value{v, v.Norm()} {
+			for _, w := range [2]Value{w, w.Norm()} {
+				checkCanon(t, v, w)
 			}
 		}
 	})
+}
+
+// checkCanon checks FuzzValueCanon's four invariants on v and w.
+func checkCanon(t *testing.T, v, w Value) {
+	t.Helper()
+	// (1) Idempotence.
+	if v.Norm() != v.Norm().Norm() {
+		t.Fatalf("Norm not idempotent for %#v: %#v vs %#v", v, v.Norm(), v.Norm().Norm())
+	}
+
+	// (2) Norm classes == Key classes.
+	sameNorm := v.Norm() == w.Norm()
+	sameKey := v.Key() == w.Key()
+	if sameNorm != sameKey {
+		t.Fatalf("Norm/Key disagree for %#v vs %#v: sameNorm=%v sameKey=%v (norms %#v %#v, keys %q %q)",
+			v, w, sameNorm, sameKey, v.Norm(), w.Norm(), v.Key(), w.Key())
+	}
+
+	// (3) Equal refines Norm equality, exactly up to NaN.
+	if v.Equal(w) && !sameNorm {
+		t.Fatalf("Equal values %#v, %#v have different Norms", v, w)
+	}
+	isNaN := v.Key() == F(math.NaN()).Key()
+	if sameNorm && !isNaN && !v.Equal(w) {
+		t.Fatalf("same-Norm values %#v, %#v are not Equal", v, w)
+	}
+
+	// (4) Quote/Parse round-trip stays in the class.
+	rt := Parse(v.Quote())
+	if rt.Norm() != v.Norm() {
+		t.Fatalf("round-trip moved %#v out of its Norm class: %q -> %#v vs %#v",
+			v, v.Quote(), rt.Norm(), v.Norm())
+	}
+
+	// String stays parseable for non-strings (strings may collide
+	// with literals; Quote covers those above).
+	if v.Kind() == Int {
+		if i, err := strconv.ParseInt(v.String(), 10, 64); err != nil || i != v.Int() {
+			t.Fatalf("Int String round-trip broke: %q", v.String())
+		}
+	}
 }
 
 // parseTwoCalls is Parse as it was before maybeNumber: strconv.ParseInt,

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueKinds(t *testing.T) {
@@ -173,5 +174,135 @@ func TestNormMatchesKeyGrouping(t *testing.T) {
 	m := map[Value]int{F(math.NaN()).Norm(): 1}
 	if m[Parse("NaN").Norm()] != 1 {
 		t.Error("NaN-normalized value is not retrievable from a map")
+	}
+}
+
+// TestValueLayout pins Value at 32 bytes, the shape a dictionary table
+// stores: a string, one payload word and the kind.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+}
+
+// pinnedValues are the values TestValueAnswersPinned pins the answers
+// of: null and strings, ints (2⁵³+1 and the int64 extremes among
+// them), floats (±0, ±Inf and NaN among them), the NaN class Norm
+// folds NaN into, and booleans.
+var pinnedValues = []Value{
+	NullValue(), S(""), S("x"), S("NaN"), S("3"), S("false"),
+	I(0), I(3), I(-7), I(math.MaxInt64), I(math.MinInt64), I(1<<53 + 1), I(1 << 53),
+	F(0), F(math.Copysign(0, -1)), F(3), F(2.5), F(1 << 53), F(math.Inf(1)), F(math.Inf(-1)), F(math.NaN()),
+	F(math.NaN()).Norm(), B(false), B(true),
+}
+
+// TestValueAnswersPinned pins, for every pinned value, its kind, each
+// accessor's result (on a value of another kind too), String, Quote,
+// Key and Norm class, and for every pair Equal and Compare. The NaN
+// class answers Equal, String, Quote and Key as the NaN it stands for.
+func TestValueAnswersPinned(t *testing.T) {
+	type answers struct {
+		kind, str     string
+		i             int64
+		fbits         uint64
+		b             bool
+		string, quote string
+		key           string
+		normClass     int // index of the first pinned value of v's Norm class
+	}
+	want := []answers{
+		{"null", "", 0, 0x0, false, "null", "null", "\x00", 0},
+		{"string", "", 0, 0x0, false, "", `""`, "s", 1},
+		{"string", "x", 0, 0x0, false, "x", `"x"`, "sx", 2},
+		{"string", "NaN", 0, 0x0, false, "NaN", `"NaN"`, "sNaN", 3},
+		{"string", "3", 0, 0x0, false, "3", `"3"`, "s3", 4},
+		{"string", "false", 0, 0x0, false, "false", `"false"`, "sfalse", 5},
+		{"int", "", 0, 0x0, false, "0", "0", "n0", 6},
+		{"int", "", 3, 0x4008000000000000, false, "3", "3", "n3", 7},
+		{"int", "", -7, 0xc01c000000000000, false, "-7", "-7", "n-7", 8},
+		{"int", "", math.MaxInt64, 0x43e0000000000000, false, "9223372036854775807", "9223372036854775807", "n9.223372036854776e+18", 9},
+		{"int", "", math.MinInt64, 0xc3e0000000000000, false, "-9223372036854775808", "-9223372036854775808", "n-9.223372036854776e+18", 10},
+		{"int", "", 1<<53 + 1, 0x4340000000000000, false, "9007199254740993", "9007199254740993", "n9.007199254740992e+15", 11},
+		{"int", "", 1 << 53, 0x4340000000000000, false, "9007199254740992", "9007199254740992", "n9.007199254740992e+15", 11},
+		{"float", "", 0, 0x0, false, "0", "0", "n0", 6},
+		{"float", "", 0, 0x8000000000000000, false, "-0", "-0", "n0", 6},
+		{"float", "", 0, 0x4008000000000000, false, "3", "3", "n3", 7},
+		{"float", "", 0, 0x4004000000000000, false, "2.5", "2.5", "n2.5", 16},
+		{"float", "", 0, 0x4340000000000000, false, "9.007199254740992e+15", "9.007199254740992e+15", "n9.007199254740992e+15", 11},
+		{"float", "", 0, 0x7ff0000000000000, false, "+Inf", "+Inf", "n+Inf", 18},
+		{"float", "", 0, 0xfff0000000000000, false, "-Inf", "-Inf", "n-Inf", 19},
+		{"float", "", 0, math.Float64bits(math.NaN()), false, "NaN", "NaN", "nNaN", 20},
+		{"bool", "NaN", 0, 0x0, false, "NaN", "NaN", "nNaN", 20},
+		{"bool", "", 0, 0x0, false, "false", "false", "bfalse", 22},
+		{"bool", "", 0, 0x0, true, "true", "true", "btrue", 23},
+	}
+	// pairs[i][j] encodes pinnedValues[i] against pinnedValues[j]:
+	// Compare's (-1, true) as '<', (1, true) as '>', (0, true) as 'E'
+	// when Equal and '0' when not, and (_, false) as 'N' when Equal
+	// (null against null) and '.' when not.
+	pairs := []string{
+		"N.......................",
+		".E<<<<..................",
+		".>E>>>..................",
+		".><E><..................",
+		".><<E<..................",
+		".><>>E..................",
+		"......E<><><<EE<<<<>0...",
+		"......>E><><<>>E><<>0...",
+		"......<<E<><<<<<<<<>0...",
+		"......>>>E>>>>>>>><>0...",
+		"......<<<<E<<<<<<<<>0...",
+		"......>>><>E0>>>>E<>0...",
+		"......>>><>0E>>>>E<>0...",
+		"......E<><><<EE<<<<>0...",
+		"......E<><><<EE<<<<>0...",
+		"......>E><><<>>E><<>0...",
+		"......><><><<>><E<<>0...",
+		"......>>><>EE>>>>E<>0...",
+		"......>>>>>>>>>>>>E>0...",
+		"......<<<<<<<<<<<<<E0...",
+		"......000000000000000...",
+		".....................00<",
+		".....................0E<",
+		".....................>>E",
+	}
+	for i, v := range pinnedValues {
+		first := i
+		for j, w := range pinnedValues {
+			if v.Norm() == w.Norm() {
+				first = j
+				break
+			}
+		}
+		got := answers{v.Kind().String(), v.Str(), v.Int(), math.Float64bits(v.Float()), v.Bool(),
+			v.String(), v.Quote(), v.Key(), first}
+		if got != want[i] {
+			t.Errorf("value %d: answers %+v, want %+v", i, got, want[i])
+		}
+		row := make([]byte, len(pinnedValues))
+		for j, w := range pinnedValues {
+			c, ok := v.Compare(w)
+			eq := v.Equal(w)
+			switch {
+			case !ok && eq:
+				row[j] = 'N'
+			case !ok:
+				row[j] = '.'
+			case c < 0:
+				row[j] = '<'
+			case c > 0:
+				row[j] = '>'
+			case eq:
+				row[j] = 'E'
+			default:
+				row[j] = '0'
+			}
+			if eq && ok && c != 0 {
+				t.Errorf("value %d equals value %d but Compare gives %d", i, j, c)
+			}
+		}
+		if string(row) != pairs[i] {
+			t.Errorf("value %d (%s) against each pinned value:\n got %s\nwant %s", i, v.Quote(), row, pairs[i])
+		}
 	}
 }
